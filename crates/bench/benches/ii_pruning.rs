@@ -6,12 +6,18 @@
 //! `<case>_prune_on` rows must stay well below their `_prune_off` twins
 //! (the filter skips the infeasible prefix of the climb without changing
 //! the schedule — byte-identity is pinned by `tests/search_strategies.rs`).
-//! The per-case means land in `target/criterion/ii_pruning/summary.json`
+//!
+//! The `roomy60_prune_on`/`_prune_off` pair tracks the opposite case: a
+//! 60-loop paper-scale workbench slice on 1x64, where almost every loop
+//! lands at its MII and the filter cannot fire, so the gap between the
+//! two rows is what the filter costs when it prunes nothing.
+//!
+//! The per-row means land in `target/criterion/ii_pruning/summary.json`
 //! and fold into the `bench_trend` longitudinal series.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use loopgen::hard::HARD_CASES;
-use loopgen::hard_cases;
+use loopgen::{hard_cases, Workbench, WorkbenchParams};
 use mirs::{MirsScheduler, SchedulerOptions, SearchConfig};
 use vliw::MachineConfig;
 
@@ -39,6 +45,27 @@ fn bench(c: &mut Criterion) {
                 })
             });
         }
+    }
+    let slice = Workbench::generate(&WorkbenchParams {
+        loops: 60,
+        ..WorkbenchParams::paper_scale()
+    });
+    let roomy = MachineConfig::paper_config(1, 64).unwrap();
+    for (suffix, prune) in [("prune_on", true), ("prune_off", false)] {
+        let opts =
+            SchedulerOptions::default().with_search(SearchConfig::linear().with_prune(prune));
+        g.bench_function(&format!("roomy60_{suffix}"), |b| {
+            b.iter(|| {
+                let sched = MirsScheduler::new(&roomy, opts);
+                let ii_sum: u32 = slice
+                    .loops()
+                    .iter()
+                    .filter_map(|lp| sched.schedule(lp).ok())
+                    .map(|r| r.ii)
+                    .sum();
+                std::hint::black_box(ii_sum)
+            })
+        });
     }
     g.finish();
 }

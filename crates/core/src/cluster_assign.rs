@@ -78,7 +78,7 @@ impl SchedState<'_, '_> {
         let export_count = |v: ValueId| -> usize {
             let mut dst_clusters: Vec<ClusterId> = Vec::new();
             for &c in self.graph.consumer_ids(v) {
-                if let Some(cc) = self.sched.cluster_of(c) {
+                if let Some(cc) = self.read_cluster(c) {
                     if cc != cluster && !dst_clusters.contains(&cc) {
                         dst_clusters.push(cc);
                     }
@@ -117,6 +117,19 @@ impl SchedState<'_, '_> {
         carried
     }
 
+    /// The cluster in which the scheduled `consumer` reads its operands,
+    /// if it is scheduled. A move reads in its route's source cluster —
+    /// its placement is the destination it writes — and every other op
+    /// where it is placed.
+    fn read_cluster(&self, consumer: NodeId) -> Option<ClusterId> {
+        let placed = self.sched.cluster_of(consumer)?;
+        Some(
+            self.move_route
+                .get(&consumer)
+                .map_or(placed, |&(src, _)| src),
+        )
+    }
+
     /// A live move node that already transports `value` into `cluster`, if
     /// any — an O(1) read of the index `create_move`/`remove_move` maintain.
     fn move_of_value_into(&self, value: ValueId, cluster: ClusterId) -> Option<NodeId> {
@@ -144,6 +157,10 @@ impl SchedState<'_, '_> {
     /// it is reused and the operand is simply rewired.
     pub(crate) fn ensure_moves(&mut self, node: NodeId, cluster: ClusterId) -> Vec<NodeId> {
         let mut new_moves = Vec::new();
+        if self.machine.clusters() == 1 {
+            // Every operand and consumer lives in the one cluster.
+            return new_moves;
+        }
 
         // --- imports -------------------------------------------------------
         let srcs = self.graph.op(node).srcs().to_vec();
@@ -218,7 +235,7 @@ impl SchedState<'_, '_> {
         // rewiring below needs, as it mutates the graph) is built.
         let mut dst_clusters: Vec<ClusterId> = Vec::new();
         for &c in self.graph.consumer_ids(dest) {
-            if let Some(cc) = self.sched.cluster_of(c) {
+            if let Some(cc) = self.read_cluster(c) {
                 if cc != cluster && !dst_clusters.contains(&cc) {
                     dst_clusters.push(cc);
                 }
@@ -237,7 +254,7 @@ impl SchedState<'_, '_> {
                 mv
             };
             for c in &consumers {
-                if self.sched.cluster_of(*c) == Some(dst) {
+                if self.read_cluster(*c) == Some(dst) {
                     self.rewire_consumer(*c, dest, mv);
                 }
             }

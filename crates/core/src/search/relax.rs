@@ -17,10 +17,12 @@
 //!
 //! 1. **Recurrence cycles.** Every dependence edge requires
 //!    `t(to) − t(from) ≥ latency − II·distance`; a positive-weight cycle in
-//!    that difference-constraint graph is unsatisfiable. The smallest II
-//!    with no positive cycle ([`RelaxCache::rec_infeasible`]) is found once
-//!    by binary search with Bellman–Ford probes; every II below it is
-//!    infeasible.
+//!    that difference-constraint graph is unsatisfiable. One Bellman–Ford
+//!    probe at the candidate II decides it. Feasibility is monotone in II
+//!    (cycle weights `L − II·D` only shrink as II grows), so once a probe
+//!    hits a positive cycle the smallest II without one — the threshold
+//!    `T` ([`RelaxCache::rec_infeasible`]) — is found by binary search,
+//!    and the rest of the infeasible prefix is answered from it.
 //! 2. **Aggregate slot capacities.** The GP-occupancy total and memory-op
 //!    count must fit `total_gp_units()·II` and `total_mem_ports()·II`, and
 //!    a single wrapped occupancy may not demand more units of one kernel
@@ -45,6 +47,21 @@
 //!    only re-home a value, and the scheduler's completion gate rejects
 //!    any placement whose pressure exceeds the register files.)
 //!
+//! # Screening before the closure
+//!
+//! The recurrence probe starts from all-zero potentials, and when it
+//! finds no positive cycle its result is a potential `π` with
+//! `π(v) ≥ π(u) + latency − II·distance` on every constraint. Summing
+//! along any path from `u` to `v` telescopes to `ℓ(u,v) ≤ π(v) − π(u)`,
+//! so replacing `ℓ` by that difference in family 3 — and dropping the
+//! spill reduction — gives an *upper* bound on the register area the
+//! exact check starts from. When even that bound fits
+//! `total registers · II`, family 3 cannot fire and the verdict is
+//! [`Verdict::Undecided`] without the closure. Only the remaining IIs
+//! build it and run the exact check, so every verdict is the one the
+//! closure alone would give. On register-roomy machines almost every
+//! loop stops at the screen.
+//!
 //! # Incremental across the climb
 //!
 //! All II-dependent state is derived from II-independent tables built
@@ -63,7 +80,7 @@
 //! as a safety valve; dropping entries only *under*-approximates the
 //! closure, which weakens the bound but never makes it unsound.
 
-use ddg::{DepGraph, NodeId};
+use ddg::DepGraph;
 use std::cell::OnceCell;
 use vliw::{MachineConfig, OpClass, Opcode};
 
@@ -92,15 +109,9 @@ pub(crate) enum Verdict {
 type Entry = (i64, i64);
 type Frontier = Vec<Entry>;
 
-/// Register-area inputs of one loop-variant value.
-struct VariantArea {
-    /// Producer-op latency: the span floor even a spilled value keeps
-    /// (the store cannot issue before the producing op completes).
-    producer_latency: i64,
-    /// `(producer idx, consumer idx, direct latency, distance)` per
-    /// dependence edge carrying the value.
-    uses: Vec<(usize, usize, i64, i64)>,
-}
+/// A difference constraint `(u, v, latency, distance)` between dense node
+/// indices: `t(v) − t(u) ≥ latency − II·distance`.
+type Constraint = (usize, usize, i64, i64);
 
 /// Register-area inputs of the whole loop; absent when any cluster's
 /// register file is unbounded (the bound can never fire).
@@ -110,13 +121,45 @@ struct RegModel {
     /// Loop-invariant values with at least one consumer (each occupies a
     /// register for the full kernel unless re-loaded from memory).
     invariants: usize,
-    variants: Vec<VariantArea>,
+    /// Per loop-variant value with a use: its producer-op latency (the
+    /// span floor even a spilled value keeps — the store cannot issue
+    /// before the producing op completes) and the end of its run of
+    /// `uses`.
+    variants: Vec<(i64, usize)>,
+    /// `(producer, consumer, direct latency, distance)` per dependence
+    /// edge carrying a variant value, grouped by value.
+    uses: Vec<Constraint>,
+}
+
+impl RegModel {
+    /// `(minimum span, producer latency)` per variant value at `ii`, with
+    /// `path(u, v)` at least the longest constraint path from `u` to `v`
+    /// ([`UNREACH`] when there is none).
+    fn spans<'a>(
+        &'a self,
+        ii: i64,
+        path: impl Fn(usize, usize) -> i64 + 'a,
+    ) -> impl Iterator<Item = (i64, i64)> + 'a {
+        let mut start = 0;
+        self.variants.iter().map(move |&(producer_latency, end)| {
+            let span = self.uses[start..end]
+                .iter()
+                .map(|&(u, to, direct, dist)| match path(u, to) {
+                    UNREACH => direct,
+                    via => direct.max(via + ii * dist),
+                })
+                .max()
+                .expect("variants have uses");
+            start = end;
+            (span, producer_latency)
+        })
+    }
 }
 
 /// Per-loop relaxation state, II-independent; built once and consulted
 /// for every candidate II of the climb and every certifier probe.
 pub(crate) struct RelaxCache {
-    nodes: Vec<NodeId>,
+    n: usize,
     /// GP-pool slots occupied per node (0 for memory/move ops).
     pub(crate) gp_occ: Vec<u32>,
     /// Whether the node takes a memory-port slot.
@@ -126,16 +169,15 @@ pub(crate) struct RelaxCache {
     /// Total GP occupancy and memory-op count (aggregate capacity checks).
     gp_total: u64,
     mem_total: u64,
-    /// Raw difference constraints `(u, v, latency, distance)`, sorted by
-    /// `(u, v)` so per-II edge folding is a linear scan.
-    cons: Vec<(usize, usize, i64, i64)>,
+    /// Raw difference constraints, in edge-id order.
+    cons: Vec<Constraint>,
     /// Smallest II at which the constraint graph has no positive cycle;
     /// `None` when a zero-distance positive cycle makes every II
-    /// infeasible.
-    rec_threshold: Option<u32>,
-    /// Parametric closure frontiers (`n·n`), built lazily on first use —
-    /// the admission filter on a machine with unbounded registers never
-    /// needs them.
+    /// infeasible. Searched for only once a probe hits a positive cycle
+    /// or the closure needs it as its anchor.
+    threshold: OnceCell<Option<u32>>,
+    /// Parametric closure frontiers (`n·n`), built on first use: by the
+    /// certifier, or by a verdict the potential screen cannot settle.
     frontiers: OnceCell<Vec<Frontier>>,
     reg: Option<RegModel>,
     /// Latency of a spill reload (the span floor of a re-loaded value).
@@ -146,31 +188,33 @@ impl RelaxCache {
     /// Build the cache for `graph` on `machine`.
     pub(crate) fn build(graph: &DepGraph, machine: &MachineConfig) -> Self {
         let lat = machine.latencies();
-        let nodes: Vec<NodeId> = graph.node_ids().collect();
-        let n = nodes.len();
-        let index_of = |id: NodeId| nodes.binary_search(&id).expect("node_ids are sorted");
-
-        let mut gp_occ = vec![0u32; n];
-        let mut is_mem = vec![false; n];
-        for (i, &id) in nodes.iter().enumerate() {
+        // Dense indices of the live nodes, addressed by node id.
+        let mut index = vec![usize::MAX; graph.node_capacity()];
+        let mut gp_occ = Vec::new();
+        let mut is_mem = Vec::new();
+        for (i, id) in graph.node_ids().enumerate() {
+            index[id.index()] = i;
             let op = graph.op(id).opcode;
-            match op.class() {
-                OpClass::Gp => gp_occ[i] = lat.occupancy(op),
-                OpClass::Mem => is_mem[i] = true,
-                OpClass::Move => {}
-            }
+            gp_occ.push(match op.class() {
+                OpClass::Gp => lat.occupancy(op),
+                OpClass::Mem | OpClass::Move => 0,
+            });
+            is_mem.push(op.class() == OpClass::Mem);
         }
         let gp_total = gp_occ.iter().map(|&o| u64::from(o)).sum();
         let mem_total = is_mem.iter().filter(|&&m| m).count() as u64;
 
-        let mut cons: Vec<(usize, usize, i64, i64)> = graph
+        let cons: Vec<Constraint> = graph
             .difference_constraints(lat)
             .map(|(from, to, latency, distance)| {
-                (index_of(from), index_of(to), latency, i64::from(distance))
+                (
+                    index[from.index()],
+                    index[to.index()],
+                    latency,
+                    i64::from(distance),
+                )
             })
             .collect();
-        cons.sort_unstable();
-        let rec_threshold = recurrence_threshold(n, &cons);
 
         let mut r_total = 0i64;
         let mut unbounded = false;
@@ -182,11 +226,10 @@ impl RelaxCache {
             }
             r_total += i64::from(r);
         }
-        let reg = if unbounded {
-            None
-        } else {
+        let reg = (!unbounded).then(|| {
             let mut invariants = 0usize;
             let mut variants = Vec::new();
+            let mut uses = Vec::new();
             for v in graph.value_ids() {
                 let data = graph.value(v);
                 if data.invariant {
@@ -196,37 +239,32 @@ impl RelaxCache {
                     continue;
                 }
                 let Some(u) = data.producer else { continue };
-                let u_idx = index_of(u);
-                let producer_latency = i64::from(graph.op(u).latency(lat));
-                let mut uses = Vec::new();
+                let start = uses.len();
                 for &e in graph.out_edge_ids(u) {
                     let edge = graph.edge(e);
-                    if edge.value != Some(v) {
-                        continue;
+                    if edge.value == Some(v) {
+                        uses.push((
+                            index[u.index()],
+                            index[edge.to.index()],
+                            graph.latency_of(edge, lat),
+                            i64::from(edge.distance),
+                        ));
                     }
-                    uses.push((
-                        u_idx,
-                        index_of(edge.to),
-                        graph.latency_of(edge, lat),
-                        i64::from(edge.distance),
-                    ));
                 }
-                if !uses.is_empty() {
-                    variants.push(VariantArea {
-                        producer_latency,
-                        uses,
-                    });
+                if uses.len() > start {
+                    variants.push((i64::from(graph.op(u).latency(lat)), uses.len()));
                 }
             }
-            Some(RegModel {
+            RegModel {
                 r_total,
                 invariants,
                 variants,
-            })
-        };
+                uses,
+            }
+        });
 
         Self {
-            nodes,
+            n: gp_occ.len(),
             gp_occ,
             is_mem,
             gp_cap: machine.total_gp_units(),
@@ -234,7 +272,7 @@ impl RelaxCache {
             gp_total,
             mem_total,
             cons,
-            rec_threshold,
+            threshold: OnceCell::new(),
             frontiers: OnceCell::new(),
             reg,
             lat_reload: i64::from(lat.latency(Opcode::SpillLoad)),
@@ -242,80 +280,105 @@ impl RelaxCache {
     }
 
     pub(crate) fn n(&self) -> usize {
-        self.nodes.len()
+        self.n
     }
 
     /// The constraint graph has a positive cycle at this II (the RecMII
     /// argument: no residue/stage assignment can satisfy it).
     pub(crate) fn rec_infeasible(&self, ii: u32) -> bool {
-        match self.rec_threshold {
-            None => true,
-            Some(t) => ii < t,
-        }
+        self.threshold(1, None).is_none_or(|t| ii < t)
+    }
+
+    /// The recurrence threshold, searched for on first use between `lo`
+    /// (every II below it has a positive cycle) and `feasible_at` (an II
+    /// known to have none), as far as the caller knows them.
+    fn threshold(&self, lo: u32, feasible_at: Option<u32>) -> Option<u32> {
+        *self
+            .threshold
+            .get_or_init(|| recurrence_threshold(self.n, &self.cons, lo, feasible_at))
     }
 
     /// The bounded relaxation pass of the admission filter (and the
-    /// pre-DFS screen of the certifier): recurrence threshold, aggregate
-    /// capacities and the register lifetime-area bound — no search.
+    /// pre-DFS screen of the certifier): aggregate capacities, recurrence
+    /// cycles and the register lifetime-area bound — no search.
     pub(crate) fn verdict(&self, ii: u32) -> Verdict {
         debug_assert!(ii >= 1);
-        if self.n() == 0 {
+        if self.n == 0 {
             return Verdict::Undecided;
         }
-        if self.rec_infeasible(ii) {
-            return Verdict::Infeasible;
+        if self.capacity_infeasible(ii) || self.rec_or_area_infeasible(ii) {
+            Verdict::Infeasible
+        } else {
+            Verdict::Undecided
         }
+    }
+
+    /// Constraint family 2: aggregate slot and port capacities.
+    fn capacity_infeasible(&self, ii: u32) -> bool {
         let iiu = u64::from(ii);
-        for &occ in &self.gp_occ {
-            // A single unpipelined op can demand several units of one
-            // slot once its occupancy wraps the kernel.
-            if u64::from(occ).div_ceil(iiu) > u64::from(self.gp_cap) {
-                return Verdict::Infeasible;
+        // A single unpipelined op can demand several units of one slot
+        // once its occupancy wraps the kernel.
+        self.gp_occ
+            .iter()
+            .any(|&occ| u64::from(occ).div_ceil(iiu) > u64::from(self.gp_cap))
+            || self.gp_total > u64::from(self.gp_cap) * iiu
+            || self.mem_total > u64::from(self.mem_cap) * iiu
+    }
+
+    /// Constraint families 1 and 3, from the closure once it exists and
+    /// otherwise from one probe, its potential screen and — only when the
+    /// screen cannot settle the II — the closure.
+    fn rec_or_area_infeasible(&self, ii: u32) -> bool {
+        if self.frontiers.get().is_some() {
+            return self.rec_infeasible(ii) || self.register_area_infeasible(ii);
+        }
+        if let Some(&t) = self.threshold.get() {
+            if t.is_none_or(|t| ii < t) {
+                return true;
+            }
+            if self.reg.is_none() {
+                return false;
             }
         }
-        if self.gp_total > u64::from(self.gp_cap) * iiu
-            || self.mem_total > u64::from(self.mem_cap) * iiu
-        {
-            return Verdict::Infeasible;
+        let iii = i64::from(ii);
+        let Some(pot) = potentials(self.n, &self.cons, iii) else {
+            // Every II below this one fails too; the threshold answers the
+            // rest of the prefix without probing each II.
+            self.threshold(ii + 1, None);
+            return true;
+        };
+        let Some(reg) = &self.reg else { return false };
+        let area_bound = reg.invariants as i64 * iii
+            + reg
+                .spans(iii, |u, v| pot[v] - pot[u])
+                .map(|(span, _)| span)
+                .sum::<i64>();
+        if area_bound <= reg.r_total * iii {
+            return false;
         }
-        if self.register_area_infeasible(ii) {
-            return Verdict::Infeasible;
-        }
-        Verdict::Undecided
+        self.threshold(1, Some(ii));
+        self.register_area_infeasible(ii)
     }
 
     /// Constraint family 3: minimum register lifetime area (after the
     /// best spill plan the memory ports allow) still exceeds the summed
-    /// register capacity over one kernel.
+    /// register capacity over one kernel. Builds the closure; only valid
+    /// at IIs with no positive cycle.
     fn register_area_infeasible(&self, ii: u32) -> bool {
         let Some(reg) = &self.reg else { return false };
         let iii = i64::from(ii);
-        let cl = self.closure_at(ii);
-        let n = self.n();
-        let mut area = 0i64;
+        let fr = self.frontiers();
+        let n = self.n;
+        let mut area = reg.invariants as i64 * iii;
         // `(span reduction, memory-traffic cost)` of spilling each value.
         let mut reductions: Vec<(i64, i64)> = Vec::new();
-        area += reg.invariants as i64 * iii;
         let red_inv = iii - self.lat_reload;
         if red_inv > 0 {
-            for _ in 0..reg.invariants {
-                reductions.push((red_inv, 1));
-            }
+            reductions.resize(reg.invariants, (red_inv, 1));
         }
-        for v in &reg.variants {
-            let mut span: Option<i64> = None;
-            for &(u, to, direct, dist) in &v.uses {
-                let via = cl[u * n + to];
-                let lb = if via == UNREACH {
-                    direct
-                } else {
-                    direct.max(via + iii * dist)
-                };
-                span = Some(span.map_or(lb, |s| s.max(lb)));
-            }
-            let Some(span) = span else { continue };
+        for (span, producer_latency) in reg.spans(iii, |u, v| longest(&fr[u * n + v], iii)) {
             area += span;
-            let red = span - (v.producer_latency + self.lat_reload);
+            let red = span - (producer_latency + self.lat_reload);
             if red > 0 {
                 reductions.push((red, 2));
             }
@@ -350,25 +413,27 @@ impl RelaxCache {
     pub(crate) fn closure_at(&self, ii: u32) -> Vec<i64> {
         debug_assert!(!self.rec_infeasible(ii));
         let iii = i64::from(ii);
-        self.frontiers()
-            .iter()
-            .map(|f| f.iter().map(|&(l, d)| l - iii * d).max().unwrap_or(UNREACH))
-            .collect()
+        self.frontiers().iter().map(|f| longest(f, iii)).collect()
     }
 
-    /// Direct edges `(from, to, latency − II·distance)` at one II,
-    /// parallel edges folded to the max weight (the Bellman–Ford stage
-    /// check of the certifier).
+    /// Direct edges `(from, to, latency − II·distance)` at one II, sorted
+    /// by endpoints with parallel edges folded to the max weight (the
+    /// Bellman–Ford stage check of the certifier).
     pub(crate) fn edges_at(&self, ii: u32) -> Vec<(usize, usize, i64)> {
         let iii = i64::from(ii);
-        let mut out: Vec<(usize, usize, i64)> = Vec::new();
-        for &(u, v, l, d) in &self.cons {
-            let w = l - iii * d;
-            match out.last_mut() {
-                Some(e) if (e.0, e.1) == (u, v) => e.2 = e.2.max(w),
-                _ => out.push((u, v, w)),
+        let mut out: Vec<(usize, usize, i64)> = self
+            .cons
+            .iter()
+            .map(|&(u, v, l, d)| (u, v, l - iii * d))
+            .collect();
+        out.sort_unstable();
+        out.dedup_by(|later, kept| {
+            let parallel = (later.0, later.1) == (kept.0, kept.1);
+            if parallel {
+                kept.2 = kept.2.max(later.2);
             }
-        }
+            parallel
+        });
         out
     }
 
@@ -376,56 +441,70 @@ impl RelaxCache {
     fn frontiers(&self) -> &[Frontier] {
         self.frontiers.get_or_init(|| {
             let t = self
-                .rec_threshold
+                .threshold(1, None)
                 .expect("closure is only queried at recurrence-feasible IIs");
-            build_frontiers(self.n(), &self.cons, i64::from(t.max(1)))
+            build_frontiers(self.n, &self.cons, i64::from(t.max(1)))
         })
     }
 }
 
-/// `true` iff the difference-constraint graph has a positive-weight cycle
-/// at this II (Bellman–Ford over `latency − II·distance`).
-fn has_positive_cycle(n: usize, cons: &[(usize, usize, i64, i64)], ii: i64) -> bool {
-    let mut dist = vec![0i64; n];
-    for round in 0..=n {
+/// The longest path a frontier summarises at `ii` ([`UNREACH`] if none).
+fn longest(f: &[Entry], ii: i64) -> i64 {
+    f.iter().map(|&(l, d)| l - ii * d).max().unwrap_or(UNREACH)
+}
+
+/// One Bellman–Ford probe of the constraints at `ii`, from all-zero
+/// potentials: `None` when a positive-weight cycle makes the II
+/// infeasible, otherwise potentials `π` with
+/// `π(v) ≥ π(u) + latency − II·distance` on every constraint, which bound
+/// every path weight from `u` to `v` by `π(v) − π(u)`.
+fn potentials(n: usize, cons: &[Constraint], ii: i64) -> Option<Vec<i64>> {
+    let mut pot = vec![0i64; n];
+    for _ in 0..=n {
         let mut relaxed = false;
         for &(u, v, l, d) in cons {
             let w = l - ii * d;
-            if dist[u] + w > dist[v] {
-                dist[v] = dist[u] + w;
+            if pot[u] + w > pot[v] {
+                pot[v] = pot[u] + w;
                 relaxed = true;
             }
         }
         if !relaxed {
-            return false;
-        }
-        if round == n {
-            return true;
+            return Some(pot);
         }
     }
-    false
+    None
 }
 
 /// Smallest II with no positive constraint cycle — the closure-level
-/// RecMII. `None` when a zero-distance positive cycle keeps every II
-/// infeasible. Feasibility is monotone in II (cycle weights `L − II·D`
-/// only shrink as II grows), so a binary search with Bellman–Ford probes
-/// decides it.
-fn recurrence_threshold(n: usize, cons: &[(usize, usize, i64, i64)]) -> Option<u32> {
-    if n == 0 {
-        return Some(1);
-    }
-    // Any cycle's latency sum is at most the sum of positive latencies,
-    // so at `hi` only zero-distance cycles can still be positive.
-    let lat_sum: i64 = cons.iter().map(|&(_, _, l, _)| l.max(0)).sum();
-    let hi = lat_sum.max(1);
-    if has_positive_cycle(n, cons, hi) {
-        return None;
-    }
-    let (mut lo, mut hi) = (1i64, hi);
+/// RecMII — given that every II below `lo` has one and, if known, that
+/// `feasible_at` has none. `None` when a zero-distance positive cycle
+/// keeps every II infeasible. Feasibility is monotone in II (cycle
+/// weights `L − II·D` only shrink as II grows), so a binary search with
+/// Bellman–Ford probes decides it.
+fn recurrence_threshold(
+    n: usize,
+    cons: &[Constraint],
+    lo: u32,
+    feasible_at: Option<u32>,
+) -> Option<u32> {
+    let hi = match feasible_at {
+        Some(ii) => i64::from(ii),
+        None => {
+            // Any cycle's latency sum is at most the sum of positive
+            // latencies, so at `hi` only zero-distance cycles can still be
+            // positive.
+            let lat_sum: i64 = cons.iter().map(|&(_, _, l, _)| l.max(0)).sum();
+            let hi = lat_sum.max(1);
+            // A positive cycle even here can never be outgrown.
+            potentials(n, cons, hi)?;
+            hi
+        }
+    };
+    let (mut lo, mut hi) = (i64::from(lo), hi);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if has_positive_cycle(n, cons, mid) {
+        if potentials(n, cons, mid).is_none() {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -461,7 +540,7 @@ fn insert_entry(anchor: i64, f: &mut Frontier, cand: Entry) {
 /// their cycle-free projections (every cycle is non-positive at the
 /// anchor), so the pass converges to the frontier of simple paths — the
 /// exact longest-path closure for every `II ≥ anchor`.
-fn build_frontiers(n: usize, cons: &[(usize, usize, i64, i64)], anchor: i64) -> Vec<Frontier> {
+fn build_frontiers(n: usize, cons: &[Constraint], anchor: i64) -> Vec<Frontier> {
     let mut fr: Vec<Frontier> = vec![Vec::new(); n * n];
     for i in 0..n {
         insert_entry(anchor, &mut fr[i * n + i], (0, 0));
@@ -469,17 +548,22 @@ fn build_frontiers(n: usize, cons: &[(usize, usize, i64, i64)], anchor: i64) -> 
     for &(u, v, l, d) in cons {
         insert_entry(anchor, &mut fr[u * n + v], (l, d));
     }
+    // Snapshots of the two operand frontiers: the target cell may be one
+    // of them (`j == k` or `i == k`), and it must not change under the
+    // loop that extends it. Reused, so the pass allocates only the cells.
+    let mut left: Frontier = Vec::with_capacity(FRONTIER_CAP);
+    let mut right: Frontier = Vec::with_capacity(FRONTIER_CAP);
     for k in 0..n {
         for i in 0..n {
             if fr[i * n + k].is_empty() {
                 continue;
             }
-            let left = fr[i * n + k].clone();
+            left.clone_from(&fr[i * n + k]);
             for j in 0..n {
                 if fr[k * n + j].is_empty() {
                     continue;
                 }
-                let right = fr[k * n + j].clone();
+                right.clone_from(&fr[k * n + j]);
                 for &a in &left {
                     for &b in &right {
                         insert_entry(anchor, &mut fr[i * n + j], (a.0 + b.0, a.1 + b.1));
@@ -564,6 +648,47 @@ mod tests {
         b.finish(10)
     }
 
+    /// Register-hungry body: eight streams multiplied by an invariant and
+    /// reduced by a tree into a distance-2 accumulator — long-lived loads
+    /// that a small register file cannot hold at low IIs.
+    fn wide_loop() -> ddg::Loop {
+        let mut b = LoopBuilder::new("wide");
+        let c = b.invariant("c");
+        let mut level: Vec<_> = (0..8)
+            .map(|i| {
+                let x = b.load(&format!("x{i}"));
+                b.op(Opcode::FpMul, &[x, c])
+            })
+            .collect();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|p| b.op(Opcode::FpAdd, &[p[0], p[1]]))
+                .collect();
+        }
+        let acc = b.recurrence("acc");
+        let sum = b.op(Opcode::FpAdd, &[acc, level[0]]);
+        b.close_recurrence(acc, sum, 2);
+        b.store("y", sum);
+        b.finish(64)
+    }
+
+    fn module_loops() -> [ddg::Loop; 3] {
+        [small_loop(), recurrence_loop(), wide_loop()]
+    }
+
+    /// From the one-register test machine up to the roomy 1x64.
+    fn screen_machines() -> Vec<MachineConfig> {
+        let mut machines = vec![MachineConfig::builder()
+            .cluster(vliw::ClusterConfig::new(2, 1, 1))
+            .build()
+            .unwrap()];
+        for (k, r) in [(1, 8), (2, 8), (1, 16), (4, 16), (2, 32), (1, 64)] {
+            machines.push(MachineConfig::paper_config(k, r).unwrap());
+        }
+        machines
+    }
+
     /// Per-II Floyd–Warshall, the certifier's original formulation — the
     /// parametric frontiers must reproduce it exactly.
     fn naive_closure(cache: &RelaxCache, ii: u32) -> Vec<i64> {
@@ -601,7 +726,7 @@ mod tests {
         let machine = MachineConfig::paper_config(1, 64).unwrap();
         for lp in [small_loop(), recurrence_loop()] {
             let cache = RelaxCache::build(&lp.graph, &machine);
-            let t = cache.rec_threshold.expect("no zero-distance cycles");
+            let t = cache.threshold(1, None).expect("no zero-distance cycles");
             for ii in t..t + 8 {
                 assert_eq!(
                     cache.closure_at(ii),
@@ -610,6 +735,95 @@ mod tests {
                     lp.name
                 );
             }
+        }
+    }
+
+    #[test]
+    fn potentials_bound_every_reachable_closure_entry() {
+        for machine in screen_machines() {
+            for lp in module_loops() {
+                let cache = RelaxCache::build(&lp.graph, &machine);
+                let n = cache.n();
+                let t = cache.threshold(1, None).expect("no zero-distance cycles");
+                for ii in t..t + 8 {
+                    let pot = potentials(n, &cache.cons, i64::from(ii))
+                        .expect("no positive cycle at or above the threshold");
+                    let cl = cache.closure_at(ii);
+                    for u in 0..n {
+                        for v in 0..n {
+                            let l = cl[u * n + v];
+                            assert!(
+                                l == UNREACH || l <= pot[v] - pot[u],
+                                "{}/{} at II {ii}: ℓ({u},{v}) = {l} above π({v}) − π({u}) = {}",
+                                machine.name(),
+                                lp.name,
+                                pot[v] - pot[u]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn screened_verdict_equals_the_closure_verdict() {
+        let (mut screened, mut fell_back) = (0, 0);
+        for machine in screen_machines() {
+            for lp in module_loops() {
+                // The closure built up front: every verdict takes the exact path.
+                let exact = RelaxCache::build(&lp.graph, &machine);
+                let t = exact.threshold(1, None).expect("no zero-distance cycles");
+                exact.closure_at(t);
+                for ii in 1..t + 8 {
+                    // A fresh cache per II, so the screen decides alone.
+                    let cache = RelaxCache::build(&lp.graph, &machine);
+                    assert_eq!(
+                        cache.verdict(ii),
+                        exact.verdict(ii),
+                        "{}/{} at II {ii}",
+                        machine.name(),
+                        lp.name
+                    );
+                    if ii >= t && cache.reg.is_some() {
+                        if cache.frontiers.get().is_some() {
+                            fell_back += 1;
+                        } else {
+                            screened += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(screened > 0, "the screen settles the roomy machines");
+        assert!(fell_back > 0, "the tight machines need the closure");
+    }
+
+    #[test]
+    fn threshold_answers_the_infeasible_prefix_after_one_probe() {
+        let machine = MachineConfig::paper_config(1, 64).unwrap();
+        let lp = recurrence_loop();
+        let cache = RelaxCache::build(&lp.graph, &machine);
+        assert!(cache.threshold.get().is_none(), "nothing probed yet");
+        assert_eq!(cache.verdict(3), Verdict::Infeasible);
+        assert_eq!(cache.threshold.get(), Some(&Some(8)));
+        assert_eq!(cache.verdict(7), Verdict::Infeasible);
+        assert_eq!(cache.verdict(8), Verdict::Undecided);
+        assert!(cache.frontiers.get().is_none(), "the screen settled II 8");
+    }
+
+    #[test]
+    fn edges_fold_parallel_constraints_to_the_heaviest() {
+        let machine = MachineConfig::paper_config(1, 64).unwrap();
+        for lp in module_loops() {
+            let cache = RelaxCache::build(&lp.graph, &machine);
+            let mut heaviest = std::collections::BTreeMap::new();
+            for &(u, v, l, d) in &cache.cons {
+                let w = heaviest.entry((u, v)).or_insert(i64::MIN);
+                *w = (*w).max(l - 4 * d);
+            }
+            let expected: Vec<_> = heaviest.into_iter().map(|((u, v), w)| (u, v, w)).collect();
+            assert_eq!(cache.edges_at(4), expected, "loop '{}'", lp.name);
         }
     }
 

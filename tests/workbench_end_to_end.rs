@@ -4,7 +4,7 @@
 use harness::{run_workbench, SchedulerKind};
 use loopgen::{Workbench, WorkbenchParams};
 use memsim::{simulate, MemoryParams};
-use mirs::PrefetchPolicy;
+use mirs::{MirsScheduler, PrefetchPolicy, SchedulerOptions, SearchConfig};
 use vliw::{HwModel, MachineConfig};
 
 fn workbench() -> Workbench {
@@ -12,6 +12,30 @@ fn workbench() -> Workbench {
         loops: 10,
         ..Default::default()
     })
+}
+
+/// Loops whose 4x16 schedules once failed validation because the export
+/// pass took a scheduled move's cluster to be its destination, not the
+/// source cluster it reads in: a spill reload or store was steered into
+/// the wrong cluster. Each is regenerated from the paper-scale workbench
+/// with the generator seed and size of the `perfbench` workload that
+/// found it (`clustered`, then `service`).
+fn move_source_regressions() -> Vec<ddg::Loop> {
+    [(5, 800, "synth_0264"), (20011201, 50, "synth_13158c4")]
+        .into_iter()
+        .map(|(seed, loops, name)| {
+            Workbench::generate(&WorkbenchParams {
+                seed,
+                loops,
+                ..WorkbenchParams::paper_scale()
+            })
+            .loops()
+            .iter()
+            .find(|lp| lp.name == name)
+            .unwrap_or_else(|| panic!("{name} is in its workbench"))
+            .clone()
+        })
+        .collect()
 }
 
 #[test]
@@ -31,6 +55,19 @@ fn mirs_schedules_and_validates_the_whole_workbench_on_every_paper_config() {
             r.validate(&machine)
                 .unwrap_or_else(|e| panic!("{} on k={k}: {e}", o.name));
             assert!(o.ii.unwrap() >= o.mii, "{}: II below MII", o.name);
+        }
+    }
+    for lp in move_source_regressions() {
+        for k in [1u32, 2, 4] {
+            let machine = MachineConfig::paper_config(k, 64 / k).unwrap();
+            for search in [SearchConfig::linear(), SearchConfig::backtracking()] {
+                let opts = SchedulerOptions::default().with_search(search);
+                let r = MirsScheduler::new(&machine, opts)
+                    .schedule(&lp)
+                    .unwrap_or_else(|e| panic!("{} on k={k}: {e}", lp.name));
+                r.validate(&machine)
+                    .unwrap_or_else(|e| panic!("{} on k={k} ({}): {e}", lp.name, search.strategy));
+            }
         }
     }
 }
