@@ -1,6 +1,6 @@
 //! II-search strategy comparison on the restart-heavy 4x16 workbench
-//! slice: full serial MIRS-C passes under `linear`, `backtrack` and
-//! `perturb`, plus the branch-parallel `backtrack` path
+//! slice: full serial MIRS-C passes under `linear` and `backtrack`, plus
+//! the branch-parallel `backtrack` path
 //! (`branch_jobs = 4`) that fans each candidate-II group across a
 //! `BranchPool` — the series that pins the tentpole claim that parallel
 //! `backtrack` approaches `linear` wall-clock on multicore while staying
@@ -33,11 +33,7 @@ fn bench(c: &mut Criterion) {
     let exec = SweepExecutor::serial();
     let mut g = c.benchmark_group("search_strategies");
     g.sample_size(10);
-    for strategy in [
-        SearchStrategyKind::Linear,
-        SearchStrategyKind::Backtracking,
-        SearchStrategyKind::PerturbedRestart,
-    ] {
+    for strategy in [SearchStrategyKind::Linear, SearchStrategyKind::Backtracking] {
         let search = SearchConfig::for_strategy(strategy);
         g.bench_function(&format!("{}_4x16", strategy.label()), |b| {
             b.iter(|| {
@@ -72,29 +68,6 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(summary.sum_ii(|_| true))
         })
     });
-    // Warm-start restart salvage: failed canonical attempts hand their
-    // surviving placements to the next II instead of rescheduling from
-    // scratch. Trending these next to the cold rows pins the restart
-    // speedup on the register-starved 4x16 configuration.
-    for (name, base) in [
-        ("linear_salvage_4x16", SearchConfig::linear()),
-        ("backtrack_salvage_4x16", SearchConfig::backtracking()),
-    ] {
-        let salvage_search = base.with_salvage(true);
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let summary = run_workbench_opts(
-                    &exec,
-                    &wb,
-                    &machine,
-                    SchedulerKind::MirsC,
-                    PrefetchPolicy::HitLatency,
-                    salvage_search,
-                );
-                std::hint::black_box(summary.sum_ii(|_| true))
-            })
-        });
-    }
     g.finish();
 }
 

@@ -173,8 +173,7 @@ impl SchedState<'_, '_> {
             };
             // Stale binding: `node` was once rewired onto a move headed for
             // a cluster it is no longer targeting, and that move is not
-            // scheduled (ejections leave such bindings behind; the restart
-            // salvage's mass evictions make them common). The move's
+            // scheduled (ejections leave such bindings behind). The move's
             // destination is fixed by its route and moves never run an
             // export pass, so leaving the binding would let `node` schedule
             // here while its operand materialises in the old cluster. Undo

@@ -76,5 +76,5 @@ pub use scheduler::MirsScheduler;
 pub use scratch::SchedScratch;
 pub use search::{
     AttemptReport, BacktrackingSearch, BranchExecutor, ExactSearch, InlineBranchExecutor,
-    LinearSearch, PerturbedRestartSearch, SearchMove, SearchStrategy, SearchView,
+    LinearSearch, SearchMove, SearchStrategy, SearchView,
 };

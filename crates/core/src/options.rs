@@ -32,8 +32,9 @@ pub enum PrefetchPolicy {
 }
 
 /// Environment variable selecting the II-search strategy for the harness
-/// entry points (`linear`, `backtrack` or `perturb`); explicit
-/// [`SchedulerOptions`] always win over the environment.
+/// entry points (`linear`, `backtrack` or `exact`); explicit
+/// [`SchedulerOptions`] always win over the environment. Any other value
+/// panics on first use rather than silently running `linear`.
 pub const STRATEGY_ENV: &str = "MIRS_STRATEGY";
 
 /// Environment variable setting the number of worker threads the
@@ -52,18 +53,6 @@ pub const BRANCH_JOBS_ENV: &str = "MIRS_BRANCH_JOBS";
 /// to budget-exhausted); unset or unparsable values keep
 /// [`SearchConfig::DEFAULT_EXACT_BUDGET`].
 pub const EXACT_BUDGET_ENV: &str = "MIRS_EXACT_BUDGET";
-
-/// Environment variable enabling restart salvage ([`SearchConfig::salvage`])
-/// for the harness entry points: any value but `0` turns it on. Default off
-/// — the cold climb stays byte-identical to the golden schedule hashes.
-pub const SALVAGE_ENV: &str = "MIRS_SALVAGE";
-
-/// Environment variable enabling the salvage audit: when restart salvage is
-/// active, every scheduled loop is re-run with salvage disabled and the
-/// salvaged search must converge at an II no worse than the cold climb
-/// (both results must also validate). Any value but `0` turns it on; it is
-/// a no-op unless salvage itself is enabled.
-pub const SALVAGE_AUDIT_ENV: &str = "MIRS_SALVAGE_AUDIT";
 
 /// Environment variable controlling the relaxation admission filter
 /// ([`SearchConfig::prune`]) for the harness entry points: `0` turns it
@@ -91,9 +80,6 @@ pub enum SearchStrategyKind {
     /// moves) metric. Never worse than [`SearchStrategyKind::Linear`] on
     /// that metric, at the cost of extra attempts.
     Backtracking,
-    /// Re-enter a *failed* II up to `retries` times with deterministically
-    /// perturbed priority orders before climbing; accept the first success.
-    PerturbedRestart,
     /// Certify a lower bound on the II by branch-and-bound over a residue
     /// relaxation of the loop (dependence windows + aggregate MRT slot
     /// capacities), then climb from that bound with the backtracking
@@ -109,9 +95,8 @@ impl SearchStrategyKind {
     /// [`SearchStrategyKind::tier`] is an exhaustive match, so adding a
     /// variant without ranking it here is a compile error, not a silent
     /// tier-0 entry.
-    pub const ALL: [SearchStrategyKind; 4] = [
+    pub const ALL: [SearchStrategyKind; 3] = [
         SearchStrategyKind::Linear,
-        SearchStrategyKind::PerturbedRestart,
         SearchStrategyKind::Backtracking,
         SearchStrategyKind::Exact,
     ];
@@ -122,7 +107,6 @@ impl SearchStrategyKind {
         match self {
             SearchStrategyKind::Linear => "linear",
             SearchStrategyKind::Backtracking => "backtrack",
-            SearchStrategyKind::PerturbedRestart => "perturb",
             SearchStrategyKind::Exact => "exact",
         }
     }
@@ -139,9 +123,8 @@ impl SearchStrategyKind {
     pub fn tier(self) -> u8 {
         match self {
             SearchStrategyKind::Linear => 0,
-            SearchStrategyKind::PerturbedRestart => 1,
-            SearchStrategyKind::Backtracking => 2,
-            SearchStrategyKind::Exact => 3,
+            SearchStrategyKind::Backtracking => 1,
+            SearchStrategyKind::Exact => 2,
         }
     }
 
@@ -152,9 +135,6 @@ impl SearchStrategyKind {
         match name.trim().to_ascii_lowercase().as_str() {
             "linear" => Some(SearchStrategyKind::Linear),
             "backtrack" | "backtracking" => Some(SearchStrategyKind::Backtracking),
-            "perturb" | "perturbed" | "perturbed-restart" => {
-                Some(SearchStrategyKind::PerturbedRestart)
-            }
             "exact" | "bnb" | "branch-and-bound" => Some(SearchStrategyKind::Exact),
             _ => None,
         }
@@ -173,23 +153,6 @@ impl std::fmt::Display for SearchStrategyKind {
 pub struct SearchConfig {
     /// Strategy deciding the sequence of (II, priority-order) attempts.
     pub strategy: SearchStrategyKind,
-    /// Perturbed priority orders tried *in addition to* the canonical HRMS
-    /// order at each candidate II ([`SearchStrategyKind::Backtracking`]).
-    pub branches: u32,
-    /// Candidate IIs explored at/after the first feasible one before the
-    /// best candidate is accepted ([`SearchStrategyKind::Backtracking`]).
-    /// `1` (the default) accepts as soon as the first feasible II is fully
-    /// branched. Under the shipped II-first candidate metric, higher-II
-    /// candidates can never win, so larger windows are purely exploratory
-    /// (diagnostics, future metrics) and cost full extra attempts.
-    pub ii_window: u32,
-    /// Maximum perturbed re-entries of one failed II
-    /// ([`SearchStrategyKind::PerturbedRestart`]).
-    pub retries: u32,
-    /// Base seed of the deterministic priority perturbations. Attempt seeds
-    /// are derived from `(seed, ii, branch index)`, so every run of the
-    /// same loop explores the identical tree.
-    pub seed: u64,
     /// Worker threads one candidate-II branch group of
     /// [`SearchStrategyKind::Backtracking`] may be fanned across (via a
     /// [`BranchExecutor`](crate::search::BranchExecutor) supplied by the
@@ -205,18 +168,6 @@ pub struct SearchConfig {
     /// change which schedule is produced — only how much of the lower bound
     /// is certified — so it is excluded from the cache key.
     pub exact_budget: u64,
-    /// Warm-start failed II restarts instead of rescheduling from scratch:
-    /// when the canonical attempt at an II fails, its surviving placements
-    /// are remapped into the next II's residue space (same absolute cycles,
-    /// so every dependence among kept pairs still holds — raising the II
-    /// only widens cross-iteration windows), only the ops whose MRT slots
-    /// fold into a conflict at the new II are evicted, and the placement
-    /// loop re-enters over that conflict tail in priority order. Should the
-    /// warm probe fail, the driver falls back to the ordinary cold attempt
-    /// at the same II, so the accepted II is never worse than the cold
-    /// climb's. Default off: the cold search stays byte-identical to the
-    /// golden schedule hashes.
-    pub salvage: bool,
     /// Admission-filter the II climb: before each cold attempt, a bounded
     /// relaxation pass ([`crate::search`] module docs) either *proves* the
     /// candidate II infeasible — the attempt is skipped outright and
@@ -232,13 +183,8 @@ impl Default for SearchConfig {
     fn default() -> Self {
         Self {
             strategy: SearchStrategyKind::Linear,
-            branches: 2,
-            ii_window: 1,
-            retries: 2,
-            seed: 0x5eed_1e55_c0de_2026,
             branch_jobs: 1,
             exact_budget: Self::DEFAULT_EXACT_BUDGET,
-            salvage: false,
             prune: true,
         }
     }
@@ -271,44 +217,10 @@ impl SearchConfig {
         Self::for_strategy(SearchStrategyKind::Backtracking)
     }
 
-    /// Perturbed-restart search with default parameters.
-    #[must_use]
-    pub fn perturbed() -> Self {
-        Self::for_strategy(SearchStrategyKind::PerturbedRestart)
-    }
-
     /// Exact branch-and-bound certification with default parameters.
     #[must_use]
     pub fn exact() -> Self {
         Self::for_strategy(SearchStrategyKind::Exact)
-    }
-
-    /// Builder-style setter for the perturbation branches per II.
-    #[must_use]
-    pub fn with_branches(mut self, branches: u32) -> Self {
-        self.branches = branches;
-        self
-    }
-
-    /// Builder-style setter for the II exploration window.
-    #[must_use]
-    pub fn with_ii_window(mut self, window: u32) -> Self {
-        self.ii_window = window.max(1);
-        self
-    }
-
-    /// Builder-style setter for the perturbed-restart retry count.
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Builder-style setter for the perturbation base seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// Builder-style setter for the branch-group worker count (clamped to
@@ -326,13 +238,6 @@ impl SearchConfig {
         self
     }
 
-    /// Builder-style setter for restart salvage.
-    #[must_use]
-    pub fn with_salvage(mut self, salvage: bool) -> Self {
-        self.salvage = salvage;
-        self
-    }
-
     /// Builder-style setter for the relaxation admission filter.
     #[must_use]
     pub fn with_prune(mut self, prune: bool) -> Self {
@@ -341,50 +246,44 @@ impl SearchConfig {
     }
 
     /// Configuration selected by the `MIRS_STRATEGY`, `MIRS_BRANCH_JOBS`,
-    /// `MIRS_EXACT_BUDGET`, `MIRS_SALVAGE` and `MIRS_PRUNE` environment
-    /// variables (default parameters for the named strategy;
-    /// [`SearchConfig::default`] when unset or unparsable).
+    /// `MIRS_EXACT_BUDGET` and `MIRS_PRUNE` environment variables (the
+    /// [`SearchConfig::default`] value of any that is unset or unparsable).
     ///
     /// The variables are read once per process — sweeps consult this per
     /// scheduled loop and `std::env::var` takes a lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `MIRS_STRATEGY` is set but names no strategy, listing
+    /// the accepted labels.
     #[must_use]
     pub fn from_env() -> Self {
-        static KIND: std::sync::OnceLock<SearchStrategyKind> = std::sync::OnceLock::new();
-        static BRANCH_JOBS: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-        static EXACT_BUDGET: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-        static SALVAGE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let kind = *KIND.get_or_init(|| {
-            std::env::var(STRATEGY_ENV)
-                .ok()
-                .and_then(|v| SearchStrategyKind::parse(&v))
-                .unwrap_or_default()
+        static CONFIG: std::sync::OnceLock<SearchConfig> = std::sync::OnceLock::new();
+        *CONFIG.get_or_init(|| Self::from_vars(|name| std::env::var(name).ok()))
+    }
+
+    /// [`SearchConfig::from_env`] over an arbitrary variable lookup.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+        let strategy = var(STRATEGY_ENV).map_or(SearchStrategyKind::default(), |name| {
+            SearchStrategyKind::parse(&name).unwrap_or_else(|| {
+                let expected = SearchStrategyKind::ALL.map(SearchStrategyKind::label);
+                panic!(
+                    "{STRATEGY_ENV}={name:?} names no strategy (expected {})",
+                    expected.join("|")
+                )
+            })
         });
-        let branch_jobs = *BRANCH_JOBS.get_or_init(|| {
-            std::env::var(BRANCH_JOBS_ENV)
-                .ok()
-                .and_then(|v| v.parse::<u32>().ok())
+        Self {
+            strategy,
+            branch_jobs: var(BRANCH_JOBS_ENV)
+                .and_then(|v| v.parse().ok())
                 .filter(|&j| j > 0)
-                .unwrap_or(1)
-        });
-        let exact_budget = *EXACT_BUDGET.get_or_init(|| {
-            std::env::var(EXACT_BUDGET_ENV)
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(Self::DEFAULT_EXACT_BUDGET)
-        });
-        let salvage = *SALVAGE.get_or_init(|| {
-            std::env::var(SALVAGE_ENV)
-                .map(|v| v != "0")
-                .unwrap_or(false)
-        });
-        static PRUNE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let prune =
-            *PRUNE.get_or_init(|| std::env::var(PRUNE_ENV).map(|v| v != "0").unwrap_or(true));
-        Self::for_strategy(kind)
-            .with_branch_jobs(branch_jobs)
-            .with_exact_budget(exact_budget)
-            .with_salvage(salvage)
-            .with_prune(prune)
+                .unwrap_or(1),
+            exact_budget: var(EXACT_BUDGET_ENV)
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(Self::DEFAULT_EXACT_BUDGET),
+            prune: var(PRUNE_ENV).is_none_or(|v| v != "0"),
+        }
     }
 }
 
@@ -528,7 +427,6 @@ mod tests {
         assert!(o.enable_backtracking);
         assert_eq!(o.prefetch, PrefetchPolicy::HitLatency);
         assert_eq!(o.search.strategy, SearchStrategyKind::Linear);
-        assert!(!o.search.salvage, "salvage is opt-in");
         assert!(o.search.prune, "the admission filter is on by default");
         assert_eq!(SchedulerOptions::paper(), o);
     }
@@ -542,10 +440,6 @@ mod tests {
         assert_eq!(
             SearchStrategyKind::parse("Backtracking"),
             Some(SearchStrategyKind::Backtracking)
-        );
-        assert_eq!(
-            SearchStrategyKind::parse("perturbed"),
-            Some(SearchStrategyKind::PerturbedRestart)
         );
         assert_eq!(
             SearchStrategyKind::parse("branch-and-bound"),
@@ -564,30 +458,19 @@ mod tests {
             );
         }
         assert_eq!(SearchStrategyKind::Linear.tier(), 0);
-        assert_eq!(SearchStrategyKind::Exact.tier(), 3, "exact is the top tier");
+        assert_eq!(SearchStrategyKind::Exact.tier(), 2, "exact is the top tier");
     }
 
     #[test]
     fn search_config_builders_compose() {
         let cfg = SearchConfig::backtracking()
-            .with_branches(5)
-            .with_ii_window(0)
-            .with_retries(7)
-            .with_seed(42)
             .with_branch_jobs(0)
             .with_exact_budget(123)
-            .with_salvage(true)
             .with_prune(false);
         assert_eq!(cfg.strategy, SearchStrategyKind::Backtracking);
-        assert_eq!(cfg.branches, 5);
-        assert_eq!(cfg.ii_window, 1, "window clamps to at least 1");
-        assert_eq!(cfg.retries, 7);
-        assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.branch_jobs, 1, "branch jobs clamp to at least 1");
         assert_eq!(cfg.exact_budget, 123);
-        assert!(cfg.salvage);
         assert!(!cfg.prune);
-        assert!(!SearchConfig::default().salvage);
         assert!(SearchConfig::default().prune);
         assert_eq!(
             SearchConfig::exact().strategy,
@@ -600,10 +483,50 @@ mod tests {
         );
         assert_eq!(cfg.with_branch_jobs(4).branch_jobs, 4);
         assert_eq!(SearchConfig::default().branch_jobs, 1);
-        let o = SchedulerOptions::default().with_strategy(SearchStrategyKind::PerturbedRestart);
-        assert_eq!(o.search, SearchConfig::perturbed());
+        let o = SchedulerOptions::default().with_strategy(SearchStrategyKind::Exact);
+        assert_eq!(o.search, SearchConfig::exact());
         let o = SchedulerOptions::default().with_search(cfg);
-        assert_eq!(o.search.branches, 5);
+        assert_eq!(o.search.exact_budget, 123);
+    }
+
+    /// Lookup over a fixed variable table instead of the process
+    /// environment.
+    fn vars<'a>(table: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            table
+                .iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| (*v).to_string())
+        }
+    }
+
+    #[test]
+    fn env_variables_parse_with_defaults_for_unset_values() {
+        assert_eq!(SearchConfig::from_vars(vars(&[])), SearchConfig::default());
+        let cfg = SearchConfig::from_vars(vars(&[
+            (STRATEGY_ENV, "Backtracking"),
+            (BRANCH_JOBS_ENV, "4"),
+            (EXACT_BUDGET_ENV, "77"),
+            (PRUNE_ENV, "0"),
+        ]));
+        assert_eq!(
+            cfg,
+            SearchConfig::backtracking()
+                .with_branch_jobs(4)
+                .with_exact_budget(77)
+                .with_prune(false)
+        );
+        // Unparsable numbers fall back to the defaults.
+        let cfg = SearchConfig::from_vars(vars(&[(BRANCH_JOBS_ENV, "0"), (EXACT_BUDGET_ENV, "x")]));
+        assert_eq!(cfg, SearchConfig::default());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "MIRS_STRATEGY=\"perturb\" names no strategy (expected linear|backtrack|exact)"
+    )]
+    fn env_strategy_that_names_no_strategy_panics() {
+        let _ = SearchConfig::from_vars(vars(&[(STRATEGY_ENV, "perturb")]));
     }
 
     #[test]

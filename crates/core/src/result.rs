@@ -163,17 +163,6 @@ pub struct SearchMeta {
     /// `branch_attempt_seconds / branch_critical_seconds` estimates the
     /// fan-out speedup available (or achieved) for this loop.
     pub branch_critical_seconds: f64,
-    /// Operations whose failed-attempt placements survived a warm-started
-    /// restart verbatim (same absolute cycle, cluster and reservation
-    /// table at the next II), summed over every salvage probe of the
-    /// search. Always 0 with [`SearchConfig::salvage`](crate::SearchConfig)
-    /// off.
-    pub salvaged_ops: u32,
-    /// Operations a salvage probe had to evict because their MRT slots
-    /// folded into a conflict at the new II (they re-entered the placement
-    /// loop in priority order), summed over every salvage probe. Always 0
-    /// with salvage off.
-    pub replaced_ops: u32,
     /// Distinct candidate IIs the relaxation admission filter proved
     /// infeasible and skipped (mirrors
     /// [`SchedulerStats::pruned_iis`](crate::SchedulerStats); excluded
@@ -190,8 +179,6 @@ impl PartialEq for SearchMeta {
             && self.attempts == other.attempts
             && self.candidates == other.candidates
             && self.groups == other.groups
-            && self.salvaged_ops == other.salvaged_ops
-            && self.replaced_ops == other.replaced_ops
             && self.pruned_iis == other.pruned_iis
             && self.proof == other.proof
     }

@@ -337,21 +337,6 @@ impl PartialSchedule {
         self.placements.get(&node).map(|p| p.order)
     }
 
-    /// Drain every placement, sorted by placement order (earliest first).
-    ///
-    /// This is the restart-salvage hand-off: the failed attempt's schedule
-    /// gives up its placements so they can be re-folded into the next II's
-    /// residue space, in the deterministic order they were placed (hash-map
-    /// iteration order must never leak into scheduling decisions). The MRT
-    /// cells are left stale — the caller is expected to
-    /// [`reset`](PartialSchedule::reset) this schedule for the new II before
-    /// re-placing anything.
-    pub(crate) fn take_placements_in_order(&mut self) -> Vec<(NodeId, PlacementInfo)> {
-        let mut out: Vec<(NodeId, PlacementInfo)> = self.placements.drain().collect();
-        out.sort_unstable_by_key(|(_, p)| p.order);
-        out
-    }
-
     /// From-scratch recount of every incremental gauge, for tests: returns
     /// `(counts, occupancy_by_kind)` recomputed from the placements alone.
     #[doc(hidden)]

@@ -45,32 +45,6 @@ pub(crate) fn graph_audit_enabled() -> bool {
     })
 }
 
-/// Whether the salvage audit is enabled (`MIRS_SALVAGE_AUDIT`, any value
-/// but `0`): every loop scheduled with
-/// [`SearchConfig::salvage`](crate::SearchConfig::salvage) on is re-run
-/// with salvage off and the warm-started search must converge at an II no
-/// worse than the cold climb. A no-op when salvage is off, so it is safe
-/// to leave exported in CI environments.
-pub(crate) fn salvage_audit_enabled() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        std::env::var(crate::options::SALVAGE_AUDIT_ENV)
-            .map(|v| v != "0")
-            .unwrap_or(false)
-    })
-}
-
-/// Flat slack of the warm probe's placement budget: on top of one step per
-/// conflict-tail operation, the probe gets this many spare steps for
-/// ejection churn. The stage-preserving re-fold transfers the MRT pattern
-/// exactly, so a probe that is going to succeed places its tail almost
-/// without ejections — while a wedged one (the failed attempt's basin does
-/// not transfer) would happily burn a cold attempt's worth of churn and
-/// still fail. Keeping the slack flat and small makes a failed probe cost
-/// microseconds, which is what lets the driver run one at every candidate
-/// II without ever skipping a cold attempt.
-const SALVAGE_TAIL_SLACK: i64 = 8;
-
 /// Direction in which the scheduler searches for a free slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Direction {
@@ -141,50 +115,6 @@ pub(crate) struct SchedState<'m, 'g> {
 pub(crate) enum AttemptOutcome<'m, 'g> {
     Success(Box<SchedState<'m, 'g>>),
     Restart,
-}
-
-/// A failed attempt, captured for warm-starting the next candidate II
-/// instead of rescheduling from scratch
-/// ([`SearchConfig::salvage`](crate::SearchConfig::salvage)).
-///
-/// Everything describing the partial schedule is kept: the placements (to
-/// be re-folded into the new II's residue space), the priority list (it
-/// still knows the anchored priorities of every spill and move node the
-/// failed attempt inserted), the previous-cycle and move/spill bookkeeping
-/// maps, and the inserted-spill count. The node and value ids inside refer
-/// to the *post-failure* graph — the search driver clones that graph
-/// before rolling the transaction back and hands the clone to
-/// [`MirsScheduler::attempt_salvaged`] together with this state.
-pub(crate) struct SalvageState {
-    sched: PartialSchedule,
-    pressure: PressureTracker,
-    plist: PriorityList,
-    prev_cycle: HashMap<NodeId, i64>,
-    move_route: HashMap<NodeId, (ClusterId, ClusterId)>,
-    move_into: HashMap<(ddg::ValueId, ClusterId), NodeId>,
-    spill_store_of: HashMap<ddg::ValueId, NodeId>,
-    spills_inserted: u32,
-    /// Length of the HRMS order of the failed attempt — the warm probe
-    /// resets its ejection budget to the same `budget_ratio × order` basis
-    /// a cold attempt would get.
-    order_len: usize,
-}
-
-impl SalvageState {
-    /// Give the captured buffers back to the scratch unused (the salvage
-    /// opportunity expired: the search accepted a result or gave up before
-    /// probing another II).
-    pub(crate) fn discard(self, scratch: &mut SchedScratch) {
-        scratch.reclaim_buffers(
-            self.sched,
-            self.pressure,
-            self.plist,
-            self.prev_cycle,
-            self.move_route,
-            self.move_into,
-            self.spill_store_of,
-        );
-    }
 }
 
 /// The MIRS-C scheduler.
@@ -278,9 +208,9 @@ impl<'m> MirsScheduler<'m> {
     /// merged in deterministic attempt order — the accepted schedule is
     /// byte-identical to the serial search for any executor. Every other
     /// configuration ignores `exec` and runs the incremental
-    /// single-threaded search: `Linear` and `PerturbedRestart` react to
-    /// each attempt's outcome before choosing the next, so they have no
-    /// independent branch set to fan out.
+    /// single-threaded search: `Linear` reacts to each attempt's outcome
+    /// before choosing the next, so it has no independent branch set to
+    /// fan out.
     /// [`SearchStrategyKind::Exact`](crate::SearchStrategyKind::Exact)
     /// first certifies a lower bound by branch-and-bound over the residue
     /// relaxation (serially — the bounding dominates and has no
@@ -303,51 +233,15 @@ impl<'m> MirsScheduler<'m> {
             });
         }
         let search = self.opts.search;
-        let result = if search.strategy == crate::SearchStrategyKind::Exact {
+        if search.strategy == crate::SearchStrategyKind::Exact {
             SearchDriver::new(self, lp, scratch).run_exact()
         } else if search.strategy == crate::SearchStrategyKind::Backtracking
             && search.branch_jobs > 1
-            && !search.salvage
         {
-            // Restart salvage supersedes the branch fan-out: a warm probe
-            // is layered on the previous canonical failure, which the
-            // independent-branch model cannot express, so salvage routes
-            // through the serial incremental driver.
             SearchDriver::new(self, lp, scratch).run_branch_parallel(exec)
         } else {
             let mut strategy = search.strategy_impl();
             SearchDriver::new(self, lp, scratch).run(strategy.as_dyn())
-        }?;
-        if search.salvage && salvage_audit_enabled() {
-            self.audit_salvage(lp, scratch, &result);
-        }
-        Ok(result)
-    }
-
-    /// The `MIRS_SALVAGE_AUDIT` oracle: re-run the whole search cold
-    /// (salvage off, otherwise identical options) and assert the salvaged
-    /// search converged at an II no worse than the cold climb. A cold
-    /// `NotConverged` is a strict salvage win, not a violation. The audit
-    /// is structural-validity-neutral — both runs go through the same
-    /// attempt engine and the debug/validate layers cover each result —
-    /// so only the II ordering is asserted here.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the salvaged II exceeds the cold II.
-    fn audit_salvage(&self, lp: &Loop, scratch: &mut SchedScratch, salvaged: &ScheduleResult) {
-        let mut cold_opts = self.opts;
-        cold_opts.search.salvage = false;
-        let cold = MirsScheduler::new(self.machine, cold_opts).schedule_with(lp, scratch);
-        if let Ok(cold) = cold {
-            assert!(
-                salvaged.ii <= cold.ii,
-                "salvage audit: loop '{}' converged at II {} warm-started but \
-                 II {} from scratch — the cold fallback guarantee is broken",
-                lp.name,
-                salvaged.ii,
-                cold.ii
-            );
         }
     }
 
@@ -370,7 +264,6 @@ impl<'m> MirsScheduler<'m> {
         debug: bool,
         scratch: &mut SchedScratch,
         carried: &mut SchedulerStats,
-        salvage_out: Option<&mut Option<SalvageState>>,
     ) -> AttemptOutcome<'m, 'g> {
         let budget = i64::from(self.opts.budget_ratio) * order.len() as i64;
         let pressure = scratch.take_pressure(self.machine.clusters(), ii, graph.value_count());
@@ -397,155 +290,12 @@ impl<'m> MirsScheduler<'m> {
             memo: scratch.take_spill_memo(),
             stats: std::mem::take(carried),
         };
-        if st.complete_placement(salvage_out.is_some()) {
+        if st.complete_placement() {
             return AttemptOutcome::Success(Box::new(st));
         }
         *carried = std::mem::take(&mut st.stats);
-        match salvage_out {
-            // A salvage capture keeps the failed partial schedule for the
-            // next II's warm probe; the caller clones the (not yet rolled
-            // back) graph alongside it.
-            Some(slot) => *slot = Some(st.capture_salvage(scratch, order.len())),
-            None => st.reclaim_into(scratch),
-        }
-        AttemptOutcome::Restart
-    }
-
-    /// Warm-start one attempt at `ii` from `state`, the captured failure of
-    /// the previous canonical attempt, instead of placing every node from
-    /// scratch ([`SearchConfig::salvage`](crate::SearchConfig::salvage)).
-    ///
-    /// Survivor placements keep their absolute cycles, so every dependence
-    /// among kept pairs still holds at the larger II: the slack of an edge
-    /// is `to − from − latency + II·distance`, which only grows with the
-    /// II for cross-iteration edges and is II-independent for same-
-    /// iteration ones. What *can* break is the modulo resource folding —
-    /// two reservations in distinct `cycle mod II` slots may collide at
-    /// `cycle mod II'`. Survivors are therefore re-placed through the dense
-    /// MRT probe in original placement order; the ones that no longer fit
-    /// are evicted back to the priority list (dropping their attached
-    /// moves, exactly as an ejection would), and the ordinary placement
-    /// loop re-enters over that conflict tail in priority order. The
-    /// pressure gauges are rebuilt incrementally over the kept lifetimes
-    /// by the same `touch`-per-placement protocol a cold attempt uses.
-    ///
-    /// `graph` must be the post-failure graph the state was captured
-    /// against (the search driver clones it at capture time, before
-    /// rollback); spill and move nodes of the failed
-    /// attempt are retained wherever their operands survive. Returns the
-    /// outcome plus the `(salvaged, evicted)` survivor counts.
-    ///
-    /// The probe's ejection budget is scaled to the **conflict tail** (the
-    /// evicted survivors plus whatever the captured failure never placed),
-    /// not to the full operation count — a probe at an infeasible II fails
-    /// in a fraction of a cold attempt's budget drain. A failed probe
-    /// hands its buffers back to the scratch; the search driver then runs
-    /// the ordinary cold attempt at this same II, so the warm start can
-    /// only ever *add* a success, never hide an II from the cold climb.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn attempt_salvaged<'g>(
-        &self,
-        graph: &'g mut DepGraph,
-        state: SalvageState,
-        ii: u32,
-        mem_ops_base: u64,
-        debug: bool,
-        scratch: &mut SchedScratch,
-        carried: &mut SchedulerStats,
-    ) -> (AttemptOutcome<'m, 'g>, u32, u32) {
-        let SalvageState {
-            mut sched,
-            mut pressure,
-            plist,
-            prev_cycle,
-            move_route,
-            move_into,
-            spill_store_of,
-            spills_inserted,
-            order_len,
-        } = state;
-        debug_assert_eq!(
-            mem_ops_base + u64::from(spills_inserted),
-            graph.count_ops(Opcode::is_memory) as u64,
-            "salvaged graph lost or grew memory traffic between attempts"
-        );
-        let old_ii = i64::from(sched.ii());
-        let survivors = sched.take_placements_in_order();
-        sched.reset(self.machine, ii);
-        pressure.reset(self.machine.clusters(), ii, graph.value_count());
-        let mut st = SchedState {
-            machine: self.machine,
-            opts: self.opts,
-            sched,
-            plist,
-            prev_cycle,
-            move_route,
-            move_into,
-            spill_store_of,
-            graph,
-            mem_ops_base,
-            budget: i64::from(self.opts.budget_ratio) * order_len as i64,
-            spills_inserted,
-            pressure,
-            debug,
-            memo: scratch.take_spill_memo(),
-            stats: std::mem::take(carried),
-        };
-        let mut salvaged = 0u32;
-        let mut evicted = 0u32;
-        let new_ii = i64::from(ii);
-        for (node, info) in survivors {
-            if !st.graph.is_live(node) {
-                // A move dropped by an earlier eviction in this very pass.
-                continue;
-            }
-            // Stage-preserving re-fold: keep the survivor's stage index and
-            // its residue, `c → (c div II_old)·II_new + (c mod II_old)`.
-            // Every residue of the old II exists in the new one, so the MRT
-            // pattern transfers without any resource aliasing and the new
-            // residue row stays free for the conflict tail. Intra-iteration
-            // dependences only gain slack under this map; the explicit
-            // check below catches the one class that can break — carried
-            // dependences whose producer sits more than `distance` stages
-            // after the consumer.
-            let cycle = info.cycle.div_euclid(old_ii) * new_ii + info.cycle.rem_euclid(old_ii);
-            if st.refold_respects_deps(node, cycle, new_ii)
-                && st.sched.try_place(node, cycle, info.cluster, info.rt)
-            {
-                st.pressure.touch_node(st.graph, node);
-                salvaged += 1;
-            } else {
-                st.evict_unplaced(node, cycle);
-                evicted += 1;
-            }
-        }
-        #[cfg(debug_assertions)]
-        {
-            st.pressure.flush(st.graph, &st.sched);
-            debug_assert!(
-                st.pressure_matches_scratch(),
-                "salvage pressure rebuild diverged from the from-scratch recomputation"
-            );
-        }
-        // Strict, O(conflict-tail) completion: the probe places the tail
-        // in *free* slots only — the first operation that would need the
-        // Forcing-and-Ejection heuristic fails the probe instead. Probes
-        // that are going to succeed place their whole tail without a
-        // single ejection (the stage-preserving re-fold hands them the
-        // MRT pattern that already worked plus an empty residue row),
-        // while forcing is both expensive per step and the entry into
-        // exactly the wedged ejection churn the failed attempt died in —
-        // so a doomed probe now costs microseconds, not a budget drain.
-        // The budget stays as a backstop for spill-insertion loops.
-        let tail = st.plist.len() as i64;
-        st.budget = tail + SALVAGE_TAIL_SLACK;
-        st.opts.enable_backtracking = false;
-        if st.complete_placement(false) {
-            return (AttemptOutcome::Success(Box::new(st)), salvaged, evicted);
-        }
-        *carried = std::mem::take(&mut st.stats);
         st.reclaim_into(scratch);
-        (AttemptOutcome::Restart, salvaged, evicted)
+        AttemptOutcome::Restart
     }
 }
 
@@ -554,16 +304,11 @@ impl SchedState<'_, '_> {
     /// whatever the priority list currently holds, then apply the final
     /// register-allocation check: with spilling disabled (the behaviour of
     /// non-iterative schedulers such as [31]) the only remedy for excessive
-    /// register pressure is a larger II. Shared by cold attempts (full
-    /// order pending) and salvaged ones (conflict tail pending).
+    /// register pressure is a larger II.
     ///
-    /// Returns whether the attempt succeeded. On failure the state is the
-    /// restart hand-off: with `keep_consistent` the in-flight node and its
-    /// half-inserted moves are cleaned up first (returned to the priority
-    /// list / detached), so a salvage capture sees a self-consistent
-    /// partial schedule; without it the whole state is about to be
-    /// reclaimed and the extra work is skipped.
-    fn complete_placement(&mut self, keep_consistent: bool) -> bool {
+    /// Returns whether the attempt succeeded; on failure the whole state is
+    /// about to be reclaimed.
+    fn complete_placement(&mut self) -> bool {
         while let Some(u) = self.plist.pop() {
             if !self.graph.is_live(u) {
                 continue; // removed move node that was still pending
@@ -600,10 +345,6 @@ impl SchedState<'_, '_> {
             if non_iterative_failure {
                 // Backtracking disabled and no free slot: give up on this
                 // II.
-                if keep_consistent {
-                    self.plist.push_back(u);
-                    self.detach_moves(u);
-                }
                 return false;
             }
 
@@ -630,68 +371,6 @@ impl SchedState<'_, '_> {
             self.locality_holds(),
             "successful attempt violates operand locality (move insertion hole)"
         );
-        true
-    }
-
-    /// Tear this failed attempt down into a [`SalvageState`]: every buffer
-    /// describing the partial schedule is kept for the next II's warm
-    /// probe; the spill memo — whose lifecycle the search driver owns per
-    /// attempt — goes straight back to the scratch. The caller clones the
-    /// graph separately; the node and value ids inside the kept buffers
-    /// stay valid in that clone.
-    fn capture_salvage(self, scratch: &mut SchedScratch, order_len: usize) -> SalvageState {
-        scratch.reclaim_memo(self.memo);
-        SalvageState {
-            sched: self.sched,
-            pressure: self.pressure,
-            plist: self.plist,
-            prev_cycle: self.prev_cycle,
-            move_route: self.move_route,
-            move_into: self.move_into,
-            spill_store_of: self.spill_store_of,
-            spills_inserted: self.spills_inserted,
-            order_len,
-        }
-    }
-
-    /// Evict a salvage survivor whose reservations no longer fold into the
-    /// new II's residue space: return it to the priority list at its
-    /// original priority, remember the cycle it came from (so a forced
-    /// re-placement diversifies away from it) and drop its attached moves —
-    /// the counterpart of `eject_node` for a node that is not currently in
-    /// the partial schedule.
-    fn evict_unplaced(&mut self, node: NodeId, prev_cycle: i64) {
-        self.prev_cycle.insert(node, prev_cycle);
-        self.stats.ejections += 1;
-        self.plist.push_back(node);
-        self.detach_moves(node);
-    }
-
-    /// Whether placing `u` at `cycle` honours every modulo-scheduling
-    /// constraint (`cycle(to) − cycle(from) ≥ latency − II·distance`)
-    /// against the neighbours already placed by the re-fold. The
-    /// stage-preserving map keeps all intra-iteration constraints
-    /// satisfied by construction, but a carried dependence whose producer
-    /// sits more than `distance` stages after its consumer can lose slack
-    /// when the II grows — those few survivors are evicted instead.
-    fn refold_respects_deps(&self, u: NodeId, cycle: i64, ii: i64) -> bool {
-        let lat = self.machine.latencies();
-        for &e in self.graph.in_edge_ids(u) {
-            let edge = self.graph.edge(e);
-            if let Some(from) = self.sched.cycle_of(edge.from) {
-                if cycle - from < self.graph.latency_of(edge, lat) - i64::from(edge.distance) * ii {
-                    return false;
-                }
-            }
-        }
-        for &e in self.graph.out_edge_ids(u) {
-            let edge = self.graph.edge(e);
-            if let Some(to) = self.sched.cycle_of(edge.to) {
-                if to - cycle < self.graph.latency_of(edge, lat) - i64::from(edge.distance) * ii {
-                    return false;
-                }
-            }
-        }
         true
     }
 
@@ -885,14 +564,7 @@ impl SchedState<'_, '_> {
         self.prev_cycle.insert(node, cycle);
         self.stats.ejections += 1;
         self.plist.push_back(node);
-        self.detach_moves(node);
-    }
 
-    /// Remove the move operations attached to `node` (Section 3.3.2): a
-    /// move whose producer is `node`, or whose unique consumer is `node`,
-    /// no longer has a reason to exist once `node` leaves the schedule.
-    /// Shared by `eject_node` and the restart-salvage eviction path.
-    fn detach_moves(&mut self, node: NodeId) {
         if self.graph.op(node).opcode.is_move() {
             return;
         }

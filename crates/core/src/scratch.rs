@@ -146,33 +146,6 @@ impl SchedScratch {
         spill_store_of: HashMap<ValueId, NodeId>,
         spill_memo: SpillMemo,
     ) {
-        self.reclaim_buffers(
-            sched,
-            pressure,
-            plist,
-            prev_cycle,
-            move_route,
-            move_into,
-            spill_store_of,
-        );
-        self.spill_memo = spill_memo;
-    }
-
-    /// [`SchedScratch::reclaim`] without the spill memo — the restart
-    /// salvage path hands the memo back separately (it is the one buffer a
-    /// captured failed attempt does *not* carry: the search driver resets
-    /// it per attempt through [`SchedScratch::spill_memo_mut`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn reclaim_buffers(
-        &mut self,
-        sched: PartialSchedule,
-        pressure: PressureTracker,
-        plist: PriorityList,
-        prev_cycle: HashMap<NodeId, i64>,
-        move_route: HashMap<NodeId, (ClusterId, ClusterId)>,
-        move_into: HashMap<(ValueId, ClusterId), NodeId>,
-        spill_store_of: HashMap<ValueId, NodeId>,
-    ) {
         self.sched = Some(sched);
         self.pressure = Some(pressure);
         self.plist = plist;
@@ -180,11 +153,7 @@ impl SchedScratch {
         self.move_route = move_route;
         self.move_into = move_into;
         self.spill_store_of = spill_store_of;
-    }
-
-    /// Hand the spill memo back after a salvage capture released it.
-    pub(crate) fn reclaim_memo(&mut self, memo: SpillMemo) {
-        self.spill_memo = memo;
+        self.spill_memo = spill_memo;
     }
 }
 

@@ -17,7 +17,7 @@
 //!   best candidate, or give up.
 //!
 //! Three strategies ship ([`LinearSearch`], [`BacktrackingSearch`],
-//! [`PerturbedRestartSearch`]); [`LinearSearch`] is the default and is
+//! [`ExactSearch`]); [`LinearSearch`] is the default and is
 //! bit-identical to the paper's monotonic climb — the golden schedule-hash
 //! tests pin that equivalence. Candidates are compared by the paper's
 //! metric order: achieved II first, then spill operations (memory-traffic
@@ -25,10 +25,10 @@
 //! branching strategies can never return a worse (II, spill-ops) pair than
 //! the linear climb — they always include its canonical attempts.
 //!
-//! Determinism: every perturbation seed is derived from
-//! `(SearchConfig::seed, ii, branch index)` by a SplitMix64 mix, so the
-//! same loop explores the identical tree in every run, on every thread of
-//! the parallel sweep harness.
+//! Determinism: every perturbation seed is derived from a fixed base seed,
+//! the II and the branch index by a SplitMix64 mix, so the same loop
+//! explores the identical tree in every run, on every thread of the
+//! parallel sweep harness.
 //!
 //! # The admission filter
 //!
@@ -38,8 +38,7 @@
 //! and every II below
 //! it back to the MII is proven too — the driver skips the attempt
 //! outright and reports a pruned failure to the strategy. Because only
-//! provably-infeasible IIs are ever skipped (and a canonical attempt that
-//! could still feed the salvage pipeline is exempt), the accepted
+//! provably-infeasible IIs are ever skipped, the accepted
 //! schedule is byte-identical with the filter on or off; only the wasted
 //! cold attempts disappear. `SearchMeta::pruned_iis` and
 //! `SchedulerStats::relax_seconds` surface what the filter did and what
@@ -48,8 +47,8 @@
 //! # Branch-parallel execution
 //!
 //! The attempts inside one [`BacktrackingSearch`] candidate-II group — the
-//! canonical order plus [`SearchConfig::branches`] seeded perturbations —
-//! are mutually independent: each one starts from the pristine group-start
+//! canonical order plus two seeded perturbations — are mutually
+//! independent: each one starts from the pristine group-start
 //! graph (which the checkpoint discipline makes identical to the search
 //! root) and its outcome is a pure function of `(graph, order, ii,
 //! options)`. A [`BranchExecutor`] exploits that: when
@@ -67,9 +66,7 @@
 use crate::error::ScheduleError;
 use crate::options::{SearchConfig, SearchStrategyKind};
 use crate::result::{ScheduleResult, SchedulerStats, SearchMeta, SearchProof};
-use crate::scheduler::{
-    debug_enabled, graph_audit_enabled, AttemptOutcome, MirsScheduler, SalvageState,
-};
+use crate::scheduler::{debug_enabled, graph_audit_enabled, AttemptOutcome, MirsScheduler};
 use crate::scratch::SchedScratch;
 use ddg::{hrms, mii, CheckpointStack, DepGraph, Loop, NodeId};
 use std::sync::Mutex;
@@ -200,9 +197,16 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Perturbed priority orders tried *in addition to* the canonical HRMS
+/// order at each candidate II of [`BacktrackingSearch`].
+const BRANCHES: u32 = 2;
+
+/// Base seed of the deterministic priority perturbations.
+const SEED: u64 = 0x5eed_1e55_c0de_2026;
+
 /// Attempt seed for branch `branch` of candidate II `ii`.
-fn derive_seed(base: u64, ii: u32, branch: u32) -> u64 {
-    splitmix64(base ^ (u64::from(ii) << 32) ^ u64::from(branch))
+fn derive_seed(ii: u32, branch: u32) -> u64 {
+    splitmix64(SEED ^ (u64::from(ii) << 32) ^ u64::from(branch))
 }
 
 /// How far (in list positions) a perturbation may displace a node.
@@ -257,33 +261,19 @@ impl SearchStrategy for LinearSearch {
 }
 
 /// Branching multi-II exploration: at every candidate II, try the
-/// canonical order plus [`SearchConfig::branches`] perturbed orders (each
-/// under a nested graph checkpoint), keep climbing while nothing succeeds,
-/// and accept the best candidate once [`SearchConfig::ii_window`] candidate
-/// IIs at/after the first feasible one are fully explored.
+/// canonical order plus two perturbed orders (each under a nested graph
+/// checkpoint), keep climbing while nothing succeeds, and accept the best
+/// candidate as soon as the first feasible II's branch group is complete.
 ///
 /// Because the canonical attempt of every II is part of the branch set,
 /// the accepted `(ii, spill_ops)` is never worse than [`LinearSearch`]'s —
 /// and strictly better whenever a perturbed order unlocks a smaller II or
 /// saves spill code at the same II.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BacktrackingSearch {
-    cfg: SearchConfig,
     ii: Option<u32>,
     /// Next branch index at the current II (0 = canonical still pending).
     branch: u32,
-}
-
-impl BacktrackingSearch {
-    /// Strategy with the given parameters.
-    #[must_use]
-    pub fn new(cfg: SearchConfig) -> Self {
-        Self {
-            cfg,
-            ii: None,
-            branch: 0,
-        }
-    }
 }
 
 impl SearchStrategy for BacktrackingSearch {
@@ -300,79 +290,20 @@ impl SearchStrategy for BacktrackingSearch {
             self.branch = 1;
             return SearchMove::TryII(view.mii);
         };
-        if self.branch <= self.cfg.branches {
-            let seed = derive_seed(self.cfg.seed, ii, self.branch);
+        if self.branch <= BRANCHES {
+            let seed = derive_seed(ii, self.branch);
             self.branch += 1;
             return SearchMove::RetryPerturbed { ii, seed };
         }
         // The II's branch group is complete.
-        if let Some((best_ii, _)) = view.best {
-            let explored_at_or_after = ii.saturating_sub(best_ii) + 1;
-            if explored_at_or_after >= self.cfg.ii_window.max(1) || ii + 1 > view.max_ii {
-                return SearchMove::Accept;
-            }
-        } else if ii + 1 > view.max_ii {
-            return SearchMove::GiveUp;
-        }
-        self.ii = Some(ii + 1);
-        self.branch = 1;
-        SearchMove::TryII(ii + 1)
-    }
-}
-
-/// Perturbed-restart climb: like [`LinearSearch`], but a *failed* II is
-/// re-entered up to [`SearchConfig::retries`] times with perturbed
-/// priority orders before the II is raised. The first success (canonical
-/// or perturbed) is accepted, so the achieved II is never larger than the
-/// linear strategy's.
-#[derive(Debug)]
-pub struct PerturbedRestartSearch {
-    cfg: SearchConfig,
-    ii: Option<u32>,
-    retry: u32,
-}
-
-impl PerturbedRestartSearch {
-    /// Strategy with the given parameters.
-    #[must_use]
-    pub fn new(cfg: SearchConfig) -> Self {
-        Self {
-            cfg,
-            ii: None,
-            retry: 0,
-        }
-    }
-}
-
-impl SearchStrategy for PerturbedRestartSearch {
-    fn kind(&self) -> SearchStrategyKind {
-        SearchStrategyKind::PerturbedRestart
-    }
-
-    fn next_move(&mut self, view: &SearchView) -> SearchMove {
-        if view.last.is_some_and(|r| r.success) {
+        if view.best.is_some() {
             return SearchMove::Accept;
-        }
-        let Some(ii) = self.ii else {
-            if view.mii > view.max_ii {
-                return SearchMove::GiveUp;
-            }
-            self.ii = Some(view.mii);
-            self.retry = 0;
-            return SearchMove::TryII(view.mii);
-        };
-        if self.retry < self.cfg.retries {
-            self.retry += 1;
-            return SearchMove::RetryPerturbed {
-                ii,
-                seed: derive_seed(self.cfg.seed, ii, self.retry),
-            };
         }
         if ii + 1 > view.max_ii {
             return SearchMove::GiveUp;
         }
         self.ii = Some(ii + 1);
-        self.retry = 0;
+        self.branch = 1;
         SearchMove::TryII(ii + 1)
     }
 }
@@ -386,19 +317,9 @@ impl SearchStrategy for PerturbedRestartSearch {
 /// finds at the same II, and a cached backtrack entry can be refined in
 /// place by its exact twin. Only the reported kind (and, via the driver,
 /// the attached [`SearchProof`]) differ.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ExactSearch {
     inner: BacktrackingSearch,
-}
-
-impl ExactSearch {
-    /// Strategy with the given parameters.
-    #[must_use]
-    pub fn new(cfg: SearchConfig) -> Self {
-        Self {
-            inner: BacktrackingSearch::new(cfg),
-        }
-    }
 }
 
 impl SearchStrategy for ExactSearch {
@@ -417,7 +338,6 @@ impl SearchStrategy for ExactSearch {
 pub(crate) enum StrategyImpl {
     Linear(LinearSearch),
     Backtracking(BacktrackingSearch),
-    Perturbed(PerturbedRestartSearch),
     Exact(ExactSearch),
 }
 
@@ -426,7 +346,6 @@ impl StrategyImpl {
         match self {
             StrategyImpl::Linear(s) => s,
             StrategyImpl::Backtracking(s) => s,
-            StrategyImpl::Perturbed(s) => s,
             StrategyImpl::Exact(s) => s,
         }
     }
@@ -442,12 +361,9 @@ impl SearchConfig {
         match self.strategy {
             SearchStrategyKind::Linear => StrategyImpl::Linear(LinearSearch::default()),
             SearchStrategyKind::Backtracking => {
-                StrategyImpl::Backtracking(BacktrackingSearch::new(*self))
+                StrategyImpl::Backtracking(BacktrackingSearch::default())
             }
-            SearchStrategyKind::PerturbedRestart => {
-                StrategyImpl::Perturbed(PerturbedRestartSearch::new(*self))
-            }
-            SearchStrategyKind::Exact => StrategyImpl::Exact(ExactSearch::new(*self)),
+            SearchStrategyKind::Exact => StrategyImpl::Exact(ExactSearch::default()),
         }
     }
 }
@@ -502,50 +418,6 @@ fn accumulate(into: &mut SchedulerStats, delta: &SchedulerStats) {
 /// strategy, far above anything the shipped strategies can reach.
 const MAX_ATTEMPTS_FLOOR: u32 = 4096;
 
-/// Per-loop warm-probe quota: after this many *failed* warm probes the
-/// driver stops capturing failures and the rest of the search runs purely
-/// cold. A probe failure means the failed attempt's surviving placement
-/// did not transfer to the next II — on such loops (wedged ejection
-/// basins) further probes almost never recover, so the quota caps the
-/// total warm-start overhead at a couple of O(conflict-tail) probes and
-/// graph clones per loop. Loops whose basins do transfer succeed on the
-/// first probe and never spend the quota.
-const SALVAGE_PROBE_QUOTA: u32 = 2;
-
-/// A captured canonical failure waiting to warm-start the next candidate
-/// II ([`SearchConfig::salvage`]).
-///
-/// The graph is an owned clone taken *before* the attempt's transaction
-/// was rolled back, so the spill/move edits of the failed attempt — which
-/// the [`SalvageState`]'s node and value ids refer to — survive in it.
-/// The warm probe runs entirely on this clone, outside the driver's
-/// checkpoint stack; the transactional working graph and its rollback
-/// audit never see salvage.
-struct PendingSalvage {
-    graph: DepGraph,
-    state: SalvageState,
-}
-
-/// What [`SearchDriver::run_warm_probe`] did with a pending salvage.
-///
-/// The size skew between the variants is fine: exactly one value exists
-/// at a time, on the stack, consumed by the caller in the same expression.
-#[allow(clippy::large_enum_variant)]
-enum WarmProbe {
-    /// The probe succeeded and stood in for the canonical attempt at this
-    /// II — `Some` is an accepted-in-place result, `None` means the
-    /// search continues. No cold attempt runs at this II. Because every
-    /// smaller II already received its genuine cold attempt (a probe
-    /// failure never skips one), accepting a probe success can only match
-    /// or beat the II the cold climb would have reached.
-    Handled(Option<ScheduleResult>),
-    /// The probe failed. Fall through to the ordinary cold attempt at
-    /// this same II — the warm start adds at most the probe's
-    /// O(conflict-tail) cost on top of the cold search it leaves intact,
-    /// and one unit of the per-loop [`SALVAGE_PROBE_QUOTA`] is spent.
-    Fallthrough,
-}
-
 /// The engine running a [`SearchStrategy`] over one loop.
 ///
 /// Owns the working graph (the one clone of the whole search), the nested
@@ -585,21 +457,6 @@ pub(crate) struct SearchDriver<'a, 'm> {
     carried: SchedulerStats,
     view: SearchView,
     best: Option<Candidate>,
-    /// Whether failed canonical attempts are captured for warm-starting
-    /// the next candidate II ([`SearchConfig::salvage`]).
-    salvage: bool,
-    /// The captured failure awaiting the next canonical attempt.
-    pending: Option<PendingSalvage>,
-    /// Remaining failed warm probes this loop may afford
-    /// ([`SALVAGE_PROBE_QUOTA`]); at zero the driver stops capturing
-    /// failures and the search stays cold.
-    probe_quota: u32,
-    /// Survivor placements kept verbatim across warm probes
-    /// (`SearchMeta::salvaged_ops`).
-    salvaged_ops: u32,
-    /// Survivors evicted by the re-fold and re-placed from the priority
-    /// list (`SearchMeta::replaced_ops`).
-    replaced_ops: u32,
     /// Certified lower bound from the exact bounding phase (`None` for
     /// heuristic strategies); turned into the result's [`SearchProof`].
     bound: Option<exact::CertifiedBound>,
@@ -699,11 +556,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             carried: SchedulerStats::default(),
             view,
             best: None,
-            salvage: opts.search.salvage,
-            pending: None,
-            probe_quota: SALVAGE_PROBE_QUOTA,
-            salvaged_ops: 0,
-            replaced_ops: 0,
             bound: None,
             deferred: None,
             prune: opts.search.prune,
@@ -717,17 +569,8 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
     /// relaxation has proven every II from the MII up to `ii` infeasible —
     /// the attempt could not possibly succeed, so skipping it cannot
     /// change which schedule the search accepts.
-    ///
-    /// While salvage may still capture a canonical failure (quota left or
-    /// a capture pending), canonical attempts are exempt: pruning one
-    /// would skip the capture/probe it feeds, changing the warm-start
-    /// sequence downstream. Perturbed attempts never capture and are
-    /// always fair game.
-    fn should_prune(&mut self, ii: u32, seed: Option<u64>) -> bool {
+    fn should_prune(&mut self, ii: u32) -> bool {
         if !self.prune {
-            return false;
-        }
-        if seed.is_none() && self.salvage && (self.pending.is_some() || self.probe_quota > 0) {
             return false;
         }
         let relax_start = Instant::now();
@@ -772,8 +615,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
     /// [`BacktrackingSearch`] exactly. [`SearchDriver::finish`] turns the
     /// carried bound into the result's [`SearchProof`].
     pub(crate) fn run_exact(mut self) -> Result<ScheduleResult, ScheduleError> {
-        let cfg = self.sched.options().search;
-        let mut budget = exact::ExactBudget::new(cfg.exact_budget);
+        let mut budget = exact::ExactBudget::new(self.sched.options().search.exact_budget);
         // Build the shared relaxation state eagerly: the certifier probes
         // it per candidate II, and the admission filter keeps consulting
         // the same cached closure during the climb afterwards.
@@ -799,8 +641,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         // own `mii` keeps reporting the ResMII/RecMII bound in the result.
         self.view.mii = bound.lower_bound.max(self.mii);
         self.bound = Some(bound);
-        let mut strategy = ExactSearch::new(cfg);
-        self.run(&mut strategy)
+        self.run(&mut ExactSearch::default())
     }
 
     /// Drive `strategy` to completion.
@@ -841,7 +682,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 });
                 continue;
             }
-            if self.should_prune(ii, seed) {
+            if self.should_prune(ii) {
                 self.note_pruned(ii, seed);
                 continue;
             }
@@ -855,9 +696,9 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
     /// fanned across `exec`, merging outcomes deterministically.
     ///
     /// This replays the exact attempt sequence of the serial strategy —
-    /// canonical order first, then [`SearchConfig::branches`] seeded
-    /// perturbations per II, the same group-end accept/climb/give-up rules
-    /// and the same global attempt cap — but runs each group's attempts on
+    /// canonical order first, then two seeded perturbations per II, the
+    /// same group-end accept/climb/give-up rules and the same global
+    /// attempt cap — but runs each group's attempts on
     /// private graph clones instead of one transactional working graph.
     /// The two are equivalent because a group opens on the pristine root
     /// state (the serial driver abandons to the search root before every
@@ -868,7 +709,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         mut self,
         exec: &dyn BranchExecutor,
     ) -> Result<ScheduleResult, ScheduleError> {
-        let cfg = self.sched.options().search;
         let kind = SearchStrategyKind::Backtracking;
         let attempt_cap = MAX_ATTEMPTS_FLOOR.max(self.max_ii.saturating_mul(8));
         if self.mii > self.max_ii {
@@ -883,7 +723,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         };
         let mut ii = self.mii;
         loop {
-            if self.should_prune(ii, None) {
+            if self.should_prune(ii) {
                 // The relaxation proved this II infeasible: the whole
                 // canonical+branches group is skipped (the serial driver
                 // prunes each of its proposals individually — same
@@ -896,8 +736,8 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 // Exactly the attempts `BacktrackingSearch` would issue at
                 // this II, truncated by the attempt cap the serial driver
                 // enforces before every attempt.
-                let branches = (1 + cfg.branches).min(attempt_cap - self.attempts) as usize;
-                self.run_group(exec, ii, branches, &cfg);
+                let branches = (1 + BRANCHES).min(attempt_cap - self.attempts) as usize;
+                self.run_group(exec, ii, branches);
                 if let Some(base) = &audit_base {
                     assert!(
                         self.graph.same_content(base),
@@ -908,15 +748,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 }
             }
             // `BacktrackingSearch::next_move`'s group-end decision, verbatim.
-            if let Some(best_ii) = self.best.as_ref().map(|c| c.key.ii) {
-                let explored_at_or_after = ii.saturating_sub(best_ii) + 1;
-                if explored_at_or_after >= cfg.ii_window.max(1) || ii + 1 > self.max_ii {
-                    return self.accept(kind);
-                }
-            } else if ii + 1 > self.max_ii {
-                return self.accept(kind);
-            }
-            if self.attempts >= attempt_cap {
+            if self.best.is_some() || ii + 1 > self.max_ii || self.attempts >= attempt_cap {
                 return self.accept(kind);
             }
             ii += 1;
@@ -928,13 +760,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
     /// so the incumbent-best updates, failure counts and carried work
     /// counters replay the serial search exactly, for any executor and any
     /// worker count.
-    fn run_group(
-        &mut self,
-        exec: &dyn BranchExecutor,
-        ii: u32,
-        branches: usize,
-        cfg: &SearchConfig,
-    ) {
+    fn run_group(&mut self, exec: &dyn BranchExecutor, ii: u32, branches: usize) {
         self.groups += 1;
         self.group_ii = Some(ii);
         self.last_ii = self.last_ii.max(ii);
@@ -950,7 +776,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             let mem_ops_base = self.mem_ops_base;
             let mii_value = self.mii;
             let debug = self.debug;
-            let seed_base = cfg.seed;
             let slots = &slots;
             let job = move |branch: usize, scratch: &mut SchedScratch| {
                 let attempt_start = Instant::now();
@@ -963,7 +788,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 let branch_order: &[NodeId] = if branch == 0 {
                     order
                 } else {
-                    let seed = derive_seed(seed_base, ii, branch as u32);
+                    let seed = derive_seed(ii, branch as u32);
                     perturb_order(order, seed, &mut perturbed);
                     &perturbed
                 };
@@ -983,9 +808,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                     debug,
                     scratch,
                     &mut delta,
-                    // Salvage routes through the serial driver; branches
-                    // never capture their failures.
-                    None,
                 );
                 let (result, spill_ops, moves) = match outcome {
                     AttemptOutcome::Restart => (None, 0, 0),
@@ -1064,20 +886,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             self.order = hrms::hrms_order(&self.graph, self.sched.machine().latencies());
             self.order_epoch = self.graph.structural_epoch();
         }
-        // Warm-start probe: before the canonical cold attempt at this II,
-        // try to finish the previous canonical failure's surviving
-        // placement, re-folded into this II's residue space. A successful
-        // probe stands in for the cold attempt; a failed probe falls
-        // through to it, so the cold climb below keeps its verdict at
-        // every II and the accepted II can never exceed the cold search's.
-        if seed.is_none() {
-            if let Some(pending) = self.pending.take() {
-                match self.run_warm_probe(strategy, ii, pending)? {
-                    WarmProbe::Handled(done) => return Ok(done),
-                    WarmProbe::Fallthrough => {}
-                }
-            }
-        }
         // Candidate-II group level of the checkpoint tree (depth 2): the
         // first attempt at a new II opens a fresh group branch.
         if self.group_ii != Some(ii) {
@@ -1108,7 +916,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             None => &self.order,
         };
         let attempt_start = Instant::now();
-        let mut captured: Option<SalvageState> = None;
         let outcome = self.sched.attempt(
             &mut self.graph,
             order,
@@ -1117,25 +924,12 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             self.debug,
             self.scratch,
             &mut self.carried,
-            if self.salvage && seed.is_none() && self.probe_quota > 0 {
-                Some(&mut captured)
-            } else {
-                None
-            },
         );
         let attempt_secs = attempt_start.elapsed().as_secs_f64();
         self.attempt_secs += attempt_secs;
         self.group_max_secs = self.group_max_secs.max(attempt_secs);
         match outcome {
             AttemptOutcome::Restart => {
-                if let Some(state) = captured.take() {
-                    // Clone the post-failure graph *before* the rollback:
-                    // the captured buffers index into its spill/move nodes.
-                    self.pending = Some(PendingSalvage {
-                        graph: self.graph.clone(),
-                        state,
-                    });
-                }
                 self.cps.abandon(&mut self.graph);
                 self.audit_rollback(&audit_base, ii);
                 self.failures += 1;
@@ -1210,133 +1004,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         }
     }
 
-    /// Run the warm-start probe for a pending salvage at candidate `ii`:
-    /// re-fold the captured partial schedule into the new II's residue
-    /// space on the captured (owned) graph and finish the placement over
-    /// the conflict tail.
-    ///
-    /// The probe lives entirely outside the checkpoint stack — the
-    /// transactional working graph is untouched, so the rollback audit
-    /// keeps its meaning. A successful probe *replaces* the canonical
-    /// attempt at `ii`; a failed one costs O(conflict-tail) — its budget
-    /// is scaled to the tail, not the operation count — spends one unit
-    /// of the probe quota, and hands the II back to the ordinary cold
-    /// attempt. The cold climb therefore keeps its verdict at every II
-    /// and the warm start can only lower the accepted II, never raise
-    /// it — monotone or not, feasibility holes included.
-    fn run_warm_probe(
-        &mut self,
-        strategy: &mut dyn SearchStrategy,
-        ii: u32,
-        pending: PendingSalvage,
-    ) -> Result<WarmProbe, ScheduleError> {
-        let PendingSalvage { mut graph, state } = pending;
-        self.last_ii = self.last_ii.max(ii);
-        self.attempts += 1;
-        let attempt_index = self.attempts;
-        // The probe graph's structure differs from the search root (the
-        // failed attempt's spill/move edits survive in it): re-anchor the
-        // memo to it for the probe's duration.
-        self.scratch
-            .spill_memo_mut()
-            .begin_loop(&graph, graph.structural_epoch());
-        self.scratch.spill_memo_mut().begin_attempt();
-        let attempt_start = Instant::now();
-        let (outcome, salvaged, evicted) = self.sched.attempt_salvaged(
-            &mut graph,
-            state,
-            ii,
-            self.mem_ops_base,
-            self.debug,
-            self.scratch,
-            &mut self.carried,
-        );
-        let attempt_secs = attempt_start.elapsed().as_secs_f64();
-        self.attempt_secs += attempt_secs;
-        self.group_max_secs = self.group_max_secs.max(attempt_secs);
-        self.salvaged_ops += salvaged;
-        self.replaced_ops += evicted;
-        if self.debug {
-            eprintln!(
-                "SALVAGE: loop '{}' ii={ii} salvaged={salvaged} evicted={evicted} -> {}",
-                self.lp.name,
-                if matches!(outcome, AttemptOutcome::Success(_)) {
-                    "success"
-                } else {
-                    "fell back cold"
-                },
-            );
-        }
-        match outcome {
-            AttemptOutcome::Restart => {
-                self.probe_quota -= 1;
-                // Whatever comes next runs on the root graph again. The
-                // probe's graph clone and buffers are already reclaimed;
-                // no attempt report is filed here — the cold attempt at
-                // this same II files its own.
-                self.scratch
-                    .spill_memo_mut()
-                    .begin_loop(&self.graph, self.order_epoch);
-                drop(graph);
-                Ok(WarmProbe::Fallthrough)
-            }
-            AttemptOutcome::Success(st) => {
-                let spill_ops = st.spill_op_count();
-                let key = CandidateKey {
-                    ii,
-                    spill_ops,
-                    moves: st.move_op_count(),
-                    attempt: attempt_index,
-                };
-                let became_best = self.best.as_ref().is_none_or(|b| key < b.key);
-                self.successes += 1;
-                self.view.attempts = self.attempts;
-                self.view.last = Some(AttemptReport {
-                    ii,
-                    seed: None,
-                    success: true,
-                    spill_ops,
-                    became_best,
-                    pruned: false,
-                });
-                if became_best {
-                    self.view.best = Some((ii, spill_ops));
-                }
-                let mv = strategy.next_move(&self.view);
-                if became_best {
-                    // The probe owns its graph outright, so packaging the
-                    // result takes it without a clone either way.
-                    let mut result = st.into_result(self.scratch, &self.lp.name, self.mii, true);
-                    result.stats.restarts = self.failures;
-                    if mv == SearchMove::Accept {
-                        self.cps.clear();
-                        return Ok(WarmProbe::Handled(Some(
-                            self.finish(strategy.kind(), result),
-                        )));
-                    }
-                    self.best = Some(Candidate { key, result });
-                } else {
-                    st.reclaim_into(self.scratch);
-                }
-                // Whatever comes next runs on the root graph again.
-                self.scratch
-                    .spill_memo_mut()
-                    .begin_loop(&self.graph, self.order_epoch);
-                match mv {
-                    SearchMove::Accept | SearchMove::GiveUp => self
-                        .accept(strategy.kind())
-                        .map(Some)
-                        .map(WarmProbe::Handled),
-                    next => {
-                        debug_assert!(self.deferred.is_none());
-                        self.deferred = Some(next);
-                        Ok(WarmProbe::Handled(None))
-                    }
-                }
-            }
-        }
-    }
-
     /// Record a finished attempt in the strategy-facing view.
     fn record(&mut self, report: AttemptReport) {
         self.view.attempts = self.attempts;
@@ -1361,11 +1028,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
 
     /// Accept the best stashed candidate, or fail with `NotConverged`.
     fn accept(&mut self, kind: SearchStrategyKind) -> Result<ScheduleResult, ScheduleError> {
-        if let Some(p) = self.pending.take() {
-            // The salvage opportunity expired unconsumed (the search ends
-            // before another canonical attempt); recycle its buffers.
-            p.state.discard(self.scratch);
-        }
         match self.best.take() {
             Some(c) => Ok(self.finish(kind, c.result)),
             None => Err(ScheduleError::NotConverged {
@@ -1377,11 +1039,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
 
     /// Stamp the accepted result with timing and search metadata.
     fn finish(&mut self, kind: SearchStrategyKind, mut result: ScheduleResult) -> ScheduleResult {
-        if let Some(p) = self.pending.take() {
-            // An in-place accept can end the search while a captured
-            // canonical failure is still pending; recycle its buffers.
-            p.state.discard(self.scratch);
-        }
         result.stats.scheduling_seconds = self.start.elapsed().as_secs_f64();
         result.stats.relax_seconds = self.relax_secs;
         let pruned_iis = u32::try_from(self.pruned.len()).unwrap_or(u32::MAX);
@@ -1413,25 +1070,21 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             groups: self.groups,
             branch_attempt_seconds: self.attempt_secs,
             branch_critical_seconds: self.critical_secs + self.group_max_secs,
-            salvaged_ops: self.salvaged_ops,
-            replaced_ops: self.replaced_ops,
             pruned_iis,
             proof,
         };
         if self.debug {
             // One reconciled counter line: `attempts` counts only attempts
-            // that actually ran (warm probes included), `pruned` the
-            // distinct IIs the admission filter skipped without running
-            // anything, `salvaged` the placements warm probes kept.
+            // that actually ran, `pruned` the distinct IIs the admission
+            // filter skipped without running anything.
             eprintln!(
-                "SEARCH: loop '{}' strategy={} ii={} attempts={} pruned={} salvaged={} \
+                "SEARCH: loop '{}' strategy={} ii={} attempts={} pruned={} \
                  candidates={} spill-memo {}/{} hits",
                 self.lp.name,
                 result.search.strategy,
                 result.ii,
                 result.search.attempts,
                 result.search.pruned_iis,
-                result.search.salvaged_ops,
                 result.search.candidates,
                 result.stats.spill_memo_hits,
                 result.stats.spill_memo_hits + result.stats.spill_memo_misses,

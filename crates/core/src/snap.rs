@@ -11,7 +11,7 @@
 //! node id — a canonical order, so encoding the same result twice yields
 //! byte-identical blobs regardless of hash-map iteration order.
 
-use crate::options::{SearchConfig, SearchStrategyKind};
+use crate::options::SearchStrategyKind;
 use crate::result::{Placement, ScheduleResult, SchedulerStats, SearchMeta, SearchProof};
 use ddg::collections::HashMap;
 use ddg::{DepGraph, NodeId};
@@ -23,12 +23,13 @@ use vliw::ClusterId;
 /// Envelope magic for [`ScheduleResult`] snapshots.
 pub const RESULT_MAGIC: [u8; 4] = *b"MRES";
 
+// Tag 2 belonged to the retired `perturb` strategy; it stays unassigned so
+// a stray old blob decodes as malformed rather than as another strategy.
 impl SnapEncode for SearchStrategyKind {
     fn encode_snap(&self, w: &mut SnapWriter) {
         w.put_u8(match self {
             SearchStrategyKind::Linear => 0,
             SearchStrategyKind::Backtracking => 1,
-            SearchStrategyKind::PerturbedRestart => 2,
             SearchStrategyKind::Exact => 3,
         });
     }
@@ -39,7 +40,6 @@ impl SnapDecode for SearchStrategyKind {
         Ok(match r.get_u8()? {
             0 => SearchStrategyKind::Linear,
             1 => SearchStrategyKind::Backtracking,
-            2 => SearchStrategyKind::PerturbedRestart,
             3 => SearchStrategyKind::Exact,
             _ => return Err(SnapError::Malformed("unknown search-strategy tag")),
         })
@@ -71,36 +71,6 @@ impl SnapDecode for SearchProof {
             2 => SearchProof::LowerBound(r.get_u32()?),
             3 => SearchProof::BudgetExhausted(r.get_u32()?),
             _ => return Err(SnapError::Malformed("unknown search-proof tag")),
-        })
-    }
-}
-
-impl SnapEncode for SearchConfig {
-    fn encode_snap(&self, w: &mut SnapWriter) {
-        self.strategy.encode_snap(w);
-        w.put_u32(self.branches);
-        w.put_u32(self.ii_window);
-        w.put_u32(self.retries);
-        w.put_u64(self.seed);
-        w.put_u32(self.branch_jobs);
-        w.put_u64(self.exact_budget);
-        w.put_u8(u8::from(self.salvage));
-        w.put_u8(u8::from(self.prune));
-    }
-}
-
-impl SnapDecode for SearchConfig {
-    fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SearchConfig {
-            strategy: SnapDecode::decode_snap(r)?,
-            branches: r.get_u32()?,
-            ii_window: r.get_u32()?,
-            retries: r.get_u32()?,
-            seed: r.get_u64()?,
-            branch_jobs: r.get_u32()?,
-            exact_budget: r.get_u64()?,
-            salvage: r.get_u8()? != 0,
-            prune: r.get_u8()? != 0,
         })
     }
 }
@@ -151,8 +121,6 @@ impl SnapEncode for SearchMeta {
         w.put_u32(self.groups);
         w.put_f64(self.branch_attempt_seconds);
         w.put_f64(self.branch_critical_seconds);
-        w.put_u32(self.salvaged_ops);
-        w.put_u32(self.replaced_ops);
         w.put_u32(self.pruned_iis);
         self.proof.encode_snap(w);
     }
@@ -167,8 +135,6 @@ impl SnapDecode for SearchMeta {
             groups: r.get_u32()?,
             branch_attempt_seconds: r.get_f64()?,
             branch_critical_seconds: r.get_f64()?,
-            salvaged_ops: r.get_u32()?,
-            replaced_ops: r.get_u32()?,
             pruned_iis: r.get_u32()?,
             proof: SnapDecode::decode_snap(r)?,
         })
@@ -344,21 +310,15 @@ mod tests {
             decode_result(&bad),
             Err(SnapError::Malformed("placements are not sorted by node id"))
         ));
-    }
 
-    #[test]
-    fn search_config_round_trip() {
-        let cfg = SearchConfig::backtracking()
-            .with_branches(5)
-            .with_retries(7)
-            .with_seed(42)
-            .with_branch_jobs(4)
-            .with_exact_budget(9_001)
-            .with_salvage(true)
-            .with_prune(false);
-        let blob = vliw::snap::encode_blob(*b"TCFG", &cfg);
-        let back: SearchConfig = vliw::snap::decode_blob(*b"TCFG", &blob).unwrap();
-        assert_eq!(back, cfg);
+        // The retired `perturb` strategy tag is malformed, not a strategy.
+        let mut w = SnapWriter::new();
+        w.put_u8(2);
+        let bad = vliw::snap::seal(*b"TKND", &w.into_bytes());
+        assert!(matches!(
+            vliw::snap::decode_blob::<SearchStrategyKind>(*b"TKND", &bad),
+            Err(SnapError::Malformed("unknown search-strategy tag"))
+        ));
     }
 
     #[test]
@@ -376,8 +336,6 @@ mod tests {
                 groups: 1,
                 branch_attempt_seconds: 0.0,
                 branch_critical_seconds: 0.0,
-                salvaged_ops: 12,
-                replaced_ops: 2,
                 pruned_iis: 4,
                 proof,
             };

@@ -1,7 +1,7 @@
 //! Persistent, content-addressed schedule cache (`MCHE` entries).
 //!
 //! Scheduling a loop is a pure function of `(loop, machine, scheduler,
-//! prefetch policy, II-search configuration)` — the same inputs always
+//! prefetch policy, II-search strategy)` — the same inputs always
 //! produce the byte-identical [`ScheduleResult`]. The cache exploits that:
 //! results are stored on disk under a content-addressed key, so repeated
 //! workbench runs (CI, sweeps, the `mirsd` batch service) skip the
@@ -11,18 +11,17 @@
 //!
 //! [`cache_key`] hashes the loop's structural fingerprint
 //! ([`ddg::snap::loop_fingerprint`]), the machine configuration name, the
-//! scheduler kind, the prefetch policy and the search parameters
-//! (`branches`, `ii_window`, `retries`, `seed`, `salvage` — warm-started
-//! restarts can legitimately converge at a different II than cold ones, so
-//! salvage-on and salvage-off address different entries). The search
-//! **strategy** and `branch_jobs` are deliberately *excluded*: branch-parallel execution
-//! is byte-identical to serial, and strategies form a quality ladder over
-//! the same problem, which enables the refinement rule below.
+//! scheduler kind and the prefetch policy. No [`mirs::SearchConfig`] field is
+//! part of the key: `branch_jobs` and `prune` never change the schedule
+//! bytes, `exact_budget` only changes how much of the lower bound is
+//! certified, and the search **strategy** is deliberately *excluded* —
+//! strategies form a quality ladder over the same problem, which enables
+//! the refinement rule below.
 //!
 //! # Serve rule and refinement
 //!
 //! Strategies are tiered by search effort: `linear` (0) <
-//! `perturb` (1) < `backtrack` (2) < `exact` (3); the ladder lives in
+//! `backtrack` (1) < `exact` (2); the ladder lives in
 //! [`SearchStrategyKind::tier`] as an exhaustive match, so adding a
 //! strategy without ranking it is a compile error. A cached entry
 //! (tagged with the strategy that produced it) serves a request iff its
@@ -54,7 +53,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ddg::Loop;
-use mirs::{PrefetchPolicy, ScheduleResult, SearchConfig, SearchStrategyKind};
+use mirs::{PrefetchPolicy, ScheduleResult, SearchStrategyKind};
 use vliw::snap::{fnv1a, seal, unseal, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
 use vliw::MachineConfig;
 
@@ -70,17 +69,6 @@ pub const CACHE_ENV: &str = "MIRS_CACHE";
 
 /// Envelope magic of a cache entry blob.
 pub const ENTRY_MAGIC: [u8; 4] = *b"MCHE";
-
-/// Search-effort tier of a strategy: a cached result may serve any request
-/// of the same or a lower tier (see the module docs' serve rule).
-///
-/// Delegates to [`SearchStrategyKind::tier`], whose exhaustive match makes
-/// forgetting to rank a new strategy a compile error instead of a silent
-/// tier-0.
-#[must_use]
-pub fn strategy_tier(strategy: SearchStrategyKind) -> u8 {
-    strategy.tier()
-}
 
 /// The paper's schedule-quality metric, lexicographic: initiation
 /// interval, then spill operations, then inter-cluster moves.
@@ -99,10 +87,10 @@ pub fn quality_metric(result: &ScheduleResult) -> (u32, u32, u32) {
 #[must_use]
 pub fn replaces(new: &ScheduleResult, old: &ScheduleResult) -> bool {
     let (mn, mo) = (quality_metric(new), quality_metric(old));
-    mn < mo || (mn == mo && strategy_tier(new.search.strategy) > strategy_tier(old.search.strategy))
+    mn < mo || (mn == mo && new.search.strategy.tier() > old.search.strategy.tier())
 }
 
-/// Content address of one `(loop, machine, scheduler, prefetch, search)`
+/// Content address of one `(loop, machine, scheduler, prefetch)`
 /// scheduling problem — 128 bits of FNV-1a over the canonical key bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
@@ -126,16 +114,15 @@ impl std::fmt::Display for CacheKey {
 
 /// Compute the cache key of one scheduling problem.
 ///
-/// The search `strategy` and `branch_jobs` are *not* part of the key (see
-/// the module docs): all strategies address the same entry, which is what
-/// lets a Backtracking run refine a Linear entry in place.
+/// The search configuration is *not* part of the key (see the module
+/// docs): all strategies address the same entry, which is what lets a
+/// Backtracking run refine a Linear entry in place.
 #[must_use]
 pub fn cache_key(
     lp: &Loop,
     machine: &MachineConfig,
     kind: SchedulerKind,
     prefetch: PrefetchPolicy,
-    search: &SearchConfig,
 ) -> CacheKey {
     let mut w = SnapWriter::new();
     w.put_u64(ddg::snap::loop_fingerprint(lp));
@@ -148,11 +135,6 @@ pub fn cache_key(
             w.put_u64(min_trip_count);
         }
     }
-    w.put_u32(search.branches);
-    w.put_u32(search.ii_window);
-    w.put_u32(search.retries);
-    w.put_u64(search.seed);
-    w.put_u8(u8::from(search.salvage));
     let bytes = w.into_bytes();
     let hi = fnv1a(&bytes);
     let mut salted = Vec::with_capacity(8 + bytes.len());
@@ -304,7 +286,7 @@ impl ScheduleCache {
     pub fn lookup(&self, key: CacheKey, requested: SearchStrategyKind) -> Option<ScheduleResult> {
         let dir = self.dir.as_ref()?;
         match self.read_valid(&dir.join(key.file_name())) {
-            Some(r) if strategy_tier(r.search.strategy) >= strategy_tier(requested) => {
+            Some(r) if r.search.strategy.tier() >= requested.tier() => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(r)
             }
@@ -416,8 +398,9 @@ fn write_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::ScheduleRequest;
     use ddg::LoopBuilder;
-    use mirs::{MirsScheduler, SchedulerOptions};
+    use mirs::{MirsScheduler, SchedulerOptions, SearchConfig};
     use vliw::Opcode;
 
     fn daxpy() -> Loop {
@@ -445,14 +428,13 @@ mod tests {
         ScheduleCache::at(dir)
     }
 
-    fn problem_key(lp: &Loop, search: &SearchConfig) -> CacheKey {
+    fn problem_key(lp: &Loop) -> CacheKey {
         let machine = MachineConfig::paper_config(2, 32).unwrap();
         cache_key(
             lp,
             &machine,
             SchedulerKind::MirsC,
             PrefetchPolicy::HitLatency,
-            search,
         )
     }
 
@@ -462,7 +444,7 @@ mod tests {
         assert!(!cache.is_enabled());
         let lp = daxpy();
         let search = SearchConfig::default();
-        let key = problem_key(&lp, &search);
+        let key = problem_key(&lp);
         assert!(cache.lookup(key, search.strategy).is_none());
         let r = scheduled(&lp, search);
         assert_eq!(cache.store(key, &r), StoreOutcome::Disabled);
@@ -474,7 +456,7 @@ mod tests {
         let cache = tmp_cache("hit");
         let lp = daxpy();
         let search = SearchConfig::default();
-        let key = problem_key(&lp, &search);
+        let key = problem_key(&lp);
         assert!(cache.lookup(key, search.strategy).is_none());
         let r = scheduled(&lp, search);
         assert_eq!(cache.store(key, &r), StoreOutcome::Inserted);
@@ -491,7 +473,7 @@ mod tests {
         let cache = tmp_cache("tier");
         let lp = daxpy();
         let search = SearchConfig::default();
-        let key = problem_key(&lp, &search);
+        let key = problem_key(&lp);
         let linear = scheduled(&lp, search);
         assert_eq!(linear.search.strategy, SearchStrategyKind::Linear);
         cache.store(key, &linear);
@@ -506,13 +488,13 @@ mod tests {
             StoreOutcome::Refined | StoreOutcome::Kept
         ));
         if cache.store(key, &bt) == StoreOutcome::Kept
-            && strategy_tier(
-                cache
-                    .lookup(key, SearchStrategyKind::Linear)
-                    .unwrap()
-                    .search
-                    .strategy,
-            ) < strategy_tier(SearchStrategyKind::Backtracking)
+            && cache
+                .lookup(key, SearchStrategyKind::Linear)
+                .unwrap()
+                .search
+                .strategy
+                .tier()
+                < SearchStrategyKind::Backtracking.tier()
         {
             // Backtracking did not improve on (or tie) linear here; the
             // linear entry stays and backtracking requests keep missing.
@@ -532,7 +514,7 @@ mod tests {
         let cache = tmp_cache("exact");
         let lp = daxpy();
         let search = SearchConfig::backtracking();
-        let key = problem_key(&lp, &search);
+        let key = problem_key(&lp);
         let bt = scheduled(&lp, search);
         assert_eq!(bt.search.strategy, SearchStrategyKind::Backtracking);
         assert_eq!(cache.store(key, &bt), StoreOutcome::Inserted);
@@ -556,12 +538,13 @@ mod tests {
     #[test]
     fn exact_budget_is_not_part_of_the_key() {
         let lp = daxpy();
+        let machine = MachineConfig::paper_config(2, 32).unwrap();
         let base = SearchConfig::exact();
         // The certification budget cannot change the schedule bytes, so
         // two budgets must address the same entry.
         assert_eq!(
-            problem_key(&lp, &base),
-            problem_key(&lp, &base.with_exact_budget(7))
+            ScheduleRequest::mirs(&lp, &machine, base).key(),
+            ScheduleRequest::mirs(&lp, &machine, base.with_exact_budget(7)).key()
         );
     }
 
@@ -570,7 +553,7 @@ mod tests {
         let cache = tmp_cache("refine");
         let lp = daxpy();
         let search = SearchConfig::default();
-        let key = problem_key(&lp, &search);
+        let key = problem_key(&lp);
         let good = scheduled(&lp, search);
         let mut bad = good.clone();
         bad.stats.spill_stores += 3; // strictly worse on (II, spills, moves)
@@ -593,7 +576,7 @@ mod tests {
         let cache = tmp_cache("corrupt");
         let lp = daxpy();
         let search = SearchConfig::default();
-        let key = problem_key(&lp, &search);
+        let key = problem_key(&lp);
         let r = scheduled(&lp, search);
         cache.store(key, &r);
         let path = cache.dir().unwrap().join(key.file_name());
@@ -641,17 +624,18 @@ mod tests {
     #[test]
     fn key_tracks_problem_not_strategy() {
         let lp = daxpy();
-        let base = SearchConfig::default();
-        let key = problem_key(&lp, &base);
+        let key = problem_key(&lp);
+        let machine = MachineConfig::paper_config(2, 32).unwrap();
         // Strategy and branch_jobs are not part of the key.
-        assert_eq!(key, problem_key(&lp, &SearchConfig::backtracking()));
-        assert_eq!(key, problem_key(&lp, &base.with_branch_jobs(8)));
+        assert_eq!(
+            key,
+            ScheduleRequest::mirs(&lp, &machine, SearchConfig::backtracking()).key()
+        );
+        assert_eq!(
+            key,
+            ScheduleRequest::mirs(&lp, &machine, SearchConfig::default().with_branch_jobs(8)).key()
+        );
         // Everything else is.
-        assert_ne!(key, problem_key(&lp, &base.with_seed(99)));
-        assert_ne!(key, problem_key(&lp, &base.with_retries(9)));
-        // Salvage changes which II the search can converge at, so it must
-        // address a different entry.
-        assert_ne!(key, problem_key(&lp, &base.with_salvage(true)));
         let other_machine = MachineConfig::paper_config(4, 16).unwrap();
         assert_ne!(
             key,
@@ -660,27 +644,24 @@ mod tests {
                 &other_machine,
                 SchedulerKind::MirsC,
                 PrefetchPolicy::HitLatency,
-                &base,
             )
         );
         assert_ne!(
             key,
             cache_key(
                 &lp,
-                &MachineConfig::paper_config(2, 32).unwrap(),
+                &machine,
                 SchedulerKind::Baseline,
                 PrefetchPolicy::HitLatency,
-                &base,
             )
         );
         assert_ne!(
             key,
             cache_key(
                 &lp,
-                &MachineConfig::paper_config(2, 32).unwrap(),
+                &machine,
                 SchedulerKind::MirsC,
                 PrefetchPolicy::SelectiveBinding { min_trip_count: 32 },
-                &base,
             )
         );
         // A structurally different loop gets a different key.
@@ -690,7 +671,7 @@ mod tests {
         let ax = b.op(Opcode::FpMul, &[a, x]);
         b.store("y", ax);
         let other = b.finish(1000);
-        assert_ne!(key, problem_key(&other, &base));
+        assert_ne!(key, problem_key(&other));
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!
 //! Every MIRS-C entry point honours the `MIRS_STRATEGY` environment
 //! variable (`linear` — the default paper climb —, `backtrack`,
-//! `perturb`); the `_opts` runner variants
+//! `exact`); the `_opts` runner variants
 //! ([`runner::schedule_loop_opts`], [`runner::run_workbench_opts`],
 //! [`runner::time_workbench_opts`]) and [`SweepJob::with_search`] take an
 //! explicit `mirs::SearchConfig` instead, which is how one process

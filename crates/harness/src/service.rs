@@ -65,13 +65,7 @@ impl<'a> ScheduleRequest<'a> {
     /// The request's content-addressed cache key.
     #[must_use]
     pub fn key(&self) -> CacheKey {
-        cache_key(
-            self.lp,
-            self.machine,
-            self.kind,
-            self.prefetch,
-            &self.search,
-        )
+        cache_key(self.lp, self.machine, self.kind, self.prefetch)
     }
 }
 

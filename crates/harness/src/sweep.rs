@@ -631,15 +631,10 @@ impl BranchPool {
     /// Pool for a search configuration, or `None` when the configuration
     /// has no branch-parallel work to fan out (non-`Backtracking`
     /// strategies, or `branch_jobs <= 1` — those run the serial in-process
-    /// search). Restart salvage also routes serial: the warm probe reuses
-    /// the failed canonical attempt's graph, which branch fan-out would
-    /// race on, so `salvage` supersedes `branch_jobs` here exactly as it
-    /// does in the core driver.
+    /// search).
     #[must_use]
     pub fn for_search(search: &mirs::SearchConfig) -> Option<Self> {
-        (search.strategy == mirs::SearchStrategyKind::Backtracking
-            && search.branch_jobs > 1
-            && !search.salvage)
+        (search.strategy == mirs::SearchStrategyKind::Backtracking && search.branch_jobs > 1)
             .then(|| Self::new(search.branch_jobs as usize))
     }
 
@@ -830,17 +825,6 @@ mod tests {
             assert!(x != 3, "task 3 exploded");
             x
         });
-    }
-
-    #[test]
-    fn branch_pool_is_superseded_by_restart_salvage() {
-        let branchy = mirs::SearchConfig::backtracking().with_branch_jobs(4);
-        assert!(BranchPool::for_search(&branchy).is_some());
-        assert!(
-            BranchPool::for_search(&branchy.with_salvage(true)).is_none(),
-            "salvage routes through the serial incremental driver"
-        );
-        assert!(BranchPool::for_search(&mirs::SearchConfig::linear()).is_none());
     }
 
     #[test]

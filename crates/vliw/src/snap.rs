@@ -54,8 +54,10 @@ use std::fmt;
 /// `SearchMeta` gained the salvaged/replaced op counts and `SearchConfig`
 /// the restart-salvage flag; 4 — `SearchMeta`/`SchedulerStats` gained the
 /// pruned-II counters (and relax timing) and `SearchConfig` the
-/// admission-filter flag.
-pub const FORMAT_VERSION: u16 = 4;
+/// admission-filter flag; 5 — `SearchMeta` lost the salvaged/replaced op
+/// counts, strategy tag 2 (`perturb`) was retired and the `SearchConfig`
+/// codec removed.
+pub const FORMAT_VERSION: u16 = 5;
 
 /// Envelope magic for [`MachineConfig`] snapshots.
 pub const MACHINE_MAGIC: [u8; 4] = *b"MMCH";

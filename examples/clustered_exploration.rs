@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example clustered_exploration`
 //!
-//! `--strategy linear|backtrack|perturb` selects the II-search strategy for
+//! `--strategy linear|backtrack|exact` selects the II-search strategy for
 //! every scheduled loop by mapping the flag onto `MIRS_STRATEGY` before the
 //! first scheduler run (the table/fig runners all read that variable).
 
@@ -29,7 +29,8 @@ fn apply_strategy_flag() {
     };
     if let Some(name) = name {
         if mirs::SearchStrategyKind::parse(&name).is_none() {
-            eprintln!("unknown strategy '{name}' (expected linear|backtrack|perturb)");
+            let expected = mirs::SearchStrategyKind::ALL.map(|s| s.label()).join("|");
+            eprintln!("unknown strategy '{name}' (expected {expected})");
             std::process::exit(2);
         }
         std::env::set_var(mirs::STRATEGY_ENV, &name);

@@ -18,7 +18,7 @@
 //!
 //! Flags: `--loops N` (workbench size, default 60; `MIRS_SCHEDTIME_LOOPS`
 //! is honoured too), `--configs KxR,…` (paper configurations, default
-//! `1x64,2x32,4x16`), `--strategy linear|perturb|backtrack|exact`
+//! `1x64,2x32,4x16`), `--strategy linear|backtrack|exact`
 //! (default: the `MIRS_STRATEGY` environment), `--passes N` (default 2:
 //! cold + warm),
 //! `--cache-dir DIR` (default: `MIRS_CACHE_DIR`), `--jobs N`, `--quiet`

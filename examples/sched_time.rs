@@ -9,7 +9,7 @@
 //! ```text
 //! cargo run --release --example sched_time
 //! cargo run --release --example sched_time -- --jobs 4
-//! cargo run --release --example sched_time -- --strategy linear,backtrack,perturb
+//! cargo run --release --example sched_time -- --strategy linear,backtrack,exact
 //! MIRS_SCHEDTIME_LOOPS=100 MIRS_SCHEDTIME_REPEATS=5 \
 //!     cargo run --release --example sched_time -- --jobs 1
 //! ```
@@ -18,7 +18,7 @@
 //! genuinely serial run — the baseline of every speedup number printed in
 //! the last two columns. `--strategy a,b,…` selects the II-search
 //! strategies to compare (same names as `MIRS_STRATEGY`: `linear`,
-//! `backtrack`, `perturb`; default: the environment's strategy) and prints
+//! `backtrack`, `exact`; default: the environment's strategy) and prints
 //! one row per (config, strategy) with the per-strategy ΣII and spill-op
 //! columns next to the timings. Schedules are byte-identical for any
 //! worker count.
@@ -27,11 +27,6 @@
 //! metrics pass routes through it and a `cache` column reports the pass's
 //! hits/misses/refines; the timed passes always schedule fresh — they
 //! measure the scheduler, not the disk.
-//!
-//! With `MIRS_SALVAGE=1` the II search warm-starts restarts from the
-//! failed attempt's surviving placements; the `salvage s/r` column then
-//! reports, per row, how many operations the warm probes salvaged in
-//! place (`s`) and how many they had to evict and replace (`r`).
 //!
 //! The relaxation admission filter is on by default; the `p` column counts
 //! the candidate IIs it proved infeasible and skipped across the row's
@@ -84,7 +79,8 @@ fn strategies() -> Vec<SearchStrategyKind> {
             .split(',')
             .map(|name| {
                 SearchStrategyKind::parse(name).unwrap_or_else(|| {
-                    eprintln!("unknown strategy '{name}' (expected linear|backtrack|perturb)");
+                    let expected = SearchStrategyKind::ALL.map(|s| s.label()).join("|");
+                    eprintln!("unknown strategy '{name}' (expected {expected})");
                     std::process::exit(2);
                 })
             })
@@ -114,7 +110,7 @@ fn main() {
             .map_or(String::new(), |d| format!(", cache at {}", d.display()))
     );
     println!(
-        "{:<18} {:>9} {:>6} {:>9} {:>12} {:>12} {:>12} {:>14} {:>8} {:>12} {:>12} {:>6}",
+        "{:<18} {:>9} {:>6} {:>9} {:>12} {:>12} {:>12} {:>14} {:>8} {:>12} {:>6}",
         "config",
         "strategy",
         "ΣII",
@@ -125,20 +121,17 @@ fn main() {
         "loops/s (wall)",
         "speedup",
         "cache h/m/r",
-        "salvage s/r",
         "p"
     );
     for (k, regs) in [(1u32, 64u32), (2, 32), (4, 16)] {
         let machine = MachineConfig::paper_config(k, regs).expect("paper config");
         for &strategy in &strategies {
-            // Keep the environment's MIRS_BRANCH_JOBS and MIRS_SALVAGE even
-            // when --strategy overrides the strategy list, so audit runs can
-            // drive the branch-parallel and warm-start paths through this
-            // example.
+            // Keep the environment's MIRS_BRANCH_JOBS even when --strategy
+            // overrides the strategy list, so audit runs can drive the
+            // branch-parallel path through this example.
             let env_search = SearchConfig::from_env();
             let search = SearchConfig::for_strategy(strategy)
                 .with_branch_jobs(env_search.branch_jobs)
-                .with_salvage(env_search.salvage)
                 .with_prune(env_search.prune && !flag_set("no-prune"));
             // The metrics pass doubles as one of the timed passes when the
             // cache is off: its wall clock and aggregate scheduling seconds
@@ -177,17 +170,12 @@ fn main() {
                 .iter()
                 .map(|o| u64::from(o.spill_ops()))
                 .sum();
-            let (salvaged, replaced, pruned) = summary
+            let pruned: u64 = summary
                 .outcomes
                 .iter()
                 .filter_map(|o| o.result.as_ref())
-                .fold((0u64, 0u64, 0u64), |(s, r, p), res| {
-                    (
-                        s + u64::from(res.search.salvaged_ops),
-                        r + u64::from(res.search.replaced_ops),
-                        p + u64::from(res.search.pruned_iis),
-                    )
-                });
+                .map(|res| u64::from(res.search.pruned_iis))
+                .sum();
             let fold_metrics_pass = !cache.is_enabled();
             let timed_repeats = if fold_metrics_pass {
                 repeats.saturating_sub(1)
@@ -228,18 +216,13 @@ fn main() {
             } else {
                 "-".to_string()
             };
-            let salvage_cell = if search.salvage {
-                format!("{salvaged}/{replaced}")
-            } else {
-                "-".to_string()
-            };
             let prune_cell = if search.prune {
                 pruned.to_string()
             } else {
                 "-".to_string()
             };
             println!(
-                "{:<18} {:>9} {:>6} {:>9} {:>12.4} {:>12.4} {:>12.4} {:>14.1} {:>7.2}x {:>12} {:>12} {:>6}",
+                "{:<18} {:>9} {:>6} {:>9} {:>12.4} {:>12.4} {:>12.4} {:>14.1} {:>7.2}x {:>12} {:>6}",
                 trial.config,
                 strategy.label(),
                 summary.sum_ii(|_| true),
@@ -250,7 +233,6 @@ fn main() {
                 trial.loops as f64 / trial.best_wall_seconds(),
                 trial.speedup(),
                 cache_cell,
-                salvage_cell,
                 prune_cell
             );
         }

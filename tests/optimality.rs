@@ -70,7 +70,7 @@ proptest! {
             lb <= exact.ii,
             "{}: exact converged at II {} below its own bound {}", lp.name, exact.ii, lb
         );
-        for cfg in [SearchConfig::linear(), SearchConfig::backtracking(), SearchConfig::perturbed()] {
+        for cfg in [SearchConfig::linear(), SearchConfig::backtracking()] {
             if let Some(r) = schedule(&machine, &lp, cfg) {
                 prop_assert!(
                     r.ii >= lb,

@@ -3,7 +3,7 @@
 //! the uncached golden hashes byte-identically, and graceful degradation
 //! on corrupt entries.
 
-use harness::cache::{cache_key, strategy_tier, ScheduleCache, StoreOutcome};
+use harness::cache::{ScheduleCache, StoreOutcome};
 use harness::runner::run_workbench_opts;
 use harness::service::{run_workbench_cached, Provenance, ScheduleRequest, ScheduleService};
 use harness::{SchedulerKind, SweepExecutor};
@@ -37,24 +37,9 @@ fn backtracking_upgrades_linear_entries() {
     let backtrack = SearchConfig::backtracking();
 
     for lp in wb.loops() {
-        let key = cache_key(
-            lp,
-            &machine,
-            SchedulerKind::MirsC,
-            PrefetchPolicy::HitLatency,
-            &linear,
-        );
+        let key = ScheduleRequest::mirs(lp, &machine, linear).key();
         // Same key for both strategies: that is what makes refinement work.
-        assert_eq!(
-            key,
-            cache_key(
-                lp,
-                &machine,
-                SchedulerKind::MirsC,
-                PrefetchPolicy::HitLatency,
-                &backtrack,
-            )
-        );
+        assert_eq!(key, ScheduleRequest::mirs(lp, &machine, backtrack).key());
         let lr = MirsScheduler::new(&machine, SchedulerOptions::default().with_search(linear))
             .schedule(lp)
             .expect("linear converges");
@@ -79,8 +64,8 @@ fn backtracking_upgrades_linear_entries() {
         assert_eq!(served.schedule_hash(), br.schedule_hash());
         let served_linear = cache.lookup(key, SearchStrategyKind::Linear).unwrap();
         assert_eq!(
-            strategy_tier(served_linear.search.strategy),
-            strategy_tier(SearchStrategyKind::Backtracking)
+            served_linear.search.strategy.tier(),
+            SearchStrategyKind::Backtracking.tier()
         );
 
         // And the (possibly worse, never better) linear result can no
@@ -102,23 +87,11 @@ fn exact_refines_backtrack_entries_and_serves_the_whole_ladder() {
     let exact = SearchConfig::exact();
 
     for lp in wb.loops() {
-        let key = cache_key(
-            lp,
-            &machine,
-            SchedulerKind::MirsC,
-            PrefetchPolicy::HitLatency,
-            &backtrack,
-        );
+        let key = ScheduleRequest::mirs(lp, &machine, backtrack).key();
         // The certification budget is not part of the key either.
         assert_eq!(
             key,
-            cache_key(
-                lp,
-                &machine,
-                SchedulerKind::MirsC,
-                PrefetchPolicy::HitLatency,
-                &exact.with_exact_budget(17),
-            )
+            ScheduleRequest::mirs(lp, &machine, exact.with_exact_budget(17)).key()
         );
         let br = MirsScheduler::new(&machine, SchedulerOptions::default().with_search(backtrack))
             .schedule(lp)

@@ -4,11 +4,12 @@
 //!   scheduler — the golden workbench hashes recorded before the refactor
 //!   must reproduce exactly, explicit-`Linear` and default options must
 //!   agree loop by loop;
-//! * the branching strategies (`Backtracking`, `PerturbedRestart`) never
-//!   return a worse `(II, spill-ops)` pair than `Linear` on the 60-loop
-//!   workbench — they always include `Linear`'s canonical attempts in
-//!   their candidate set — and `Backtracking` strictly improves at least
-//!   one loop on the restart-heavy 4-cluster configuration;
+//! * the branching `Backtracking` strategy never returns a worse
+//!   `(II, spill-ops)` pair than `Linear` on the 60-loop workbench — it
+//!   always includes `Linear`'s canonical attempts in its candidate set —
+//!   and strictly improves at least one loop on the restart-heavy
+//!   4-cluster configuration; both strategies' schedules pass the
+//!   structural oracle there;
 //! * every strategy is deterministic (same loop, same machine, same hash)
 //!   and records its metadata in `ScheduleResult::search`;
 //! * the branch-parallel `Backtracking` path (`SearchConfig::branch_jobs >
@@ -96,10 +97,11 @@ fn linear_reproduces_every_golden_schedule_hash() {
     }
 }
 
-/// `Backtracking` and `PerturbedRestart` dominate `Linear` loop-by-loop on
-/// the paper's `(II, spill-ops)` order, and `Backtracking` strictly
-/// improves at least one loop on the 4-cluster configuration (that is the
-/// configuration whose restarts the multi-II search was built for).
+/// `Backtracking` dominates `Linear` loop-by-loop on the paper's
+/// `(II, spill-ops)` order and strictly improves at least one loop on the
+/// 4-cluster configuration (that is the configuration whose restarts the
+/// multi-II search was built for). Every schedule of both strategies must
+/// pass the structural oracle.
 #[test]
 fn branching_strategies_never_lose_to_linear_on_the_60_loop_workbench() {
     let wb = workbench(60);
@@ -109,28 +111,34 @@ fn branching_strategies_never_lose_to_linear_on_the_60_loop_workbench() {
         let machine = MachineConfig::paper_config(k, regs).unwrap();
         for lp in wb.loops() {
             let lin = schedule(&machine, lp, SearchConfig::linear(), &mut scratch);
-            let lin_key = (lin.ii, spill_ops(&lin));
-            for cfg in [SearchConfig::backtracking(), SearchConfig::perturbed()] {
-                let r = schedule(&machine, lp, cfg, &mut scratch);
-                r.validate(&machine).expect("explored schedules validate");
-                let key = (r.ii, spill_ops(&r));
-                assert!(
-                    key <= lin_key,
-                    "{}/{}: {} returned (II {}, spills {}) worse than Linear's \
-                     (II {}, spills {})",
+            if let Err(err) = lin.validate(&machine) {
+                panic!(
+                    "{}/{}: linear schedule fails the structural oracle: {err:?} \
+                     (regression guard: removing a move must cascade to moves \
+                     chained onto its copy)",
                     machine.name(),
-                    lp.name,
-                    cfg.strategy,
-                    key.0,
-                    key.1,
-                    lin_key.0,
-                    lin_key.1
+                    lp.name
                 );
-                assert_eq!(r.search.strategy, cfg.strategy);
-                assert!(r.search.attempts >= lin.search.attempts.min(2));
-                if cfg.strategy == SearchStrategyKind::Backtracking && k == 4 && key < lin_key {
-                    bt_improved_on_4x16 += 1;
-                }
+            }
+            let lin_key = (lin.ii, spill_ops(&lin));
+            let r = schedule(&machine, lp, SearchConfig::backtracking(), &mut scratch);
+            r.validate(&machine).expect("explored schedules validate");
+            let key = (r.ii, spill_ops(&r));
+            assert!(
+                key <= lin_key,
+                "{}/{}: backtrack returned (II {}, spills {}) worse than Linear's \
+                 (II {}, spills {})",
+                machine.name(),
+                lp.name,
+                key.0,
+                key.1,
+                lin_key.0,
+                lin_key.1
+            );
+            assert_eq!(r.search.strategy, SearchStrategyKind::Backtracking);
+            assert!(r.search.attempts >= lin.search.attempts.min(2));
+            if k == 4 && key < lin_key {
+                bt_improved_on_4x16 += 1;
             }
         }
     }
@@ -149,7 +157,6 @@ fn every_strategy_is_deterministic() {
     for cfg in [
         SearchConfig::linear(),
         SearchConfig::backtracking(),
-        SearchConfig::perturbed(),
         SearchConfig::exact(),
     ] {
         for lp in wb.loops() {
@@ -205,7 +212,7 @@ proptest! {
 
     /// The relaxation admission filter only skips candidate IIs it *proves*
     /// infeasible, so `MIRS_PRUNE` on/off must produce byte-identical
-    /// schedules for every strategy, machine and salvage setting. The
+    /// schedules for every strategy and machine. The
     /// attempt counters legitimately differ — a pruned II never runs, so
     /// it is excluded from `attempts` — but for the linear climb they
     /// reconcile exactly: `attempts(on) + pruned_iis(on) = attempts(off)`.
@@ -227,10 +234,7 @@ proptest! {
             for base in [
                 SearchConfig::linear(),
                 SearchConfig::backtracking(),
-                SearchConfig::perturbed(),
                 SearchConfig::exact(),
-                SearchConfig::linear().with_salvage(true),
-                SearchConfig::backtracking().with_salvage(true),
             ] {
                 for lp in wb.loops() {
                     let on = schedule(&machine, lp, base.with_prune(true), &mut scratch);
@@ -238,13 +242,11 @@ proptest! {
                     prop_assert_eq!(off.search.pruned_iis, 0, "filter off must prune nothing");
                     prop_assert_eq!(
                         (on.schedule_hash(), on.ii, on.mii, spill_ops(&on), on.stats.moves,
-                         on.search.candidates, on.search.salvaged_ops, on.search.replaced_ops,
-                         on.search.proof),
+                         on.search.candidates, on.search.proof),
                         (off.schedule_hash(), off.ii, off.mii, spill_ops(&off), off.stats.moves,
-                         off.search.candidates, off.search.salvaged_ops, off.search.replaced_ops,
-                         off.search.proof),
-                        "{}/{}/{} salvage={}: pruning changed the search outcome",
-                        machine.name(), lp.name, base.strategy, base.salvage
+                         off.search.candidates, off.search.proof),
+                        "{}/{}/{}: pruning changed the search outcome",
+                        machine.name(), lp.name, base.strategy
                     );
                     if base.strategy == SearchStrategyKind::Linear {
                         prop_assert_eq!(
@@ -279,11 +281,7 @@ proptest! {
         let k = 1u32 << clusters_pow;
         let machine = MachineConfig::paper_config(k, 64 / k).unwrap();
         let mut scratch = SchedScratch::new();
-        for cfg in [
-            SearchConfig::linear(),
-            SearchConfig::backtracking(),
-            SearchConfig::perturbed(),
-        ] {
+        for cfg in [SearchConfig::linear(), SearchConfig::backtracking()] {
             for lp in wb.loops() {
                 let serial = schedule_jobs(&machine, lp, cfg, 1, &mut scratch);
                 let fanned = schedule_jobs(&machine, lp, cfg, 4, &mut scratch);
@@ -381,7 +379,7 @@ fn branch_parallel_not_converged_matches_serial() {
 
 /// `Exact` is the backtracking climb with a certification phase in front:
 /// at the converged II the schedules are byte-identical (the cache's
-/// tier-3 metric-tie refinement depends on this), and the result carries a
+/// top-tier metric-tie refinement depends on this), and the result carries a
 /// non-heuristic [`SearchProof`] whose bound never exceeds the achieved II
 /// — the soundness contract of the relaxation.
 #[test]

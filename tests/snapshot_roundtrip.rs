@@ -195,7 +195,6 @@ fn cross_strategy_results_share_the_codec() {
     for search in [
         SearchConfig::default(),
         SearchConfig::backtracking(),
-        SearchConfig::perturbed(),
         SearchConfig::exact(),
     ] {
         let result = MirsScheduler::new(&machine, SchedulerOptions::default().with_search(search))
