@@ -11,42 +11,37 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use harness::runner::{time_workbench, SchedulerKind};
 use loopgen::{Workbench, WorkbenchParams};
 use mirs::{PartialSchedule, PrefetchPolicy};
-use vliw::{ClusterId, LatencyModel, MachineConfig, Opcode, ReservationTable, ResourceKind};
+use vliw::{ClusterId, MachineConfig, Opcode, ResourceKind};
 
 fn mrt_probes(c: &mut Criterion) {
     let machine = MachineConfig::paper_config(2, 32).unwrap();
-    let lat = LatencyModel::default();
-    let add = ReservationTable::for_op(Opcode::FpAdd, ClusterId(0), &lat);
-    let load = ReservationTable::for_op(Opcode::Load, ClusterId(0), &lat);
-    let div = ReservationTable::for_op(Opcode::FpDiv, ClusterId(0), &lat);
-    let mv = ReservationTable::for_move(ClusterId(0), ClusterId(1), &lat);
 
     let mut g = c.benchmark_group("mrt_microbench");
     g.sample_size(10);
 
-    // A realistic mixed occupancy at II = 8.
-    let half_full = || {
-        let mut s = PartialSchedule::new(&machine, 8);
-        for i in 0..12u32 {
-            s.place(
-                ddg::NodeId(i),
-                i64::from(i),
-                ClusterId((i % 2) as u16),
-                ReservationTable::for_op(Opcode::FpAdd, ClusterId((i % 2) as u16), &lat),
-            );
-        }
-        s
-    };
+    // A realistic mixed occupancy at II = 8. Every table the probes use is
+    // folded once up front, as the scheduler does once per attempt; the
+    // 17-use divide wraps the MRT twice.
+    let mut s = PartialSchedule::new(&machine, 8);
+    let add = s.op_table(&machine, Opcode::FpAdd, ClusterId(0));
+    let load = s.op_table(&machine, Opcode::Load, ClusterId(0));
+    let div = s.op_table(&machine, Opcode::FpDiv, ClusterId(0));
+    let mul = s.op_table(&machine, Opcode::FpMul, ClusterId(0));
+    let mv = s.move_table(&machine, ClusterId(0), ClusterId(1));
+    for i in 0..12u32 {
+        let cluster = ClusterId((i % 2) as u16);
+        let t = s.op_table(&machine, Opcode::FpAdd, cluster);
+        s.place(ddg::NodeId(i), i64::from(i), cluster, t);
+    }
 
-    let s = half_full();
     g.bench_function("probe/can_place", |b| {
         b.iter(|| {
             let mut hits = 0u32;
             for cycle in 0..64i64 {
-                hits += u32::from(s.can_place(&add, cycle));
-                hits += u32::from(s.can_place(&load, cycle));
-                hits += u32::from(s.can_place(&div, cycle));
-                hits += u32::from(s.can_place(&mv, cycle));
+                hits += u32::from(s.can_place(add, cycle));
+                hits += u32::from(s.can_place(load, cycle));
+                hits += u32::from(s.can_place(div, cycle));
+                hits += u32::from(s.can_place(mv, cycle));
             }
             hits
         })
@@ -56,7 +51,7 @@ fn mrt_probes(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for cycle in 0..64i64 {
-                total += s.conflicts(&add, cycle).len();
+                total += s.conflicts(add, cycle).len();
             }
             total
         })
@@ -77,15 +72,10 @@ fn mrt_probes(c: &mut Criterion) {
 
     g.bench_function("probe/place_eject_churn", |b| {
         b.iter(|| {
-            let mut s = half_full();
+            let mut s = s.clone();
             for round in 0..32u32 {
                 let n = ddg::NodeId(100 + round);
-                s.place(
-                    n,
-                    i64::from(round),
-                    ClusterId(0),
-                    ReservationTable::for_op(Opcode::FpMul, ClusterId(0), &lat),
-                );
+                s.place(n, i64::from(round), ClusterId(0), mul);
                 let _ = s.eject(n);
             }
             s.len()

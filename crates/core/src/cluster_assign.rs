@@ -13,7 +13,7 @@ impl SchedState<'_, '_> {
     /// 2. the number of move operations that would be needed to access the
     ///    values produced/consumed by already scheduled neighbours, and
     /// 3. the occupancy of the functional-unit class the operation needs.
-    pub(crate) fn select_cluster(&self, node: NodeId) -> ClusterId {
+    pub(crate) fn select_cluster(&mut self, node: NodeId) -> ClusterId {
         if self.machine.clusters() == 1 {
             // One candidate: the ranking (a window computation and a free-
             // slot probe per cluster) cannot change the answer. This is the
@@ -29,8 +29,8 @@ impl SchedState<'_, '_> {
         let window = self.window(node);
         let mut best: Option<(ClusterId, (i64, i64, i64))> = None;
         for cluster in self.machine.cluster_ids() {
-            let rt = self.machine.reservation(opcode, cluster);
-            if self.sched.intrinsically_infeasible(&rt) {
+            let table = self.sched.op_table(self.machine, opcode, cluster);
+            if self.sched.intrinsically_infeasible(table) {
                 // This cluster can never execute the operation at the
                 // current II (its table exceeds a capacity all by itself);
                 // on a heterogeneous machine another cluster may still fit.
@@ -38,7 +38,7 @@ impl SchedState<'_, '_> {
                 // infeasibility and the scheduler raises the II.
                 continue;
             }
-            let has_slot = i64::from(self.find_free_slot(&rt, window).is_some());
+            let has_slot = i64::from(self.find_free_slot(table, window).is_some());
             let moves_needed = self.moves_needed(node, cluster) as i64;
             let occupancy = i64::from(match opcode.class() {
                 OpClass::Gp => self.sched.occupancy(ResourceKind::GpUnit { cluster }),

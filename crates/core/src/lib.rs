@@ -71,7 +71,7 @@ pub use prefetch::apply_prefetch_policy;
 pub use result::{
     Placement, ScheduleResult, SchedulerStats, SearchMeta, SearchProof, ValidationError,
 };
-pub use schedule::PartialSchedule;
+pub use schedule::{FoldedTable, PartialSchedule};
 pub use scheduler::MirsScheduler;
 pub use scratch::SchedScratch;
 pub use search::{

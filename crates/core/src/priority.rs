@@ -1,6 +1,5 @@
 //! The priority list driving the iterative scheduler.
 
-use ddg::collections::HashMap;
 use ddg::NodeId;
 
 /// Priority list of nodes waiting to be scheduled.
@@ -12,8 +11,9 @@ use ddg::NodeId;
 /// bias so they are picked just before it).
 #[derive(Debug, Clone, Default)]
 pub struct PriorityList {
-    /// Rank of every known node (lower = more urgent).
-    rank: HashMap<NodeId, f64>,
+    /// Rank of every known node (lower = more urgent), at
+    /// [`NodeId::index`]; grown on demand.
+    rank: Vec<Option<f64>>,
     /// Nodes currently waiting.
     pending: Vec<NodeId>,
 }
@@ -38,8 +38,15 @@ impl PriorityList {
         self.pending.clear();
         self.pending.extend_from_slice(order);
         for (i, &n) in order.iter().enumerate() {
-            self.rank.insert(n, i as f64);
+            self.set_rank(n, Some(i as f64));
         }
+    }
+
+    fn set_rank(&mut self, node: NodeId, rank: Option<f64>) {
+        if node.index() >= self.rank.len() {
+            self.rank.resize(node.index() + 1, None);
+        }
+        self.rank[node.index()] = rank;
     }
 
     /// Whether no node is waiting.
@@ -57,7 +64,7 @@ impl PriorityList {
     /// Rank of a node (lower is more urgent), if known.
     #[must_use]
     pub fn rank_of(&self, node: NodeId) -> Option<f64> {
-        self.rank.get(&node).copied()
+        self.rank.get(node.index()).copied().flatten()
     }
 
     /// Pop the highest-priority waiting node.
@@ -70,8 +77,8 @@ impl PriorityList {
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| {
-                let ra = self.rank.get(a).copied().unwrap_or(f64::MAX);
-                let rb = self.rank.get(b).copied().unwrap_or(f64::MAX);
+                let ra = self.rank_of(**a).unwrap_or(f64::MAX);
+                let rb = self.rank_of(**b).unwrap_or(f64::MAX);
                 ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
             })
             .expect("pending is non-empty");
@@ -82,7 +89,7 @@ impl PriorityList {
     /// ejection). Does nothing if the node is already waiting.
     pub fn push_back(&mut self, node: NodeId) {
         debug_assert!(
-            self.rank.contains_key(&node),
+            self.rank_of(node).is_some(),
             "push_back of a node without a registered priority"
         );
         if !self.pending.contains(&node) {
@@ -94,8 +101,7 @@ impl PriorityList {
     /// priority derived from `anchor` (it will be picked just before the
     /// anchor would be re-picked) and add it to the list.
     pub fn insert_with_anchor(&mut self, node: NodeId, anchor: NodeId) {
-        let base = self.rank.get(&anchor).copied().unwrap_or(0.0);
-        self.rank.insert(node, base - 0.5);
+        self.register_with_anchor(node, anchor);
         if !self.pending.contains(&node) {
             self.pending.push(node);
         }
@@ -105,15 +111,17 @@ impl PriorityList {
     /// it to the pending list (used for move nodes that are scheduled
     /// immediately but may be ejected and re-queued later).
     pub fn register_with_anchor(&mut self, node: NodeId, anchor: NodeId) {
-        let base = self.rank.get(&anchor).copied().unwrap_or(0.0);
-        self.rank.insert(node, base - 0.5);
+        let base = self.rank_of(anchor).unwrap_or(0.0);
+        self.set_rank(node, Some(base - 0.5));
     }
 
     /// Remove a node from the list and forget its priority (used when a
     /// move or spill node is deleted from the graph before being placed).
     pub fn remove(&mut self, node: NodeId) {
         self.pending.retain(|&n| n != node);
-        self.rank.remove(&node);
+        if let Some(r) = self.rank.get_mut(node.index()) {
+            *r = None;
+        }
     }
 
     /// Whether the node is currently waiting in the list.

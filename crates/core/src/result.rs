@@ -1,6 +1,7 @@
 //! Final schedules and their validation.
 
 use ddg::collections::HashMap;
+use ddg::lifetime::{LifetimeInterval, Pressure};
 use ddg::{DepGraph, NodeId};
 use std::fmt;
 use vliw::{ClusterId, MachineConfig, ResourceKind};
@@ -275,7 +276,10 @@ impl ScheduleResult {
     /// `cycle(to) ≥ cycle(from) + latency − II·distance` holds, no resource
     /// is oversubscribed in any kernel cycle, every operand is produced in
     /// the cluster that consumes it (or is a loop invariant), and the
-    /// per-cluster register requirements fit the register files.
+    /// per-cluster register requirements fit the register files. Resource
+    /// usage and register requirements are recounted from the placements
+    /// here, independently of the scheduler's MRT and pressure gauges;
+    /// [`ScheduleResult::max_live`] is not consulted.
     ///
     /// # Errors
     ///
@@ -361,18 +365,76 @@ impl ScheduleResult {
                 }
             }
         }
-        // Registers.
-        for (i, &ml) in self.max_live.iter().enumerate() {
-            let avail = machine.cluster_configs()[i].registers;
-            if ml > avail {
+        // Registers, recounted from the placements rather than taken from
+        // the scheduler's own `max_live` claim.
+        for (i, (ml, cfg)) in self
+            .placed_max_live(machine.clusters())
+            .into_iter()
+            .zip(machine.cluster_configs())
+            .enumerate()
+        {
+            if ml > cfg.registers {
                 return Err(ValidationError::RegisterOverflow {
                     cluster: ClusterId::from(i),
                     required: ml,
-                    available: avail,
+                    available: cfg.registers,
                 });
             }
         }
         Ok(())
+    }
+
+    /// Per-cluster `MaxLive` recomputed from the graph and the placements
+    /// alone: a value holds a register in its producer's cluster from its
+    /// definition to its last use (a use `d` iterations later counts at
+    /// `cycle + II·d`), and a loop invariant holds one register in every
+    /// cluster that consumes it.
+    fn placed_max_live(&self, clusters: usize) -> Vec<u32> {
+        let ii = i64::from(self.ii);
+        let mut intervals: Vec<Vec<LifetimeInterval>> = vec![Vec::new(); clusters];
+        let mut invariants = vec![0u32; clusters];
+        for v in self.graph.value_ids() {
+            let data = self.graph.value(v);
+            if data.invariant {
+                let mut seen = vec![false; clusters];
+                for c in self.graph.consumer_ids(v) {
+                    if let Some(p) = self.placements.get(c) {
+                        seen[p.cluster.index()] = true;
+                    }
+                }
+                for (n, s) in invariants.iter_mut().zip(seen) {
+                    *n += u32::from(s);
+                }
+                continue;
+            }
+            let Some((producer, def)) = data
+                .producer
+                .and_then(|p| self.placements.get(&p).map(|d| (p, *d)))
+            else {
+                continue;
+            };
+            let end = self
+                .graph
+                .out_edge_ids(producer)
+                .iter()
+                .map(|&e| self.graph.edge(e))
+                .filter(|edge| edge.value == Some(v))
+                .filter_map(|edge| {
+                    let used = self.placements.get(&edge.to)?;
+                    Some(used.cycle + ii * i64::from(edge.distance))
+                })
+                .fold(def.cycle, i64::max);
+            intervals[def.cluster.index()].push(LifetimeInterval {
+                value: v,
+                start: def.cycle,
+                end,
+            });
+        }
+        intervals
+            .iter()
+            .zip(invariants)
+            .map(|(iv, inv)| Pressure::compute(iv, self.ii, inv).max_live())
+            .collect()
     }
 }
 

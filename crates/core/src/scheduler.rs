@@ -13,14 +13,14 @@ use crate::options::SchedulerOptions;
 use crate::pressure::PressureTracker;
 use crate::priority::PriorityList;
 use crate::result::{Placement, ScheduleResult, SchedulerStats, SearchMeta};
-use crate::schedule::PartialSchedule;
+use crate::schedule::{FoldedTable, PartialSchedule};
 use crate::scratch::SchedScratch;
 use crate::search::{BranchExecutor, InlineBranchExecutor, SearchDriver};
 use crate::spill::SpillMemo;
 use ddg::collections::HashMap;
 use ddg::{DepGraph, Loop, NodeId};
 use std::sync::OnceLock;
-use vliw::{ClusterId, MachineConfig, Opcode, ReservationTable};
+use vliw::{ClusterId, MachineConfig, Opcode};
 
 /// Whether `MIRS_DEBUG` diagnostics are enabled — read from the
 /// environment once per process, not once per scheduled loop: sweeps
@@ -67,7 +67,8 @@ pub(crate) struct Window {
 /// The graph is *borrowed*: all attempts of one scheduling run share a
 /// single working graph, mutated inside a transaction and rolled back
 /// between II restarts. Every other component comes from (and returns to)
-/// the run's [`SchedScratch`], so an attempt allocates almost nothing.
+/// the run's [`SchedScratch`], so an attempt reuses the buffers of the one
+/// before it.
 pub(crate) struct SchedState<'m, 'g> {
     pub machine: &'m MachineConfig,
     pub opts: SchedulerOptions,
@@ -411,19 +412,19 @@ impl SchedState<'_, '_> {
         );
     }
 
-    /// Reservation table of `node` when executed on `cluster`.
-    pub(crate) fn reservation_for(&self, node: NodeId, cluster: ClusterId) -> ReservationTable {
-        let op = self.graph.op(node);
-        if op.opcode.is_move() {
+    /// Folded reservation table of `node` when executed on `cluster`.
+    pub(crate) fn reservation_for(&mut self, node: NodeId, cluster: ClusterId) -> FoldedTable {
+        let opcode = self.graph.op(node).opcode;
+        if opcode.is_move() {
             let (src, dst) = self
                 .move_route
                 .get(&node)
                 .copied()
                 .unwrap_or((cluster, cluster));
             debug_assert_eq!(dst, cluster);
-            self.machine.move_reservation(src, dst)
+            self.sched.move_table(self.machine, src, dst)
         } else {
-            self.machine.reservation(op.opcode, cluster)
+            self.sched.op_table(self.machine, opcode, cluster)
         }
     }
 
@@ -436,9 +437,9 @@ impl SchedState<'_, '_> {
     /// operation at a small II); the caller restarts with a larger II.
     pub(crate) fn schedule_node(&mut self, node: NodeId, cluster: ClusterId) -> bool {
         let window = self.window(node);
-        let rt = self.reservation_for(node, cluster);
-        if let Some(cycle) = self.find_free_slot(&rt, window) {
-            self.sched.place(node, cycle, cluster, rt);
+        let table = self.reservation_for(node, cluster);
+        if let Some(cycle) = self.find_free_slot(table, window) {
+            self.sched.place(node, cycle, cluster, table);
             self.pressure.touch_node(self.graph, node);
             self.prev_cycle.insert(node, cycle);
             return true;
@@ -446,14 +447,14 @@ impl SchedState<'_, '_> {
         if !self.opts.enable_backtracking {
             return false;
         }
-        if self.sched.intrinsically_infeasible(&rt) {
+        if self.sched.intrinsically_infeasible(table) {
             // Forcing would oversubscribe a resource no ejection can free
             // (the table conflicts with *itself* in the MRT). Surface the
             // infeasibility instead of force-placing and watching the whole
             // budget drain on unrecoverable conflicts.
             return false;
         }
-        self.force_and_eject(node, cluster, rt, window);
+        self.force_and_eject(node, cluster, table, window);
         true
     }
 
@@ -462,7 +463,7 @@ impl SchedState<'_, '_> {
         &mut self,
         node: NodeId,
         cluster: ClusterId,
-        rt: ReservationTable,
+        table: FoldedTable,
         window: Window,
     ) -> i64 {
         self.stats.forced += 1;
@@ -481,10 +482,10 @@ impl SchedState<'_, '_> {
         // Eject operations causing resource conflicts: one at a time, always
         // the one placed earliest (or all of them under the ablation policy).
         loop {
-            if self.sched.can_place(&rt, forced_cycle) {
+            if self.sched.can_place(table, forced_cycle) {
                 break;
             }
-            let conflicts = self.sched.conflicts(&rt, forced_cycle);
+            let conflicts = self.sched.conflicts(table, forced_cycle);
             // `schedule_node` rejects intrinsically infeasible tables before
             // forcing, so a full cell always has an occupant to evict.
             debug_assert!(
@@ -507,7 +508,7 @@ impl SchedState<'_, '_> {
                 }
             }
         }
-        self.sched.place(node, forced_cycle, cluster, rt);
+        self.sched.place(node, forced_cycle, cluster, table);
         self.pressure.touch_node(self.graph, node);
         self.prev_cycle.insert(node, forced_cycle);
 
@@ -699,8 +700,11 @@ impl SchedState<'_, '_> {
             }
             return true;
         }
-        // Safety valve: runaway spilling means the II is too tight.
-        if self.spills_inserted as usize > 10 * self.graph.node_count().max(8) {
+        // Safety valve: runaway spilling means the II is too tight. The
+        // bound is `10 · max(nodes, 8)`; testing the constant first skips
+        // the O(node-capacity) `node_count` scan on every ordinary pick.
+        if self.spills_inserted > 80 && self.spills_inserted as usize > 10 * self.graph.node_count()
+        {
             if self.debug {
                 eprintln!(
                     "RESTART: runaway spills {} at ii={}",

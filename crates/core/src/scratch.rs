@@ -169,12 +169,8 @@ mod tests {
         let m1 = MachineConfig::paper_config(1, 64).unwrap();
 
         let mut sched = scratch.take_sched(&m2, 7);
-        sched.place(
-            ddg::NodeId(0),
-            3,
-            vliw::ClusterId(0),
-            m2.reservation(vliw::Opcode::FpAdd, vliw::ClusterId(0)),
-        );
+        let add = sched.op_table(&m2, vliw::Opcode::FpAdd, vliw::ClusterId(0));
+        sched.place(ddg::NodeId(0), 3, vliw::ClusterId(0), add);
         let mut prev = scratch.take_prev_cycle();
         prev.insert(ddg::NodeId(0), 3);
         let pressure = scratch.take_pressure(2, 7, 4);

@@ -1,9 +1,9 @@
 //! Scheduling windows: `EarlyStart`, `LateStart`, search `Direction` and the
 //! free-slot search (Section 3.1 of the paper).
 
+use crate::schedule::FoldedTable;
 use crate::scheduler::{Direction, SchedState, Window};
 use ddg::{NodeId, NodeOrigin};
-use vliw::ReservationTable;
 
 impl SchedState<'_, '_> {
     /// Earliest cycle at which `node` can issue so that all of its already
@@ -93,9 +93,9 @@ impl SchedState<'_, '_> {
         }
     }
 
-    /// Find a cycle inside `window` where `rt` fits without any resource
+    /// Find a cycle inside `window` where `table` fits without any resource
     /// conflict, honouring the search direction.
-    pub(crate) fn find_free_slot(&self, rt: &ReservationTable, window: Window) -> Option<i64> {
+    pub(crate) fn find_free_slot(&self, table: FoldedTable, window: Window) -> Option<i64> {
         if window.late < window.early {
             return None;
         }
@@ -104,10 +104,10 @@ impl SchedState<'_, '_> {
         match window.direction {
             Direction::Forward => (0..span)
                 .map(|k| window.early + k)
-                .find(|&c| self.sched.can_place(rt, c)),
+                .find(|&c| self.sched.can_place(table, c)),
             Direction::Backward => (0..span)
                 .map(|k| window.late - k)
-                .find(|&c| self.sched.can_place(rt, c)),
+                .find(|&c| self.sched.can_place(table, c)),
         }
     }
 }

@@ -92,14 +92,6 @@ impl ReservationTable {
         self.uses.iter()
     }
 
-    /// The resource requirements as a slice (random access lets the flat
-    /// modulo reservation table count duplicate slot uses without
-    /// allocating).
-    #[must_use]
-    pub fn as_slice(&self) -> &[ResourceUse] {
-        &self.uses
-    }
-
     /// Number of resource requirements.
     #[must_use]
     pub fn len(&self) -> usize {

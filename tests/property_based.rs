@@ -5,9 +5,11 @@
 use ddg::lifetime::{LifetimeInterval, Pressure, PressureMap};
 use ddg::{NodeId, ValueId};
 use loopgen::{synthetic, SyntheticParams};
-use mirs::{MirsScheduler, PartialSchedule, SchedulerOptions};
+use mirs::{FoldedTable, MirsScheduler, PartialSchedule, SchedulerOptions};
 use proptest::prelude::*;
-use vliw::{ClusterConfig, ClusterId, LatencyModel, MachineConfig, Opcode, ReservationTable};
+use vliw::{
+    ClusterConfig, ClusterId, LatencyModel, MachineConfig, Opcode, ReservationTable, ResourceKind,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
@@ -85,69 +87,125 @@ proptest! {
     }
 
     /// Random place/try_place/eject churn on the flat modulo reservation
-    /// table: the incrementally maintained cell counts and per-kind
-    /// occupancy gauges must always equal a from-scratch recount over the
-    /// placements, and `can_place`/`conflicts` must agree with each other.
-    /// This is the oracle guarding the incremental tentpole structures.
+    /// table, checked against a test-side model that keeps every placed
+    /// node's cycle and unfolded reservation table and recounts each use
+    /// with `(cycle + offset) mod II`, so it shares nothing with the MRT's
+    /// folded tables. The incremental cell counts and per-kind occupancy
+    /// gauges must equal the recount; `can_place` and
+    /// `intrinsically_infeasible` must equal the brute-force per-cell
+    /// checks; `conflicts` must return exactly the occupants of the cells
+    /// that would overflow, in placement order. The 17-use divide, the
+    /// 30-use square root and a λm = 3 move wrap the MRT at small IIs and
+    /// fit without wrapping at large ones.
     #[test]
     fn place_eject_round_trip_matches_recount(
         ops in proptest::collection::vec(
-            (0u32..24, -12i64..24, 0u16..2, 0usize..5, 0u32..2),
+            (0u32..24, -12i64..24, 0u16..2, 0usize..7, 0u32..2),
             1..80,
         ),
-        ii in 1u32..8,
+        ii in 1u32..40,
     ) {
         let machine = MachineConfig::paper_config(2, 32).unwrap();
+        let ix = machine.resource_indexer();
         let lat = LatencyModel::default();
-        let table = |idx: usize, cluster: u16| -> ReservationTable {
+        let slow_moves = LatencyModel::with_move_latency(3);
+        let table = |idx: usize, cluster: ClusterId| -> ReservationTable {
+            let other = ClusterId(1 - cluster.0);
             match idx {
-                0 => ReservationTable::for_op(Opcode::FpAdd, ClusterId(cluster), &lat),
-                1 => ReservationTable::for_op(Opcode::Load, ClusterId(cluster), &lat),
-                2 => ReservationTable::for_op(Opcode::FpDiv, ClusterId(cluster), &lat),
-                3 => ReservationTable::for_op(Opcode::FpMul, ClusterId(cluster), &lat),
-                _ => ReservationTable::for_move(
-                    ClusterId(cluster),
-                    ClusterId(1 - cluster),
-                    &lat,
-                ),
+                0 => ReservationTable::for_op(Opcode::FpAdd, cluster, &lat),
+                1 => ReservationTable::for_op(Opcode::Load, cluster, &lat),
+                2 => ReservationTable::for_op(Opcode::FpDiv, cluster, &lat),
+                3 => ReservationTable::for_op(Opcode::FpMul, cluster, &lat),
+                4 => ReservationTable::for_op(Opcode::FpSqrt, cluster, &lat),
+                5 => ReservationTable::for_move(cluster, other, &lat),
+                _ => ReservationTable::for_move(cluster, other, &slow_moves),
             }
         };
         let mut sched = PartialSchedule::new(&machine, ii);
+        // Every table folded once, as the scheduler does per attempt.
+        let tables: Vec<Vec<(ReservationTable, FoldedTable)>> = (0..2u16)
+            .map(|c| {
+                (0..7)
+                    .map(|idx| {
+                        let rt = table(idx, ClusterId(c));
+                        let folded = sched.fold(&rt);
+                        (rt, folded)
+                    })
+                    .collect()
+            })
+            .collect();
+        let cell = |kind: ResourceKind, cycle: i64, offset: u32| -> usize {
+            let slot = (cycle + i64::from(offset)).rem_euclid(i64::from(ii));
+            ix.index_of(kind) * ii as usize + slot as usize
+        };
+        let cap = |kind: ResourceKind| machine.resource_count(kind);
+        // The model: placed nodes in placement order, recounted per use
+        // into (cell counts, reserved slots per resource).
+        let mut placed: Vec<(NodeId, i64, ReservationTable)> = Vec::new();
+        let recount = |placed: &[(NodeId, i64, ReservationTable)]| {
+            let mut counts = vec![0u32; ix.len() * ii as usize];
+            let mut by_kind = vec![0u32; ix.len()];
+            for (_, c, rt) in placed {
+                for u in rt {
+                    counts[cell(u.kind, *c, u.offset)] += 1;
+                    by_kind[ix.index_of(u.kind)] += 1;
+                }
+            }
+            (counts, by_kind)
+        };
         for (node, cycle, cluster, kind, force) in ops {
             let node = NodeId(node);
-            let rt = table(kind, cluster);
+            let (rt, folded) = &tables[usize::from(cluster)][kind];
             if sched.is_scheduled(node) {
                 let back = sched.eject(node);
+                let pos = placed.iter().position(|(n, ..)| *n == node).unwrap();
+                prop_assert_eq!(back, placed.remove(pos).1);
                 prop_assert!(!sched.is_scheduled(node));
-                let _ = back;
             } else if force == 1 {
                 // Forced placements may oversubscribe, like the
                 // Forcing-and-Ejection heuristic does.
-                sched.place(node, cycle, ClusterId(cluster), rt);
+                sched.place(node, cycle, ClusterId(cluster), *folded);
+                placed.push((node, cycle, rt.clone()));
             } else {
-                let fits = sched.can_place(&rt, cycle);
-                let conflicts = sched.conflicts(&rt, cycle);
+                let (counts, _) = recount(&placed);
+                let mut added = vec![0u32; counts.len()];
+                for u in rt {
+                    added[cell(u.kind, cycle, u.offset)] += 1;
+                }
+                let over = |i: usize, base: u32| base + added[i] > cap(ix.kind_at(i / ii as usize));
+                let full: Vec<usize> = (0..counts.len())
+                    .filter(|&i| added[i] > 0 && over(i, counts[i]))
+                    .collect();
+                let fits = full.is_empty();
+                prop_assert_eq!(sched.can_place(*folded, cycle), fits);
+                prop_assert_eq!(
+                    sched.intrinsically_infeasible(*folded),
+                    (0..counts.len()).any(|i| added[i] > 0 && over(i, 0))
+                );
+                let expected: Vec<NodeId> = placed
+                    .iter()
+                    .filter(|(_, c, prt)| {
+                        prt.iter().any(|u| full.contains(&cell(u.kind, *c, u.offset)))
+                    })
+                    .map(|(n, ..)| *n)
+                    .collect();
+                prop_assert_eq!(sched.conflicts(*folded, cycle), expected);
+                prop_assert_eq!(
+                    sched.try_place(node, cycle, ClusterId(cluster), *folded),
+                    fits
+                );
                 if fits {
-                    prop_assert!(conflicts.is_empty());
-                } else if !sched.intrinsically_infeasible(&rt) {
-                    prop_assert!(
-                        !conflicts.is_empty(),
-                        "a full cell of a feasible table has an occupant"
-                    );
+                    placed.push((node, cycle, rt.clone()));
                 }
-                for &c in &conflicts {
-                    prop_assert!(sched.is_scheduled(c));
-                }
-                prop_assert_eq!(sched.try_place(node, cycle, ClusterId(cluster), rt), fits);
             }
-            let (counts, by_kind) = sched.gauges();
-            let (recount, re_kind) = sched.recount();
-            prop_assert_eq!(&counts, &recount, "cell counts drifted from the placements");
-            prop_assert_eq!(&by_kind, &re_kind, "occupancy gauges drifted");
-            let ix = machine.resource_indexer();
+            let (counts, by_kind) = recount(&placed);
+            let (gauge_counts, gauge_kind) = sched.gauges();
+            prop_assert_eq!(&gauge_counts, &counts, "cell counts drifted from the placements");
+            prop_assert_eq!(&gauge_kind, &by_kind, "occupancy gauges drifted");
             for kind in ix.kinds() {
                 prop_assert_eq!(sched.occupancy(kind), by_kind[ix.index_of(kind)]);
             }
+            prop_assert_eq!(sched.len(), placed.len());
         }
     }
 

@@ -55,6 +55,30 @@ fn schedules_are_reproducible_on_the_clustered_machine() {
     );
 }
 
+/// Four clusters at 16 registers: the workbench inserts 27 moves here, so
+/// this pins the move reservation tables.
+#[test]
+fn schedules_are_reproducible_with_moves_on_four_clusters() {
+    let machine = MachineConfig::paper_config(4, 16).unwrap();
+    let h = workbench_hash(&machine);
+    assert_eq!(
+        h, GOLDEN_4X16,
+        "4-(GP2M1-REG16) schedules changed: got {h:#018x}"
+    );
+}
+
+/// The unified machine at 16 registers: the workbench inserts 9 spill
+/// operations here, so this pins the spill path.
+#[test]
+fn schedules_are_reproducible_with_spill_code() {
+    let machine = MachineConfig::paper_config(1, 16).unwrap();
+    let h = workbench_hash(&machine);
+    assert_eq!(
+        h, GOLDEN_1X16,
+        "1-(GP8M4-REG16) schedules changed: got {h:#018x}"
+    );
+}
+
 #[test]
 fn schedule_hash_is_stable_across_runs() {
     let machine = MachineConfig::paper_config(2, 32).unwrap();
@@ -100,3 +124,7 @@ fn schedules_are_identical_with_a_reused_scratch() {
 /// must reproduce these exactly.
 const GOLDEN_1X64: u64 = 0xe16d_bd67_223a_565e;
 const GOLDEN_2X32: u64 = 0xda8c_f0c2_9b3e_3938;
+/// Recorded from the scheduler that probed unfolded reservation tables;
+/// folding them onto the MRT must reproduce these exactly.
+const GOLDEN_4X16: u64 = 0x8262_5be3_1262_750e;
+const GOLDEN_1X16: u64 = 0x34f1_dc01_435b_54a9;

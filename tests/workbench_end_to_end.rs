@@ -4,8 +4,8 @@
 use harness::{run_workbench, SchedulerKind};
 use loopgen::{Workbench, WorkbenchParams};
 use memsim::{simulate, MemoryParams};
-use mirs::{MirsScheduler, PrefetchPolicy, SchedulerOptions, SearchConfig};
-use vliw::{HwModel, MachineConfig};
+use mirs::{MirsScheduler, PrefetchPolicy, SchedulerOptions, SearchConfig, ValidationError};
+use vliw::{ClusterId, HwModel, MachineConfig};
 
 fn workbench() -> Workbench {
     Workbench::generate(&WorkbenchParams {
@@ -185,4 +185,34 @@ fn prefetching_never_increases_memory_traffic() {
         // for this workbench; the original memory accesses are identical.
         assert!(p.memory_traffic <= n.memory_traffic + 4, "{}", n.name);
     }
+}
+
+/// `validate` recounts register pressure from the placements instead of
+/// trusting the `max_live` the scheduler reported: a schedule whose claim
+/// is zeroed still overflows an 8-register file.
+#[test]
+fn validate_recomputes_max_live_from_the_placements() {
+    let lp = workbench()
+        .loops()
+        .iter()
+        .find(|lp| lp.name == "daxpy.x3")
+        .expect("daxpy.x3 is in the reference workbench")
+        .clone();
+    let roomy = MachineConfig::paper_config(1, 64).unwrap();
+    let mut r = MirsScheduler::new(&roomy, SchedulerOptions::default())
+        .schedule(&lp)
+        .expect("daxpy.x3 converges on 1x64");
+    assert_eq!(r.max_live, [17]);
+    r.validate(&roomy).expect("17 registers fit in 64");
+    r.max_live = vec![0];
+    // Same GP8M4 resources, 8 registers.
+    let starved = MachineConfig::paper_config(1, 8).unwrap();
+    assert_eq!(
+        r.validate(&starved),
+        Err(ValidationError::RegisterOverflow {
+            cluster: ClusterId(0),
+            required: 17,
+            available: 8,
+        })
+    );
 }
