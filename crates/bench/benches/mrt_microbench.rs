@@ -48,10 +48,13 @@ fn mrt_probes(c: &mut Criterion) {
     });
 
     g.bench_function("probe/conflicts", |b| {
+        // One reused buffer, as the scheduler's forcing loop keeps.
+        let mut out = Vec::new();
         b.iter(|| {
             let mut total = 0usize;
             for cycle in 0..64i64 {
-                total += s.conflicts(add, cycle).len();
+                s.conflicts(add, cycle, &mut out);
+                total += out.len();
             }
             total
         })

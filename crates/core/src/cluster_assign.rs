@@ -1,7 +1,8 @@
 //! Cluster selection and inter-cluster move insertion (Section 3.3).
 
 use crate::scheduler::SchedState;
-use ddg::{NodeId, NodeOrigin, OperationData, ValueId};
+use crate::scratch::Derivation;
+use ddg::{DepEdge, NodeId, NodeOrigin, OperationData, ValueId};
 use vliw::{ClusterId, OpClass, Opcode, ResourceKind};
 
 impl SchedState<'_, '_> {
@@ -123,29 +124,26 @@ impl SchedState<'_, '_> {
     /// where it is placed.
     fn read_cluster(&self, consumer: NodeId) -> Option<ClusterId> {
         let placed = self.sched.cluster_of(consumer)?;
-        Some(
-            self.move_route
-                .get(&consumer)
-                .map_or(placed, |&(src, _)| src),
-        )
+        Some(self.slots.route(consumer).map_or(placed, |(src, _)| src))
     }
 
     /// A live move node that already transports `value` into `cluster`, if
     /// any — an O(1) read of the index `create_move`/`remove_move` maintain.
     fn move_of_value_into(&self, value: ValueId, cluster: ClusterId) -> Option<NodeId> {
-        let found = self.move_into.get(&(value, cluster)).copied();
+        let found = self.slots.move_into(value, cluster);
         debug_assert_eq!(
             found,
             self.graph.node_ids().find(|&n| {
                 matches!(self.graph.op(n).origin, NodeOrigin::Move { value: v } if v == value)
-                    && self.move_route.get(&n).map(|&(_, d)| d) == Some(cluster)
+                    && self.slots.route(n).map(|(_, d)| d) == Some(cluster)
             })
         );
         found
     }
 
     /// Insert the move operations required to schedule `node` on `cluster`
-    /// (step C2) and return them in the order they should be scheduled.
+    /// (step C2) and leave them in `slots.new_moves`, in the order they
+    /// should be scheduled.
     ///
     /// Two situations require communication:
     /// * an operand of `node` is produced in a different cluster (an
@@ -155,16 +153,21 @@ impl SchedState<'_, '_> {
     ///
     /// If a move of the same value into the same destination already exists
     /// it is reused and the operand is simply rewired.
-    pub(crate) fn ensure_moves(&mut self, node: NodeId, cluster: ClusterId) -> Vec<NodeId> {
-        let mut new_moves = Vec::new();
+    pub(crate) fn ensure_moves(&mut self, node: NodeId, cluster: ClusterId) {
+        self.slots.new_moves.clear();
         if self.machine.clusters() == 1 {
             // Every operand and consumer lives in the one cluster.
-            return new_moves;
+            return;
         }
+        let mut new_moves = std::mem::take(&mut self.slots.new_moves);
 
         // --- imports -------------------------------------------------------
-        let srcs = self.graph.op(node).srcs().to_vec();
-        for v in srcs {
+        // Snapshot the operands (the rewiring below edits them) into a
+        // reused list that nothing called from this loop touches.
+        let mut operands = std::mem::take(&mut self.slots.operands);
+        operands.clear();
+        operands.extend_from_slice(self.graph.op(node).srcs());
+        for &v in &operands {
             if self.graph.value(v).invariant {
                 continue;
             }
@@ -180,7 +183,7 @@ impl SchedState<'_, '_> {
             // the rewiring and import from the root value instead.
             let (v, producer) = if self.graph.op(producer).opcode.is_move()
                 && self.sched.cluster_of(producer).is_none()
-                && self.move_route.get(&producer).map(|&(_, d)| d) != Some(cluster)
+                && self.slots.route(producer).map(|(_, d)| d) != Some(cluster)
             {
                 match self.unwire_stale_move(node, v, producer) {
                     Some(root) => root,
@@ -203,6 +206,7 @@ impl SchedState<'_, '_> {
             self.rewire_consumer(node, v, mv);
             new_moves.push(mv);
         }
+        self.slots.operands = operands;
 
         // --- exports -------------------------------------------------------
         // Every produced value, not just `dest`: loop-carried accumulator
@@ -216,7 +220,7 @@ impl SchedState<'_, '_> {
             carried_idx += 1;
             self.export_moves_for(node, cluster, v, &mut new_moves);
         }
-        new_moves
+        self.slots.new_moves = new_moves;
     }
 
     /// Export pass of [`SchedState::ensure_moves`] for one produced value:
@@ -262,7 +266,9 @@ impl SchedState<'_, '_> {
 
     /// Create a move node transporting `value` (produced by `producer` in
     /// `src`) into cluster `dst`. The move's priority is anchored at
-    /// `anchor` so that, if ejected, it is re-picked just before it.
+    /// `anchor` so that, if ejected, it is re-picked just before it. The
+    /// copy and the move are named in `into_result`, from the logged
+    /// derivation and the route.
     fn create_move(
         &mut self,
         value: ValueId,
@@ -271,15 +277,20 @@ impl SchedState<'_, '_> {
         dst: ClusterId,
         anchor: NodeId,
     ) -> NodeId {
-        let copy_name = format!("{}@{}", self.graph.value(value).name, dst);
-        let copy = self.graph.add_value(copy_name, false);
+        let copy = self.graph.add_value(String::new(), false);
+        self.slots.log_derived(
+            copy,
+            Derivation::Copy {
+                of: value,
+                into: dst,
+            },
+        );
         let mut data = OperationData::new(Opcode::Move, Some(copy), vec![value]);
         data.origin = NodeOrigin::Move { value };
-        data.name = format!("move {}->{}", src, dst);
         let mv = self.graph.add_node(data);
         self.graph.add_flow(producer, mv, value, 0);
-        self.move_route.insert(mv, (src, dst));
-        self.move_into.insert((value, dst), mv);
+        self.slots.set_route(mv, Some((src, dst)));
+        self.slots.set_move_into(value, dst, Some(mv));
         self.plist.register_with_anchor(mv, anchor);
         self.stats.moves += 1;
         self.pressure.mark_value(value);
@@ -306,22 +317,13 @@ impl SchedState<'_, '_> {
         };
         // Detach the mv -> consumer flow (remembering the iteration
         // distance the rewiring preserved).
-        let mut distance = 0;
-        let mut to_remove = Vec::new();
-        for e in self.graph.in_edges(consumer) {
-            let edge = *self.graph.edge(e);
-            if edge.from == mv && edge.value == Some(copy) {
-                distance = edge.distance;
-                to_remove.push(e);
-            }
-        }
-        for e in to_remove {
-            self.graph.remove_edge(e);
-        }
+        let distance = self
+            .remove_in_edges(consumer, |edge| edge.from == mv && edge.value == Some(copy))
+            .unwrap_or(0);
         self.graph.replace_src(consumer, copy, root);
         let producer = self.graph.value(root).producer;
         if let Some(p) = producer {
-            let already = self.graph.in_edges(consumer).iter().any(|&e| {
+            let already = self.graph.in_edge_ids(consumer).iter().any(|&e| {
                 let edge = self.graph.edge(e);
                 edge.from == p && edge.value == Some(root)
             });
@@ -347,21 +349,14 @@ impl SchedState<'_, '_> {
     pub(crate) fn rewire_consumer(&mut self, consumer: NodeId, original: ValueId, mv: NodeId) {
         let copy = self.graph.op(mv).dest.expect("moves define a value");
         // Find (and remove) the direct flow edge carrying `original`.
-        let mut distance = 0;
-        let mut to_remove = Vec::new();
-        for e in self.graph.in_edges(consumer) {
-            let edge = *self.graph.edge(e);
-            if edge.value == Some(original) && edge.from != mv {
-                distance = edge.distance;
-                to_remove.push(e);
-            }
-        }
-        for e in to_remove {
-            self.graph.remove_edge(e);
-        }
+        let distance = self
+            .remove_in_edges(consumer, |edge| {
+                edge.value == Some(original) && edge.from != mv
+            })
+            .unwrap_or(0);
         self.graph.replace_src(consumer, original, copy);
         // Avoid duplicate edges if the consumer was already rewired.
-        let already = self.graph.in_edges(consumer).iter().any(|&e| {
+        let already = self.graph.in_edge_ids(consumer).iter().any(|&e| {
             let edge = self.graph.edge(e);
             edge.from == mv && edge.value == Some(copy)
         });
@@ -374,5 +369,28 @@ impl SchedState<'_, '_> {
         self.pressure.mark_value(copy);
         self.memo.invalidate(original);
         self.memo.invalidate(copy);
+    }
+
+    /// Remove every in-edge of `node` that `matches`, in list order, and
+    /// return the iteration distance of the last one removed. The borrowed
+    /// adjacency list is scanned in place: a removal shifts the later
+    /// entries down, so the scan stays put after one.
+    pub(crate) fn remove_in_edges(
+        &mut self,
+        node: NodeId,
+        matches: impl Fn(&DepEdge) -> bool,
+    ) -> Option<u32> {
+        let mut last = None;
+        let mut i = 0;
+        while let Some(&e) = self.graph.in_edge_ids(node).get(i) {
+            let edge = *self.graph.edge(e);
+            if matches(&edge) {
+                last = Some(edge.distance);
+                self.graph.remove_edge(e);
+            } else {
+                i += 1;
+            }
+        }
+        last
     }
 }

@@ -22,9 +22,10 @@
 use crate::schedule::PartialSchedule;
 use ddg::lifetime::{LifetimeInterval, PressureMap};
 use ddg::{DepGraph, NodeId, ValueId};
+use std::ops::Range;
 
 /// What one value currently contributes to the per-cluster pressure maps.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Contribution {
     /// Nothing: unscheduled producer, or an unused invariant.
     #[default]
@@ -36,12 +37,9 @@ enum Contribution {
         /// The folded lifetime.
         interval: LifetimeInterval,
     },
-    /// A loop invariant: one register for the whole loop in every listed
-    /// cluster.
-    Invariant {
-        /// Cluster indices with at least one scheduled consumer.
-        clusters: Vec<usize>,
-    },
+    /// A loop invariant: one register for the whole loop in every cluster
+    /// its row of [`PressureTracker::invariant_in`] flags.
+    Invariant,
 }
 
 /// Incrementally maintained per-cluster register-pressure gauges of one
@@ -51,6 +49,11 @@ pub(crate) struct PressureTracker {
     maps: Vec<PressureMap>,
     /// Contribution currently folded into `maps`, per value id.
     recorded: Vec<Contribution>,
+    /// Clusters an invariant's recorded contribution occupies, at
+    /// `value · clusters + cluster` (all false for other values). A flat
+    /// table rather than a list per contribution, so a flush allocates
+    /// nothing for any cluster count.
+    invariant_in: Vec<bool>,
     /// Values whose contribution may be stale.
     dirty: Vec<ValueId>,
     dirty_flag: Vec<bool>,
@@ -64,6 +67,7 @@ impl PressureTracker {
         Self {
             maps: vec![PressureMap::new(ii); clusters],
             recorded: vec![Contribution::None; values],
+            invariant_in: vec![false; values * clusters],
             dirty: Vec::new(),
             dirty_flag: vec![false; values],
         }
@@ -77,6 +81,8 @@ impl PressureTracker {
         self.maps.resize(clusters, PressureMap::new(ii));
         self.recorded.clear();
         self.recorded.resize(values, Contribution::None);
+        self.invariant_in.clear();
+        self.invariant_in.resize(values * clusters, false);
         self.dirty.clear();
         self.dirty_flag.clear();
         self.dirty_flag.resize(values, false);
@@ -87,6 +93,8 @@ impl PressureTracker {
         if v.index() >= self.dirty_flag.len() {
             self.dirty_flag.resize(v.index() + 1, false);
             self.recorded.resize(v.index() + 1, Contribution::None);
+            self.invariant_in
+                .resize((v.index() + 1) * self.maps.len(), false);
         }
         if !self.dirty_flag[v.index()] {
             self.dirty_flag[v.index()] = true;
@@ -122,32 +130,42 @@ impl PressureTracker {
         while let Some(v) = self.dirty.pop() {
             self.dirty_flag[v.index()] = false;
             let old = std::mem::take(&mut self.recorded[v.index()]);
-            self.unfold(&old);
-            let new = Self::derive(graph, sched, v);
-            self.fold(&new);
+            self.unfold(v, old);
+            let new = self.derive(graph, sched, v);
+            self.fold(v, new);
             self.recorded[v.index()] = new;
         }
     }
 
+    /// Range of value `v`'s row in `invariant_in`.
+    fn row(&self, v: ValueId) -> Range<usize> {
+        let k = self.maps.len();
+        v.index() * k..(v.index() + 1) * k
+    }
+
     /// Current contribution of value `v` under `graph` and `sched` —
     /// the same lifetime rules the from-scratch computation in
-    /// `SchedState::cluster_lifetimes` applies.
-    fn derive(graph: &DepGraph, sched: &PartialSchedule, v: ValueId) -> Contribution {
+    /// `SchedState::cluster_lifetimes` applies. For an invariant, the
+    /// clusters of its scheduled consumers are flagged in its (cleared)
+    /// `invariant_in` row.
+    fn derive(&mut self, graph: &DepGraph, sched: &PartialSchedule, v: ValueId) -> Contribution {
         let data = graph.value(v);
         let ii = i64::from(sched.ii());
         if data.invariant {
-            let mut clusters: Vec<usize> = Vec::new();
+            let row = self.row(v);
+            let row = &mut self.invariant_in[row];
+            let mut used = false;
             for &c in graph.consumer_ids(v) {
                 if let Some(cc) = sched.cluster_of(c) {
-                    if !clusters.contains(&cc.index()) {
-                        clusters.push(cc.index());
-                    }
+                    row[cc.index()] = true;
+                    used = true;
                 }
             }
-            if clusters.is_empty() {
-                return Contribution::None;
-            }
-            return Contribution::Invariant { clusters };
+            return if used {
+                Contribution::Invariant
+            } else {
+                Contribution::None
+            };
         }
         let Some(producer) = data.producer else {
             return Contribution::None;
@@ -179,25 +197,34 @@ impl PressureTracker {
         }
     }
 
-    fn fold(&mut self, c: &Contribution) {
+    /// Add value `v`'s contribution `c` to the maps.
+    fn fold(&mut self, v: ValueId, c: Contribution) {
         match c {
             Contribution::None => {}
-            Contribution::Interval { cluster, interval } => self.maps[*cluster].add(interval),
-            Contribution::Invariant { clusters } => {
-                for &c in clusters {
-                    self.maps[c].add_uniform(1);
+            Contribution::Interval { cluster, interval } => self.maps[cluster].add(&interval),
+            Contribution::Invariant => {
+                let row = self.row(v);
+                for (map, &used) in self.maps.iter_mut().zip(&self.invariant_in[row]) {
+                    if used {
+                        map.add_uniform(1);
+                    }
                 }
             }
         }
     }
 
-    fn unfold(&mut self, c: &Contribution) {
+    /// Remove value `v`'s recorded contribution `c` from the maps, clearing
+    /// its `invariant_in` row.
+    fn unfold(&mut self, v: ValueId, c: Contribution) {
         match c {
             Contribution::None => {}
-            Contribution::Interval { cluster, interval } => self.maps[*cluster].remove(interval),
-            Contribution::Invariant { clusters } => {
-                for &c in clusters {
-                    self.maps[c].remove_uniform(1);
+            Contribution::Interval { cluster, interval } => self.maps[cluster].remove(&interval),
+            Contribution::Invariant => {
+                let row = self.row(v);
+                for (map, used) in self.maps.iter_mut().zip(&mut self.invariant_in[row]) {
+                    if std::mem::take(used) {
+                        map.remove_uniform(1);
+                    }
                 }
             }
         }

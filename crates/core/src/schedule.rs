@@ -14,10 +14,10 @@
 //! A probe is then one `rem_euclid` plus, per entry, a wrap-add and a
 //! capacity compare (a 17-use divide at II 8 is 8 entries), and placing a
 //! node allocates nothing. Node placements (`cycle_of`, `cluster_of`, the
-//! placement order that `conflicts` sorts by, and `eject`) live in a hash
-//! map keyed by node.
+//! placement order that `conflicts` sorts by, and `eject`) live in a dense
+//! slot per `NodeId::index`, so every lookup is an array read and
+//! [`PartialSchedule::iter`] yields nodes in id order.
 
-use ddg::collections::HashMap;
 use ddg::NodeId;
 use std::ops::Range;
 use vliw::{ClusterId, MachineConfig, Opcode, ReservationTable, ResourceIndexer, ResourceKind};
@@ -114,7 +114,12 @@ pub struct PartialSchedule {
     op_tables: Vec<Option<FoldedTable>>,
     /// Memoized fold per move route, at `src · clusters + dst`.
     move_tables: Vec<Option<FoldedTable>>,
-    placements: HashMap<NodeId, PlacementInfo>,
+    /// Placement of each scheduled node, at `NodeId::index` (grown on
+    /// demand; `reset` clears every slot, since node ids are reused after
+    /// a graph rollback).
+    placements: Vec<Option<PlacementInfo>>,
+    /// Number of scheduled nodes (occupied `placements` slots).
+    placed: usize,
     next_order: u64,
 }
 
@@ -140,7 +145,8 @@ impl PartialSchedule {
             entries: Vec::new(),
             op_tables: Vec::new(),
             move_tables: Vec::new(),
-            placements: HashMap::default(),
+            placements: Vec::new(),
+            placed: 0,
             next_order: 0,
         }
     }
@@ -174,6 +180,7 @@ impl PartialSchedule {
         self.op_tables.clear();
         self.move_tables.clear();
         self.placements.clear();
+        self.placed = 0;
         self.next_order = 0;
     }
 
@@ -186,50 +193,57 @@ impl PartialSchedule {
     /// Number of scheduled nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.placements.len()
+        self.placed
     }
 
     /// Whether no node is scheduled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.placements.is_empty()
+        self.placed == 0
+    }
+
+    /// Placement of `node`, if scheduled.
+    fn info(&self, node: NodeId) -> Option<&PlacementInfo> {
+        self.placements.get(node.index()).and_then(Option::as_ref)
     }
 
     /// Whether `node` is currently scheduled.
     #[must_use]
     pub fn is_scheduled(&self, node: NodeId) -> bool {
-        self.placements.contains_key(&node)
+        self.info(node).is_some()
     }
 
     /// Issue cycle of `node`, if scheduled.
     #[must_use]
     pub fn cycle_of(&self, node: NodeId) -> Option<i64> {
-        self.placements.get(&node).map(|p| p.cycle)
+        self.info(node).map(|p| p.cycle)
     }
 
     /// Cluster of `node`, if scheduled.
     #[must_use]
     pub fn cluster_of(&self, node: NodeId) -> Option<ClusterId> {
-        self.placements.get(&node).map(|p| p.cluster)
+        self.info(node).map(|p| p.cluster)
     }
 
-    /// Iterator over scheduled nodes with their cycle and cluster.
+    /// Iterator over scheduled nodes with their cycle and cluster, in
+    /// ascending node id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, i64, ClusterId)> + '_ {
         self.placements
             .iter()
-            .map(|(&n, p)| (n, p.cycle, p.cluster))
+            .enumerate()
+            .filter_map(|(i, p)| p.as_ref().map(|p| (NodeId(i as u32), p.cycle, p.cluster)))
     }
 
     /// Earliest issue cycle used by any scheduled node.
     #[must_use]
     pub fn min_cycle(&self) -> Option<i64> {
-        self.placements.values().map(|p| p.cycle).min()
+        self.iter().map(|(_, cycle, _)| cycle).min()
     }
 
     /// Latest issue cycle used by any scheduled node.
     #[must_use]
     pub fn max_cycle(&self) -> Option<i64> {
-        self.placements.values().map(|p| p.cycle).max()
+        self.iter().map(|(_, cycle, _)| cycle).max()
     }
 
     /// Fold `rt` onto the MRT at the current II: uses that land in the
@@ -355,15 +369,16 @@ impl PartialSchedule {
         }
         let order = self.next_order;
         self.next_order += 1;
-        self.placements.insert(
-            node,
-            PlacementInfo {
-                cycle,
-                cluster,
-                table,
-                order,
-            },
-        );
+        if node.index() >= self.placements.len() {
+            self.placements.resize(node.index() + 1, None);
+        }
+        self.placements[node.index()] = Some(PlacementInfo {
+            cycle,
+            cluster,
+            table,
+            order,
+        });
+        self.placed += 1;
     }
 
     /// Place `node` only if it fits; returns whether it was placed.
@@ -391,8 +406,10 @@ impl PartialSchedule {
     pub fn eject(&mut self, node: NodeId) -> i64 {
         let info = self
             .placements
-            .remove(&node)
+            .get_mut(node.index())
+            .and_then(Option::take)
             .unwrap_or_else(|| panic!("node {node} is not scheduled"));
+        self.placed -= 1;
         let base = self.base(info.cycle);
         for e in &self.entries[info.table.range()] {
             let cell = e.cell(base, self.ii);
@@ -408,11 +425,11 @@ impl PartialSchedule {
 
     /// Nodes that conflict with placing `table` at `cycle`: the occupants
     /// of every resource cell that would exceed its capacity, ordered by
-    /// placement time (first placed first).
-    #[must_use]
-    pub fn conflicts(&self, table: FoldedTable, cycle: i64) -> Vec<NodeId> {
+    /// placement time (first placed first). `out` is cleared and refilled,
+    /// so a caller that keeps one buffer allocates nothing.
+    pub fn conflicts(&self, table: FoldedTable, cycle: i64, out: &mut Vec<NodeId>) {
         let base = self.base(cycle);
-        let mut out: Vec<NodeId> = Vec::new();
+        out.clear();
         for e in self.entries_of(table) {
             let cell = e.cell(base, self.ii);
             if self.counts[cell] + e.count > e.cap {
@@ -423,8 +440,9 @@ impl PartialSchedule {
                 }
             }
         }
-        out.sort_by_key(|n| self.placements.get(n).map(|p| p.order).unwrap_or(u64::MAX));
-        out
+        // Occupants are scheduled, so their orders are distinct and the
+        // unstable sort (which never allocates) is deterministic.
+        out.sort_unstable_by_key(|&n| self.order_of(n).unwrap_or(u64::MAX));
     }
 
     /// Total occupancy (number of reserved slots) of a resource kind —
@@ -438,7 +456,7 @@ impl PartialSchedule {
     /// Placement order of a node (smaller = placed earlier), if scheduled.
     #[must_use]
     pub(crate) fn order_of(&self, node: NodeId) -> Option<u64> {
-        self.placements.get(&node).map(|p| p.order)
+        self.info(node).map(|p| p.order)
     }
 
     /// Current incremental gauges, for tests: `(counts, occupancy_by_kind)`,
@@ -534,8 +552,9 @@ mod tests {
         for i in 0..4u32 {
             s.place(NodeId(i), 0, ClusterId(0), add);
         }
-        let c = s.conflicts(add, 0);
-        assert_eq!(c.len(), 4);
+        let mut c = vec![NodeId(9)];
+        s.conflicts(add, 0, &mut c);
+        assert_eq!(c.len(), 4, "the buffer is cleared first");
         assert_eq!(c[0], NodeId(0), "first placed node reported first");
     }
 
@@ -559,7 +578,8 @@ mod tests {
             s.place(NodeId(i), 0, ClusterId(0), add);
         }
         assert_eq!(s.len(), 5);
-        let c = s.conflicts(add, 0);
+        let mut c = Vec::new();
+        s.conflicts(add, 0, &mut c);
         assert_eq!(c.len(), 5);
     }
 

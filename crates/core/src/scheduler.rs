@@ -14,11 +14,11 @@ use crate::pressure::PressureTracker;
 use crate::priority::PriorityList;
 use crate::result::{Placement, ScheduleResult, SchedulerStats, SearchMeta};
 use crate::schedule::{FoldedTable, PartialSchedule};
-use crate::scratch::SchedScratch;
+use crate::scratch::{AttemptSlots, Derivation, SchedScratch};
 use crate::search::{BranchExecutor, InlineBranchExecutor, SearchDriver};
 use crate::spill::SpillMemo;
 use ddg::collections::HashMap;
-use ddg::{DepGraph, Loop, NodeId};
+use ddg::{DepGraph, Loop, NodeId, NodeOrigin};
 use std::sync::OnceLock;
 use vliw::{ClusterId, MachineConfig, Opcode};
 
@@ -75,18 +75,12 @@ pub(crate) struct SchedState<'m, 'g> {
     pub graph: &'g mut DepGraph,
     pub sched: PartialSchedule,
     pub plist: PriorityList,
-    /// Cycle at which each node was scheduled the last time (before a
-    /// possible ejection) — drives the forced cycle of the paper.
-    pub prev_cycle: HashMap<NodeId, i64>,
-    /// (source, destination) clusters of every live move node.
-    pub move_route: HashMap<NodeId, (ClusterId, ClusterId)>,
-    /// Live move node transporting a value into a cluster, by (value,
-    /// destination). Maintained by `create_move`/`remove_move` so move reuse
-    /// checks need no whole-graph scan; at most one move exists per key.
-    pub move_into: HashMap<(ddg::ValueId, ClusterId), NodeId>,
-    /// Spill store node per spilled value. Stores are never removed from the
-    /// graph, so this is a pure cache of `NodeOrigin::SpillStore` nodes.
-    pub spill_store_of: HashMap<ddg::ValueId, NodeId>,
+    /// Dense per-node and per-value bookkeeping: previous cycles (the
+    /// forced cycle of the paper), move routes, the (value, destination) →
+    /// move index `create_move`/`remove_move` maintain so move reuse needs
+    /// no graph scan, the spill-store cache and the log inserted values
+    /// are named from, plus the reused per-pick lists.
+    pub slots: AttemptSlots,
     /// Memory operations in the graph at attempt start; the live count is
     /// `mem_ops_base + spills_inserted` (spill code is the only memory
     /// traffic the scheduler adds, and only moves are ever removed).
@@ -174,7 +168,8 @@ impl<'m> MirsScheduler<'m> {
     /// [`MirsScheduler::schedule`] with caller-provided scratch buffers.
     ///
     /// The scratch amortises every per-attempt allocation (MRT arrays,
-    /// pressure gauges, priority list, bookkeeping maps, the spill memo)
+    /// pressure gauges, priority list, node- and value-indexed slots, the
+    /// spill memo)
     /// across II restarts and across loops; the parallel sweep harness
     /// keeps one scratch per worker thread. Results are byte-identical to
     /// [`MirsScheduler::schedule`] for any reuse pattern.
@@ -278,10 +273,11 @@ impl<'m> MirsScheduler<'m> {
             opts: self.opts,
             sched: scratch.take_sched(self.machine, ii),
             plist: scratch.take_plist(order),
-            prev_cycle: scratch.take_prev_cycle(),
-            move_route: scratch.take_move_route(),
-            move_into: scratch.take_move_into(),
-            spill_store_of: scratch.take_spill_store_of(),
+            slots: scratch.take_slots(
+                graph.node_capacity(),
+                graph.value_count(),
+                self.machine.clusters(),
+            ),
             graph,
             mem_ops_base,
             budget,
@@ -318,10 +314,7 @@ impl SchedState<'_, '_> {
 
             // (C1) cluster selection; moves keep their fixed destination.
             let cluster = if self.graph.op(u).opcode.is_move() {
-                self.move_route
-                    .get(&u)
-                    .map(|&(_, d)| d)
-                    .unwrap_or(ClusterId::ZERO)
+                self.slots.route(u).map_or(ClusterId::ZERO, |(_, d)| d)
             } else {
                 self.select_cluster(u)
             };
@@ -329,14 +322,16 @@ impl SchedState<'_, '_> {
             // (C2) insert and schedule the communication operations.
             let mut non_iterative_failure = false;
             if !self.graph.op(u).opcode.is_move() {
-                let moves = self.ensure_moves(u, cluster);
-                for mv in moves {
-                    let dst = self.move_route[&mv].1;
+                self.ensure_moves(u, cluster);
+                let moves = std::mem::take(&mut self.slots.new_moves);
+                for &mv in &moves {
+                    let (_, dst) = self.slots.route(mv).expect("a new move has a route");
                     if !self.schedule_node(mv, dst) {
                         non_iterative_failure = true;
                         break;
                     }
                 }
+                self.slots.new_moves = moves;
             }
 
             // (3) schedule the node itself.
@@ -400,27 +395,14 @@ impl SchedState<'_, '_> {
     /// Return every scratch-owned buffer of this attempt so the next one
     /// reuses the allocations. The borrowed graph is simply released.
     pub(crate) fn reclaim_into(self, scratch: &mut SchedScratch) {
-        scratch.reclaim(
-            self.sched,
-            self.pressure,
-            self.plist,
-            self.prev_cycle,
-            self.move_route,
-            self.move_into,
-            self.spill_store_of,
-            self.memo,
-        );
+        scratch.reclaim(self.sched, self.pressure, self.plist, self.slots, self.memo);
     }
 
     /// Folded reservation table of `node` when executed on `cluster`.
     pub(crate) fn reservation_for(&mut self, node: NodeId, cluster: ClusterId) -> FoldedTable {
         let opcode = self.graph.op(node).opcode;
         if opcode.is_move() {
-            let (src, dst) = self
-                .move_route
-                .get(&node)
-                .copied()
-                .unwrap_or((cluster, cluster));
+            let (src, dst) = self.slots.route(node).unwrap_or((cluster, cluster));
             debug_assert_eq!(dst, cluster);
             self.sched.move_table(self.machine, src, dst)
         } else {
@@ -441,7 +423,7 @@ impl SchedState<'_, '_> {
         if let Some(cycle) = self.find_free_slot(table, window) {
             self.sched.place(node, cycle, cluster, table);
             self.pressure.touch_node(self.graph, node);
-            self.prev_cycle.insert(node, cycle);
+            self.slots.set_prev_cycle(node, cycle);
             return true;
         }
         if !self.opts.enable_backtracking {
@@ -467,7 +449,7 @@ impl SchedState<'_, '_> {
         window: Window,
     ) -> i64 {
         self.stats.forced += 1;
-        let prev = self.prev_cycle.get(&node).copied();
+        let prev = self.slots.prev_cycle(node);
         let forced_cycle = match window.direction {
             Direction::Forward => match prev {
                 Some(p) => window.early.max(p + 1),
@@ -481,11 +463,13 @@ impl SchedState<'_, '_> {
 
         // Eject operations causing resource conflicts: one at a time, always
         // the one placed earliest (or all of them under the ablation policy).
+        // `eject_node` never touches the two reused lists taken here.
+        let mut conflicts = std::mem::take(&mut self.slots.conflicts);
         loop {
             if self.sched.can_place(table, forced_cycle) {
                 break;
             }
-            let conflicts = self.sched.conflicts(table, forced_cycle);
+            self.sched.conflicts(table, forced_cycle, &mut conflicts);
             // `schedule_node` rejects intrinsically infeasible tables before
             // forcing, so a full cell always has an occupant to evict.
             debug_assert!(
@@ -500,7 +484,7 @@ impl SchedState<'_, '_> {
                     self.eject_node(conflicts[0]);
                 }
                 crate::options::EjectionPolicy::All => {
-                    for c in conflicts {
+                    for &c in &conflicts {
                         if self.sched.is_scheduled(c) {
                             self.eject_node(c);
                         }
@@ -508,15 +492,17 @@ impl SchedState<'_, '_> {
                 }
             }
         }
+        self.slots.conflicts = conflicts;
         self.sched.place(node, forced_cycle, cluster, table);
         self.pressure.touch_node(self.graph, node);
-        self.prev_cycle.insert(node, forced_cycle);
+        self.slots.set_prev_cycle(node, forced_cycle);
 
         // Eject previously scheduled predecessors and successors whose
         // dependence constraints are violated by the forced placement.
         let lat = self.machine.latencies();
         let ii = i64::from(self.sched.ii());
-        let mut violated: Vec<NodeId> = Vec::new();
+        let mut violated = std::mem::take(&mut self.slots.violated);
+        violated.clear();
         for &e in self.graph.in_edge_ids(node) {
             let edge = *self.graph.edge(e);
             if edge.from == node {
@@ -545,11 +531,12 @@ impl SchedState<'_, '_> {
                 }
             }
         }
-        for v in violated {
+        for &v in &violated {
             if self.sched.is_scheduled(v) {
                 self.eject_node(v);
             }
         }
+        self.slots.violated = violated;
         forced_cycle
     }
 
@@ -562,7 +549,7 @@ impl SchedState<'_, '_> {
     pub(crate) fn eject_node(&mut self, node: NodeId) {
         let cycle = self.sched.eject(node);
         self.pressure.touch_node(self.graph, node);
-        self.prev_cycle.insert(node, cycle);
+        self.slots.set_prev_cycle(node, cycle);
         self.stats.ejections += 1;
         self.plist.push_back(node);
 
@@ -570,29 +557,36 @@ impl SchedState<'_, '_> {
             return;
         }
         // Collect moves to remove: predecessor moves for which `node` is the
-        // unique consumer, and successor moves (node is their producer).
-        let mut to_remove: Vec<NodeId> = Vec::new();
-        for p in self.graph.predecessors(node) {
-            if self.graph.is_live(p) && self.graph.op(p).opcode.is_move() {
-                let sole_consumer = self
-                    .graph
+        // unique consumer, and successor moves (node is their producer),
+        // each once, predecessors first, in edge order. Removal rewires the
+        // node's in-edges, hence the snapshot (in a reused list that
+        // `remove_move` never touches).
+        let mut orphaned = std::mem::take(&mut self.slots.orphaned_moves);
+        orphaned.clear();
+        let graph = &*self.graph;
+        let is_move = |n: NodeId| graph.is_live(n) && graph.op(n).opcode.is_move();
+        for &e in graph.in_edge_ids(node) {
+            let p = graph.edge(e).from;
+            if is_move(p)
+                && !orphaned.contains(&p)
+                && graph
                     .op(p)
                     .dest
-                    .is_some_and(|v| self.graph.consumer_ids(v) == [node]);
-                if sole_consumer {
-                    to_remove.push(p);
-                }
-            }
-        }
-        for s in self.graph.successors(node) {
-            if self.graph.is_live(s) && self.graph.op(s).opcode.is_move() && !to_remove.contains(&s)
+                    .is_some_and(|v| graph.consumer_ids(v) == [node])
             {
-                to_remove.push(s);
+                orphaned.push(p);
             }
         }
-        for mv in to_remove {
+        for &e in graph.out_edge_ids(node) {
+            let s = graph.edge(e).to;
+            if is_move(s) && !orphaned.contains(&s) {
+                orphaned.push(s);
+            }
+        }
+        for &mv in &orphaned {
             self.remove_move(mv);
         }
+        self.slots.orphaned_moves = orphaned;
     }
 
     /// Remove a move node from the graph, reconnecting its consumers to the
@@ -626,10 +620,10 @@ impl SchedState<'_, '_> {
             self.sched.eject(mv);
         }
         self.plist.remove(mv);
-        let route = self.move_route.remove(&mv);
-        if let (ddg::NodeOrigin::Move { value }, Some((_, dst))) = (self.graph.op(mv).origin, route)
-        {
-            self.move_into.remove(&(value, dst));
+        let route = self.slots.route(mv);
+        self.slots.set_route(mv, None);
+        if let (NodeOrigin::Move { value }, Some((_, dst))) = (self.graph.op(mv).origin, route) {
+            self.slots.set_move_into(value, dst, None);
         }
         self.stats.moves_removed += 1;
 
@@ -649,9 +643,14 @@ impl SchedState<'_, '_> {
         }
 
         // Reconnect outgoing edges to the predecessor and restore operands.
+        // The loop adds edges at the producer and the consumers and rewrites
+        // operands, but never edits the move's own out-edge list, so it is
+        // indexed in place.
         if let (Some(src_value), Some(dest_value)) = (src_value, dest_value) {
-            let out_edges = self.graph.out_edges(mv);
-            for e in out_edges {
+            debug_assert_ne!(producer, Some(mv), "a move does not produce its operand");
+            let out_degree = self.graph.out_edge_ids(mv).len();
+            for i in 0..out_degree {
+                let e = self.graph.out_edge_ids(mv)[i];
                 let edge = *self.graph.edge(e);
                 if edge.to == mv {
                     continue;
@@ -774,7 +773,7 @@ impl SchedState<'_, '_> {
         let (memo_hits, memo_misses) = self.memo.counters();
         self.stats.spill_memo_hits = memo_hits;
         self.stats.spill_memo_misses = memo_misses;
-        let graph = if take_graph {
+        let mut graph = if take_graph {
             self.graph.commit();
             std::mem::take(&mut *self.graph)
         } else {
@@ -782,6 +781,7 @@ impl SchedState<'_, '_> {
             copy.commit();
             copy
         };
+        self.name_inserted(&mut graph);
         let stats = self.stats;
         let span = u32::try_from(max_cycle - min_cycle).unwrap_or(0);
         self.reclaim_into(scratch);
@@ -797,6 +797,44 @@ impl SchedState<'_, '_> {
             span,
             stats,
             search: SearchMeta::default(),
+        }
+    }
+
+    /// Spell out the names of every value and node this attempt inserted
+    /// into `graph`, the result's committed copy of the working graph.
+    ///
+    /// Values come first, in creation order: names nest (`x@c1@c2`,
+    /// `x@c1.reload`), and a value only ever derives from an older one.
+    /// Copies whose move was removed are named too, since values are never
+    /// removed. Node names then read the final value names and the live
+    /// move routes.
+    fn name_inserted(&self, graph: &mut DepGraph) {
+        for &(v, how) in self.slots.derived() {
+            let name = match how {
+                Derivation::Copy { of, into } => format!("{}@{into}", graph.value(of).name),
+                Derivation::Reload { of } => format!("{}.reload", graph.value(of).name),
+            };
+            graph.rename_value(v, name);
+        }
+        for i in 0..graph.node_capacity() {
+            let n = NodeId(i as u32);
+            if !graph.is_live(n) {
+                continue;
+            }
+            let name = match graph.op(n).origin {
+                NodeOrigin::Original => continue,
+                NodeOrigin::Move { .. } => match self.slots.route(n) {
+                    Some((src, dst)) => format!("move {src}->{dst}"),
+                    None => continue,
+                },
+                NodeOrigin::SpillStore { value } => {
+                    format!("spill.store {}", graph.value(value).name)
+                }
+                NodeOrigin::SpillLoad { value } => {
+                    format!("spill.load {}", graph.value(value).name)
+                }
+            };
+            graph.rename_node(n, name);
         }
     }
 }

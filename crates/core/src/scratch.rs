@@ -3,27 +3,184 @@
 //! across loops.
 //!
 //! A scheduling attempt needs a partial schedule (MRT arrays sized by
-//! resources × II), per-cluster pressure gauges, a priority list and four
-//! bookkeeping hash maps. Allocating those per attempt was cheap next to
-//! the old per-attempt `DepGraph::clone`, but once the clone is replaced by
-//! transactional rollback they become the next allocation hot spot. The
-//! scratch holds them between attempts: `take_*` hands a buffer out (reset
-//! to empty, capacity preserved), `reclaim` puts it back when the attempt
-//! ends.
+//! resources × II), per-cluster pressure gauges, a priority list and the
+//! [`AttemptSlots`]: dense node- and value-indexed bookkeeping (previous
+//! cycle, move route, move index, spill store), the log the names of
+//! inserted values are built from, and the lists the force, eject and
+//! move-rewire paths reuse on every pick. The scratch holds them between
+//! attempts: `take_*` hands a buffer out (reset to empty, capacity
+//! preserved), `reclaim` puts it back when the attempt ends.
 //!
 //! Reuse is invisible to the schedule: every buffer is reset to exactly the
-//! state a freshly constructed one would have, and outcome-affecting
-//! iteration never depends on hash-map capacity (placement victims are
-//! selected by minimum placement order, hashes sort their keys). The golden
-//! `schedule_hash` tests pin this.
+//! state a freshly constructed one would have. Node and value ids are
+//! reused after a graph rollback, so a take clears every slot rather than
+//! trusting the previous attempt to have emptied them; no outcome depends
+//! on a buffer's capacity. The golden `schedule_hash` tests and the slot
+//! test below pin this.
 
 use crate::pressure::PressureTracker;
 use crate::priority::PriorityList;
 use crate::schedule::PartialSchedule;
 use crate::spill::SpillMemo;
-use ddg::collections::HashMap;
 use ddg::{NodeId, ValueId};
 use vliw::{ClusterId, MachineConfig};
+
+/// What a value inserted during an attempt derives from. Its name is a
+/// function of this and the source value's name, so it is spelled out once
+/// per result (`SchedState::into_result`) instead of at creation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Derivation {
+    /// The copy of `of` a move carries into cluster `into` (`x@c1`).
+    Copy {
+        /// Moved value.
+        of: ValueId,
+        /// Destination cluster of the move.
+        into: ClusterId,
+    },
+    /// The reload of spilled value `of` (`x.reload`).
+    Reload {
+        /// Spilled value.
+        of: ValueId,
+    },
+}
+
+/// Node- and value-indexed bookkeeping of one attempt, plus the reusable
+/// per-pick lists.
+///
+/// Every slot vector is indexed by `NodeId::index`, `ValueId::index` or
+/// `ValueId::index · clusters + cluster` and grows on write as the
+/// scheduler inserts nodes and values. Reads past the end are empty.
+#[derive(Debug, Default)]
+pub(crate) struct AttemptSlots {
+    clusters: usize,
+    /// Cycle at which each node was scheduled the last time (before a
+    /// possible ejection); drives the forced cycle of the paper.
+    prev_cycle: Vec<Option<i64>>,
+    /// (source, destination) clusters of every live move node.
+    move_route: Vec<Option<(ClusterId, ClusterId)>>,
+    /// Live move node transporting a value into a cluster, at
+    /// `value · clusters + destination`; at most one per slot.
+    move_into: Vec<Option<NodeId>>,
+    /// Spill store node per spilled value. Stores are never removed from
+    /// the graph, so this is a pure cache of `NodeOrigin::SpillStore` nodes.
+    spill_store_of: Vec<Option<NodeId>>,
+    /// Every value the attempt inserted, in creation order, with what it
+    /// derives from. Values are never removed, so the log outlives the
+    /// moves whose copies it names.
+    derived: Vec<(ValueId, Derivation)>,
+    /// Reused by `force_and_eject` for `PartialSchedule::conflicts`.
+    pub conflicts: Vec<NodeId>,
+    /// Reused by `force_and_eject` for the dependence-violated neighbours.
+    pub violated: Vec<NodeId>,
+    /// Reused by `eject_node` for the moves the ejection orphans.
+    pub orphaned_moves: Vec<NodeId>,
+    /// Reused by `ensure_moves` for its snapshot of the node's operands.
+    pub operands: Vec<ValueId>,
+    /// Filled by `ensure_moves` with the moves it created, in scheduling
+    /// order.
+    pub new_moves: Vec<NodeId>,
+}
+
+/// Store `x` at `i`, growing `slots` with empty entries as needed.
+fn put<T: Copy>(slots: &mut Vec<Option<T>>, i: usize, x: Option<T>) {
+    if i >= slots.len() {
+        if x.is_none() {
+            return;
+        }
+        slots.resize(i + 1, None);
+    }
+    slots[i] = x;
+}
+
+/// The entry at `i`, empty past the end.
+fn get<T: Copy>(slots: &[Option<T>], i: usize) -> Option<T> {
+    slots.get(i).copied().flatten()
+}
+
+/// Empty `slots` and size it for `len` entries, keeping its capacity.
+fn clear<T: Copy>(slots: &mut Vec<Option<T>>, len: usize) {
+    slots.clear();
+    slots.resize(len, None);
+}
+
+impl AttemptSlots {
+    /// Empty every slot and size them for a graph of `nodes` node ids and
+    /// `values` value ids on a `clusters`-cluster machine.
+    fn reset(&mut self, nodes: usize, values: usize, clusters: usize) {
+        self.clusters = clusters;
+        clear(&mut self.prev_cycle, nodes);
+        clear(&mut self.move_route, nodes);
+        clear(&mut self.move_into, values * clusters);
+        clear(&mut self.spill_store_of, values);
+        self.derived.clear();
+        self.conflicts.clear();
+        self.violated.clear();
+        self.orphaned_moves.clear();
+        self.operands.clear();
+        self.new_moves.clear();
+    }
+
+    /// Cycle `node` was last scheduled at, if it was ever scheduled in
+    /// this attempt.
+    pub fn prev_cycle(&self, node: NodeId) -> Option<i64> {
+        get(&self.prev_cycle, node.index())
+    }
+
+    /// Record that `node` was (or just stopped being) scheduled at `cycle`.
+    pub fn set_prev_cycle(&mut self, node: NodeId, cycle: i64) {
+        put(&mut self.prev_cycle, node.index(), Some(cycle));
+    }
+
+    /// (source, destination) clusters of move `node`, if it is a live move.
+    pub fn route(&self, node: NodeId) -> Option<(ClusterId, ClusterId)> {
+        get(&self.move_route, node.index())
+    }
+
+    /// Set or clear the route of move `node`.
+    pub fn set_route(&mut self, node: NodeId, route: Option<(ClusterId, ClusterId)>) {
+        put(&mut self.move_route, node.index(), route);
+    }
+
+    fn move_key(&self, value: ValueId, dst: ClusterId) -> usize {
+        debug_assert!(dst.index() < self.clusters);
+        value.index() * self.clusters + dst.index()
+    }
+
+    /// Live move transporting `value` into `dst`, if any.
+    pub fn move_into(&self, value: ValueId, dst: ClusterId) -> Option<NodeId> {
+        get(&self.move_into, self.move_key(value, dst))
+    }
+
+    /// Set or clear the move transporting `value` into `dst`.
+    pub fn set_move_into(&mut self, value: ValueId, dst: ClusterId, mv: Option<NodeId>) {
+        let key = self.move_key(value, dst);
+        put(&mut self.move_into, key, mv);
+    }
+
+    /// Spill store of `value`, if one was inserted.
+    pub fn spill_store(&self, value: ValueId) -> Option<NodeId> {
+        get(&self.spill_store_of, value.index())
+    }
+
+    /// Record `store` as the spill store of `value`.
+    pub fn set_spill_store(&mut self, value: ValueId, store: NodeId) {
+        put(&mut self.spill_store_of, value.index(), Some(store));
+    }
+
+    /// Log that the freshly inserted `value` derives as `how`.
+    pub fn log_derived(&mut self, value: ValueId, how: Derivation) {
+        debug_assert!(
+            self.derived.last().is_none_or(|&(prev, _)| prev < value),
+            "inserted values are logged in creation order"
+        );
+        self.derived.push((value, how));
+    }
+
+    /// Every inserted value with its derivation, in creation order.
+    pub fn derived(&self) -> &[(ValueId, Derivation)] {
+        &self.derived
+    }
+}
 
 /// Reusable per-worker scheduling state.
 ///
@@ -37,10 +194,7 @@ pub struct SchedScratch {
     sched: Option<PartialSchedule>,
     pressure: Option<PressureTracker>,
     plist: PriorityList,
-    prev_cycle: HashMap<NodeId, i64>,
-    move_route: HashMap<NodeId, (ClusterId, ClusterId)>,
-    move_into: HashMap<(ValueId, ClusterId), NodeId>,
-    spill_store_of: HashMap<ValueId, NodeId>,
+    slots: AttemptSlots,
     /// Cross-restart spill memo. Unlike the other buffers it carries
     /// loop-scoped *state*, not just warmed capacity: entries persist
     /// across the II attempts of one loop (that is its whole point) and
@@ -91,32 +245,17 @@ impl SchedScratch {
         pl
     }
 
-    /// Cleared previous-cycle map.
-    pub(crate) fn take_prev_cycle(&mut self) -> HashMap<NodeId, i64> {
-        let mut m = std::mem::take(&mut self.prev_cycle);
-        m.clear();
-        m
-    }
-
-    /// Cleared move-route map.
-    pub(crate) fn take_move_route(&mut self) -> HashMap<NodeId, (ClusterId, ClusterId)> {
-        let mut m = std::mem::take(&mut self.move_route);
-        m.clear();
-        m
-    }
-
-    /// Cleared (value, destination) → move index.
-    pub(crate) fn take_move_into(&mut self) -> HashMap<(ValueId, ClusterId), NodeId> {
-        let mut m = std::mem::take(&mut self.move_into);
-        m.clear();
-        m
-    }
-
-    /// Cleared value → spill-store index.
-    pub(crate) fn take_spill_store_of(&mut self) -> HashMap<ValueId, NodeId> {
-        let mut m = std::mem::take(&mut self.spill_store_of);
-        m.clear();
-        m
+    /// Empty attempt slots for a graph of `nodes` node ids and `values`
+    /// value ids on a `clusters`-cluster machine, reusing prior storage.
+    pub(crate) fn take_slots(
+        &mut self,
+        nodes: usize,
+        values: usize,
+        clusters: usize,
+    ) -> AttemptSlots {
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.reset(nodes, values, clusters);
+        slots
     }
 
     /// The spill memo, *not* cleared: it deliberately survives from one II
@@ -134,25 +273,18 @@ impl SchedScratch {
 
     /// Return every buffer of a finished attempt so the next one (or the
     /// next loop) reuses the allocations.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn reclaim(
         &mut self,
         sched: PartialSchedule,
         pressure: PressureTracker,
         plist: PriorityList,
-        prev_cycle: HashMap<NodeId, i64>,
-        move_route: HashMap<NodeId, (ClusterId, ClusterId)>,
-        move_into: HashMap<(ValueId, ClusterId), NodeId>,
-        spill_store_of: HashMap<ValueId, NodeId>,
+        slots: AttemptSlots,
         spill_memo: SpillMemo,
     ) {
         self.sched = Some(sched);
         self.pressure = Some(pressure);
         self.plist = plist;
-        self.prev_cycle = prev_cycle;
-        self.move_route = move_route;
-        self.move_into = move_into;
-        self.spill_store_of = spill_store_of;
+        self.slots = slots;
         self.spill_memo = spill_memo;
     }
 }
@@ -167,40 +299,52 @@ mod tests {
         let mut scratch = SchedScratch::new();
         let m2 = MachineConfig::paper_config(2, 32).unwrap();
         let m1 = MachineConfig::paper_config(1, 64).unwrap();
+        let (n, v) = (ddg::NodeId(0), ddg::ValueId(0));
+        // Ids past the taken size: the slots grow on write.
+        let (far_n, far_v) = (ddg::NodeId(40), ddg::ValueId(30));
+        let c1 = vliw::ClusterId(1);
 
         let mut sched = scratch.take_sched(&m2, 7);
         let add = sched.op_table(&m2, vliw::Opcode::FpAdd, vliw::ClusterId(0));
-        sched.place(ddg::NodeId(0), 3, vliw::ClusterId(0), add);
-        let mut prev = scratch.take_prev_cycle();
-        prev.insert(ddg::NodeId(0), 3);
+        sched.place(n, 3, vliw::ClusterId(0), add);
         let pressure = scratch.take_pressure(2, 7, 4);
-        let plist = scratch.take_plist(&[ddg::NodeId(0)]);
-        let move_route = scratch.take_move_route();
-        let move_into = scratch.take_move_into();
-        let spill_store_of = scratch.take_spill_store_of();
+        let plist = scratch.take_plist(&[n]);
+        let mut slots = scratch.take_slots(4, 4, 2);
+        for (node, value) in [(n, v), (far_n, far_v)] {
+            slots.set_prev_cycle(node, 3);
+            slots.set_route(node, Some((vliw::ClusterId(0), c1)));
+            slots.set_move_into(value, c1, Some(node));
+            slots.set_spill_store(value, node);
+        }
+        slots.log_derived(far_v, Derivation::Reload { of: v });
+        slots.conflicts.push(n);
+        slots.new_moves.push(far_n);
         let spill_memo = scratch.take_spill_memo();
-        scratch.reclaim(
-            sched,
-            pressure,
-            plist,
-            prev,
-            move_route,
-            move_into,
-            spill_store_of,
-            spill_memo,
-        );
+        scratch.reclaim(sched, pressure, plist, slots, spill_memo);
 
         // Re-take for a different machine/II: everything must look fresh.
         let sched = scratch.take_sched(&m1, 3);
         assert_eq!(sched.ii(), 3);
         assert!(sched.is_empty());
-        assert!(!sched.is_scheduled(ddg::NodeId(0)));
+        assert!(!sched.is_scheduled(n));
+        assert_eq!(sched.iter().count(), 0);
         let (counts, by_kind) = sched.gauges();
         assert!(counts.iter().all(|&c| c == 0));
         assert!(by_kind.iter().all(|&c| c == 0));
-        assert!(scratch.take_prev_cycle().is_empty());
+        let slots = scratch.take_slots(2, 2, 1);
+        let c0 = vliw::ClusterId(0);
+        for (node, value) in [(n, v), (far_n, far_v)] {
+            assert_eq!(slots.prev_cycle(node), None, "stale cycle of {node}");
+            assert_eq!(slots.route(node), None, "stale route of {node}");
+            assert_eq!(slots.move_into(value, c0), None, "stale move of {value:?}");
+            assert_eq!(slots.spill_store(value), None, "stale store of {value:?}");
+        }
+        // On one cluster, slot (v, c0) of value 1 is where (v0, c1) was.
+        assert_eq!(slots.move_into(ddg::ValueId(1), c0), None);
+        assert!(slots.derived().is_empty(), "stale name log");
+        assert!(slots.conflicts.is_empty() && slots.new_moves.is_empty());
         let plist = scratch.take_plist(&[ddg::NodeId(5)]);
         assert_eq!(plist.len(), 1);
-        assert_eq!(plist.rank_of(ddg::NodeId(0)), None, "old ranks forgotten");
+        assert_eq!(plist.rank_of(n), None, "old ranks forgotten");
     }
 }

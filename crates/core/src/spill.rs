@@ -9,6 +9,7 @@
 //! incremental gauges against.
 
 use crate::scheduler::SchedState;
+use crate::scratch::Derivation;
 use ddg::lifetime::{LifetimeInterval, Pressure};
 use ddg::{DepGraph, MemAccess, NodeId, NodeOrigin, OperationData, ValueId};
 use vliw::{ClusterId, LatencyModel, Opcode};
@@ -450,7 +451,7 @@ impl SchedState<'_, '_> {
         let memo = &mut self.memo;
         let graph = &*self.graph;
         let sched = &self.sched;
-        let spill_store_of = &self.spill_store_of;
+        let slots = &self.slots;
         let mut best: Option<SpillCandidate> = None;
         let mut consider = |cand: SpillCandidate| match &best {
             Some(b) if b.ratio >= cand.ratio => {}
@@ -501,7 +502,7 @@ impl SchedState<'_, '_> {
                 .cycle_of(producer)
                 .expect("interval producer scheduled");
             let producer_latency = entry.producer_latency;
-            let already_stored = spill_store_of.contains_key(&v);
+            let already_stored = slots.spill_store(v).is_some();
             debug_assert_eq!(
                 already_stored,
                 graph.node_ids().any(|n| matches!(
@@ -569,7 +570,7 @@ impl SchedState<'_, '_> {
     /// an O(1) read of the cache `insert_spill` maintains (spill stores are
     /// never removed from the graph).
     fn existing_spill_store(&self, value: ValueId) -> Option<NodeId> {
-        let found = self.spill_store_of.get(&value).copied();
+        let found = self.slots.spill_store(value);
         debug_assert_eq!(
             found,
             self.graph.node_ids().find(|&n| {
@@ -590,11 +591,12 @@ impl SchedState<'_, '_> {
 
     /// Insert the spill store/load operations for `cand`, rewiring its
     /// consumers to read the reloaded value. Returns the number of nodes
-    /// inserted into the graph (and the priority list).
+    /// inserted into the graph (and the priority list). The reload value
+    /// and both nodes are named in `into_result`, from the logged
+    /// derivation and the nodes' origins.
     fn insert_spill(&mut self, cand: &SpillCandidate) -> u32 {
         let mut inserted = 0;
         let location = self.spill_location(cand.value, cand.invariant);
-        let value_name = self.graph.value(cand.value).name.clone();
 
         let store = if cand.invariant || cand.already_stored {
             self.existing_spill_store(cand.value)
@@ -607,22 +609,22 @@ impl SchedState<'_, '_> {
             let mut data = OperationData::new(Opcode::SpillStore, None, vec![cand.value]);
             data.mem = Some(location);
             data.origin = NodeOrigin::SpillStore { value: cand.value };
-            data.name = format!("spill.store {value_name}");
             let st = self.graph.add_node(data);
             self.graph.add_flow(producer, st, cand.value, 0);
             self.plist.insert_with_anchor(st, producer);
-            self.spill_store_of.insert(cand.value, st);
+            self.slots.set_spill_store(cand.value, st);
             inserted += 1;
             Some(st)
         };
 
         // One reload feeding all selected consumers (they are in the same
         // cluster and, for invariants, read the same location).
-        let reload_value = self.graph.add_value(format!("{value_name}.reload"), false);
+        let reload_value = self.graph.add_value(String::new(), false);
+        self.slots
+            .log_derived(reload_value, Derivation::Reload { of: cand.value });
         let mut data = OperationData::new(Opcode::SpillLoad, Some(reload_value), vec![]);
         data.mem = Some(location);
         data.origin = NodeOrigin::SpillLoad { value: cand.value };
-        data.name = format!("spill.load {value_name}");
         let ld = self.graph.add_node(data);
         inserted += 1;
         if let Some(st) = store {
@@ -640,16 +642,7 @@ impl SchedState<'_, '_> {
 
         for &consumer in &cand.consumers {
             // Remove the direct flow edge(s) carrying the spilled value.
-            let mut to_remove = Vec::new();
-            for e in self.graph.in_edges(consumer) {
-                let edge = self.graph.edge(e);
-                if edge.value == Some(cand.value) {
-                    to_remove.push(e);
-                }
-            }
-            for e in to_remove {
-                self.graph.remove_edge(e);
-            }
+            self.remove_in_edges(consumer, |edge| edge.value == Some(cand.value));
             self.graph.replace_src(consumer, cand.value, reload_value);
             self.graph.add_flow(ld, consumer, reload_value, 0);
         }

@@ -96,14 +96,6 @@ pub enum NodeOrigin {
     },
 }
 
-impl NodeOrigin {
-    /// Whether the node was inserted by the scheduler (spill or move).
-    #[must_use]
-    pub fn is_inserted(self) -> bool {
-        !matches!(self, NodeOrigin::Original)
-    }
-}
-
 /// Payload of a graph node: one machine operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperationData {
@@ -313,6 +305,21 @@ impl DepGraph {
     /// Iterate over all value ids.
     pub fn value_ids(&self) -> impl Iterator<Item = ValueId> + '_ {
         (0..self.values.len()).map(|i| ValueId(i as u32))
+    }
+
+    /// Rename value `v`. Names are not journaled, so this is for a
+    /// committed graph only: the scheduler names the values it inserted
+    /// once per result, after the commit.
+    ///
+    /// # Panics
+    ///
+    /// Panics inside a transaction or if `v` is out of range.
+    pub fn rename_value(&mut self, v: ValueId, name: String) {
+        assert!(
+            !self.journaling,
+            "names are not journaled: rename after commit"
+        );
+        self.values[v.index()].name = name;
     }
 
     /// Set the producer of a value (also marks it non-invariant).
@@ -531,6 +538,23 @@ impl DepGraph {
         self.nodes[n.index()]
             .as_mut()
             .unwrap_or_else(|| panic!("node {n} is not live"))
+    }
+
+    /// Rename node `n`; like [`DepGraph::rename_value`], for a committed
+    /// graph only.
+    ///
+    /// # Panics
+    ///
+    /// Panics inside a transaction or if `n` is not live.
+    pub fn rename_node(&mut self, n: NodeId, name: String) {
+        assert!(
+            !self.journaling,
+            "names are not journaled: rename after commit"
+        );
+        self.nodes[n.index()]
+            .as_mut()
+            .unwrap_or_else(|| panic!("node {n} is not live"))
+            .name = name;
     }
 
     /// Number of live nodes.

@@ -115,15 +115,6 @@ impl WorkbenchSummary {
             .sum()
     }
 
-    /// Sum of memory traffic over the loops selected by `filter` (Σtrf).
-    pub fn sum_traffic(&self, mut filter: impl FnMut(&LoopOutcome) -> bool) -> u64 {
-        self.outcomes
-            .iter()
-            .filter(|o| filter(o))
-            .map(|o| u64::from(o.memory_traffic))
-            .sum()
-    }
-
     /// Weighted execution cycles over the whole workbench (ideal memory).
     #[must_use]
     pub fn weighted_execution_cycles(&self) -> f64 {

@@ -115,12 +115,6 @@ impl MachineConfig {
         self.clusters.len()
     }
 
-    /// Whether the machine has more than one cluster.
-    #[must_use]
-    pub fn is_clustered(&self) -> bool {
-        self.clusters.len() > 1
-    }
-
     /// Per-cluster configurations.
     #[must_use]
     pub fn cluster_configs(&self) -> &[ClusterConfig] {

@@ -7,6 +7,7 @@ use ddg::{NodeId, ValueId};
 use loopgen::{synthetic, SyntheticParams};
 use mirs::{FoldedTable, MirsScheduler, PartialSchedule, SchedulerOptions};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use vliw::{
     ClusterConfig, ClusterId, LatencyModel, MachineConfig, Opcode, ReservationTable, ResourceKind,
 };
@@ -96,7 +97,10 @@ proptest! {
     /// checks; `conflicts` must return exactly the occupants of the cells
     /// that would overflow, in placement order. The 17-use divide, the
     /// 30-use square root and a λm = 3 move wrap the MRT at small IIs and
-    /// fit without wrapping at large ones.
+    /// fit without wrapping at large ones. The node-indexed placement
+    /// queries must equal the model after the churn, and again after a
+    /// `reset` to another II and a replay in descending id order, so no
+    /// slot outlives the attempt that wrote it.
     #[test]
     fn place_eject_round_trip_matches_recount(
         ops in proptest::collection::vec(
@@ -142,6 +146,9 @@ proptest! {
         // The model: placed nodes in placement order, recounted per use
         // into (cell counts, reserved slots per resource).
         let mut placed: Vec<(NodeId, i64, ReservationTable)> = Vec::new();
+        // Cycle and cluster of every placed node, by id.
+        let mut model: BTreeMap<NodeId, (i64, ClusterId)> = BTreeMap::new();
+        let mut conflicts = Vec::new();
         let recount = |placed: &[(NodeId, i64, ReservationTable)]| {
             let mut counts = vec![0u32; ix.len() * ii as usize];
             let mut by_kind = vec![0u32; ix.len()];
@@ -161,11 +168,13 @@ proptest! {
                 let pos = placed.iter().position(|(n, ..)| *n == node).unwrap();
                 prop_assert_eq!(back, placed.remove(pos).1);
                 prop_assert!(!sched.is_scheduled(node));
+                model.remove(&node);
             } else if force == 1 {
                 // Forced placements may oversubscribe, like the
                 // Forcing-and-Ejection heuristic does.
                 sched.place(node, cycle, ClusterId(cluster), *folded);
                 placed.push((node, cycle, rt.clone()));
+                model.insert(node, (cycle, ClusterId(cluster)));
             } else {
                 let (counts, _) = recount(&placed);
                 let mut added = vec![0u32; counts.len()];
@@ -189,13 +198,15 @@ proptest! {
                     })
                     .map(|(n, ..)| *n)
                     .collect();
-                prop_assert_eq!(sched.conflicts(*folded, cycle), expected);
+                sched.conflicts(*folded, cycle, &mut conflicts);
+                prop_assert_eq!(&conflicts, &expected);
                 prop_assert_eq!(
                     sched.try_place(node, cycle, ClusterId(cluster), *folded),
                     fits
                 );
                 if fits {
                     placed.push((node, cycle, rt.clone()));
+                    model.insert(node, (cycle, ClusterId(cluster)));
                 }
             }
             let (counts, by_kind) = recount(&placed);
@@ -207,6 +218,20 @@ proptest! {
             }
             prop_assert_eq!(sched.len(), placed.len());
         }
+        assert_placements_match(&sched, &model);
+        // A new attempt at another II starts empty, whatever the old one
+        // left; replaying in descending id order must still iterate by id.
+        let other_ii = ii % 39 + 1;
+        sched.reset(&machine, other_ii);
+        assert_placements_match(&sched, &BTreeMap::new());
+        let mut replayed = BTreeMap::new();
+        for (n, cycle, rt) in placed.iter().rev().step_by(2) {
+            let folded = sched.fold(rt);
+            let (_, cluster) = model[n];
+            sched.place(*n, *cycle + 1, cluster, folded);
+            replayed.insert(*n, (*cycle + 1, cluster));
+        }
+        assert_placements_match(&sched, &replayed);
     }
 
     /// Incremental pressure maps equal the from-scratch computation after
@@ -262,4 +287,25 @@ proptest! {
         sorted.dedup();
         prop_assert_eq!(sorted.len(), order.len());
     }
+}
+
+/// Every node-indexed query of `sched` agrees with `model` (cycle and
+/// cluster by node id): `is_scheduled`, `cycle_of`, `cluster_of` and `len`,
+/// and `iter` yields exactly the model's entries in ascending id order.
+/// Ids up to 32 cover every id the churn uses and some it never does.
+fn assert_placements_match(sched: &PartialSchedule, model: &BTreeMap<NodeId, (i64, ClusterId)>) {
+    for n in (0..32).map(NodeId) {
+        let want = model.get(&n);
+        assert_eq!(sched.is_scheduled(n), want.is_some(), "is_scheduled({n})");
+        assert_eq!(sched.cycle_of(n), want.map(|p| p.0), "cycle_of({n})");
+        assert_eq!(sched.cluster_of(n), want.map(|p| p.1), "cluster_of({n})");
+    }
+    assert_eq!(sched.len(), model.len());
+    let listed: Vec<(NodeId, i64, ClusterId)> = sched.iter().collect();
+    let expected: Vec<(NodeId, i64, ClusterId)> =
+        model.iter().map(|(&n, &(c, cl))| (n, c, cl)).collect();
+    assert_eq!(
+        listed, expected,
+        "iter must yield the placements by ascending id"
+    );
 }

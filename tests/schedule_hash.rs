@@ -120,6 +120,56 @@ fn schedules_are_identical_with_a_reused_scratch() {
     }
 }
 
+/// FNV-1a over the snapshot encoding of every workbench loop's final graph,
+/// in workbench order, plus the number of nodes whose name starts with
+/// `move ` and with `spill.`. `schedule_hash` leaves names out, but they
+/// travel in the `MDDG`/`MRES` payloads and cache entries, so this pins the
+/// graphs the results carry, names of inserted values and nodes included.
+fn workbench_graph_digest(machine: &MachineConfig) -> (u64, usize, usize) {
+    let wb = workbench();
+    let sched = MirsScheduler::new(machine, SchedulerOptions::default());
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let (mut moves, mut spills) = (0, 0);
+    for lp in wb.loops() {
+        let r = sched.schedule(lp).expect("reference workbench converges");
+        for byte in ddg::snap::encode_graph(&r.graph) {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        for n in r.graph.node_ids() {
+            let name = &r.graph.op(n).name;
+            moves += usize::from(name.starts_with("move "));
+            spills += usize::from(name.starts_with("spill."));
+        }
+    }
+    (h, moves, spills)
+}
+
+#[test]
+fn final_graphs_are_pinned_names_included() {
+    for (k, regs, golden, moves, spills) in [
+        (1u32, 64u32, GRAPH_1X64, 0, 0),
+        (2, 32, GRAPH_2X32, 18, 0),
+        (4, 16, GRAPH_4X16, 27, 0),
+        (1, 16, GRAPH_1X16, 0, 9),
+    ] {
+        let machine = MachineConfig::paper_config(k, regs).unwrap();
+        let (h, got_moves, got_spills) = workbench_graph_digest(&machine);
+        assert_eq!(
+            (got_moves, got_spills),
+            (moves, spills),
+            "{}: named move / spill nodes",
+            machine.name()
+        );
+        assert_eq!(
+            h,
+            golden,
+            "{}: final graphs changed: got {h:#018x}",
+            machine.name()
+        );
+    }
+}
+
 /// Recorded from the seed (hash-map MRT) scheduler; the flat-MRT refactor
 /// must reproduce these exactly.
 const GOLDEN_1X64: u64 = 0xe16d_bd67_223a_565e;
@@ -128,3 +178,10 @@ const GOLDEN_2X32: u64 = 0xda8c_f0c2_9b3e_3938;
 /// folding them onto the MRT must reproduce these exactly.
 const GOLDEN_4X16: u64 = 0x8262_5be3_1262_750e;
 const GOLDEN_1X16: u64 = 0x34f1_dc01_435b_54a9;
+/// Recorded from the scheduler that formatted the names of inserted values
+/// and nodes when it created them; building them once per result must
+/// reproduce these exactly.
+const GRAPH_1X64: u64 = 0x0a03_89dd_8687_c0c2;
+const GRAPH_2X32: u64 = 0x3313_40b8_8088_e3c3;
+const GRAPH_4X16: u64 = 0x1934_0764_3122_66f6;
+const GRAPH_1X16: u64 = 0xea1d_0610_804e_e5f6;
