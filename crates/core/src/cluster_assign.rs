@@ -108,12 +108,22 @@ impl SchedState<'_, '_> {
     /// gets its move only from the producer's export pass. (The HRMS order
     /// happens to avoid that interleaving on most loops, which kept this
     /// hole invisible until perturbed-order search strategies hit it.)
+    ///
+    /// The table lists the values in the base graph's out-edge order, and
+    /// the export pass reads them in that order. Rewiring re-orders a
+    /// producer's out-edges, so the live graph may list the same values in
+    /// another order; the debug check therefore compares content only.
     pub(crate) fn carried_values(&self, node: NodeId) -> &[ValueId] {
         let carried = self.memo.carried(node);
-        debug_assert_eq!(
-            carried,
-            crate::spill::compute_carried_values(self.graph, node),
-            "carried-values table diverged from the graph for {node}"
+        debug_assert!(
+            {
+                let live = crate::spill::compute_carried_values(self.graph, node);
+                live.len() == carried.len() && live.iter().all(|v| carried.contains(v))
+            },
+            "carried-values table diverged from the graph for {node} (content, \
+             not order: rewiring re-orders out-edges, the table keeps the base \
+             order): table {carried:?}, graph {:?}",
+            crate::spill::compute_carried_values(self.graph, node)
         );
         carried
     }

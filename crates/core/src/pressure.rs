@@ -18,6 +18,13 @@
 //! ways: `debug_assert`s compare the flushed maps against the from-scratch
 //! computation throughout the test suite, and the place/eject property test
 //! drives random schedules against the same oracle.
+//!
+//! Folding and reading stay cheap. A [`PressureMap`] folds a lifetime
+//! with one whole-II pass, skipped when the lifetime never wraps, plus at
+//! most two contiguous ranges, so it takes no modulo per cycle. The spill
+//! heuristic walks a cluster's intervals in place through
+//! [`PressureTracker::intervals_in`], in value-id order, without
+//! collecting them.
 
 use crate::schedule::PartialSchedule;
 use ddg::lifetime::{LifetimeInterval, PressureMap};
@@ -245,17 +252,15 @@ impl PressureTracker {
 
     /// Lifetime intervals currently contributing to `cluster`, in value-id
     /// order — the iteration order the spill-candidate selection depends on
-    /// for deterministic tie-breaking (requires a preceding flush).
-    pub fn intervals_for(&self, cluster: usize) -> Vec<LifetimeInterval> {
-        self.recorded
-            .iter()
-            .filter_map(|c| match c {
-                Contribution::Interval {
-                    cluster: cl,
-                    interval,
-                } if *cl == cluster => Some(*interval),
-                _ => None,
-            })
-            .collect()
+    /// for deterministic tie-breaking (requires a preceding flush). Read in
+    /// place: nothing is collected.
+    pub fn intervals_in(&self, cluster: usize) -> impl Iterator<Item = LifetimeInterval> + '_ {
+        self.recorded.iter().filter_map(move |c| match *c {
+            Contribution::Interval {
+                cluster: cl,
+                interval,
+            } if cl == cluster => Some(interval),
+            _ => None,
+        })
     }
 }

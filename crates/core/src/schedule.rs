@@ -16,7 +16,9 @@
 //! node allocates nothing. Node placements (`cycle_of`, `cluster_of`, the
 //! placement order that `conflicts` sorts by, and `eject`) live in a dense
 //! slot per `NodeId::index`, so every lookup is an array read and
-//! [`PartialSchedule::iter`] yields nodes in id order.
+//! [`PartialSchedule::iter`] yields nodes in id order. Each placement also
+//! keeps its kernel cycle, so `eject` and the critical-cycle query
+//! [`PartialSchedule::first_placed_in`] divide nothing.
 
 use ddg::NodeId;
 use std::ops::Range;
@@ -73,6 +75,8 @@ impl FoldEntry {
 pub(crate) struct PlacementInfo {
     /// Absolute issue cycle (may be negative before normalization).
     pub cycle: i64,
+    /// Kernel cycle of `cycle` (`cycle mod II`), the MRT row offset.
+    pub slot: u32,
     /// Cluster executing the operation.
     pub cluster: ClusterId,
     /// Resources the operation occupies (kept so ejection can release them).
@@ -374,6 +378,7 @@ impl PartialSchedule {
         }
         self.placements[node.index()] = Some(PlacementInfo {
             cycle,
+            slot: base,
             cluster,
             table,
             order,
@@ -410,9 +415,8 @@ impl PartialSchedule {
             .and_then(Option::take)
             .unwrap_or_else(|| panic!("node {node} is not scheduled"));
         self.placed -= 1;
-        let base = self.base(info.cycle);
         for e in &self.entries[info.table.range()] {
-            let cell = e.cell(base, self.ii);
+            let cell = e.cell(info.slot, self.ii);
             let occ = &mut self.occupants[cell];
             if let Some(pos) = occ.iter().position(|&n| n == node) {
                 occ.swap_remove(pos);
@@ -451,6 +455,32 @@ impl PartialSchedule {
     #[must_use]
     pub fn occupancy(&self, kind: ResourceKind) -> u32 {
         self.occupancy_by_kind[self.indexer.index_of(kind)]
+    }
+
+    /// The earliest-placed node on `cluster` in kernel cycle `slot`
+    /// (`cycle mod II`) that satisfies `pred`, if any. Reads the kernel
+    /// cycle each placement stored, so the scan divides nothing.
+    pub fn first_placed_in(
+        &self,
+        cluster: ClusterId,
+        slot: u32,
+        mut pred: impl FnMut(NodeId) -> bool,
+    ) -> Option<NodeId> {
+        let mut first: Option<(u64, NodeId)> = None;
+        for (i, p) in self.placements.iter().enumerate() {
+            let Some(p) = p else { continue };
+            if p.cluster != cluster
+                || p.slot != slot
+                || first.is_some_and(|(order, _)| order < p.order)
+            {
+                continue;
+            }
+            let n = NodeId(i as u32);
+            if pred(n) {
+                first = Some((p.order, n));
+            }
+        }
+        first.map(|(_, n)| n)
     }
 
     /// Placement order of a node (smaller = placed earlier), if scheduled.

@@ -6,10 +6,11 @@
 //! resources × II), per-cluster pressure gauges, a priority list and the
 //! [`AttemptSlots`]: dense node- and value-indexed bookkeeping (previous
 //! cycle, move route, move index, spill store), the log the names of
-//! inserted values are built from, and the lists the force, eject and
-//! move-rewire paths reuse on every pick. The scratch holds them between
-//! attempts: `take_*` hands a buffer out (reset to empty, capacity
-//! preserved), `reclaim` puts it back when the attempt ends.
+//! inserted values are built from, and the lists the force, eject,
+//! move-rewire and spill-ranking paths reuse on every pick. The scratch
+//! holds them between attempts: `take_*` hands a buffer out (reset to
+//! empty, capacity preserved), `reclaim` puts it back when the attempt
+//! ends.
 //!
 //! Reuse is invisible to the schedule: every buffer is reset to exactly the
 //! state a freshly constructed one would have. Node and value ids are
@@ -21,7 +22,7 @@
 use crate::pressure::PressureTracker;
 use crate::priority::PriorityList;
 use crate::schedule::PartialSchedule;
-use crate::spill::SpillMemo;
+use crate::spill::{ScheduledUse, SpillMemo};
 use ddg::{NodeId, ValueId};
 use vliw::{ClusterId, MachineConfig};
 
@@ -79,6 +80,12 @@ pub(crate) struct AttemptSlots {
     /// Filled by `ensure_moves` with the moves it created, in scheduling
     /// order.
     pub new_moves: Vec<NodeId>,
+    /// Reused by `select_spill_candidate` for the scheduled uses of the
+    /// value it is ranking, sorted by use cycle.
+    pub uses: Vec<ScheduledUse>,
+    /// The scheduled uses of the value whose section leads the ranking
+    /// (swapped with `uses` when a section takes the lead).
+    pub best_uses: Vec<ScheduledUse>,
 }
 
 /// Store `x` at `i`, growing `slots` with empty entries as needed.
@@ -118,6 +125,8 @@ impl AttemptSlots {
         self.orphaned_moves.clear();
         self.operands.clear();
         self.new_moves.clear();
+        self.uses.clear();
+        self.best_uses.clear();
     }
 
     /// Cycle `node` was last scheduled at, if it was ever scheduled in

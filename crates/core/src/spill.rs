@@ -7,6 +7,14 @@
 //! from-scratch lifetime scan; [`SchedState::cluster_lifetimes`] survives as
 //! the oracle the debug assertions (and the property tests) compare the
 //! incremental gauges against.
+//!
+//! A check that finds a cluster over its threshold ranks the spill
+//! candidates without building them. It reads the cluster's intervals in
+//! place from the tracker and keeps each value's scheduled uses in a buffer
+//! reused across checks; only the winner's consumer list is collected, once
+//! per inserted spill. When no candidate qualifies, the victim in the
+//! critical cycle is found from the kernel cycle each placement stores. A
+//! check therefore allocates nothing and divides nothing per placed node.
 
 use crate::scheduler::SchedState;
 use crate::scratch::Derivation;
@@ -143,7 +151,9 @@ pub struct SpillMemo {
     /// define fresh values, and a carried value always keeps at least one
     /// carrying out-edge at its producer (moves and spill stores replace
     /// direct edges with edges that still carry the value). Nodes inserted
-    /// during scheduling read as empty, which is exact for them.
+    /// during scheduling read as empty, which is exact for them. The order
+    /// is the base graph's out-edge order for the whole loop, even after
+    /// rewiring re-orders a producer's live out-edges.
     carried: Vec<Vec<ValueId>>,
     hits: u64,
     misses: u64,
@@ -264,14 +274,23 @@ impl SpillMemo {
     }
 }
 
+/// One scheduled use of a value, as the spill ranking sees it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScheduledUse {
+    /// The consumer.
+    node: NodeId,
+    /// Absolute cycle at which the consumer reads the value: its own
+    /// cycle plus `II ×` the iteration distance.
+    cycle: i64,
+    /// Iteration distance of the read.
+    distance: u32,
+}
+
 /// A lifetime section selected for spilling.
 #[derive(Debug, Clone)]
 struct SpillCandidate {
     /// Value whose lifetime section is spilled.
     value: ValueId,
-    /// Cluster whose pressure the spill relieves (kept for debugging dumps).
-    #[allow(dead_code)]
-    cluster: ClusterId,
     /// Consumers to be fed from memory instead of the register.
     consumers: Vec<NodeId>,
     /// Iteration distance with which the (first) consumer reads the value.
@@ -281,8 +300,21 @@ struct SpillCandidate {
     invariant: bool,
     /// Whether a spill store for this value already exists in the graph.
     already_stored: bool,
-    /// Ratio lifetime-span / memory-traffic used for selection.
-    ratio: f64,
+}
+
+/// The candidate leading the spill ranking. Only the leader is built into
+/// a [`SpillCandidate`], once the ranking is over.
+#[derive(Debug, Clone, Copy)]
+enum Leader {
+    /// A loop invariant with a consumer in the cluster.
+    Invariant(ValueId),
+    /// The section of `value` that ends at its `section`-th scheduled use
+    /// (in use-cycle order).
+    Section {
+        value: ValueId,
+        section: usize,
+        already_stored: bool,
+    },
 }
 
 impl SchedState<'_, '_> {
@@ -410,8 +442,7 @@ impl SchedState<'_, '_> {
                 } else {
                     self.opts.min_span_gauge
                 };
-                let intervals = self.pressure.intervals_for(cluster.index());
-                match self.select_spill_candidate(cluster, critical, &intervals, min_span) {
+                match self.select_spill_candidate(cluster, critical, min_span) {
                     Some(cand) => {
                         inserted_nodes += self.insert_spill(&cand);
                     }
@@ -430,62 +461,58 @@ impl SchedState<'_, '_> {
 
     /// Select the use (lifetime section) crossing the critical cycle with
     /// the largest ratio between its span and the memory traffic its
-    /// spilling would create. Returns `None` when no section spans at least
-    /// the minimum span gauge.
+    /// spilling would create; ties go to the first candidate ranked. Returns
+    /// `None` when no section spans at least the minimum span gauge.
     ///
     /// The structural inputs (invariant set, per-value use lists) come from
-    /// the cross-restart [`SpillMemo`]; only the schedule-dependent parts
-    /// (cycles, spans, the critical-cycle filter) are derived per call.
+    /// the cross-restart [`SpillMemo`], and the intervals are read in place
+    /// from the pressure tracker; only the schedule-dependent parts (cycles,
+    /// spans, the critical-cycle filter) are derived per call. Candidates
+    /// are ranked without being built: the scan allocates nothing, and only
+    /// the winner's consumer list is collected.
+    ///
+    /// Kept out of line: it runs only for a cluster over its threshold,
+    /// and inlined into `check_and_insert_spill` it slowed the per-pick
+    /// check of loops that never spill (perfbench `roomy`).
+    #[inline(never)]
     fn select_spill_candidate(
         &mut self,
         cluster: ClusterId,
         critical_cycle: u32,
-        intervals: &[LifetimeInterval],
         min_span: i64,
     ) -> Option<SpillCandidate> {
         let ii = self.sched.ii();
         let lat = self.machine.latencies();
+        let mut uses = std::mem::take(&mut self.slots.uses);
+        let mut best_uses = std::mem::take(&mut self.slots.best_uses);
         // Split borrows: the memo mutates (hit counters, fresh entries)
-        // while graph/schedule/indices are read-only, so the loop bodies
-        // below must stay on direct field accesses.
+        // while graph/schedule/pressure/slots are read-only, so the loop
+        // bodies below must stay on direct field accesses.
         let memo = &mut self.memo;
         let graph = &*self.graph;
         let sched = &self.sched;
         let slots = &self.slots;
-        let mut best: Option<SpillCandidate> = None;
-        let mut consider = |cand: SpillCandidate| match &best {
-            Some(b) if b.ratio >= cand.ratio => {}
-            _ => best = Some(cand),
-        };
+        let mut best: Option<(f64, Leader)> = None;
 
         // Loop invariants used in this cluster: spilling reloads them from
         // memory in front of each consumer (they already live in memory), so
-        // the traffic is one load and the span is the whole loop.
+        // the traffic is one load and the span is the whole loop. Every one
+        // of them ranks at the II and a later candidate must rank strictly
+        // higher to lead, so only the first one used here can win.
         if i64::from(ii) >= min_span {
-            for &v in memo.invariant_values(graph) {
-                let consumers: Vec<NodeId> = graph
+            let used_here = |v: ValueId| {
+                graph
                     .consumer_ids(v)
                     .iter()
-                    .copied()
-                    .filter(|&c| sched.cluster_of(c) == Some(cluster))
-                    .collect();
-                if consumers.is_empty() {
-                    continue;
-                }
-                consider(SpillCandidate {
-                    value: v,
-                    cluster,
-                    consumers,
-                    distance: 0,
-                    invariant: true,
-                    already_stored: true,
-                    ratio: f64::from(ii),
-                });
+                    .any(|&c| sched.cluster_of(c) == Some(cluster))
+            };
+            if let Some(&v) = memo.invariant_values(graph).iter().find(|&&v| used_here(v)) {
+                best = Some((f64::from(ii), Leader::Invariant(v)));
             }
         }
 
         // Loop-variant lifetimes crossing the critical cycle.
-        for interval in intervals {
+        for interval in self.pressure.intervals_in(cluster.index()) {
             if !interval.covers_kernel_cycle(critical_cycle, ii) {
                 continue;
             }
@@ -501,7 +528,6 @@ impl SchedState<'_, '_> {
             let def_cycle = sched
                 .cycle_of(producer)
                 .expect("interval producer scheduled");
-            let producer_latency = entry.producer_latency;
             let already_stored = slots.spill_store(v).is_some();
             debug_assert_eq!(
                 already_stored,
@@ -511,59 +537,93 @@ impl SchedState<'_, '_> {
                 ))
             );
             // Consider every scheduled consumer as the end of a use section.
-            let mut uses: Vec<(NodeId, i64, u32)> = Vec::with_capacity(entry.uses.len());
-            for &(to, distance) in &entry.uses {
-                if let Some(uc) = sched.cycle_of(to) {
-                    uses.push((to, uc + i64::from(ii) * i64::from(distance), distance));
+            uses.clear();
+            for &(node, distance) in &entry.uses {
+                if let Some(uc) = sched.cycle_of(node) {
+                    uses.push(ScheduledUse {
+                        node,
+                        cycle: uc + i64::from(ii) * i64::from(distance),
+                        distance,
+                    });
                 }
             }
-            uses.sort_by_key(|&(_, c, _)| c);
+            uses.sort_by_key(|u| u.cycle);
+            let traffic = if already_stored { 1.0 } else { 2.0 };
             let mut prev = def_cycle;
-            let mut first = true;
-            for (idx, &(_, use_cycle, _)) in uses.iter().enumerate() {
-                let span = use_cycle - prev;
-                let non_spillable = if first { producer_latency } else { 0 };
-                let section_start = prev;
-                prev = use_cycle;
-                first = false;
-                if span - non_spillable < min_span {
-                    continue;
-                }
+            let mut leads = false;
+            for (idx, u) in uses.iter().enumerate() {
+                let span = u.cycle - prev;
+                let non_spillable = if idx == 0 { entry.producer_latency } else { 0 };
                 let section = LifetimeInterval {
                     value: v,
-                    start: section_start,
-                    end: use_cycle,
+                    start: prev,
+                    end: u.cycle,
                 };
-                if !section.covers_kernel_cycle(critical_cycle, ii) {
+                prev = u.cycle;
+                if span - non_spillable < min_span
+                    || !section.covers_kernel_cycle(critical_cycle, ii)
+                {
                     continue;
                 }
+                let ratio = span as f64 / traffic;
+                if best.is_none_or(|(lead, _)| lead < ratio) {
+                    best = Some((
+                        ratio,
+                        Leader::Section {
+                            value: v,
+                            section: idx,
+                            already_stored,
+                        },
+                    ));
+                    leads = true;
+                }
+            }
+            if leads {
+                std::mem::swap(&mut uses, &mut best_uses);
+            }
+        }
+
+        let winner = best.map(|(_, leader)| match leader {
+            Leader::Invariant(value) => SpillCandidate {
+                value,
+                consumers: graph
+                    .consumer_ids(value)
+                    .iter()
+                    .copied()
+                    .filter(|&c| sched.cluster_of(c) == Some(cluster))
+                    .collect(),
+                distance: 0,
+                invariant: true,
+                already_stored: true,
+            },
+            Leader::Section {
+                value,
+                section,
+                already_stored,
+            } => {
                 // Spill the value from this section onwards: every consumer
                 // whose use falls at or after the section reads the reload,
                 // so the register lifetime really ends at the section start.
-                let tail: Vec<NodeId> = uses[idx..].iter().map(|&(c, _, _)| c).collect();
-                let distance = uses[idx..].iter().map(|&(_, _, d)| d).min().unwrap_or(0);
-                let unscheduled: Vec<NodeId> = graph
-                    .consumer_ids(v)
-                    .iter()
-                    .copied()
-                    .filter(|c| !sched.is_scheduled(*c) && !tail.contains(c))
-                    .filter(|&c| !matches!(graph.op(c).origin, NodeOrigin::SpillStore { .. }))
-                    .collect();
-                let mut consumers = tail;
-                consumers.extend(unscheduled);
-                let traffic = 1.0 + if already_stored { 0.0 } else { 1.0 };
-                consider(SpillCandidate {
-                    value: v,
-                    cluster,
+                // Unscheduled consumers read it too (none of them is in the
+                // tail, which holds scheduled uses only).
+                let tail = &best_uses[section..];
+                let mut consumers: Vec<NodeId> = tail.iter().map(|u| u.node).collect();
+                consumers.extend(graph.consumer_ids(value).iter().copied().filter(|&c| {
+                    !sched.is_scheduled(c)
+                        && !matches!(graph.op(c).origin, NodeOrigin::SpillStore { .. })
+                }));
+                SpillCandidate {
+                    value,
                     consumers,
-                    distance,
+                    distance: tail.iter().map(|u| u.distance).min().unwrap_or(0),
                     invariant: false,
                     already_stored,
-                    ratio: span as f64 / traffic,
-                });
+                }
             }
-        }
-        best
+        });
+        self.slots.uses = uses;
+        self.slots.best_uses = best_uses;
+        winner
     }
 
     /// Existing spill store node for `value`, if one was inserted earlier —
@@ -655,27 +715,16 @@ impl SchedState<'_, '_> {
         inserted
     }
 
-    /// Fallback when no lifetime section is worth spilling: eject one of the
-    /// operations scheduled in the critical cycle of the over-pressured
-    /// cluster, forcing its non-spillable section out of that cycle.
+    /// Fallback when no lifetime section is worth spilling: eject the
+    /// first-placed register-defining operation scheduled in the critical
+    /// cycle of the over-pressured cluster, forcing its non-spillable
+    /// section out of that cycle.
     fn eject_from_critical_cycle(&mut self, cluster: ClusterId, critical_cycle: u32) {
-        let ii = i64::from(self.sched.ii());
-        // Iterate the placements directly — no temporary map of the whole
-        // schedule just to pick one victim in one cluster/cycle.
-        let mut victim: Option<(u64, NodeId)> = None;
-        for (n, cycle, cl) in self.sched.iter() {
-            if cl != cluster || cycle.rem_euclid(ii) as u32 != critical_cycle {
-                continue;
-            }
-            if !self.graph.op(n).opcode.defines_register() {
-                continue;
-            }
-            let order = self.sched.order_of(n).unwrap_or(u64::MAX);
-            if victim.is_none_or(|(best, _)| order < best) {
-                victim = Some((order, n));
-            }
-        }
-        if let Some((_, v)) = victim {
+        let graph = &*self.graph;
+        let victim = self.sched.first_placed_in(cluster, critical_cycle, |n| {
+            graph.op(n).opcode.defines_register()
+        });
+        if let Some(v) = victim {
             self.eject_node(v);
         }
     }

@@ -9,12 +9,14 @@
 //! iterations, contributing more than one register.
 //!
 //! This module provides the interval bookkeeping shared by the schedulers:
-//! folding lifetimes modulo the II, `MaxLive`, the *critical cycle* (the
-//! kernel cycle with the most live values), and the decomposition of a
-//! lifetime into *uses* (sections between consecutive consumers) that the
-//! spill heuristic of MIRS-C chooses from.
+//! folding lifetimes modulo the II, `MaxLive` and the *critical cycle* (the
+//! kernel cycle with the most live values), both from scratch
+//! ([`Pressure`]) and incrementally ([`PressureMap`]). The spill heuristic
+//! of MIRS-C splits a lifetime into *uses* (sections between consecutive
+//! consumers) itself, while it walks the consumers it already has.
 
 use crate::ids::ValueId;
+use std::ops::Range;
 
 /// Lifetime of one value in absolute schedule cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,13 +182,21 @@ impl PressureMap {
     }
 
     /// Per-cycle contribution of `iv`: the number of whole-II wraps (added
-    /// to every cycle) and the partial range of kernel cycles receiving one
-    /// extra unit.
-    fn contribution(&self, iv: &LifetimeInterval) -> (u32, i64, i64) {
-        let full = iv.len() / i64::from(self.ii);
-        let rem = iv.len() % i64::from(self.ii);
-        let start_mod = iv.start.rem_euclid(i64::from(self.ii));
-        (u32::try_from(full).unwrap_or(u32::MAX), start_mod, rem)
+    /// to every cycle) and the kernel cycles receiving one extra unit, as
+    /// at most two contiguous index ranges (the partial wrap split where it
+    /// crosses the end of the kernel).
+    fn contribution(&self, iv: &LifetimeInterval) -> (u32, Range<usize>, Range<usize>) {
+        let ii = i64::from(self.ii);
+        let len = iv.len();
+        let full = u32::try_from(len / ii).unwrap_or(u32::MAX);
+        let start = iv.start.rem_euclid(ii) as usize;
+        let end = start + (len % ii) as usize;
+        let ii = self.ii as usize;
+        if end <= ii {
+            (full, start..end, 0..0)
+        } else {
+            (full, start..ii, 0..end - ii)
+        }
     }
 
     /// Fold `iv` into the gauge (same arithmetic as [`Pressure::compute`]).
@@ -194,13 +204,17 @@ impl PressureMap {
         if iv.is_empty() {
             return;
         }
-        let (full, start_mod, rem) = self.contribution(iv);
-        for c in &mut self.per_cycle {
-            *c += full;
+        let (full, head, tail) = self.contribution(iv);
+        if full > 0 {
+            for c in &mut self.per_cycle {
+                *c += full;
+            }
         }
-        for k in 0..rem {
-            let c = usize::try_from((start_mod + k).rem_euclid(i64::from(self.ii))).unwrap();
-            self.per_cycle[c] += 1;
+        for c in &mut self.per_cycle[head] {
+            *c += 1;
+        }
+        for c in &mut self.per_cycle[tail] {
+            *c += 1;
         }
     }
 
@@ -214,13 +228,17 @@ impl PressureMap {
         if iv.is_empty() {
             return;
         }
-        let (full, start_mod, rem) = self.contribution(iv);
-        for c in &mut self.per_cycle {
-            *c -= full;
+        let (full, head, tail) = self.contribution(iv);
+        if full > 0 {
+            for c in &mut self.per_cycle {
+                *c -= full;
+            }
         }
-        for k in 0..rem {
-            let c = usize::try_from((start_mod + k).rem_euclid(i64::from(self.ii))).unwrap();
-            self.per_cycle[c] -= 1;
+        for c in &mut self.per_cycle[head] {
+            *c -= 1;
+        }
+        for c in &mut self.per_cycle[tail] {
+            *c -= 1;
         }
     }
 
@@ -274,53 +292,6 @@ impl PressureMap {
     pub fn per_cycle(&self) -> &[u32] {
         &self.per_cycle
     }
-}
-
-/// One *use* of a value: the section of its lifetime between the previous
-/// consumer (or the definition) and the current consumer. The spill
-/// heuristic of MIRS-C selects whole uses for spilling and never spills the
-/// first `non-spillable` cycles after the definition (the producer's
-/// latency, during which the value is still in the pipeline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UseSection {
-    /// The value the section belongs to.
-    pub value: ValueId,
-    /// Cycle at which the section starts (previous use or definition).
-    pub start: i64,
-    /// Cycle of the consumer that ends the section.
-    pub end: i64,
-    /// Whether the section begins at the definition and therefore contains
-    /// the non-spillable part of the lifetime.
-    pub from_def: bool,
-}
-
-impl UseSection {
-    /// Section length in cycles.
-    #[must_use]
-    pub fn span(&self) -> i64 {
-        (self.end - self.start).max(0)
-    }
-}
-
-/// Split a value lifetime into use sections given its definition cycle and
-/// the (unsorted) cycles of its consumers.
-#[must_use]
-pub fn use_sections(value: ValueId, def_cycle: i64, mut use_cycles: Vec<i64>) -> Vec<UseSection> {
-    use_cycles.sort_unstable();
-    let mut out = Vec::with_capacity(use_cycles.len());
-    let mut prev = def_cycle;
-    let mut first = true;
-    for u in use_cycles {
-        out.push(UseSection {
-            value,
-            start: prev,
-            end: u,
-            from_def: first,
-        });
-        prev = u;
-        first = false;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -464,17 +435,25 @@ mod tests {
 
     #[test]
     fn pressure_map_add_matches_compute() {
-        let ivs = [iv(0, 0, 6), iv(1, 1, 7), iv(2, 2, 8), iv(3, -3, 1)];
-        for ii in 1..=5u32 {
-            let mut map = PressureMap::new(ii);
-            for i in &ivs {
-                map.add(i);
+        // Every start phase (negative ones included) and every length up to
+        // three wraps: the whole-II pass, the remainder range, and the
+        // remainder split where it runs past the end of the kernel.
+        for ii in 1..=6u32 {
+            let n = i64::from(ii);
+            for start in -2 * n..2 * n {
+                for len in 0..3 * n {
+                    let lifetime = iv(0, start, start + len);
+                    let at = format!("[{start}, {}) at ii {ii}", start + len);
+                    let mut map = PressureMap::new(ii);
+                    map.add(&lifetime);
+                    let scratch = Pressure::compute([&lifetime], ii, 0);
+                    assert_eq!(map.per_cycle(), scratch.per_cycle(), "{at}");
+                    assert_eq!(map.max_live(), scratch.max_live(), "{at}");
+                    assert_eq!(map.critical_cycle(), scratch.critical_cycle(), "{at}");
+                    map.remove(&lifetime);
+                    assert!(map.per_cycle().iter().all(|&c| c == 0), "{at}");
+                }
             }
-            map.add_uniform(2);
-            let scratch = Pressure::compute(ivs.iter(), ii, 2);
-            assert_eq!(map.per_cycle(), scratch.per_cycle());
-            assert_eq!(map.max_live(), scratch.max_live());
-            assert_eq!(map.critical_cycle(), scratch.critical_cycle());
         }
     }
 
@@ -502,26 +481,6 @@ mod tests {
         map.add(&iv(0, 5, 5));
         map.remove(&iv(0, 5, 5));
         assert_eq!(map.max_live(), 0);
-    }
-
-    #[test]
-    fn use_sections_partition_the_lifetime() {
-        let secs = use_sections(ValueId(0), 0, vec![9, 3, 6]);
-        assert_eq!(secs.len(), 3);
-        assert_eq!(secs[0].start, 0);
-        assert_eq!(secs[0].end, 3);
-        assert!(secs[0].from_def);
-        assert_eq!(secs[1].start, 3);
-        assert_eq!(secs[1].end, 6);
-        assert!(!secs[1].from_def);
-        assert_eq!(secs[2].end, 9);
-        let total: i64 = secs.iter().map(UseSection::span).sum();
-        assert_eq!(total, 9);
-    }
-
-    #[test]
-    fn use_sections_of_unused_value_are_empty() {
-        assert!(use_sections(ValueId(0), 5, vec![]).is_empty());
     }
 
     #[test]

@@ -100,7 +100,10 @@ proptest! {
     /// fit without wrapping at large ones. The node-indexed placement
     /// queries must equal the model after the churn, and again after a
     /// `reset` to another II and a replay in descending id order, so no
-    /// slot outlives the attempt that wrote it.
+    /// slot outlives the attempt that wrote it. After every step, and after
+    /// the replay, the critical-cycle victim query `first_placed_in` must
+    /// name the first node in placement order on each (cluster, kernel
+    /// cycle).
     #[test]
     fn place_eject_round_trip_matches_recount(
         ops in proptest::collection::vec(
@@ -217,6 +220,9 @@ proptest! {
                 prop_assert_eq!(sched.occupancy(kind), by_kind[ix.index_of(kind)]);
             }
             prop_assert_eq!(sched.len(), placed.len());
+            let order: Vec<(NodeId, i64, ClusterId)> =
+                placed.iter().map(|(n, c, _)| (*n, *c, model[n].1)).collect();
+            assert_victims_match(&sched, &order);
         }
         assert_placements_match(&sched, &model);
         // A new attempt at another II starts empty, whatever the old one
@@ -224,14 +230,18 @@ proptest! {
         let other_ii = ii % 39 + 1;
         sched.reset(&machine, other_ii);
         assert_placements_match(&sched, &BTreeMap::new());
+        assert_victims_match(&sched, &[]);
         let mut replayed = BTreeMap::new();
+        let mut replay_order = Vec::new();
         for (n, cycle, rt) in placed.iter().rev().step_by(2) {
             let folded = sched.fold(rt);
             let (_, cluster) = model[n];
             sched.place(*n, *cycle + 1, cluster, folded);
             replayed.insert(*n, (*cycle + 1, cluster));
+            replay_order.push((*n, *cycle + 1, cluster));
         }
         assert_placements_match(&sched, &replayed);
+        assert_victims_match(&sched, &replay_order);
     }
 
     /// Incremental pressure maps equal the from-scratch computation after
@@ -286,6 +296,36 @@ proptest! {
         sorted.sort();
         sorted.dedup();
         prop_assert_eq!(sorted.len(), order.len());
+    }
+}
+
+/// `first_placed_in` agrees with a scan of `order` (every placed node with
+/// its cycle and cluster, in placement order) for every cluster and kernel
+/// cycle: the answer is the first node whose `cycle.rem_euclid(ii)` is that
+/// kernel cycle, among all nodes and among the even ids only (a predicate
+/// that rejects some earlier candidates). The churn's negative cycles are
+/// where a kernel cycle taken without a Euclidean remainder goes wrong.
+fn assert_victims_match(sched: &PartialSchedule, order: &[(NodeId, i64, ClusterId)]) {
+    let ii = sched.ii();
+    let even = |n: NodeId| n.0 % 2 == 0;
+    for cluster in [ClusterId(0), ClusterId(1)] {
+        for slot in 0..ii {
+            let mut here = order.iter().filter(|&&(_, cycle, cl)| {
+                cl == cluster && cycle.rem_euclid(i64::from(ii)) == i64::from(slot)
+            });
+            let first = here.clone().next().map(|p| p.0);
+            let first_even = here.find(|p| even(p.0)).map(|p| p.0);
+            assert_eq!(
+                sched.first_placed_in(cluster, slot, |_| true),
+                first,
+                "first placed on {cluster} in kernel cycle {slot} at ii {ii}"
+            );
+            assert_eq!(
+                sched.first_placed_in(cluster, slot, even),
+                first_even,
+                "first even id placed on {cluster} in kernel cycle {slot} at ii {ii}"
+            );
+        }
     }
 }
 

@@ -72,6 +72,34 @@ fn mirs_schedules_and_validates_the_whole_workbench_on_every_paper_config() {
     }
 }
 
+/// The hand-written kernels without saturation unrolling, on every
+/// clustered paper machine with at most 32 registers per cluster. Debug
+/// builds once panicked here on `second_order_recurrence`: rewiring its
+/// reduction re-orders the producer's out-edges, and the check on the
+/// carried-values table compared their order as well as their content.
+#[test]
+fn unsaturated_kernels_schedule_on_every_clustered_machine() {
+    let wb = Workbench::generate(&WorkbenchParams {
+        loops: loopgen::kernels::all_kernels(1).len(),
+        ..WorkbenchParams::unsaturated()
+    });
+    let opts = SchedulerOptions {
+        max_ii: 64,
+        ..SchedulerOptions::default()
+    };
+    for (k, regs) in [(2u32, 8u32), (2, 16), (2, 32), (4, 16)] {
+        let machine = MachineConfig::paper_config(k, regs).unwrap();
+        let sched = MirsScheduler::new(&machine, opts);
+        for lp in wb.loops() {
+            let r = sched
+                .schedule(lp)
+                .unwrap_or_else(|e| panic!("{} on {}: {e}", lp.name, machine.name()));
+            r.validate(&machine)
+                .unwrap_or_else(|e| panic!("{} on {}: {e}", lp.name, machine.name()));
+        }
+    }
+}
+
 #[test]
 fn clustering_costs_cycles_but_wins_execution_time() {
     let wb = workbench();
