@@ -14,7 +14,8 @@ pub enum ScheduleError {
     NotConverged {
         /// Loop name.
         loop_name: String,
-        /// Last II that was attempted.
+        /// Highest II the search attempted or proved infeasible (MII − 1
+        /// when the climb's floor lies above the II cap).
         last_ii: u32,
     },
     /// The loop body is empty.

@@ -74,7 +74,4 @@ pub use result::{
 pub use schedule::{FoldedTable, PartialSchedule};
 pub use scheduler::MirsScheduler;
 pub use scratch::SchedScratch;
-pub use search::{
-    AttemptReport, BacktrackingSearch, BranchExecutor, ExactSearch, InlineBranchExecutor,
-    LinearSearch, SearchMove, SearchStrategy, SearchView,
-};
+pub use search::BranchExecutor;

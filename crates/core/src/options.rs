@@ -38,11 +38,11 @@ pub enum PrefetchPolicy {
 pub const STRATEGY_ENV: &str = "MIRS_STRATEGY";
 
 /// Environment variable setting the number of worker threads the
-/// [`SearchStrategyKind::Backtracking`] strategy may fan one candidate-II
-/// branch group across (`0`, `1` or unparsable values keep the serial
-/// in-process search). Branch-parallel execution needs an executor — the
-/// harness entry points install one; plain
-/// [`MirsScheduler::schedule_with`](crate::MirsScheduler::schedule_with)
+/// [`SearchStrategyKind::Backtracking`] and [`SearchStrategyKind::Exact`]
+/// strategies may fan one candidate-II group across (`0`, `1` or
+/// unparsable values keep the serial in-process search). Branch-parallel
+/// execution needs an executor — the harness entry points install one;
+/// plain [`MirsScheduler::schedule_with`](crate::MirsScheduler::schedule_with)
 /// stays single-threaded regardless of this variable.
 pub const BRANCH_JOBS_ENV: &str = "MIRS_BRANCH_JOBS";
 
@@ -153,13 +153,15 @@ impl std::fmt::Display for SearchStrategyKind {
 pub struct SearchConfig {
     /// Strategy deciding the sequence of (II, priority-order) attempts.
     pub strategy: SearchStrategyKind,
-    /// Worker threads one candidate-II branch group of
-    /// [`SearchStrategyKind::Backtracking`] may be fanned across (via a
-    /// [`BranchExecutor`](crate::search::BranchExecutor) supplied by the
-    /// caller — the harness wires its sweep pool in). `1` (the default)
-    /// keeps the search serial and in-process. Results are byte-identical
-    /// for every value: branch attempts are independent by construction and
-    /// the merge is in deterministic attempt order.
+    /// Worker threads one candidate-II group of
+    /// [`SearchStrategyKind::Backtracking`] or [`SearchStrategyKind::Exact`]
+    /// may be fanned across, through the
+    /// [`BranchExecutor`](crate::BranchExecutor) a caller hands to
+    /// [`MirsScheduler::schedule_with_exec`](crate::MirsScheduler::schedule_with_exec)
+    /// (the harness wires its sweep pool in). `1` (the default) keeps the
+    /// search serial and in-process. Results are byte-identical for every
+    /// value: a group's attempts are independent by construction and the
+    /// merge is in deterministic attempt order.
     pub branch_jobs: u32,
     /// Branch-and-bound budget of [`SearchStrategyKind::Exact`], counted in
     /// residue-assignment expansions summed over every candidate II probed

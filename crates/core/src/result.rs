@@ -123,13 +123,7 @@ impl fmt::Display for SearchProof {
 }
 
 /// How the accepted schedule was found by the II-search layer.
-///
-/// Equality deliberately ignores the wall-clock timing fields
-/// ([`SearchMeta::branch_attempt_seconds`],
-/// [`SearchMeta::branch_critical_seconds`]): they are diagnostics, not part
-/// of the search outcome, and the cross-`MIRS_BRANCH_JOBS` identity tests
-/// compare `SearchMeta` values wholesale.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchMeta {
     /// Strategy that drove the search.
     pub strategy: crate::SearchStrategyKind,
@@ -148,22 +142,11 @@ pub struct SearchMeta {
     /// including the accepted one (1 when the first success was accepted
     /// immediately, as the linear strategy always does).
     pub candidates: u32,
-    /// Candidate-II branch groups the search opened (one per distinct II
-    /// entered; each group holds the canonical attempt plus that II's
-    /// perturbed branches). Identical for serial and branch-parallel runs
-    /// of the same search.
+    /// Candidate-II groups the search ran (one per II attempted and not
+    /// pruned; a group holds the canonical attempt plus, for the branching
+    /// strategies, that II's perturbed ones). Identical for serial and
+    /// branch-parallel runs of the same search.
     pub groups: u32,
-    /// Wall-clock seconds summed over every individual attempt. In a
-    /// serial search this is close to the total scheduling time; under a
-    /// branch-parallel executor it exceeds the wall clock by the achieved
-    /// overlap.
-    pub branch_attempt_seconds: f64,
-    /// Critical-path seconds of the branch groups: the sum over groups of
-    /// the *slowest* attempt in each group. This is the lower bound a
-    /// branch-parallel run approaches;
-    /// `branch_attempt_seconds / branch_critical_seconds` estimates the
-    /// fan-out speedup available (or achieved) for this loop.
-    pub branch_critical_seconds: f64,
     /// Distinct candidate IIs the relaxation admission filter proved
     /// infeasible and skipped (mirrors
     /// [`SchedulerStats::pruned_iis`](crate::SchedulerStats); excluded
@@ -173,19 +156,6 @@ pub struct SearchMeta {
     /// non-exact strategy).
     pub proof: SearchProof,
 }
-
-impl PartialEq for SearchMeta {
-    fn eq(&self, other: &Self) -> bool {
-        self.strategy == other.strategy
-            && self.attempts == other.attempts
-            && self.candidates == other.candidates
-            && self.groups == other.groups
-            && self.pruned_iis == other.pruned_iis
-            && self.proof == other.proof
-    }
-}
-
-impl Eq for SearchMeta {}
 
 /// A complete modulo schedule for one loop.
 ///
@@ -565,11 +535,6 @@ mod tests {
             ..a
         };
         assert_ne!(a, b);
-        let timing_only = SearchMeta {
-            branch_attempt_seconds: 1.0,
-            ..a
-        };
-        assert_eq!(a, timing_only, "timing fields stay outside equality");
     }
 
     #[test]

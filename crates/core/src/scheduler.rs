@@ -15,7 +15,7 @@ use crate::priority::PriorityList;
 use crate::result::{Placement, ScheduleResult, SchedulerStats, SearchMeta};
 use crate::schedule::{FoldedTable, PartialSchedule};
 use crate::scratch::{AttemptSlots, Derivation, SchedScratch};
-use crate::search::{BranchExecutor, InlineBranchExecutor, SearchDriver};
+use crate::search::{group_len, BranchExecutor, SearchDriver};
 use crate::spill::SpillMemo;
 use ddg::collections::HashMap;
 use ddg::{DepGraph, Loop, NodeId, NodeOrigin};
@@ -180,7 +180,10 @@ impl<'m> MirsScheduler<'m> {
     /// linear search performs **zero** further graph clones (branching
     /// strategies clone once per stashed candidate). In debug builds (or
     /// with `MIRS_GRAPH_AUDIT=1`) each rollback asserts that it reproduced
-    /// the attempt-start graph bit-identically.
+    /// the attempt-start graph bit-identically. This path never fans a
+    /// group out, whatever
+    /// [`SearchConfig::branch_jobs`](crate::SearchConfig::branch_jobs)
+    /// says; [`MirsScheduler::schedule_with_exec`] does.
     ///
     /// # Errors
     ///
@@ -190,29 +193,21 @@ impl<'m> MirsScheduler<'m> {
         lp: &Loop,
         scratch: &mut SchedScratch,
     ) -> Result<ScheduleResult, ScheduleError> {
-        self.schedule_with_exec(lp, scratch, &InlineBranchExecutor)
+        self.search(lp, scratch, None)
     }
 
     /// [`MirsScheduler::schedule_with`] with a caller-supplied
     /// [`BranchExecutor`] for the branch-parallel search path.
     ///
-    /// When the options select
-    /// [`SearchStrategyKind::Backtracking`](crate::SearchStrategyKind::Backtracking) with
-    /// [`SearchConfig::branch_jobs`](crate::SearchConfig::branch_jobs)` > 1`,
-    /// the independent attempts of each candidate-II branch group are
-    /// fanned across `exec` (each on a private graph clone and scratch) and
-    /// merged in deterministic attempt order — the accepted schedule is
-    /// byte-identical to the serial search for any executor. Every other
-    /// configuration ignores `exec` and runs the incremental
-    /// single-threaded search: `Linear` reacts to each attempt's outcome
-    /// before choosing the next, so it has no independent branch set to
-    /// fan out.
-    /// [`SearchStrategyKind::Exact`](crate::SearchStrategyKind::Exact)
-    /// first certifies a lower bound by branch-and-bound over the residue
-    /// relaxation (serially — the bounding dominates and has no
-    /// independent branch set), then climbs from that bound with the
-    /// backtracking exploration and stamps the resulting
-    /// [`SearchProof`](crate::SearchProof) on the result.
+    /// When [`SearchConfig::branch_jobs`](crate::SearchConfig::branch_jobs)
+    /// is above 1 and the strategy's candidate-II group holds more than one
+    /// attempt ([`SearchStrategyKind::Backtracking`](crate::SearchStrategyKind::Backtracking)
+    /// and [`SearchStrategyKind::Exact`](crate::SearchStrategyKind::Exact)),
+    /// the attempts of each group are fanned across `exec` (each on a
+    /// private graph clone and scratch) and merged in deterministic attempt
+    /// order. The accepted schedule and every search counter are
+    /// byte-identical to [`MirsScheduler::schedule_with`] for any executor.
+    /// Every other configuration ignores `exec`.
     ///
     /// # Errors
     ///
@@ -223,22 +218,25 @@ impl<'m> MirsScheduler<'m> {
         scratch: &mut SchedScratch,
         exec: &dyn BranchExecutor,
     ) -> Result<ScheduleResult, ScheduleError> {
+        let search = self.opts.search;
+        let fan = search.branch_jobs > 1 && group_len(search.strategy) > 1;
+        self.search(lp, scratch, fan.then_some(exec))
+    }
+
+    /// Run the II search over `lp`, fanning every candidate-II group
+    /// across `fan` when one is given.
+    fn search(
+        &self,
+        lp: &Loop,
+        scratch: &mut SchedScratch,
+        fan: Option<&dyn BranchExecutor>,
+    ) -> Result<ScheduleResult, ScheduleError> {
         if lp.graph.node_count() == 0 {
             return Err(ScheduleError::EmptyLoop {
                 loop_name: lp.name.clone(),
             });
         }
-        let search = self.opts.search;
-        if search.strategy == crate::SearchStrategyKind::Exact {
-            SearchDriver::new(self, lp, scratch).run_exact()
-        } else if search.strategy == crate::SearchStrategyKind::Backtracking
-            && search.branch_jobs > 1
-        {
-            SearchDriver::new(self, lp, scratch).run_branch_parallel(exec)
-        } else {
-            let mut strategy = search.strategy_impl();
-            SearchDriver::new(self, lp, scratch).run(strategy.as_dyn())
-        }
+        SearchDriver::new(self, lp, scratch).run(fan)
     }
 
     /// One scheduling attempt at a fixed II (steps 1–6 of Figure 4) over

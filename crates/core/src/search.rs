@@ -1,29 +1,34 @@
-//! The pluggable II-search engine.
+//! The II search: one climb over candidate IIs.
 //!
-//! PR 4's transactional [`DepGraph`] made an II restart an O(edits)
-//! rollback instead of a graph clone, which makes exploring *several*
-//! candidate IIs — or re-entering a failed II with a perturbed priority
-//! order — nearly free. This module turns the former monolithic
-//! `fail → II+1` loop into a small search layer:
+//! The paper's search attempts the loop at an II (Figure 4) and, when the
+//! restart heuristic fires (Section 3.2.4), tries II + 1. A
+//! `SearchDriver` runs that climb for every strategy, which fixes only two
+//! things:
 //!
-//! * a `SearchDriver` owns the working graph, the nested
-//!   [`CheckpointStack`], the epoch-cached HRMS order and the
-//!   [`SchedScratch`], runs attempts through the unchanged MIRS-C engine
-//!   ([`MirsScheduler::attempt`](crate::MirsScheduler)) and keeps the best
-//!   successful candidate;
-//! * a [`SearchStrategy`] decides, from a [`SearchView`] of what happened
-//!   so far, the next [`SearchMove`]: try an II with the canonical order,
-//!   re-enter one with a deterministically perturbed order, accept the
-//!   best candidate, or give up.
+//! * the **floor** the climb starts from: the MII, or for
+//!   [`SearchStrategyKind::Exact`] the lower bound the branch-and-bound
+//!   prover (the private `exact` submodule) certifies — every II below it
+//!   is proven infeasible, so attempting them is wasted work;
+//! * the **group** of attempts made at one II: the canonical HRMS order
+//!   alone for [`SearchStrategyKind::Linear`], plus two seeded perturbed
+//!   orders for `Backtracking` and `Exact`.
 //!
-//! Three strategies ship ([`LinearSearch`], [`BacktrackingSearch`],
-//! [`ExactSearch`]); [`LinearSearch`] is the default and is
-//! bit-identical to the paper's monotonic climb — the golden schedule-hash
-//! tests pin that equivalence. Candidates are compared by the paper's
-//! metric order: achieved II first, then spill operations (memory-traffic
-//! overhead), then moves, with the earliest attempt winning ties, so the
-//! branching strategies can never return a worse (II, spill-ops) pair than
-//! the linear climb — they always include its canonical attempts.
+//! The climb accepts the best candidate of the first II whose group
+//! succeeds, or ends with [`ScheduleError::NotConverged`] past
+//! [`SchedulerOptions::max_ii`](crate::SchedulerOptions). Candidates are
+//! compared by the paper's metric order: achieved II first, then spill
+//! operations (memory-traffic overhead), then moves, with the earliest
+//! attempt winning ties. Every group holds the canonical attempt, so the
+//! branching strategies can never return a worse (II, spill-ops) pair
+//! than the linear climb.
+//!
+//! The driver owns the working graph (the one clone of the whole search),
+//! the nested [`CheckpointStack`] (search root → group → attempt), the
+//! epoch-cached HRMS order and the borrowed [`SchedScratch`]. By default a
+//! group runs on the working graph: each attempt mutates it inside a
+//! transaction and is rolled back when abandoned, and the last attempt of
+//! a group that is also its best takes the working graph with no clone.
+//! The linear climb therefore never clones the graph again.
 //!
 //! Determinism: every perturbation seed is derived from a fixed base seed,
 //! the II and the branch index by a SplitMix64 mix, so the same loop
@@ -32,39 +37,33 @@
 //!
 //! # The admission filter
 //!
-//! With [`SearchConfig::prune`] on (the default), a bounded relaxation
-//! pass (the private `relax` submodule) screens every in-range candidate
-//! II before its cold attempt: when the pass *proves* the II infeasible —
-//! and every II below
-//! it back to the MII is proven too — the driver skips the attempt
-//! outright and reports a pruned failure to the strategy. Because only
-//! provably-infeasible IIs are ever skipped, the accepted
-//! schedule is byte-identical with the filter on or off; only the wasted
-//! cold attempts disappear. `SearchMeta::pruned_iis` and
+//! With [`SearchConfig::prune`](crate::SearchConfig::prune) on (the
+//! default), a bounded relaxation pass (the private `relax` submodule)
+//! screens every II of the climb before its group runs: when the pass
+//! *proves* the II infeasible — and every II below it back to the MII is
+//! proven too — the driver skips the whole group. Because only
+//! provably-infeasible IIs are ever skipped, the accepted schedule is
+//! byte-identical with the filter on or off; only the wasted cold
+//! attempts disappear. `SearchMeta::pruned_iis` and
 //! `SchedulerStats::relax_seconds` surface what the filter did and what
 //! it cost.
 //!
 //! # Branch-parallel execution
 //!
-//! The attempts inside one [`BacktrackingSearch`] candidate-II group — the
-//! canonical order plus two seeded perturbations — are mutually
-//! independent: each one starts from the pristine group-start
-//! graph (which the checkpoint discipline makes identical to the search
-//! root) and its outcome is a pure function of `(graph, order, ii,
-//! options)`. A [`BranchExecutor`] exploits that: when
-//! [`SearchConfig::branch_jobs`] `> 1`, the driver hands every group to the
-//! executor, each branch schedules a private graph clone with its own
-//! [`SchedScratch`], and the outcomes are merged *in branch order* through
-//! the same `(II, spill-ops, moves, earliest-attempt)` candidate
-//! comparison the serial driver uses — so the
-//! accepted schedule, `SearchMeta::attempts` and `SearchMeta::candidates`
-//! are byte-identical to the serial search for any worker count. The
-//! driver itself stays single-threaded: [`InlineBranchExecutor`] (the
-//! default) runs branches sequentially on the caller's thread, and the
-//! harness supplies a pool-backed executor built on its sweep engine.
+//! The attempts of one group are mutually independent: each starts from
+//! the pristine root graph, and its outcome is a pure function of
+//! `(graph, order, ii, options)`. A [`BranchExecutor`] exploits that.
+//! [`MirsScheduler::schedule_with_exec`](crate::MirsScheduler::schedule_with_exec)
+//! hands the driver its executor when
+//! [`SearchConfig::branch_jobs`](crate::SearchConfig::branch_jobs) `> 1`
+//! and a group holds more than one attempt. Each attempt of a group then
+//! schedules a private graph clone with its own [`SchedScratch`], and the
+//! outcomes are merged in attempt order through the same candidate
+//! comparison. The accepted schedule and every search counter are
+//! byte-identical to the transactional path for any worker count.
 
 use crate::error::ScheduleError;
-use crate::options::{SearchConfig, SearchStrategyKind};
+use crate::options::SearchStrategyKind;
 use crate::result::{ScheduleResult, SchedulerStats, SearchMeta, SearchProof};
 use crate::scheduler::{debug_enabled, graph_audit_enabled, AttemptOutcome, MirsScheduler};
 use crate::scratch::SchedScratch;
@@ -76,83 +75,11 @@ use vliw::Opcode;
 pub(crate) mod exact;
 pub(crate) mod relax;
 
-/// Next action requested by a [`SearchStrategy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchMove {
-    /// Attempt scheduling at `ii` with the canonical HRMS priority order.
-    TryII(u32),
-    /// Attempt `ii` with the priority order perturbed by `seed`.
-    RetryPerturbed {
-        /// Candidate initiation interval to re-enter.
-        ii: u32,
-        /// Perturbation seed (derive it deterministically!).
-        seed: u64,
-    },
-    /// Stop and accept the best candidate found so far.
-    Accept,
-    /// Stop without a schedule ([`ScheduleError::NotConverged`]).
-    GiveUp,
-}
-
-/// What one finished attempt looked like, fed back to the strategy.
-#[derive(Debug, Clone, Copy)]
-pub struct AttemptReport {
-    /// Initiation interval that was attempted.
-    pub ii: u32,
-    /// Perturbation seed, `None` for the canonical order.
-    pub seed: Option<u64>,
-    /// Whether the attempt produced a valid schedule.
-    pub success: bool,
-    /// Spill operations of the schedule (0 on failure).
-    pub spill_ops: u32,
-    /// Whether this attempt became the incumbent best candidate.
-    pub became_best: bool,
-    /// The attempt never ran: the relaxation admission filter proved the
-    /// II infeasible and the driver skipped it (`success` is `false` and
-    /// no attempt counter moved).
-    pub pruned: bool,
-}
-
-/// Read-only view of the search state a strategy decides from.
-#[derive(Debug, Clone, Copy)]
-pub struct SearchView {
-    /// Lower II bound (`max(ResMII, RecMII)`) — where climbs start.
-    pub mii: u32,
-    /// Hard upper II bound from [`SchedulerOptions::max_ii`](crate::SchedulerOptions).
-    pub max_ii: u32,
-    /// Attempts made so far.
-    pub attempts: u32,
-    /// Report of the attempt that just finished (`None` before the first).
-    pub last: Option<AttemptReport>,
-    /// `(ii, spill_ops)` of the incumbent best candidate, if any.
-    pub best: Option<(u32, u32)>,
-    /// Distinct candidate IIs the relaxation admission filter has proven
-    /// infeasible and skipped so far — a budgeted strategy can treat these
-    /// as free failures.
-    pub pruned_iis: u32,
-}
-
-/// A strategy for searching the candidate-II space.
-///
-/// The driver calls [`SearchStrategy::next_move`] exactly once per decision
-/// point: before the first attempt, and after every finished attempt (the
-/// [`SearchView::last`] report tells the strategy how it went). Returning
-/// [`SearchMove::Accept`] immediately after a successful attempt accepts
-/// that attempt *in place* — no graph clone — which is why the default
-/// linear strategy keeps the zero-clone property of the pre-search
-/// scheduler.
-pub trait SearchStrategy {
-    /// Which strategy this is (recorded in [`SearchMeta`]).
-    fn kind(&self) -> SearchStrategyKind;
-    /// Decide the next move.
-    fn next_move(&mut self, view: &SearchView) -> SearchMove;
-}
-
-/// Executes the independent attempts of one candidate-II branch group,
-/// possibly concurrently.
+/// Executes the independent attempts of one candidate-II group, possibly
+/// concurrently.
 ///
 /// The driver calls [`BranchExecutor::run_branches`] once per group with
-/// the number of branches to run; the executor must invoke `job(index,
+/// the number of attempts to run; the executor must invoke `job(index,
 /// scratch)` **exactly once** for every `index` in `0..branches` — in any
 /// order, with any concurrency — and return only after every invocation
 /// has finished. Each concurrent invocation needs exclusive access to a
@@ -161,31 +88,14 @@ pub trait SearchStrategy {
 ///
 /// The job is pure with respect to the executor: results land in
 /// per-branch slots owned by the driver, so scheduling outcomes are
-/// byte-identical for every conforming executor — from the serial
-/// [`InlineBranchExecutor`] to a thread pool. A panicking invocation may
-/// be propagated or may abort remaining branches; it must not be
-/// swallowed while reporting completion.
+/// byte-identical for every conforming executor, from a serial loop to a
+/// thread pool. A panicking invocation may be propagated or may abort
+/// remaining branches; it must not be swallowed while reporting
+/// completion.
 pub trait BranchExecutor {
     /// Run `job` for every branch index in `0..branches` and wait for all
     /// of them.
     fn run_branches(&self, branches: usize, job: &(dyn Fn(usize, &mut SchedScratch) + Sync));
-}
-
-/// The default [`BranchExecutor`]: runs every branch sequentially on the
-/// caller's thread with one reused scratch. With it, the branch-parallel
-/// driver degenerates to a serial search — this is what
-/// [`MirsScheduler::schedule_with`](crate::MirsScheduler::schedule_with)
-/// installs, keeping the core crate single-threaded by default.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct InlineBranchExecutor;
-
-impl BranchExecutor for InlineBranchExecutor {
-    fn run_branches(&self, branches: usize, job: &(dyn Fn(usize, &mut SchedScratch) + Sync)) {
-        let mut scratch = SchedScratch::default();
-        for index in 0..branches {
-            job(index, &mut scratch);
-        }
-    }
 }
 
 /// SplitMix64 mixing step — the deterministic seed/jitter generator used
@@ -198,7 +108,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Perturbed priority orders tried *in addition to* the canonical HRMS
-/// order at each candidate II of [`BacktrackingSearch`].
+/// order at each candidate II of the branching strategies.
 const BRANCHES: u32 = 2;
 
 /// Base seed of the deterministic priority perturbations.
@@ -234,137 +144,12 @@ pub(crate) fn perturb_order(order: &[NodeId], seed: u64, out: &mut Vec<NodeId>) 
     out.extend(keyed.into_iter().map(|(_, n)| n));
 }
 
-/// The paper's monotonic climb: try `mii`, `mii+1`, … with the canonical
-/// order and accept the first success. Bit-identical to the pre-search
-/// scheduler (and its zero-clone fast path).
-#[derive(Debug, Default)]
-pub struct LinearSearch {
-    next_ii: Option<u32>,
-}
-
-impl SearchStrategy for LinearSearch {
-    fn kind(&self) -> SearchStrategyKind {
-        SearchStrategyKind::Linear
-    }
-
-    fn next_move(&mut self, view: &SearchView) -> SearchMove {
-        if view.last.is_some_and(|r| r.success) {
-            return SearchMove::Accept;
-        }
-        let ii = self.next_ii.unwrap_or(view.mii);
-        if ii > view.max_ii {
-            return SearchMove::GiveUp;
-        }
-        self.next_ii = Some(ii + 1);
-        SearchMove::TryII(ii)
-    }
-}
-
-/// Branching multi-II exploration: at every candidate II, try the
-/// canonical order plus two perturbed orders (each under a nested graph
-/// checkpoint), keep climbing while nothing succeeds, and accept the best
-/// candidate as soon as the first feasible II's branch group is complete.
-///
-/// Because the canonical attempt of every II is part of the branch set,
-/// the accepted `(ii, spill_ops)` is never worse than [`LinearSearch`]'s —
-/// and strictly better whenever a perturbed order unlocks a smaller II or
-/// saves spill code at the same II.
-#[derive(Debug, Default)]
-pub struct BacktrackingSearch {
-    ii: Option<u32>,
-    /// Next branch index at the current II (0 = canonical still pending).
-    branch: u32,
-}
-
-impl SearchStrategy for BacktrackingSearch {
-    fn kind(&self) -> SearchStrategyKind {
-        SearchStrategyKind::Backtracking
-    }
-
-    fn next_move(&mut self, view: &SearchView) -> SearchMove {
-        let Some(ii) = self.ii else {
-            if view.mii > view.max_ii {
-                return SearchMove::GiveUp;
-            }
-            self.ii = Some(view.mii);
-            self.branch = 1;
-            return SearchMove::TryII(view.mii);
-        };
-        if self.branch <= BRANCHES {
-            let seed = derive_seed(ii, self.branch);
-            self.branch += 1;
-            return SearchMove::RetryPerturbed { ii, seed };
-        }
-        // The II's branch group is complete.
-        if view.best.is_some() {
-            return SearchMove::Accept;
-        }
-        if ii + 1 > view.max_ii {
-            return SearchMove::GiveUp;
-        }
-        self.ii = Some(ii + 1);
-        self.branch = 1;
-        SearchMove::TryII(ii + 1)
-    }
-}
-
-/// The climb phase of the [`SearchStrategyKind::Exact`] strategy: after
-/// the branch-and-bound prover has certified a lower bound (which the
-/// driver raises the climb floor to), the candidate-II exploration itself
-/// is [`BacktrackingSearch`] move-for-move — canonical order plus seeded
-/// perturbed branches per II under nested graph checkpoints — so the
-/// accepted schedule is byte-identical to what the backtracking strategy
-/// finds at the same II, and a cached backtrack entry can be refined in
-/// place by its exact twin. Only the reported kind (and, via the driver,
-/// the attached [`SearchProof`]) differ.
-#[derive(Debug, Default)]
-pub struct ExactSearch {
-    inner: BacktrackingSearch,
-}
-
-impl SearchStrategy for ExactSearch {
-    fn kind(&self) -> SearchStrategyKind {
-        SearchStrategyKind::Exact
-    }
-
-    fn next_move(&mut self, view: &SearchView) -> SearchMove {
-        self.inner.next_move(view)
-    }
-}
-
-/// Stack-allocated dispatch over the shipped strategies (no `Box` per
-/// scheduled loop).
-#[derive(Debug)]
-pub(crate) enum StrategyImpl {
-    Linear(LinearSearch),
-    Backtracking(BacktrackingSearch),
-    Exact(ExactSearch),
-}
-
-impl StrategyImpl {
-    pub(crate) fn as_dyn(&mut self) -> &mut dyn SearchStrategy {
-        match self {
-            StrategyImpl::Linear(s) => s,
-            StrategyImpl::Backtracking(s) => s,
-            StrategyImpl::Exact(s) => s,
-        }
-    }
-}
-
-impl SearchConfig {
-    /// Instantiate the configured strategy.
-    ///
-    /// Note that [`SearchStrategyKind::Exact`] needs the driver's
-    /// [`SearchDriver::run_exact`] entry to get its bounding phase; the
-    /// bare strategy only reproduces the climb.
-    pub(crate) fn strategy_impl(&self) -> StrategyImpl {
-        match self.strategy {
-            SearchStrategyKind::Linear => StrategyImpl::Linear(LinearSearch::default()),
-            SearchStrategyKind::Backtracking => {
-                StrategyImpl::Backtracking(BacktrackingSearch::default())
-            }
-            SearchStrategyKind::Exact => StrategyImpl::Exact(ExactSearch::default()),
-        }
+/// Attempts in one candidate-II group of `strategy`: the canonical HRMS
+/// order, plus [`BRANCHES`] perturbed orders for the branching strategies.
+pub(crate) fn group_len(strategy: SearchStrategyKind) -> u32 {
+    match strategy {
+        SearchStrategyKind::Linear => 1,
+        SearchStrategyKind::Backtracking | SearchStrategyKind::Exact => 1 + BRANCHES,
     }
 }
 
@@ -386,8 +171,8 @@ struct Candidate {
     result: ScheduleResult,
 }
 
-/// What one fanned-out branch attempt produced, reported back to the
-/// driver through its per-branch slot.
+/// What one fanned-out attempt produced, reported back to the driver
+/// through its per-branch slot.
 struct BranchOutcome {
     /// The finished schedule on success (`stats` holds only this attempt's
     /// own work counters; the merge folds the carried counters in).
@@ -396,11 +181,9 @@ struct BranchOutcome {
     spill_ops: u32,
     /// Live moves of the schedule (candidate tie-break; 0 on failure).
     moves: u32,
-    /// Work counters of a *failed* attempt (what the serial driver would
-    /// have carried into the next attempt's stats).
+    /// Work counters of a *failed* attempt (what the transactional path
+    /// would have carried into the next attempt's stats).
     delta: SchedulerStats,
-    /// Wall-clock seconds of the attempt on its worker.
-    seconds: f64,
 }
 
 /// Fold the accumulative work counters of `delta` into `into` — exactly
@@ -414,17 +197,13 @@ fn accumulate(into: &mut SchedulerStats, delta: &SchedulerStats) {
     into.moves_removed += delta.moves_removed;
 }
 
-/// Hard cap on attempts per loop — a backstop against a runaway custom
-/// strategy, far above anything the shipped strategies can reach.
-const MAX_ATTEMPTS_FLOOR: u32 = 4096;
-
-/// The engine running a [`SearchStrategy`] over one loop.
+/// The engine climbing the candidate IIs of one loop.
 ///
 /// Owns the working graph (the one clone of the whole search), the nested
 /// [`CheckpointStack`] (search root → candidate-II group → attempt, so
-/// branch rollbacks compose), the epoch-cached HRMS order and its perturbed
-/// variants, and drives the borrowed [`SchedScratch`] through every
-/// attempt.
+/// attempt rollbacks compose), the epoch-cached HRMS order and its
+/// perturbed variants, and drives the borrowed [`SchedScratch`] through
+/// every attempt.
 pub(crate) struct SearchDriver<'a, 'm> {
     sched: &'a MirsScheduler<'m>,
     lp: &'a Loop,
@@ -444,34 +223,25 @@ pub(crate) struct SearchDriver<'a, 'm> {
     attempts: u32,
     failures: u32,
     successes: u32,
-    group_ii: Option<u32>,
+    /// Highest II attempted or pruned (MII − 1 before the first);
+    /// reported by `NotConverged`.
     last_ii: u32,
-    /// Candidate-II groups opened so far (`SearchMeta::groups`).
+    /// Candidate-II groups run so far (`SearchMeta::groups`).
     groups: u32,
-    /// Wall-clock seconds summed over every finished attempt.
-    attempt_secs: f64,
-    /// Sum of the slowest attempt of every *closed* group (critical path).
-    critical_secs: f64,
-    /// Slowest attempt of the group currently open.
-    group_max_secs: f64,
     carried: SchedulerStats,
-    view: SearchView,
     best: Option<Candidate>,
     /// Certified lower bound from the exact bounding phase (`None` for
     /// heuristic strategies); turned into the result's [`SearchProof`].
     bound: Option<exact::CertifiedBound>,
-    /// A move the strategy decided right after a success, to be executed on
-    /// the next loop turn (so the strategy is consulted once per decision).
-    deferred: Option<SearchMove>,
     /// Whether the relaxation admission filter screens candidate IIs
-    /// ([`SearchConfig::prune`]).
+    /// ([`SearchConfig::prune`](crate::SearchConfig::prune)).
     prune: bool,
-    /// The admission filter, built lazily on the first screened attempt
-    /// (eagerly by [`SearchDriver::run_exact`], which shares its cache
-    /// with the certifier).
+    /// The admission filter, built lazily on the first screened II
+    /// (eagerly by [`SearchDriver::certify`], which shares its cache with
+    /// the certifier).
     filter: Option<relax::RelaxFilter>,
-    /// Distinct candidate IIs the filter proved infeasible and skipped.
-    pruned: std::collections::BTreeSet<u32>,
+    /// Candidate IIs the filter proved infeasible and skipped.
+    pruned_iis: u32,
     /// Wall-clock seconds spent in the relaxation (cache builds plus
     /// per-II verdicts), surfaced as `SchedulerStats::relax_seconds`.
     relax_secs: f64,
@@ -508,9 +278,9 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         let mii_value = bounds.mii();
         // The HRMS order depends only on graph structure, and a rollback
         // restores both the structure and the epoch — so one ordering
-        // serves every attempt. The epoch check in `run_attempt` keeps the
-        // cache honest should an edit ever escape the transaction
-        // discipline.
+        // serves every attempt. The epoch check in `run_serial_group`
+        // keeps the cache honest should an edit ever escape the
+        // transaction discipline.
         let order = hrms::hrms_order_with(&graph, lat, &recs);
         let order_epoch = graph.structural_epoch();
         // Invariant across attempts for the same reason the order is: the
@@ -521,14 +291,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         scratch.spill_memo_mut().begin_loop(&graph, order_epoch);
         let mut cps = CheckpointStack::new();
         cps.push(&mut graph); // depth 1: the root of the search tree
-        let view = SearchView {
-            mii: mii_value,
-            max_ii: opts.max_ii,
-            attempts: 0,
-            last: None,
-            best: None,
-            pruned_iis: 0,
-        };
         Self {
             sched,
             lp,
@@ -547,74 +309,88 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             attempts: 0,
             failures: 0,
             successes: 0,
-            group_ii: None,
             last_ii: mii_value.saturating_sub(1),
             groups: 0,
-            attempt_secs: 0.0,
-            critical_secs: 0.0,
-            group_max_secs: 0.0,
             carried: SchedulerStats::default(),
-            view,
             best: None,
             bound: None,
-            deferred: None,
             prune: opts.search.prune,
             filter: None,
-            pruned: std::collections::BTreeSet::new(),
+            pruned_iis: 0,
             relax_secs: 0.0,
         }
     }
 
-    /// Should the attempt at `ii` be skipped? True only when the
-    /// relaxation has proven every II from the MII up to `ii` infeasible —
-    /// the attempt could not possibly succeed, so skipping it cannot
-    /// change which schedule the search accepts.
-    fn should_prune(&mut self, ii: u32) -> bool {
-        if !self.prune {
-            return false;
+    /// Climb from the strategy's floor to `max_ii`, one group per II, and
+    /// accept the best candidate of the first II whose group succeeds.
+    ///
+    /// With `fan`, every group runs on graph clones across the executor;
+    /// without it, on the transactional working graph.
+    pub(crate) fn run(
+        mut self,
+        fan: Option<&dyn BranchExecutor>,
+    ) -> Result<ScheduleResult, ScheduleError> {
+        let strategy = self.sched.options().search.strategy;
+        let floor = if strategy == SearchStrategyKind::Exact {
+            self.certify()
+        } else {
+            self.mii
+        };
+        let group = group_len(strategy);
+        // Fanned attempts must never touch the shared base graph; with the
+        // audit on, every group re-checks it against this pristine copy.
+        let audit_base = (fan.is_some() && self.audit).then(|| self.graph.clone());
+        for ii in floor..=self.max_ii {
+            self.last_ii = ii;
+            if self.should_prune(ii) {
+                // No attempt at this II can succeed: its whole group is
+                // skipped, and the II is counted once.
+                self.pruned_iis += 1;
+                if self.debug {
+                    eprintln!(
+                        "PRUNE: loop '{}' ii={ii} relaxation-infeasible, attempt skipped",
+                        self.lp.name
+                    );
+                }
+                continue;
+            }
+            self.groups += 1;
+            match fan {
+                Some(exec) => {
+                    self.run_group(exec, ii, group);
+                    if let Some(base) = &audit_base {
+                        assert!(
+                            self.graph.same_content(base),
+                            "branch-parallel search mutated the shared base graph of \
+                             loop '{}' at II {ii}",
+                            self.lp.name
+                        );
+                    }
+                }
+                None => {
+                    if let Some(accepted) = self.run_serial_group(ii, group) {
+                        return Ok(accepted);
+                    }
+                }
+            }
+            if self.best.is_some() {
+                break;
+            }
         }
-        let relax_start = Instant::now();
-        let graph = &self.graph;
-        let machine = self.sched.machine();
-        let mii = self.mii;
-        let filter = self
-            .filter
-            .get_or_insert_with(|| relax::RelaxFilter::new(graph, machine, mii));
-        let rejected = filter.rejects(ii);
-        self.relax_secs += relax_start.elapsed().as_secs_f64();
-        rejected
+        match self.best.take() {
+            Some(c) => Ok(self.finish(c.result)),
+            None => Err(ScheduleError::NotConverged {
+                loop_name: self.lp.name.clone(),
+                last_ii: self.last_ii,
+            }),
+        }
     }
 
-    /// Bookkeeping for a pruned candidate II: the climb position advances
-    /// and the strategy sees a failure report, but no attempt counter
-    /// moves — `SearchMeta::attempts` counts only attempts that ran.
-    fn note_pruned(&mut self, ii: u32, seed: Option<u64>) {
-        self.last_ii = self.last_ii.max(ii);
-        if self.pruned.insert(ii) && self.debug {
-            eprintln!(
-                "PRUNE: loop '{}' ii={ii} relaxation-infeasible, attempt skipped",
-                self.lp.name
-            );
-        }
-        self.view.pruned_iis = u32::try_from(self.pruned.len()).unwrap_or(u32::MAX);
-        self.record(AttemptReport {
-            ii,
-            seed,
-            success: false,
-            spill_ops: 0,
-            became_best: false,
-            pruned: true,
-        });
-    }
-
-    /// Drive the [`SearchStrategyKind::Exact`] strategy: certify a lower
-    /// bound on the II by branch-and-bound over the residue relaxation
-    /// (see [`exact`]), raise the climb floor to that bound — every II
-    /// below it is proven infeasible, so attempting them is wasted work —
-    /// and then explore with the [`ExactSearch`] climb, which replays
-    /// [`BacktrackingSearch`] exactly. [`SearchDriver::finish`] turns the
-    /// carried bound into the result's [`SearchProof`].
-    pub(crate) fn run_exact(mut self) -> Result<ScheduleResult, ScheduleError> {
+    /// Certify a lower bound on the II by branch-and-bound over the
+    /// residue relaxation (see [`exact`]) and return the climb floor it
+    /// sets. [`SearchDriver::finish`] turns the bound into the result's
+    /// [`SearchProof`]; `mii` keeps reporting the ResMII/RecMII bound.
+    fn certify(&mut self) -> u32 {
         let mut budget = exact::ExactBudget::new(self.sched.options().search.exact_budget);
         // Build the shared relaxation state eagerly: the certifier probes
         // it per candidate II, and the admission filter keeps consulting
@@ -637,135 +413,113 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 },
             );
         }
-        // The strategy reads the climb floor from the view; the driver's
-        // own `mii` keeps reporting the ResMII/RecMII bound in the result.
-        self.view.mii = bound.lower_bound.max(self.mii);
         self.bound = Some(bound);
-        self.run(&mut ExactSearch::default())
+        bound.lower_bound.max(self.mii)
     }
 
-    /// Drive `strategy` to completion.
-    pub(crate) fn run(
-        mut self,
-        strategy: &mut dyn SearchStrategy,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        let attempt_cap = MAX_ATTEMPTS_FLOOR.max(self.max_ii.saturating_mul(8));
-        loop {
-            let mv = match self.deferred.take() {
-                Some(mv) => mv,
-                None => strategy.next_move(&self.view),
-            };
-            let (ii, seed) = match mv {
-                // A strategy giving up while holding a feasible candidate
-                // still gets that candidate accepted — "stop searching"
-                // must never discard a valid schedule.
-                SearchMove::Accept | SearchMove::GiveUp => return self.accept(strategy.kind()),
-                SearchMove::TryII(ii) => (ii, None),
-                SearchMove::RetryPerturbed { ii, seed } => (ii, Some(seed)),
-            };
-            if self.attempts >= attempt_cap {
-                // Backstop: a non-terminating custom strategy degrades to
-                // accept-best / NotConverged instead of spinning forever.
-                return self.accept(strategy.kind());
-            }
-            if ii < self.mii || ii > self.max_ii {
-                // Out-of-range proposal (custom strategy): report it as a
-                // failed attempt so the strategy moves on.
-                self.attempts += 1;
-                self.record(AttemptReport {
-                    ii,
-                    seed,
-                    success: false,
-                    spill_ops: 0,
-                    became_best: false,
-                    pruned: false,
-                });
-                continue;
-            }
-            if self.should_prune(ii) {
-                self.note_pruned(ii, seed);
-                continue;
-            }
-            if let Some(accepted) = self.run_attempt(strategy, ii, seed)? {
-                return Ok(accepted);
-            }
+    /// Should the group at `ii` be skipped? True only when the relaxation
+    /// has proven every II from the MII up to `ii` infeasible — no attempt
+    /// could possibly succeed, so skipping them cannot change which
+    /// schedule the search accepts.
+    fn should_prune(&mut self, ii: u32) -> bool {
+        if !self.prune {
+            return false;
         }
+        let relax_start = Instant::now();
+        let graph = &self.graph;
+        let machine = self.sched.machine();
+        let mii = self.mii;
+        let filter = self
+            .filter
+            .get_or_insert_with(|| relax::RelaxFilter::new(graph, machine, mii));
+        let rejected = filter.rejects(ii);
+        self.relax_secs += relax_start.elapsed().as_secs_f64();
+        rejected
     }
 
-    /// Drive a [`BacktrackingSearch`] with every candidate-II branch group
-    /// fanned across `exec`, merging outcomes deterministically.
-    ///
-    /// This replays the exact attempt sequence of the serial strategy —
-    /// canonical order first, then two seeded perturbations per II, the
-    /// same group-end accept/climb/give-up rules and the same global
-    /// attempt cap — but runs each group's attempts on
-    /// private graph clones instead of one transactional working graph.
-    /// The two are equivalent because a group opens on the pristine root
-    /// state (the serial driver abandons to the search root before every
-    /// group) and an attempt's outcome is a pure function of
-    /// `(graph, order, ii, options)`; the golden-hash and cross-jobs tests
-    /// pin the equivalence.
-    pub(crate) fn run_branch_parallel(
-        mut self,
-        exec: &dyn BranchExecutor,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        let kind = SearchStrategyKind::Backtracking;
-        let attempt_cap = MAX_ATTEMPTS_FLOOR.max(self.max_ii.saturating_mul(8));
-        if self.mii > self.max_ii {
-            return self.accept(kind);
-        }
-        // Branch attempts must never touch the shared base graph; with the
-        // audit on, every group re-checks it against this pristine copy.
-        let audit_base = if self.audit {
-            Some(self.graph.clone())
-        } else {
-            None
-        };
-        let mut ii = self.mii;
-        loop {
-            if self.should_prune(ii) {
-                // The relaxation proved this II infeasible: the whole
-                // canonical+branches group is skipped (the serial driver
-                // prunes each of its proposals individually — same
-                // counters, same pruned set), and the group-end decision
-                // below still runs so the climb matches the serial
-                // strategy move-for-move. The rollback audit has nothing
-                // to check — no branch ever ran.
-                self.note_pruned(ii, None);
+    /// Run the `len` attempts of the group at `ii` one after another on
+    /// the transactional working graph. Returns the result when the
+    /// group's last attempt is also its best: it is accepted in place,
+    /// taking the working graph without a clone.
+    fn run_serial_group(&mut self, ii: u32, len: u32) -> Option<ScheduleResult> {
+        // Group level of the checkpoint tree (depth 2).
+        self.cps.abandon_to(&mut self.graph, 1);
+        self.cps.push(&mut self.graph);
+        for branch in 0..len {
+            // Paranoia refresh of the epoch-cached order (rollbacks restore
+            // the epoch, so this never fires under the transaction
+            // discipline).
+            if self.graph.structural_epoch() != self.order_epoch {
+                self.order = hrms::hrms_order(&self.graph, self.sched.machine().latencies());
+                self.order_epoch = self.graph.structural_epoch();
+            }
+            self.attempts += 1;
+            let attempt = self.attempts;
+            self.scratch.spill_memo_mut().begin_attempt();
+            // Attempt level (depth 3).
+            let depth = self.cps.push(&mut self.graph);
+            debug_assert!(depth >= 3, "search root, II group and attempt nest");
+            let audit_base = self.audit.then(|| self.graph.clone());
+            let order: &[NodeId] = if branch == 0 {
+                &self.order
             } else {
-                // Exactly the attempts `BacktrackingSearch` would issue at
-                // this II, truncated by the attempt cap the serial driver
-                // enforces before every attempt.
-                let branches = (1 + BRANCHES).min(attempt_cap - self.attempts) as usize;
-                self.run_group(exec, ii, branches);
-                if let Some(base) = &audit_base {
-                    assert!(
-                        self.graph.same_content(base),
-                        "branch-parallel search mutated the shared base graph of \
-                         loop '{}' at II {ii}",
-                        self.lp.name
-                    );
+                perturb_order(&self.order, derive_seed(ii, branch), &mut self.perturbed);
+                &self.perturbed
+            };
+            let outcome = self.sched.attempt(
+                &mut self.graph,
+                order,
+                ii,
+                self.mem_ops_base,
+                self.debug,
+                self.scratch,
+                &mut self.carried,
+            );
+            match outcome {
+                AttemptOutcome::Restart => self.failures += 1,
+                AttemptOutcome::Success(st) => {
+                    // NOTE: `st` holds the mutable borrow of `self.graph`,
+                    // so this block must stick to disjoint-field accesses
+                    // (best, scratch, …) until `st` is consumed.
+                    self.successes += 1;
+                    let key = CandidateKey {
+                        ii,
+                        spill_ops: st.spill_op_count(),
+                        moves: st.move_op_count(),
+                        attempt,
+                    };
+                    if self.best.as_ref().is_none_or(|b| key < b.key) {
+                        let in_place = branch + 1 == len;
+                        let mut result =
+                            st.into_result(self.scratch, &self.lp.name, self.mii, in_place);
+                        result.stats.restarts = self.failures;
+                        if in_place {
+                            self.cps.clear();
+                            return Some(self.finish(result));
+                        }
+                        // Stash the clone, then abandon the attempt branch
+                        // so the group continues from its pristine state.
+                        self.best = Some(Candidate { key, result });
+                    } else {
+                        st.reclaim_into(self.scratch);
+                    }
                 }
             }
-            // `BacktrackingSearch::next_move`'s group-end decision, verbatim.
-            if self.best.is_some() || ii + 1 > self.max_ii || self.attempts >= attempt_cap {
-                return self.accept(kind);
-            }
-            ii += 1;
+            self.cps.abandon(&mut self.graph);
+            self.audit_rollback(&audit_base, ii);
         }
+        None
     }
 
-    /// Fan one candidate-II branch group across the executor, then merge
-    /// the outcomes *in branch order* — which is the serial attempt order,
-    /// so the incumbent-best updates, failure counts and carried work
-    /// counters replay the serial search exactly, for any executor and any
-    /// worker count.
-    fn run_group(&mut self, exec: &dyn BranchExecutor, ii: u32, branches: usize) {
-        self.groups += 1;
-        self.group_ii = Some(ii);
-        self.last_ii = self.last_ii.max(ii);
+    /// Fan the `len` attempts of the group at `ii` across the executor,
+    /// then merge the outcomes *in attempt order* — the order the
+    /// transactional path runs them in, so the incumbent-best updates,
+    /// failure counts and carried work counters match it exactly, for any
+    /// executor and any worker count.
+    fn run_group(&mut self, exec: &dyn BranchExecutor, ii: u32, len: u32) {
+        let len = len as usize;
         let slots: Vec<Mutex<Option<BranchOutcome>>> = std::iter::repeat_with(|| Mutex::new(None))
-            .take(branches)
+            .take(len)
             .collect();
         {
             let sched = self.sched;
@@ -778,7 +532,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             let debug = self.debug;
             let slots = &slots;
             let job = move |branch: usize, scratch: &mut SchedScratch| {
-                let attempt_start = Instant::now();
                 // Private clone of the group-start graph (identical to the
                 // search root); the branch owns it outright, so no
                 // transaction is needed — failure drops it, success commits
@@ -788,8 +541,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 let branch_order: &[NodeId] = if branch == 0 {
                     order
                 } else {
-                    let seed = derive_seed(ii, branch as u32);
-                    perturb_order(order, seed, &mut perturbed);
+                    perturb_order(order, derive_seed(ii, branch as u32), &mut perturbed);
                     &perturbed
                 };
                 // The pooled scratch may have served another loop (or
@@ -823,11 +575,10 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                     spill_ops,
                     moves,
                     delta,
-                    seconds: attempt_start.elapsed().as_secs_f64(),
                 };
                 *slots[branch].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
             };
-            exec.run_branches(branches, &job);
+            exec.run_branches(len, &job);
         }
         for (branch, slot) in slots.into_iter().enumerate() {
             let out = slot
@@ -841,8 +592,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                     )
                 });
             self.attempts += 1;
-            self.attempt_secs += out.seconds;
-            self.group_max_secs = self.group_max_secs.max(out.seconds);
             match out.result {
                 None => {
                     self.failures += 1;
@@ -851,7 +600,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 Some(mut result) => {
                     self.successes += 1;
                     // Fold in the counters carried over failed attempts,
-                    // as the serial driver threads them through the
+                    // as the transactional path threads them through the
                     // attempt's stats; a success always consumes them.
                     accumulate(&mut result.stats, &self.carried);
                     self.carried = SchedulerStats::default();
@@ -868,149 +617,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 }
             }
         }
-        self.critical_secs += self.group_max_secs;
-        self.group_max_secs = 0.0;
-    }
-
-    /// Execute one attempt and feed the outcome to the strategy. Returns
-    /// `Some(result)` when the attempt was accepted in place.
-    fn run_attempt(
-        &mut self,
-        strategy: &mut dyn SearchStrategy,
-        ii: u32,
-        seed: Option<u64>,
-    ) -> Result<Option<ScheduleResult>, ScheduleError> {
-        // Paranoia refresh of the epoch-cached order (rollbacks restore
-        // the epoch, so this never fires under the transaction discipline).
-        if self.graph.structural_epoch() != self.order_epoch {
-            self.order = hrms::hrms_order(&self.graph, self.sched.machine().latencies());
-            self.order_epoch = self.graph.structural_epoch();
-        }
-        // Candidate-II group level of the checkpoint tree (depth 2): the
-        // first attempt at a new II opens a fresh group branch.
-        if self.group_ii != Some(ii) {
-            self.cps.abandon_to(&mut self.graph, 1);
-            self.cps.push(&mut self.graph);
-            self.group_ii = Some(ii);
-            self.groups += 1;
-            self.critical_secs += self.group_max_secs;
-            self.group_max_secs = 0.0;
-        }
-        self.last_ii = self.last_ii.max(ii);
-        self.attempts += 1;
-        let attempt_index = self.attempts;
-        self.scratch.spill_memo_mut().begin_attempt();
-        // Attempt level (depth 3).
-        let depth = self.cps.push(&mut self.graph);
-        debug_assert!(depth >= 3, "search root, II group and attempt nest");
-        let audit_base = if self.audit {
-            Some(self.graph.clone())
-        } else {
-            None
-        };
-        let order: &[NodeId] = match seed {
-            Some(seed) => {
-                perturb_order(&self.order, seed, &mut self.perturbed);
-                &self.perturbed
-            }
-            None => &self.order,
-        };
-        let attempt_start = Instant::now();
-        let outcome = self.sched.attempt(
-            &mut self.graph,
-            order,
-            ii,
-            self.mem_ops_base,
-            self.debug,
-            self.scratch,
-            &mut self.carried,
-        );
-        let attempt_secs = attempt_start.elapsed().as_secs_f64();
-        self.attempt_secs += attempt_secs;
-        self.group_max_secs = self.group_max_secs.max(attempt_secs);
-        match outcome {
-            AttemptOutcome::Restart => {
-                self.cps.abandon(&mut self.graph);
-                self.audit_rollback(&audit_base, ii);
-                self.failures += 1;
-                self.record(AttemptReport {
-                    ii,
-                    seed,
-                    success: false,
-                    spill_ops: 0,
-                    became_best: false,
-                    pruned: false,
-                });
-                Ok(None)
-            }
-            AttemptOutcome::Success(st) => {
-                // NOTE: `st` holds the mutable borrow of `self.graph`, so
-                // this block must stick to disjoint-field accesses (view,
-                // best, scratch, …) until `st` is consumed.
-                let spill_ops = st.spill_op_count();
-                let key = CandidateKey {
-                    ii,
-                    spill_ops,
-                    moves: st.move_op_count(),
-                    attempt: attempt_index,
-                };
-                let became_best = self.best.as_ref().is_none_or(|b| key < b.key);
-                self.successes += 1;
-                self.view.attempts = self.attempts;
-                self.view.last = Some(AttemptReport {
-                    ii,
-                    seed,
-                    success: true,
-                    spill_ops,
-                    became_best,
-                    pruned: false,
-                });
-                if became_best {
-                    self.view.best = Some((ii, spill_ops));
-                }
-                // Consult the strategy while the attempt is still live: an
-                // immediate accept of the incumbent takes the working graph
-                // without any clone (the linear fast path).
-                let mv = strategy.next_move(&self.view);
-                if mv == SearchMove::Accept && became_best {
-                    let mut result = st.into_result(self.scratch, &self.lp.name, self.mii, true);
-                    result.stats.restarts = self.failures;
-                    self.cps.clear();
-                    return Ok(Some(self.finish(strategy.kind(), result)));
-                }
-                // Stash-or-discard, then abandon the attempt branch so the
-                // search continues from the pristine group state.
-                if became_best {
-                    let mut result = st.into_result(self.scratch, &self.lp.name, self.mii, false);
-                    result.stats.restarts = self.failures;
-                    self.best = Some(Candidate { key, result });
-                } else {
-                    st.reclaim_into(self.scratch);
-                }
-                self.cps.abandon(&mut self.graph);
-                self.audit_rollback(&audit_base, ii);
-                match mv {
-                    SearchMove::Accept | SearchMove::GiveUp => {
-                        self.accept(strategy.kind()).map(Some)
-                    }
-                    next => {
-                        // Defer the already-decided move to the main loop.
-                        debug_assert!(self.deferred.is_none());
-                        self.deferred = Some(next);
-                        Ok(None)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Record a finished attempt in the strategy-facing view.
-    fn record(&mut self, report: AttemptReport) {
-        self.view.attempts = self.attempts;
-        self.view.last = Some(report);
-        if report.success && report.became_best {
-            self.view.best = Some((report.ii, report.spill_ops));
-        }
     }
 
     /// Assert the rollback restored the attempt-start graph bit-identically
@@ -1026,23 +632,11 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         }
     }
 
-    /// Accept the best stashed candidate, or fail with `NotConverged`.
-    fn accept(&mut self, kind: SearchStrategyKind) -> Result<ScheduleResult, ScheduleError> {
-        match self.best.take() {
-            Some(c) => Ok(self.finish(kind, c.result)),
-            None => Err(ScheduleError::NotConverged {
-                loop_name: self.lp.name.clone(),
-                last_ii: self.last_ii,
-            }),
-        }
-    }
-
     /// Stamp the accepted result with timing and search metadata.
-    fn finish(&mut self, kind: SearchStrategyKind, mut result: ScheduleResult) -> ScheduleResult {
+    fn finish(&mut self, mut result: ScheduleResult) -> ScheduleResult {
         result.stats.scheduling_seconds = self.start.elapsed().as_secs_f64();
         result.stats.relax_seconds = self.relax_secs;
-        let pruned_iis = u32::try_from(self.pruned.len()).unwrap_or(u32::MAX);
-        result.stats.pruned_iis = pruned_iis;
+        result.stats.pruned_iis = self.pruned_iis;
         let proof = match self.bound {
             None => SearchProof::Heuristic,
             Some(b) => {
@@ -1064,13 +658,11 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             }
         };
         result.search = SearchMeta {
-            strategy: kind,
+            strategy: self.sched.options().search.strategy,
             attempts: self.attempts,
             candidates: self.successes,
             groups: self.groups,
-            branch_attempt_seconds: self.attempt_secs,
-            branch_critical_seconds: self.critical_secs + self.group_max_secs,
-            pruned_iis,
+            pruned_iis: self.pruned_iis,
             proof,
         };
         if self.debug {

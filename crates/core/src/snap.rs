@@ -119,8 +119,6 @@ impl SnapEncode for SearchMeta {
         w.put_u32(self.attempts);
         w.put_u32(self.candidates);
         w.put_u32(self.groups);
-        w.put_f64(self.branch_attempt_seconds);
-        w.put_f64(self.branch_critical_seconds);
         w.put_u32(self.pruned_iis);
         self.proof.encode_snap(w);
     }
@@ -133,8 +131,6 @@ impl SnapDecode for SearchMeta {
             attempts: r.get_u32()?,
             candidates: r.get_u32()?,
             groups: r.get_u32()?,
-            branch_attempt_seconds: r.get_f64()?,
-            branch_critical_seconds: r.get_f64()?,
             pruned_iis: r.get_u32()?,
             proof: SnapDecode::decode_snap(r)?,
         })
@@ -334,8 +330,6 @@ mod tests {
                 attempts: 3,
                 candidates: 1,
                 groups: 1,
-                branch_attempt_seconds: 0.0,
-                branch_critical_seconds: 0.0,
                 pruned_iis: 4,
                 proof,
             };

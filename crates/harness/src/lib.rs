@@ -43,9 +43,9 @@
 //! deterministic, so the parallel-equals-serial guarantee above holds for
 //! every strategy.
 //!
-//! The `backtrack` strategy can additionally fan the independent attempts
-//! of each candidate-II branch group across a nested [`sweep::BranchPool`]
-//! (`MIRS_BRANCH_JOBS` workers, default 1). Branch outcomes are merged in
+//! The `backtrack` and `exact` strategies can additionally fan the
+//! independent attempts of each candidate-II group across a nested
+//! [`sweep::BranchPool`] (`MIRS_BRANCH_JOBS` workers, default 1). Branch outcomes are merged in
 //! deterministic attempt order, so schedules stay byte-identical to the
 //! serial search for any `MIRS_JOBS` × `MIRS_BRANCH_JOBS` combination;
 //! nested pools clamp themselves to the cores the outer sweep leaves free.

@@ -204,14 +204,13 @@ pub fn schedule_loop_opts(
             let opts = SchedulerOptions::default()
                 .with_prefetch(prefetch)
                 .with_search(search);
-            let sched = MirsScheduler::new(machine, opts);
-            // Branch-parallel Backtracking fans each candidate-II group
-            // across a sub-pool; outcomes are byte-identical to the serial
-            // search, so this only changes wall-clock time.
-            match BranchPool::for_search(&search) {
-                Some(pool) => sched.schedule_with_exec(lp, scratch, &pool).ok(),
-                None => sched.schedule_with(lp, scratch).ok(),
-            }
+            // The scheduler decides whether a candidate-II group fans out
+            // across the pool; outcomes are byte-identical to the serial
+            // search, so the pool only changes wall-clock time.
+            let pool = BranchPool::new(search.branch_jobs as usize);
+            MirsScheduler::new(machine, opts)
+                .schedule_with_exec(lp, scratch, &pool)
+                .ok()
         }
         SchedulerKind::Baseline => {
             let opts = BaselineOptions {

@@ -9,7 +9,7 @@
 //!
 //! * workers claim **chunks** of task indices from one shared atomic
 //!   counter (cheap work stealing with NUMA-friendly locality: one
-//!   fetch-add hands out up to `MIRS_CHUNK` — default 8 — consecutive
+//!   fetch-add hands out up to [`DEFAULT_CHUNK`] — 8 — consecutive
 //!   tasks, cutting counter contention and keeping a worker's consecutive
 //!   loops in its local cache; small bags are auto-declustered so every
 //!   worker still gets work),
@@ -35,10 +35,6 @@ use std::sync::{Arc, Mutex};
 /// Environment variable overriding the worker count (`0` or unparsable
 /// values fall back to the default).
 pub const JOBS_ENV: &str = "MIRS_JOBS";
-
-/// Environment variable overriding the task-claim chunk size (`0` or
-/// unparsable values fall back to [`DEFAULT_CHUNK`]).
-pub const CHUNK_ENV: &str = "MIRS_CHUNK";
 
 /// Default number of consecutive tasks one atomic claim hands a worker.
 pub const DEFAULT_CHUNK: usize = 8;
@@ -220,8 +216,8 @@ impl SweepExecutor {
     }
 
     /// Executor sized by the `MIRS_JOBS` environment variable, defaulting
-    /// to [`std::thread::available_parallelism`]; the claim chunk honours
-    /// `MIRS_CHUNK`.
+    /// to [`std::thread::available_parallelism`], with the default claim
+    /// chunk.
     #[must_use]
     pub fn from_env() -> Self {
         let jobs = std::env::var(JOBS_ENV)
@@ -233,12 +229,7 @@ impl SweepExecutor {
                     .map(std::num::NonZeroUsize::get)
                     .unwrap_or(1)
             });
-        let chunk = std::env::var(CHUNK_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CHUNK);
-        Self::new(jobs).with_chunk(chunk)
+        Self::new(jobs)
     }
 
     /// Builder-style override of the claim chunk size (clamped to at least
@@ -413,7 +404,7 @@ impl SweepExecutor {
         // chunk). Without the lock two workers could race between their
         // `fetch_add` and their call, and the observer would see
         // `progress(5)` before `progress(4)` — non-monotone output that
-        // looked like chunk-sized jumps under `MIRS_CHUNK > 1`. The lock
+        // looked like chunk-sized jumps under a claim chunk above 1. The lock
         // exists **only for the hook**: hook-less sweeps skip it entirely
         // and pay one relaxed `fetch_add` per task, so the serialization
         // guarantee — and its cost — apply exclusively to runs that
@@ -594,17 +585,20 @@ struct WorkerLoss<T> {
 type WorkerPart<T> = Result<Vec<(usize, T)>, WorkerLoss<T>>;
 
 /// A [`mirs::BranchExecutor`] backed by a private [`SweepExecutor`]: fans
-/// the independent attempts of one `Backtracking` candidate-II branch
+/// the independent attempts of one `backtrack` or `exact` candidate-II
 /// group across `MIRS_BRANCH_JOBS` workers.
 ///
 /// This is the harness's bridge between the in-loop search and the sweep
 /// engine. Scheduling outcomes are byte-identical to the serial search —
 /// the core driver merges branch results in deterministic attempt order —
-/// so the pool only changes wall-clock time. [`SchedScratch`](mirs::SchedScratch)es are pooled
-/// across branch groups (and across the loops of one
-/// [`runner::schedule_loop_opts`](crate::runner::schedule_loop_opts) call
-/// chain) behind a mutex, so repeated groups reuse warmed allocations
-/// instead of re-allocating per branch.
+/// so the pool only changes wall-clock time. The scheduler decides whether
+/// a group fans out at all
+/// ([`MirsScheduler::schedule_with_exec`](mirs::MirsScheduler::schedule_with_exec)).
+/// [`SchedScratch`](mirs::SchedScratch)es are pooled across the groups of
+/// one loop behind a mutex, so repeated groups reuse warmed allocations
+/// instead of re-allocating per branch;
+/// [`runner::schedule_loop_opts`](crate::runner::schedule_loop_opts) builds
+/// one pool per loop.
 ///
 /// Branch groups are small bags (typically 3 tasks), so the pool claims
 /// one branch per atomic fetch (`chunk = 1`). When the pool is opened
@@ -626,16 +620,6 @@ impl BranchPool {
             exec: SweepExecutor::new(jobs).with_chunk(1),
             scratches: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Pool for a search configuration, or `None` when the configuration
-    /// has no branch-parallel work to fan out (non-`Backtracking`
-    /// strategies, or `branch_jobs <= 1` — those run the serial in-process
-    /// search).
-    #[must_use]
-    pub fn for_search(search: &mirs::SearchConfig) -> Option<Self> {
-        (search.strategy == mirs::SearchStrategyKind::Backtracking && search.branch_jobs > 1)
-            .then(|| Self::new(search.branch_jobs as usize))
     }
 
     /// Configured branch-worker count.

@@ -56,8 +56,8 @@ use std::fmt;
 /// pruned-II counters (and relax timing) and `SearchConfig` the
 /// admission-filter flag; 5 — `SearchMeta` lost the salvaged/replaced op
 /// counts, strategy tag 2 (`perturb`) was retired and the `SearchConfig`
-/// codec removed.
-pub const FORMAT_VERSION: u16 = 5;
+/// codec removed; 6 — `SearchMeta` lost the per-attempt branch timings.
+pub const FORMAT_VERSION: u16 = 6;
 
 /// Envelope magic for [`MachineConfig`] snapshots.
 pub const MACHINE_MAGIC: [u8; 4] = *b"MMCH";

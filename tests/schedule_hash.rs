@@ -9,7 +9,7 @@
 //! modulo reservation table must be a pure speedup, not a behaviour change.
 
 use loopgen::{Workbench, WorkbenchParams};
-use mirs::{MirsScheduler, SchedulerOptions};
+use mirs::{MirsScheduler, ScheduleError, SchedulerOptions, SearchConfig, SearchProof};
 use vliw::MachineConfig;
 
 fn workbench() -> Workbench {
@@ -129,6 +129,96 @@ fn spill_choices_are_pinned_on_register_starved_machines() {
     );
 }
 
+/// One word per proof: the kind in the low byte, the bound above it.
+fn proof_word(proof: SearchProof) -> u64 {
+    match proof {
+        SearchProof::Heuristic => 1,
+        SearchProof::Optimal => 2,
+        SearchProof::LowerBound(b) => 3 | u64::from(b) << 8,
+        SearchProof::BudgetExhausted(b) => 4 | u64::from(b) << 8,
+    }
+}
+
+/// Pins the search outcome, not only the schedule. For every strategy, on
+/// default loops on 4x16, unsaturated loops on 1x16 and the hard cases on
+/// 1x8, it digests the attempt, candidate, group and pruned-II counters,
+/// the restarts, the proof, and the `last_ii` of every `NotConverged`
+/// verdict. The II caps of 4 and 6 on 4x16 and of 3 and 5 on the hard
+/// cases stop many climbs short, so a climb that ends one II early, a
+/// pruned II that does not count towards `last_ii`, or an `exact` climb
+/// that starts below its certified floor moves this digest.
+#[test]
+fn search_outcomes_are_pinned() {
+    let default = Workbench::generate(&WorkbenchParams {
+        loops: 20,
+        ..WorkbenchParams::default()
+    });
+    let unsaturated = Workbench::generate(&WorkbenchParams {
+        loops: 20,
+        ..WorkbenchParams::unsaturated()
+    });
+    let hard = loopgen::hard_cases();
+    let grid = [
+        (default.loops(), 4u32, 16u32, &[4u32, 6, 1024][..]),
+        (unsaturated.loops(), 1, 16, &[64][..]),
+        (&hard[..], 1, 8, &[3, 5, 64][..]),
+    ];
+    let mut scratch = mirs::SchedScratch::new();
+    let mut combined: u64 = 0xcbf2_9ce4_8422_2325;
+    let (mut ok, mut not_converged, mut pruned) = (0, 0, 0);
+    for search in [
+        SearchConfig::linear(),
+        SearchConfig::backtracking(),
+        SearchConfig::exact(),
+    ] {
+        for &(loops, k, regs, caps) in &grid {
+            let machine = MachineConfig::paper_config(k, regs).unwrap();
+            for &max_ii in caps {
+                let opts = SchedulerOptions {
+                    max_ii,
+                    ..SchedulerOptions::default()
+                }
+                .with_search(search);
+                let sched = MirsScheduler::new(&machine, opts);
+                for lp in loops {
+                    match sched.schedule_with(lp, &mut scratch) {
+                        Ok(r) => {
+                            ok += 1;
+                            pruned += r.search.pruned_iis;
+                            for word in [
+                                r.schedule_hash(),
+                                u64::from(r.ii),
+                                u64::from(r.stats.restarts),
+                                u64::from(r.search.attempts),
+                                u64::from(r.search.candidates),
+                                u64::from(r.search.groups),
+                                u64::from(r.search.pruned_iis),
+                                proof_word(r.search.proof),
+                            ] {
+                                combined = fold(combined, word);
+                            }
+                        }
+                        Err(ScheduleError::NotConverged { last_ii, .. }) => {
+                            not_converged += 1;
+                            combined = fold(combined, 0xdead_0000 | u64::from(last_ii));
+                        }
+                        Err(e) => panic!("{} on {}: {e}", lp.name, machine.name()),
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        (ok, not_converged, pruned),
+        (207, 78, 38),
+        "converged / not converged / pruned IIs"
+    );
+    assert_eq!(
+        combined, SEARCH_OUTCOMES,
+        "search outcomes changed: got {combined:#018x}"
+    );
+}
+
 #[test]
 fn schedule_hash_is_stable_across_runs() {
     let machine = MachineConfig::paper_config(2, 32).unwrap();
@@ -170,11 +260,14 @@ fn schedules_are_identical_with_a_reused_scratch() {
     }
 }
 
-/// FNV-1a over the snapshot encoding of every workbench loop's final graph,
-/// in workbench order, plus the number of nodes whose name starts with
-/// `move ` and with `spill.`. `schedule_hash` leaves names out, but they
-/// travel in the `MDDG`/`MRES` payloads and cache entries, so this pins the
-/// graphs the results carry, names of inserted values and nodes included.
+/// FNV-1a over the `MDDG` snapshot payload of every workbench loop's final
+/// graph, in workbench order, plus the number of nodes whose name starts
+/// with `move ` and with `spill.`. `schedule_hash` leaves names out, but
+/// they travel in the `MDDG`/`MRES` payloads and cache entries, so this
+/// pins the graphs the results carry, names of inserted values and nodes
+/// included. The envelope is left out: its magic is fixed and its length
+/// and checksum follow from the payload, so only the format version could
+/// move the digest without the graphs changing.
 fn workbench_graph_digest(machine: &MachineConfig) -> (u64, usize, usize) {
     let wb = workbench();
     let sched = MirsScheduler::new(machine, SchedulerOptions::default());
@@ -182,7 +275,9 @@ fn workbench_graph_digest(machine: &MachineConfig) -> (u64, usize, usize) {
     let (mut moves, mut spills) = (0, 0);
     for lp in wb.loops() {
         let r = sched.schedule(lp).expect("reference workbench converges");
-        for byte in ddg::snap::encode_graph(&r.graph) {
+        let blob = ddg::snap::encode_graph(&r.graph);
+        let payload = vliw::snap::unseal(ddg::snap::GRAPH_MAGIC, &blob).expect("sealed graph");
+        for &byte in payload {
             h ^= u64::from(byte);
             h = h.wrapping_mul(0x100_0000_01b3);
         }
@@ -228,14 +323,19 @@ const GOLDEN_2X32: u64 = 0xda8c_f0c2_9b3e_3938;
 /// folding them onto the MRT must reproduce these exactly.
 const GOLDEN_4X16: u64 = 0x8262_5be3_1262_750e;
 const GOLDEN_1X16: u64 = 0x34f1_dc01_435b_54a9;
-/// Recorded from the scheduler that formatted the names of inserted values
-/// and nodes when it created them; building them once per result must
-/// reproduce these exactly.
-const GRAPH_1X64: u64 = 0x0a03_89dd_8687_c0c2;
-const GRAPH_2X32: u64 = 0x3313_40b8_8088_e3c3;
-const GRAPH_4X16: u64 = 0x1934_0764_3122_66f6;
-const GRAPH_1X16: u64 = 0xea1d_0610_804e_e5f6;
+/// Recorded over the sealed blobs from the scheduler that formatted the
+/// names of inserted values and nodes when it created them, and re-recorded
+/// over the bare payloads of the same graphs when snapshot format 6 came
+/// in (the graphs did not change).
+const GRAPH_1X64: u64 = 0xd604_bfe1_3a9f_5ad3;
+const GRAPH_2X32: u64 = 0xe30a_1394_43f0_a3d4;
+const GRAPH_4X16: u64 = 0x11e9_af78_5b33_383f;
+const GRAPH_1X16: u64 = 0x362d_9021_2f1a_90cd;
 /// Recorded from the scheduler that built every spill candidate before
 /// ranking it; ranking first and building only the winner must reproduce
 /// it exactly.
 const GOLDEN_SPILL: u64 = 0x8d90_707a_868d_21a3;
+/// Recorded from the search that ran three climbs — a strategy protocol,
+/// a branch-parallel replay of it and an exact climb; folding the three
+/// into one loop must reproduce it exactly.
+const SEARCH_OUTCOMES: u64 = 0xf913_b5c8_7bb0_fb1e;

@@ -12,10 +12,12 @@
 //!   structural oracle there;
 //! * every strategy is deterministic (same loop, same machine, same hash)
 //!   and records its metadata in `ScheduleResult::search`;
-//! * the branch-parallel `Backtracking` path (`SearchConfig::branch_jobs >
-//!   1`, fanned across a `harness::sweep::BranchPool`) is byte-identical
-//!   to the serial search for any worker count — including when the outer
-//!   workbench sweep already saturates the machine's cores.
+//! * the branch-parallel path of `Backtracking` and `Exact`
+//!   (`SearchConfig::branch_jobs > 1`, fanned across a
+//!   `harness::sweep::BranchPool`) is byte-identical to the serial search
+//!   for any worker count, on converged loops and on `NotConverged`
+//!   verdicts alike — including when the outer workbench sweep already
+//!   saturates the machine's cores.
 
 use harness::sweep::BranchPool;
 use loopgen::{Workbench, WorkbenchParams};
@@ -174,24 +176,19 @@ fn every_strategy_is_deterministic() {
     }
 }
 
-/// Schedule with an explicit branch-job count, routing through a
-/// [`BranchPool`] exactly as the harness runners do (`branch_jobs <= 1`
-/// and non-`Backtracking` strategies take the serial in-process path).
+/// Schedule with an explicit branch-job count through a [`BranchPool`] of
+/// `pool_jobs` workers, as the harness runners do (the scheduler keeps
+/// `branch_jobs <= 1` and `Linear` on the serial in-process path).
 fn schedule_jobs(
     machine: &MachineConfig,
     lp: &ddg::Loop,
-    search: SearchConfig,
+    opts: SchedulerOptions,
     branch_jobs: u32,
+    pool_jobs: usize,
     scratch: &mut SchedScratch,
-) -> ScheduleResult {
-    let search = search.with_branch_jobs(branch_jobs);
-    let opts = SchedulerOptions::default().with_search(search);
-    let sched = MirsScheduler::new(machine, opts);
-    match BranchPool::for_search(&search) {
-        Some(pool) => sched.schedule_with_exec(lp, scratch, &pool),
-        None => sched.schedule_with(lp, scratch),
-    }
-    .expect("workbench loops converge")
+) -> Result<ScheduleResult, mirs::ScheduleError> {
+    let opts = opts.with_search(opts.search.with_branch_jobs(branch_jobs));
+    MirsScheduler::new(machine, opts).schedule_with_exec(lp, scratch, &BranchPool::new(pool_jobs))
 }
 
 /// Everything observable about the search outcome that must not depend on
@@ -263,10 +260,11 @@ proptest! {
 
     /// `MIRS_BRANCH_JOBS=1` and `=4` produce byte-identical schedules and
     /// identical `SearchMeta` on randomized workbenches, for every
-    /// strategy. For `Backtracking` this crosses three implementations:
-    /// the serial incremental driver (`branch_jobs = 1`), the group-merge
-    /// driver run inline (`branch_jobs = 4` through the default executor)
-    /// and the group-merge driver fanned across a real thread pool.
+    /// strategy. For `Backtracking` and `Exact` this crosses three
+    /// executions of each group: on the transactional working graph
+    /// (`branch_jobs = 1`), on graph clones merged one after another (a
+    /// one-worker pool) and on graph clones fanned across a real thread
+    /// pool.
     #[test]
     fn branch_jobs_one_and_four_are_byte_identical(
         seed in 0u64..400,
@@ -281,21 +279,26 @@ proptest! {
         let k = 1u32 << clusters_pow;
         let machine = MachineConfig::paper_config(k, 64 / k).unwrap();
         let mut scratch = SchedScratch::new();
-        for cfg in [SearchConfig::linear(), SearchConfig::backtracking()] {
+        for cfg in [
+            SearchConfig::linear(),
+            SearchConfig::backtracking(),
+            SearchConfig::exact(),
+        ] {
+            let opts = SchedulerOptions::default().with_search(cfg);
             for lp in wb.loops() {
-                let serial = schedule_jobs(&machine, lp, cfg, 1, &mut scratch);
-                let fanned = schedule_jobs(&machine, lp, cfg, 4, &mut scratch);
+                let run = |branch_jobs, pool_jobs, scratch: &mut SchedScratch| {
+                    schedule_jobs(&machine, lp, opts, branch_jobs, pool_jobs, scratch)
+                        .expect("workbench loops converge")
+                };
+                let serial = run(1, 1, &mut scratch);
+                let fanned = run(4, 4, &mut scratch);
                 prop_assert_eq!(
                     outcome_fingerprint(&serial),
                     outcome_fingerprint(&fanned),
                     "{}/{}: branch_jobs=4 diverged from serial", cfg.strategy, lp.name
                 );
-                // Inline group-merge driver (no pool): also identical.
-                let opts = SchedulerOptions::default()
-                    .with_search(cfg.with_branch_jobs(4));
-                let inline = MirsScheduler::new(&machine, opts)
-                    .schedule_with(lp, &mut scratch)
-                    .expect("workbench loops converge");
+                // The group merge on a one-worker pool: also identical.
+                let inline = run(4, 1, &mut scratch);
                 prop_assert_eq!(
                     outcome_fingerprint(&serial),
                     outcome_fingerprint(&inline),
@@ -350,29 +353,43 @@ fn nested_branch_pools_under_a_saturated_outer_sweep_match_serial() {
     }
 }
 
-/// Giving up must agree across the serial and branch-parallel drivers: an
-/// unreachable `max_ii` yields `NotConverged` (never a hang, never a
-/// bogus schedule) on both paths.
+/// The whole verdict must agree across the serial and branch-parallel
+/// paths, `NotConverged` included: on 4x16 an II cap of 0 lies below every
+/// MII, and caps of 4 and 6 stop many climbs part-way, so the fanned path
+/// must end at the same `last_ii` as the serial one (never a hang, never a
+/// bogus schedule).
 #[test]
 fn branch_parallel_not_converged_matches_serial() {
-    let wb = workbench(4);
+    let wb = workbench(30);
     let machine = MachineConfig::paper_config(4, 16).unwrap();
     let mut scratch = SchedScratch::new();
-    for lp in wb.loops() {
-        for branch_jobs in [1u32, 4] {
-            let mut opts = SchedulerOptions::default()
-                .with_search(SearchConfig::backtracking().with_branch_jobs(branch_jobs));
-            opts.max_ii = 0; // below any feasible II
-            let sched = MirsScheduler::new(&machine, opts);
-            let pool = BranchPool::new(branch_jobs as usize);
-            let err = sched
-                .schedule_with_exec(lp, &mut scratch, &pool)
-                .expect_err("max_ii 0 cannot converge");
-            assert!(
-                matches!(err, mirs::ScheduleError::NotConverged { .. }),
-                "{}: branch_jobs={branch_jobs} returned {err:?}",
-                lp.name
-            );
+    for cfg in [SearchConfig::backtracking(), SearchConfig::exact()] {
+        for max_ii in [0u32, 4, 6] {
+            let opts = SchedulerOptions {
+                max_ii,
+                ..SchedulerOptions::default()
+            }
+            .with_search(cfg);
+            for lp in wb.loops() {
+                let [serial, fanned] = [1u32, 4].map(|jobs| {
+                    schedule_jobs(&machine, lp, opts, jobs, jobs as usize, &mut scratch)
+                        .as_ref()
+                        .map(outcome_fingerprint)
+                        .map_err(Clone::clone)
+                });
+                assert_eq!(
+                    serial, fanned,
+                    "{}/{}/max_ii {max_ii}: branch_jobs=4 diverged from serial",
+                    cfg.strategy, lp.name
+                );
+                if max_ii == 0 {
+                    assert!(
+                        matches!(serial, Err(mirs::ScheduleError::NotConverged { .. })),
+                        "{}: max_ii 0 cannot converge",
+                        lp.name
+                    );
+                }
+            }
         }
     }
 }
