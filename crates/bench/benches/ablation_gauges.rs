@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use harness::{run_workbench, SchedulerKind};
 use loopgen::{Workbench, WorkbenchParams};
 use mirs::{MirsScheduler, PrefetchPolicy, SchedulerOptions};
+use mirs_repro::cli;
 use vliw::MachineConfig;
 
 fn bench(c: &mut Criterion) {
@@ -45,15 +46,18 @@ fn bench(c: &mut Criterion) {
         loops: 2,
         ..Default::default()
     });
+    let (exec, search) = (cli::env_executor(), cli::env_search());
     let mut g = c.benchmark_group("ablation_gauges");
     g.sample_size(10);
     g.bench_function("default_gauges", |b| {
         b.iter(|| {
             std::hint::black_box(run_workbench(
+                &exec,
                 &small,
                 &machine,
                 SchedulerKind::MirsC,
                 PrefetchPolicy::HitLatency,
+                search,
             ))
         })
     });

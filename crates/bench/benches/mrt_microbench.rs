@@ -11,6 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use harness::runner::{time_workbench, SchedulerKind};
 use loopgen::{Workbench, WorkbenchParams};
 use mirs::{PartialSchedule, PrefetchPolicy};
+use mirs_repro::cli;
 use vliw::{ClusterId, MachineConfig, Opcode, ResourceKind};
 
 fn mrt_probes(c: &mut Criterion) {
@@ -88,10 +89,8 @@ fn mrt_probes(c: &mut Criterion) {
 }
 
 fn schedtime(c: &mut Criterion) {
-    let loops = std::env::var("MIRS_BENCH_LOOPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12);
+    let loops = cli::env_usize("MIRS_BENCH_LOOPS", 12);
+    let (exec, search) = (cli::env_executor(), cli::env_search());
     let wb = Workbench::generate(&WorkbenchParams {
         loops,
         ..WorkbenchParams::default()
@@ -103,11 +102,13 @@ fn schedtime(c: &mut Criterion) {
         g.bench_function(&format!("workbench_{}x{}", k, 64 / k), |b| {
             b.iter(|| {
                 time_workbench(
+                    &exec,
                     &wb,
                     &machine,
                     SchedulerKind::MirsC,
                     PrefetchPolicy::HitLatency,
                     1,
+                    search,
                 )
                 .best_seconds()
             })

@@ -14,17 +14,15 @@
 //! scales the slice for CI smoke runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use harness::runner::{run_workbench_opts, SchedulerKind};
+use harness::runner::{run_workbench, SchedulerKind};
 use harness::sweep::SweepExecutor;
 use loopgen::{Workbench, WorkbenchParams};
 use mirs::{PrefetchPolicy, SearchConfig, SearchStrategyKind};
+use mirs_repro::cli;
 use vliw::MachineConfig;
 
 fn bench(c: &mut Criterion) {
-    let loops = std::env::var("MIRS_BENCH_LOOPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
+    let loops = cli::env_usize("MIRS_BENCH_LOOPS", 16);
     let wb = Workbench::generate(&WorkbenchParams {
         loops,
         ..WorkbenchParams::default()
@@ -37,7 +35,7 @@ fn bench(c: &mut Criterion) {
         let search = SearchConfig::for_strategy(strategy);
         g.bench_function(&format!("{}_4x16", strategy.label()), |b| {
             b.iter(|| {
-                let summary = run_workbench_opts(
+                let summary = run_workbench(
                     &exec,
                     &wb,
                     &machine,
@@ -57,7 +55,7 @@ fn bench(c: &mut Criterion) {
         SearchConfig::for_strategy(SearchStrategyKind::Backtracking).with_branch_jobs(4);
     g.bench_function("backtrack_par4_4x16", |b| {
         b.iter(|| {
-            let summary = run_workbench_opts(
+            let summary = run_workbench(
                 &exec,
                 &wb,
                 &machine,

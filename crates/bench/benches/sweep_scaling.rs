@@ -11,17 +11,15 @@
 //! the determinism-for-free contract).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use harness::runner::{time_workbench_opts, time_workbench_with, SchedulerKind};
+use harness::runner::{time_workbench, SchedulerKind};
 use harness::sweep::SweepExecutor;
 use loopgen::{Workbench, WorkbenchParams};
 use mirs::{PrefetchPolicy, SearchConfig, SearchStrategyKind};
+use mirs_repro::cli;
 use vliw::MachineConfig;
 
 fn bench(c: &mut Criterion) {
-    let loops = std::env::var("MIRS_BENCH_LOOPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24);
+    let loops = cli::env_usize("MIRS_BENCH_LOOPS", 24);
     let wb = Workbench::generate(&WorkbenchParams {
         loops,
         ..WorkbenchParams::default()
@@ -29,17 +27,19 @@ fn bench(c: &mut Criterion) {
     let machine = MachineConfig::paper_config(4, 16).unwrap();
     let mut g = c.benchmark_group("sweep_scaling");
     g.sample_size(10);
+    let env_search = cli::env_search();
     for jobs in [1usize, 2, 4, 8] {
         let exec = SweepExecutor::new(jobs);
         g.bench_function(&format!("jobs_{jobs}"), |b| {
             b.iter(|| {
-                time_workbench_with(
+                time_workbench(
                     &exec,
                     &wb,
                     &machine,
                     SchedulerKind::MirsC,
                     PrefetchPolicy::HitLatency,
                     1,
+                    env_search,
                 )
                 .best_wall_seconds()
             })
@@ -54,7 +54,7 @@ fn bench(c: &mut Criterion) {
     let search = SearchConfig::for_strategy(SearchStrategyKind::Backtracking).with_branch_jobs(4);
     g.bench_function("jobs_4_branch_4", |b| {
         b.iter(|| {
-            time_workbench_opts(
+            time_workbench(
                 &exec,
                 &wb,
                 &machine,

@@ -3,19 +3,18 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use harness::table3;
 use loopgen::{Workbench, WorkbenchParams};
+use mirs_repro::cli;
 
 fn bench(c: &mut Criterion) {
     // MIRS_TABLE3_LOOPS scales the printed table's workbench so CI smoke
     // runs stay quick while local runs keep the full default.
-    let loops = std::env::var("MIRS_TABLE3_LOOPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12);
+    let loops = cli::env_usize("MIRS_TABLE3_LOOPS", 12);
+    let (exec, search) = (cli::env_executor(), cli::env_search());
     let wb = Workbench::generate(&WorkbenchParams {
         loops,
         ..Default::default()
     });
-    let table = table3::run(&wb);
+    let table = table3::run(&exec, &wb, search);
     println!("\n{table}");
     let small = Workbench::generate(&WorkbenchParams {
         loops: 2,
@@ -24,7 +23,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("table3_schedtime");
     g.sample_size(10);
     g.bench_function("workbench2", |b| {
-        b.iter(|| std::hint::black_box(table3::run(&small)))
+        b.iter(|| std::hint::black_box(table3::run(&exec, &small, search)))
     });
     g.finish();
 }

@@ -65,7 +65,7 @@ mod spill;
 pub use error::ScheduleError;
 pub use options::{
     EjectionPolicy, PrefetchPolicy, SchedulerOptions, SearchConfig, SearchStrategyKind,
-    BRANCH_JOBS_ENV, EXACT_BUDGET_ENV, STRATEGY_ENV,
+    BRANCH_JOBS_ENV, PRUNE_ENV, STRATEGY_ENV,
 };
 pub use prefetch::apply_prefetch_policy;
 pub use result::{

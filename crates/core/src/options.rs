@@ -31,35 +31,16 @@ pub enum PrefetchPolicy {
     },
 }
 
-/// Environment variable selecting the II-search strategy for the harness
-/// entry points (`linear`, `backtrack` or `exact`); explicit
-/// [`SchedulerOptions`] always win over the environment. Any other value
-/// panics on first use rather than silently running `linear`.
+/// Variable naming the II-search strategy (`linear`, `backtrack` or
+/// `exact`) for [`SearchConfig::from_vars`].
 pub const STRATEGY_ENV: &str = "MIRS_STRATEGY";
 
-/// Environment variable setting the number of worker threads the
-/// [`SearchStrategyKind::Backtracking`] and [`SearchStrategyKind::Exact`]
-/// strategies may fan one candidate-II group across (`0`, `1` or
-/// unparsable values keep the serial in-process search). Branch-parallel
-/// execution needs an executor — the harness entry points install one;
-/// plain [`MirsScheduler::schedule_with`](crate::MirsScheduler::schedule_with)
-/// stays single-threaded regardless of this variable.
+/// Variable setting [`SearchConfig::branch_jobs`] for
+/// [`SearchConfig::from_vars`] (`0` keeps the default of 1).
 pub const BRANCH_JOBS_ENV: &str = "MIRS_BRANCH_JOBS";
 
-/// Environment variable capping the [`SearchStrategyKind::Exact`]
-/// branch-and-bound certification budget, counted in residue-assignment
-/// expansions across all candidate IIs probed for one loop. `0` disables
-/// certification entirely (the bound degenerates to the MII and the proof
-/// to budget-exhausted); unset or unparsable values keep
-/// [`SearchConfig::DEFAULT_EXACT_BUDGET`].
-pub const EXACT_BUDGET_ENV: &str = "MIRS_EXACT_BUDGET";
-
-/// Environment variable controlling the relaxation admission filter
-/// ([`SearchConfig::prune`]) for the harness entry points: `0` turns it
-/// off, anything else (or unset) keeps the default on. The filter only
-/// skips candidate IIs a bounded relaxation *proves* infeasible, so
-/// schedules are byte-identical either way — the knob exists for audits
-/// and for timing the unfiltered climb.
+/// Variable switching [`SearchConfig::prune`] for
+/// [`SearchConfig::from_vars`] (`1`/`on`/`true` or `0`/`off`/`false`).
 pub const PRUNE_ENV: &str = "MIRS_PRUNE";
 
 /// Which engine drives the search over candidate IIs.
@@ -176,8 +157,7 @@ pub struct SearchConfig {
     /// counted in [`SchedulerStats::pruned_iis`](crate::SchedulerStats) —
     /// or admits it untouched. Only proven-infeasible IIs are skipped, so
     /// every strategy produces byte-identical schedules with the filter on
-    /// or off. Default on; `MIRS_PRUNE=0` disables it for the harness
-    /// entry points.
+    /// or off. Default on.
     pub prune: bool,
 }
 
@@ -247,25 +227,17 @@ impl SearchConfig {
         self
     }
 
-    /// Configuration selected by the `MIRS_STRATEGY`, `MIRS_BRANCH_JOBS`,
-    /// `MIRS_EXACT_BUDGET` and `MIRS_PRUNE` environment variables (the
-    /// [`SearchConfig::default`] value of any that is unset or unparsable).
-    ///
-    /// The variables are read once per process — sweeps consult this per
-    /// scheduled loop and `std::env::var` takes a lock.
+    /// Configuration named by the [`STRATEGY_ENV`], [`BRANCH_JOBS_ENV`]
+    /// and [`PRUNE_ENV`] variables, as `var` looks them up (the
+    /// [`SearchConfig::default`] value of any that is unset). Front ends
+    /// pass the process environment in; the library never reads it.
     ///
     /// # Panics
     ///
-    /// Panics when `MIRS_STRATEGY` is set but names no strategy, listing
-    /// the accepted labels.
+    /// Panics when a variable is set to a value it does not accept, naming
+    /// the variable and the accepted values.
     #[must_use]
-    pub fn from_env() -> Self {
-        static CONFIG: std::sync::OnceLock<SearchConfig> = std::sync::OnceLock::new();
-        *CONFIG.get_or_init(|| Self::from_vars(|name| std::env::var(name).ok()))
-    }
-
-    /// [`SearchConfig::from_env`] over an arbitrary variable lookup.
-    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
         let strategy = var(STRATEGY_ENV).map_or(SearchStrategyKind::default(), |name| {
             SearchStrategyKind::parse(&name).unwrap_or_else(|| {
                 let expected = SearchStrategyKind::ALL.map(SearchStrategyKind::label);
@@ -275,17 +247,19 @@ impl SearchConfig {
                 )
             })
         });
-        Self {
-            strategy,
-            branch_jobs: var(BRANCH_JOBS_ENV)
-                .and_then(|v| v.parse().ok())
-                .filter(|&j| j > 0)
-                .unwrap_or(1),
-            exact_budget: var(EXACT_BUDGET_ENV)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(Self::DEFAULT_EXACT_BUDGET),
-            prune: var(PRUNE_ENV).is_none_or(|v| v != "0"),
-        }
+        let branch_jobs = var(BRANCH_JOBS_ENV).map_or(1, |v| {
+            v.trim().parse::<u32>().unwrap_or_else(|_| {
+                panic!("{BRANCH_JOBS_ENV}={v:?} is not a worker count (expected 0, 1, 2, ...)")
+            })
+        });
+        let prune = var(PRUNE_ENV).is_none_or(|v| match v.trim().to_ascii_lowercase().as_str() {
+            "1" | "on" | "true" => true,
+            "0" | "off" | "false" => false,
+            _ => panic!("{PRUNE_ENV}={v:?} is not a switch (expected 1|on|true|0|off|false)"),
+        });
+        Self::for_strategy(strategy)
+            .with_branch_jobs(branch_jobs)
+            .with_prune(prune)
     }
 }
 
@@ -508,19 +482,36 @@ mod tests {
         let cfg = SearchConfig::from_vars(vars(&[
             (STRATEGY_ENV, "Backtracking"),
             (BRANCH_JOBS_ENV, "4"),
-            (EXACT_BUDGET_ENV, "77"),
             (PRUNE_ENV, "0"),
         ]));
         assert_eq!(
             cfg,
             SearchConfig::backtracking()
                 .with_branch_jobs(4)
-                .with_exact_budget(77)
                 .with_prune(false)
         );
-        // Unparsable numbers fall back to the defaults.
-        let cfg = SearchConfig::from_vars(vars(&[(BRANCH_JOBS_ENV, "0"), (EXACT_BUDGET_ENV, "x")]));
+        // `0` branch jobs means the default; every spelling of the prune
+        // switch is honoured.
+        let cfg = SearchConfig::from_vars(vars(&[(BRANCH_JOBS_ENV, "0"), (PRUNE_ENV, "on")]));
         assert_eq!(cfg, SearchConfig::default());
+        for off in ["off", "false", "FALSE", " 0 "] {
+            assert!(
+                !SearchConfig::from_vars(vars(&[(PRUNE_ENV, off)])).prune,
+                "{off}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "MIRS_BRANCH_JOBS=\"x\" is not a worker count")]
+    fn env_branch_jobs_that_is_not_a_number_panics() {
+        let _ = SearchConfig::from_vars(vars(&[(BRANCH_JOBS_ENV, "x")]));
+    }
+
+    #[test]
+    #[should_panic(expected = "MIRS_PRUNE=\"no\" is not a switch (expected 1|on|true|0|off|false)")]
+    fn env_prune_that_is_not_a_switch_panics() {
+        let _ = SearchConfig::from_vars(vars(&[(PRUNE_ENV, "no")]));
     }
 
     #[test]

@@ -135,8 +135,7 @@ pub struct SearchMeta {
     /// inner scheduling loop. Candidate IIs the relaxation admission filter
     /// skipped are excluded — they appear in [`SearchMeta::pruned_iis`]
     /// instead — so `attempts + pruned_iis` reconciles against the IIs the
-    /// climb visited (the `MIRS_DEBUG` per-loop summary prints both on one
-    /// line for auditing).
+    /// climb visited.
     pub attempts: u32,
     /// Successful candidate schedules evaluated during the search,
     /// including the accepted one (1 when the first success was accepted

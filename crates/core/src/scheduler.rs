@@ -19,31 +19,7 @@ use crate::search::{group_len, BranchExecutor, SearchDriver};
 use crate::spill::SpillMemo;
 use ddg::collections::HashMap;
 use ddg::{DepGraph, Loop, NodeId, NodeOrigin};
-use std::sync::OnceLock;
 use vliw::{ClusterId, MachineConfig, Opcode};
-
-/// Whether `MIRS_DEBUG` diagnostics are enabled — read from the
-/// environment once per process, not once per scheduled loop: sweeps
-/// schedule thousands of loops and `std::env::var` takes a lock.
-pub(crate) fn debug_enabled() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("MIRS_DEBUG").is_ok())
-}
-
-/// Whether the rollback audit is enabled: every restart clones the
-/// attempt-start graph and asserts the transactional rollback reproduced it
-/// bit-identically. Always on in debug builds; opt-in for release builds
-/// via `MIRS_GRAPH_AUDIT=1` (any value but `0`), which is how CI exercises
-/// the equivalence guarantee under the release profile.
-pub(crate) fn graph_audit_enabled() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        cfg!(debug_assertions)
-            || std::env::var("MIRS_GRAPH_AUDIT")
-                .map(|v| v != "0")
-                .unwrap_or(false)
-    })
-}
 
 /// Direction in which the scheduler searches for a free slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,10 +67,6 @@ pub(crate) struct SchedState<'m, 'g> {
     pub spills_inserted: u32,
     /// Incrementally maintained per-cluster register-pressure gauges.
     pub pressure: PressureTracker,
-    /// Whether `MIRS_DEBUG` diagnostics are enabled — resolved once per
-    /// *process* (a `OnceLock`); neither the restart heuristic nor the
-    /// sweep's per-loop setup may hit the environment.
-    pub debug: bool,
     /// Cross-restart spill memo (structural use lists keyed by epoch).
     pub memo: SpillMemo,
     pub stats: SchedulerStats,
@@ -178,9 +150,9 @@ impl<'m> MirsScheduler<'m> {
     /// to a `SearchDriver`; every II attempt mutates it inside a
     /// [`DepGraph`] transaction and rolls back on restart, so the default
     /// linear search performs **zero** further graph clones (branching
-    /// strategies clone once per stashed candidate). In debug builds (or
-    /// with `MIRS_GRAPH_AUDIT=1`) each rollback asserts that it reproduced
-    /// the attempt-start graph bit-identically. This path never fans a
+    /// strategies clone once per stashed candidate). Builds with debug
+    /// assertions check that each rollback reproduced the attempt-start
+    /// graph bit-identically. This path never fans a
     /// group out, whatever
     /// [`SearchConfig::branch_jobs`](crate::SearchConfig::branch_jobs)
     /// says; [`MirsScheduler::schedule_with_exec`] does.
@@ -248,14 +220,12 @@ impl<'m> MirsScheduler<'m> {
     /// success the live state is returned; the caller turns it into a
     /// [`ScheduleResult`] via [`SchedState::into_result`] (committing or
     /// rolling back the transaction as its search strategy dictates).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn attempt<'g>(
         &self,
         graph: &'g mut DepGraph,
         order: &[NodeId],
         ii: u32,
         mem_ops_base: u64,
-        debug: bool,
         scratch: &mut SchedScratch,
         carried: &mut SchedulerStats,
     ) -> AttemptOutcome<'m, 'g> {
@@ -281,7 +251,6 @@ impl<'m> MirsScheduler<'m> {
             budget,
             spills_inserted: 0,
             pressure,
-            debug,
             memo: scratch.take_spill_memo(),
             stats: std::mem::take(carried),
         };
@@ -669,16 +638,8 @@ impl SchedState<'_, '_> {
     /// Restart heuristic (Section 3.2.4): restart with a larger II if the
     /// budget is exhausted or the memory traffic (including freshly inserted
     /// spill code) can no longer fit in the memory ports at the current II.
-    pub(crate) fn should_restart(&mut self) -> bool {
+    pub(crate) fn should_restart(&self) -> bool {
         if self.budget <= 0 {
-            if self.debug {
-                eprintln!(
-                    "RESTART: budget exhausted, ii={} rr={:?} spills={}",
-                    self.sched.ii(),
-                    self.register_requirements(),
-                    self.spills_inserted
-                );
-            }
             return true;
         }
         // Tracked incrementally: spill code is the only memory traffic ever
@@ -687,31 +648,12 @@ impl SchedState<'_, '_> {
         debug_assert_eq!(mem_ops, self.graph.count_ops(Opcode::is_memory) as u64);
         let capacity = u64::from(self.machine.total_mem_ports()) * u64::from(self.sched.ii());
         if mem_ops > capacity {
-            if self.debug {
-                eprintln!(
-                    "RESTART: traffic {} > {} at ii={}",
-                    mem_ops,
-                    capacity,
-                    self.sched.ii()
-                );
-            }
             return true;
         }
         // Safety valve: runaway spilling means the II is too tight. The
         // bound is `10 · max(nodes, 8)`; testing the constant first skips
         // the O(node-capacity) `node_count` scan on every ordinary pick.
-        if self.spills_inserted > 80 && self.spills_inserted as usize > 10 * self.graph.node_count()
-        {
-            if self.debug {
-                eprintln!(
-                    "RESTART: runaway spills {} at ii={}",
-                    self.spills_inserted,
-                    self.sched.ii()
-                );
-            }
-            return true;
-        }
-        false
+        self.spills_inserted > 80 && self.spills_inserted as usize > 10 * self.graph.node_count()
     }
 
     /// Total spill operations (stores + loads) currently in the graph —

@@ -65,7 +65,7 @@
 use crate::error::ScheduleError;
 use crate::options::SearchStrategyKind;
 use crate::result::{ScheduleResult, SchedulerStats, SearchMeta, SearchProof};
-use crate::scheduler::{debug_enabled, graph_audit_enabled, AttemptOutcome, MirsScheduler};
+use crate::scheduler::{AttemptOutcome, MirsScheduler};
 use crate::scratch::SchedScratch;
 use ddg::{hrms, mii, CheckpointStack, DepGraph, Loop, NodeId};
 use std::sync::Mutex;
@@ -113,6 +113,13 @@ const BRANCHES: u32 = 2;
 
 /// Base seed of the deterministic priority perturbations.
 const SEED: u64 = 0x5eed_1e55_c0de_2026;
+
+/// Whether the search audits its graph transactions: every rollback is
+/// checked against a clone of the attempt-start graph, and a fanned group
+/// against a clone of the shared base graph. On in builds with debug
+/// assertions, which is how release builds get audited too
+/// (`CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true`).
+const AUDIT: bool = cfg!(debug_assertions);
 
 /// Attempt seed for branch `branch` of candidate II `ii`.
 fn derive_seed(ii: u32, branch: u32) -> u64 {
@@ -216,8 +223,6 @@ pub(crate) struct SearchDriver<'a, 'm> {
     mem_ops_base: u64,
     mii: u32,
     max_ii: u32,
-    debug: bool,
-    audit: bool,
     start: Instant,
     // Search bookkeeping.
     attempts: u32,
@@ -303,8 +308,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             mem_ops_base,
             mii: mii_value,
             max_ii: opts.max_ii,
-            debug: debug_enabled(),
-            audit: graph_audit_enabled(),
             start: Instant::now(),
             attempts: 0,
             failures: 0,
@@ -337,21 +340,16 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             self.mii
         };
         let group = group_len(strategy);
-        // Fanned attempts must never touch the shared base graph; with the
-        // audit on, every group re-checks it against this pristine copy.
-        let audit_base = (fan.is_some() && self.audit).then(|| self.graph.clone());
+        // Fanned attempts must never touch the shared base graph; builds
+        // with debug assertions re-check it against this pristine copy
+        // after every group.
+        let audit_base = (fan.is_some() && AUDIT).then(|| self.graph.clone());
         for ii in floor..=self.max_ii {
             self.last_ii = ii;
             if self.should_prune(ii) {
                 // No attempt at this II can succeed: its whole group is
                 // skipped, and the II is counted once.
                 self.pruned_iis += 1;
-                if self.debug {
-                    eprintln!(
-                        "PRUNE: loop '{}' ii={ii} relaxation-infeasible, attempt skipped",
-                        self.lp.name
-                    );
-                }
                 continue;
             }
             self.groups += 1;
@@ -400,19 +398,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         self.relax_secs += relax_start.elapsed().as_secs_f64();
         let bound = exact::certify_lower_bound(filter.cache(), self.mii, self.max_ii, &mut budget);
         self.filter = Some(filter);
-        if self.debug {
-            eprintln!(
-                "EXACT: loop '{}' mii={} certified lower bound {}{}",
-                self.lp.name,
-                self.mii,
-                bound.lower_bound,
-                if bound.exhausted {
-                    " (budget exhausted)"
-                } else {
-                    ""
-                },
-            );
-        }
         self.bound = Some(bound);
         bound.lower_bound.max(self.mii)
     }
@@ -459,7 +444,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             // Attempt level (depth 3).
             let depth = self.cps.push(&mut self.graph);
             debug_assert!(depth >= 3, "search root, II group and attempt nest");
-            let audit_base = self.audit.then(|| self.graph.clone());
+            let audit_base = AUDIT.then(|| self.graph.clone());
             let order: &[NodeId] = if branch == 0 {
                 &self.order
             } else {
@@ -471,7 +456,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 order,
                 ii,
                 self.mem_ops_base,
-                self.debug,
                 self.scratch,
                 &mut self.carried,
             );
@@ -529,7 +513,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             let order_epoch = self.order_epoch;
             let mem_ops_base = self.mem_ops_base;
             let mii_value = self.mii;
-            let debug = self.debug;
             let slots = &slots;
             let job = move |branch: usize, scratch: &mut SchedScratch| {
                 // Private clone of the group-start graph (identical to the
@@ -557,7 +540,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                     branch_order,
                     ii,
                     mem_ops_base,
-                    debug,
                     scratch,
                     &mut delta,
                 );
@@ -620,7 +602,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
     }
 
     /// Assert the rollback restored the attempt-start graph bit-identically
-    /// (debug builds and `MIRS_GRAPH_AUDIT=1` release runs).
+    /// (builds with debug assertions).
     fn audit_rollback(&self, base: &Option<DepGraph>, ii: u32) {
         if let Some(base) = base {
             assert!(
@@ -665,23 +647,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             pruned_iis: self.pruned_iis,
             proof,
         };
-        if self.debug {
-            // One reconciled counter line: `attempts` counts only attempts
-            // that actually ran, `pruned` the distinct IIs the admission
-            // filter skipped without running anything.
-            eprintln!(
-                "SEARCH: loop '{}' strategy={} ii={} attempts={} pruned={} \
-                 candidates={} spill-memo {}/{} hits",
-                self.lp.name,
-                result.search.strategy,
-                result.ii,
-                result.search.attempts,
-                result.search.pruned_iis,
-                result.search.candidates,
-                result.stats.spill_memo_hits,
-                result.stats.spill_memo_hits + result.stats.spill_memo_misses,
-            );
-        }
         result
     }
 }

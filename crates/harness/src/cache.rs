@@ -46,8 +46,9 @@
 //! Any corrupt, truncated or stale-format entry is deleted and counted —
 //! the caller falls through to a fresh schedule, never an error.
 //!
-//! The cache is **off by default**. `MIRS_CACHE_DIR=<dir>` enables it;
-//! `MIRS_CACHE=off` (or `0`/`false`) force-disables it regardless.
+//! The cache is **off by default**. A front end enables it with
+//! [`ScheduleCache::at`], or with [`ScheduleCache::from_vars`] when the
+//! [`CACHE_DIR_ENV`] variable names a directory.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,13 +60,10 @@ use vliw::MachineConfig;
 
 use crate::runner::SchedulerKind;
 
-/// Environment variable selecting the on-disk cache directory. Unset or
-/// empty means the cache is disabled.
+/// Variable naming the on-disk cache directory for
+/// [`ScheduleCache::from_vars`]. Unset or blank means the cache is
+/// disabled.
 pub const CACHE_DIR_ENV: &str = "MIRS_CACHE_DIR";
-
-/// Environment variable force-disabling the cache (`off`, `0` or `false`)
-/// even when [`CACHE_DIR_ENV`] is set.
-pub const CACHE_ENV: &str = "MIRS_CACHE";
 
 /// Envelope magic of a cache entry blob.
 pub const ENTRY_MAGIC: [u8; 4] = *b"MCHE";
@@ -191,23 +189,6 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// Resolve the env-var pair into a cache directory, or `None` when the
-/// cache is disabled. Pure — the testable core of
-/// [`ScheduleCache::from_env`].
-#[must_use]
-pub fn env_cache_dir(switch: Option<&str>, dir: Option<&str>) -> Option<PathBuf> {
-    if let Some(s) = switch {
-        let s = s.trim().to_ascii_lowercase();
-        if s == "off" || s == "0" || s == "false" {
-            return None;
-        }
-    }
-    match dir.map(str::trim) {
-        Some(d) if !d.is_empty() => Some(PathBuf::from(d)),
-        _ => None,
-    }
-}
-
 /// Persistent content-addressed store of [`ScheduleResult`]s.
 ///
 /// Thread-safe behind a shared reference: the counters are atomics and
@@ -254,16 +235,15 @@ impl ScheduleCache {
         }
     }
 
-    /// Build from the environment: [`CACHE_DIR_ENV`] selects the
-    /// directory, [`CACHE_ENV`]`=off` force-disables. Disabled when the
-    /// directory variable is unset — caching is strictly opt-in.
+    /// A cache at the directory [`CACHE_DIR_ENV`] names, as `var` looks
+    /// it up; disabled when the variable is unset or blank, so caching is
+    /// strictly opt-in. Front ends pass the process environment in; the
+    /// library never reads it.
     #[must_use]
-    pub fn from_env() -> Self {
-        let switch = std::env::var(CACHE_ENV).ok();
-        let dir = std::env::var(CACHE_DIR_ENV).ok();
-        match env_cache_dir(switch.as_deref(), dir.as_deref()) {
-            Some(dir) => Self::at(dir),
-            None => Self::disabled(),
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+        match var(CACHE_DIR_ENV) {
+            Some(dir) if !dir.trim().is_empty() => Self::at(dir.trim()),
+            _ => Self::disabled(),
         }
     }
 
@@ -676,19 +656,18 @@ mod tests {
 
     #[test]
     fn env_selection_rules() {
-        assert_eq!(env_cache_dir(None, None), None);
-        assert_eq!(
-            env_cache_dir(None, Some("/tmp/c")),
-            Some(PathBuf::from("/tmp/c"))
-        );
-        assert_eq!(env_cache_dir(None, Some("   ")), None);
-        assert_eq!(env_cache_dir(Some("off"), Some("/tmp/c")), None);
-        assert_eq!(env_cache_dir(Some("0"), Some("/tmp/c")), None);
-        assert_eq!(env_cache_dir(Some("FALSE"), Some("/tmp/c")), None);
-        assert_eq!(
-            env_cache_dir(Some("on"), Some("/tmp/c")),
-            Some(PathBuf::from("/tmp/c"))
-        );
+        let from = |dir: Option<&str>| {
+            ScheduleCache::from_vars(|name| {
+                assert_eq!(name, CACHE_DIR_ENV);
+                dir.map(str::to_string)
+            })
+        };
+        assert!(!from(None).is_enabled());
+        assert!(!from(Some("   ")).is_enabled());
+        let dir = std::env::temp_dir().join(format!("mirs-cache-test-{}-env", std::process::id()));
+        let cache = from(Some(&format!(" {} ", dir.display())));
+        assert_eq!(cache.dir(), Some(dir.as_path()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::runner::{run_sweep, SweepJob};
 use crate::sweep::SweepExecutor;
 use loopgen::Workbench;
+use mirs::SearchConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vliw::{ClusterConfig, HwModel, MachineConfig};
@@ -34,16 +35,10 @@ pub struct Fig5 {
     pub rows: Vec<Fig5Row>,
 }
 
-/// Run the design-space sweep with MIRS-C under ideal memory, sharding
-/// every (design point, loop) task across [`SweepExecutor::from_env`].
+/// Run the design-space sweep with MIRS-C (climbing with `search`) under
+/// ideal memory, sharding every (design point, loop) task across `exec`.
 #[must_use]
-pub fn run(wb: &Workbench, hw: &HwModel) -> Fig5 {
-    run_with(&SweepExecutor::from_env(), wb, hw)
-}
-
-/// [`run`] on an explicit executor.
-#[must_use]
-pub fn run_with(exec: &SweepExecutor, wb: &Workbench, hw: &HwModel) -> Fig5 {
+pub fn run(exec: &SweepExecutor, wb: &Workbench, hw: &HwModel, search: SearchConfig) -> Fig5 {
     let mut points: Vec<(u32, u32, u32)> = Vec::new();
     let mut jobs: Vec<SweepJob> = Vec::new();
     for &lm in &[1u32, 3] {
@@ -56,7 +51,7 @@ pub fn run_with(exec: &SweepExecutor, wb: &Workbench, hw: &HwModel) -> Fig5 {
                     .build()
                     .expect("valid config");
                 points.push((lm, k, z));
-                jobs.push(SweepJob::mirs(mc));
+                jobs.push(SweepJob::mirs(mc, search));
             }
         }
     }
@@ -120,6 +115,7 @@ impl fmt::Display for Fig5 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_env;
     use loopgen::WorkbenchParams;
 
     #[test]
@@ -128,7 +124,12 @@ mod tests {
             loops: 4,
             ..Default::default()
         });
-        let fig = run(&wb, &HwModel::default());
+        let fig = run(
+            &test_env::executor(),
+            &wb,
+            &HwModel::default(),
+            test_env::search(),
+        );
         assert_eq!(fig.rows.len(), 24);
         // Clustered configurations take at least as many cycles as the
         // unified one with the same total registers, but win on time.

@@ -4,6 +4,7 @@
 use crate::runner::{run_sweep, SweepJob};
 use crate::sweep::SweepExecutor;
 use loopgen::Workbench;
+use mirs::SearchConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vliw::MachineConfig;
@@ -31,23 +32,18 @@ pub struct Fig6 {
     pub rows: Vec<Fig6Row>,
 }
 
-/// Run the scalability sweep. `max_clusters` is 8 in the paper. Every
-/// (design point, loop) task is sharded across [`SweepExecutor::from_env`].
+/// Run the scalability sweep with MIRS-C climbing with `search`.
+/// `max_clusters` is 8 in the paper. Every (design point, loop) task is
+/// sharded across `exec`.
 #[must_use]
-pub fn run(wb: &Workbench, max_clusters: u32) -> Fig6 {
-    run_with(&SweepExecutor::from_env(), wb, max_clusters)
-}
-
-/// [`run`] on an explicit executor.
-#[must_use]
-pub fn run_with(exec: &SweepExecutor, wb: &Workbench, max_clusters: u32) -> Fig6 {
+pub fn run(exec: &SweepExecutor, wb: &Workbench, max_clusters: u32, search: SearchConfig) -> Fig6 {
     let mut points: Vec<(u32, u32)> = Vec::new();
     let mut jobs: Vec<SweepJob> = Vec::new();
     for &buses in &[2u32, 3, 4, u32::MAX] {
         for k in 1..=max_clusters {
             let mc = MachineConfig::replicated(k, buses).expect("valid replicated config");
             points.push((k, buses));
-            jobs.push(SweepJob::mirs(mc));
+            jobs.push(SweepJob::mirs(mc, search));
         }
     }
     let summaries = run_sweep(exec, wb, &jobs);
@@ -100,6 +96,7 @@ impl fmt::Display for Fig6 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_env;
     use loopgen::WorkbenchParams;
 
     #[test]
@@ -108,7 +105,7 @@ mod tests {
             loops: 4,
             ..Default::default()
         });
-        let fig = run(&wb, 4);
+        let fig = run(&test_env::executor(), &wb, 4, test_env::search());
         assert_eq!(fig.rows.len(), 16);
         // With an unbounded interconnect, adding clusters adds resources, so
         // weighted cycles must not increase dramatically (degradation comes

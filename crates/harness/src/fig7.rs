@@ -5,7 +5,7 @@ use crate::runner::{run_sweep, SweepJob};
 use crate::sweep::SweepExecutor;
 use loopgen::Workbench;
 use memsim::{simulate, MemoryParams};
-use mirs::PrefetchPolicy;
+use mirs::{PrefetchPolicy, SearchConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vliw::{ClusterConfig, HwModel, MachineConfig};
@@ -41,16 +41,10 @@ pub fn paper_configs() -> Vec<(u32, u32)> {
     vec![(1, 64), (1, 128), (2, 32), (2, 64), (4, 32), (4, 64)]
 }
 
-/// Run the real-memory evaluation, sharding every (design point, policy,
-/// loop) task across [`SweepExecutor::from_env`].
+/// Run the real-memory evaluation with MIRS-C climbing with `search`,
+/// sharding every (design point, policy, loop) task across `exec`.
 #[must_use]
-pub fn run(wb: &Workbench, hw: &HwModel) -> Fig7 {
-    run_with(&SweepExecutor::from_env(), wb, hw)
-}
-
-/// [`run`] on an explicit executor.
-#[must_use]
-pub fn run_with(exec: &SweepExecutor, wb: &Workbench, hw: &HwModel) -> Fig7 {
+pub fn run(exec: &SweepExecutor, wb: &Workbench, hw: &HwModel, search: SearchConfig) -> Fig7 {
     let mut points: Vec<(u32, u32, bool)> = Vec::new();
     let mut jobs: Vec<SweepJob> = Vec::new();
     for &(k, z) in &paper_configs() {
@@ -66,7 +60,7 @@ pub fn run_with(exec: &SweepExecutor, wb: &Workbench, hw: &HwModel) -> Fig7 {
                 PrefetchPolicy::HitLatency
             };
             points.push((k, z, prefetching));
-            jobs.push(SweepJob::mirs(mc).with_prefetch(policy));
+            jobs.push(SweepJob::mirs(mc, search).with_prefetch(policy));
         }
     }
     let summaries = run_sweep(exec, wb, &jobs);
@@ -139,6 +133,7 @@ impl fmt::Display for Fig7 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_env;
     use loopgen::WorkbenchParams;
 
     #[test]
@@ -147,7 +142,12 @@ mod tests {
             loops: 4,
             ..Default::default()
         });
-        let fig = run(&wb, &HwModel::default());
+        let fig = run(
+            &test_env::executor(),
+            &wb,
+            &HwModel::default(),
+            test_env::search(),
+        );
         assert_eq!(fig.rows.len(), 12);
         for &(k, z) in &paper_configs() {
             let normal = fig.row(k, z, false).unwrap();

@@ -21,8 +21,8 @@
 //! # Parallel execution and the determinism guarantee
 //!
 //! Every experiment routes its per-(loop, machine-config) tasks through the
-//! [`sweep::SweepExecutor`] worker pool (`MIRS_JOBS` threads, default: all
-//! cores). Results are collected by task index, never by completion order,
+//! [`sweep::SweepExecutor`] worker pool its caller passes in. Results are
+//! collected by task index, never by completion order,
 //! so a parallel run is **byte-identical** to a serial one: the same
 //! `LoopOutcome` vectors, the same `ScheduleResult::schedule_hash` values,
 //! the same printed tables, for any thread count and any interleaving. The
@@ -33,22 +33,23 @@
 //!
 //! # Search-strategy selection
 //!
-//! Every MIRS-C entry point honours the `MIRS_STRATEGY` environment
-//! variable (`linear` — the default paper climb —, `backtrack`,
-//! `exact`); the `_opts` runner variants
-//! ([`runner::schedule_loop_opts`], [`runner::run_workbench_opts`],
-//! [`runner::time_workbench_opts`]) and [`SweepJob::with_search`] take an
-//! explicit `mirs::SearchConfig` instead, which is how one process
-//! compares several strategies. Strategy exploration is seed-derived and
+//! Every MIRS-C entry point ([`runner::schedule_loop`],
+//! [`runner::run_workbench`], [`runner::time_workbench`],
+//! [`SweepJob::mirs`] and each table and figure driver's `run`) takes its
+//! `mirs::SearchConfig` as an argument: `linear` (the paper's climb),
+//! `backtrack` or `exact`. The library reads no environment variable, so
+//! one process can compare several strategies and a call behaves the same
+//! in every process. Strategy exploration is seed-derived and
 //! deterministic, so the parallel-equals-serial guarantee above holds for
 //! every strategy.
 //!
 //! The `backtrack` and `exact` strategies can additionally fan the
 //! independent attempts of each candidate-II group across a nested
-//! [`sweep::BranchPool`] (`MIRS_BRANCH_JOBS` workers, default 1). Branch outcomes are merged in
-//! deterministic attempt order, so schedules stay byte-identical to the
-//! serial search for any `MIRS_JOBS` × `MIRS_BRANCH_JOBS` combination;
-//! nested pools clamp themselves to the cores the outer sweep leaves free.
+//! [`sweep::BranchPool`] of `SearchConfig::branch_jobs` workers (default
+//! 1). Branch outcomes are merged in deterministic attempt order, so
+//! schedules stay byte-identical to the serial search for any combination
+//! of outer and branch worker counts; nested pools clamp themselves to the
+//! cores the outer sweep leaves free.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,8 +68,27 @@ pub mod table3;
 
 pub use cache::{cache_key, CacheKey, CacheStats, ScheduleCache, StoreOutcome};
 pub use runner::{
-    run_sweep, run_workbench, run_workbench_opts, run_workbench_with, LoopOutcome, SchedulerKind,
-    SweepJob, WorkbenchSummary,
+    run_sweep, run_workbench, LoopOutcome, SchedulerKind, SweepJob, WorkbenchSummary,
 };
 pub use service::{Provenance, ScheduleRequest, ScheduleResponse, ScheduleService};
-pub use sweep::{BranchPool, CancelToken, SweepError, SweepExecutor, SweepHooks};
+pub use sweep::{BranchPool, SweepError, SweepExecutor};
+
+/// The unit tests' edge: the process environment parsed the way the front
+/// ends parse it, so the `MIRS_JOBS`, `MIRS_STRATEGY`, `MIRS_BRANCH_JOBS`
+/// and `MIRS_PRUNE` CI legs reach the table, figure and runner tests too.
+#[cfg(test)]
+mod test_env {
+    fn var(name: &str) -> Option<String> {
+        std::env::var(name).ok()
+    }
+
+    /// The sweep executor `MIRS_JOBS` selects.
+    pub(crate) fn executor() -> crate::SweepExecutor {
+        crate::SweepExecutor::from_vars(var)
+    }
+
+    /// The search configuration the `MIRS_*` search variables select.
+    pub(crate) fn search() -> mirs::SearchConfig {
+        mirs::SearchConfig::from_vars(var)
+    }
+}

@@ -140,50 +140,16 @@ impl WorkbenchSummary {
     }
 }
 
-/// Schedule one loop with the chosen scheduler (fresh scratch buffers; the
-/// sweep paths use [`schedule_loop_with`] to reuse a per-worker scratch).
-/// The II-search strategy comes from `MIRS_STRATEGY` (default: linear) and
-/// its branch-group fan-out width from `MIRS_BRANCH_JOBS` (default: 1,
-/// serial).
+/// Schedule one loop with the chosen scheduler and II-search
+/// configuration (the baseline scheduler ignores `search`).
+///
+/// `scratch` carries warmed allocations from loop to loop, so a worker
+/// scheduling many loops allocates its MRT/pressure/priority storage once;
+/// outcomes are byte-identical for any reuse pattern. A `backtrack` or
+/// `exact` search with `branch_jobs > 1` fans its candidate-II groups
+/// across a [`BranchPool`] built for the loop.
 #[must_use]
 pub fn schedule_loop(
-    lp: &Loop,
-    machine: &MachineConfig,
-    kind: SchedulerKind,
-    prefetch: PrefetchPolicy,
-) -> LoopOutcome {
-    schedule_loop_with(&mut SchedScratch::default(), lp, machine, kind, prefetch)
-}
-
-/// [`schedule_loop`] on caller-provided scratch buffers, so a worker
-/// scheduling many loops allocates its MRT/pressure/priority storage once
-/// instead of once per loop. Outcomes are byte-identical to
-/// [`schedule_loop`] for any reuse pattern (the scratch carries warmed
-/// allocations, never results).
-#[must_use]
-pub fn schedule_loop_with(
-    scratch: &mut SchedScratch,
-    lp: &Loop,
-    machine: &MachineConfig,
-    kind: SchedulerKind,
-    prefetch: PrefetchPolicy,
-) -> LoopOutcome {
-    schedule_loop_opts(
-        scratch,
-        lp,
-        machine,
-        kind,
-        prefetch,
-        SearchConfig::from_env(),
-    )
-}
-
-/// [`schedule_loop_with`] with an explicit II-search configuration instead
-/// of the `MIRS_STRATEGY` environment default — how the strategy-comparison
-/// tooling runs several strategies in one process. (The baseline scheduler
-/// ignores `search`.)
-#[must_use]
-pub fn schedule_loop_opts(
     scratch: &mut SchedScratch,
     lp: &Loop,
     machine: &MachineConfig,
@@ -306,56 +272,13 @@ impl SchedTimeTrial {
 }
 
 /// Time `repeats` full passes of the workbench through the chosen scheduler
-/// on the [`SweepExecutor::from_env`] worker pool.
+/// and II-search configuration on `exec`.
 ///
 /// Each pass schedules every loop and records both the pass's aggregate
 /// scheduling time and its wall-clock time (scheduler construction and
 /// graph generation excluded from the former).
 #[must_use]
 pub fn time_workbench(
-    wb: &Workbench,
-    machine: &MachineConfig,
-    kind: SchedulerKind,
-    prefetch: PrefetchPolicy,
-    repeats: u32,
-) -> SchedTimeTrial {
-    time_workbench_with(
-        &SweepExecutor::from_env(),
-        wb,
-        machine,
-        kind,
-        prefetch,
-        repeats,
-    )
-}
-
-/// [`time_workbench`] on an explicit executor (thread-count sweeps, tests).
-#[must_use]
-pub fn time_workbench_with(
-    exec: &SweepExecutor,
-    wb: &Workbench,
-    machine: &MachineConfig,
-    kind: SchedulerKind,
-    prefetch: PrefetchPolicy,
-    repeats: u32,
-) -> SchedTimeTrial {
-    time_workbench_opts(
-        exec,
-        wb,
-        machine,
-        kind,
-        prefetch,
-        repeats,
-        SearchConfig::from_env(),
-    )
-}
-
-/// [`time_workbench_with`] with an explicit II-search configuration (the
-/// `_with` flavour reads `MIRS_STRATEGY`) — how `sched_time` compares
-/// strategies within one process.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn time_workbench_opts(
     exec: &SweepExecutor,
     wb: &Workbench,
     machine: &MachineConfig,
@@ -369,7 +292,7 @@ pub fn time_workbench_opts(
     let mut wall_seconds = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         let started = std::time::Instant::now();
-        let summary = run_workbench_opts(exec, wb, machine, kind, prefetch, search);
+        let summary = run_workbench(exec, wb, machine, kind, prefetch, search);
         wall_seconds.push(started.elapsed().as_secs_f64());
         pass_seconds.push(summary.total_scheduling_seconds());
     }
@@ -383,36 +306,12 @@ pub fn time_workbench_opts(
     }
 }
 
-/// Run every loop of the workbench through the chosen scheduler, sharded
-/// across the [`SweepExecutor::from_env`] worker pool (`MIRS_JOBS` workers,
-/// default: all cores). Outcomes are in workbench order and byte-identical
-/// to a serial run regardless of the worker count.
+/// Run every loop of the workbench through the chosen scheduler and
+/// II-search configuration, sharded across `exec`. Outcomes are in
+/// workbench order and byte-identical to a serial run regardless of the
+/// worker count.
 #[must_use]
 pub fn run_workbench(
-    wb: &Workbench,
-    machine: &MachineConfig,
-    kind: SchedulerKind,
-    prefetch: PrefetchPolicy,
-) -> WorkbenchSummary {
-    run_workbench_with(&SweepExecutor::from_env(), wb, machine, kind, prefetch)
-}
-
-/// [`run_workbench`] on an explicit executor.
-#[must_use]
-pub fn run_workbench_with(
-    exec: &SweepExecutor,
-    wb: &Workbench,
-    machine: &MachineConfig,
-    kind: SchedulerKind,
-    prefetch: PrefetchPolicy,
-) -> WorkbenchSummary {
-    run_workbench_opts(exec, wb, machine, kind, prefetch, SearchConfig::from_env())
-}
-
-/// [`run_workbench_with`] with an explicit II-search configuration (the
-/// `_with` flavour reads `MIRS_STRATEGY`).
-#[must_use]
-pub fn run_workbench_opts(
     exec: &SweepExecutor,
     wb: &Workbench,
     machine: &MachineConfig,
@@ -421,7 +320,7 @@ pub fn run_workbench_opts(
     search: SearchConfig,
 ) -> WorkbenchSummary {
     let outcomes = exec.run_scratch(wb.loops(), SchedScratch::default, |scratch, _, lp| {
-        schedule_loop_opts(scratch, lp, machine, kind, prefetch, search)
+        schedule_loop(scratch, lp, machine, kind, prefetch, search)
     });
     WorkbenchSummary {
         config: machine.name(),
@@ -441,20 +340,20 @@ pub struct SweepJob {
     pub scheduler: SchedulerKind,
     /// Prefetch policy to schedule under.
     pub prefetch: PrefetchPolicy,
-    /// II-search configuration (MIRS-C only; constructors read
-    /// `MIRS_STRATEGY`, override with [`SweepJob::with_search`]).
+    /// II-search configuration (MIRS-C only).
     pub search: SearchConfig,
 }
 
 impl SweepJob {
-    /// MIRS-C under the default hit-latency assumption on `machine`.
+    /// MIRS-C with the given II search under the default hit-latency
+    /// assumption on `machine`.
     #[must_use]
-    pub fn mirs(machine: MachineConfig) -> Self {
+    pub fn mirs(machine: MachineConfig, search: SearchConfig) -> Self {
         Self {
             machine,
             scheduler: SchedulerKind::MirsC,
             prefetch: PrefetchPolicy::HitLatency,
-            search: SearchConfig::from_env(),
+            search,
         }
     }
 
@@ -465,15 +364,8 @@ impl SweepJob {
             machine,
             scheduler: SchedulerKind::Baseline,
             prefetch: PrefetchPolicy::HitLatency,
-            search: SearchConfig::from_env(),
+            search: SearchConfig::default(),
         }
-    }
-
-    /// Builder-style override of the II-search configuration.
-    #[must_use]
-    pub fn with_search(mut self, search: SearchConfig) -> Self {
-        self.search = search;
-        self
     }
 
     /// Builder-style override of the prefetch policy.
@@ -504,7 +396,7 @@ pub fn run_sweep(
         .collect();
     let outcomes = exec.run_scratch(&tasks, SchedScratch::default, |scratch, _, &(j, l)| {
         let job = &sweep_jobs[j];
-        schedule_loop_opts(
+        schedule_loop(
             scratch,
             &loops[l],
             &job.machine,
@@ -527,6 +419,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_env;
     use loopgen::WorkbenchParams;
 
     fn small_wb() -> Workbench {
@@ -541,10 +434,12 @@ mod tests {
         let wb = small_wb();
         let machine = MachineConfig::paper_config(2, 64).unwrap();
         let s = run_workbench(
+            &test_env::executor(),
             &wb,
             &machine,
             SchedulerKind::MirsC,
             PrefetchPolicy::HitLatency,
+            test_env::search(),
         );
         assert_eq!(s.outcomes.len(), wb.loops().len());
         assert_eq!(s.not_converged(), 0, "MIRS-C converges on the workbench");
@@ -556,17 +451,23 @@ mod tests {
     fn mirs_ii_is_never_worse_than_baseline_with_unbounded_registers() {
         let wb = small_wb();
         let machine = MachineConfig::paper_config_unbounded(2).unwrap();
+        let exec = test_env::executor();
+        let search = test_env::search();
         let m = run_workbench(
+            &exec,
             &wb,
             &machine,
             SchedulerKind::MirsC,
             PrefetchPolicy::HitLatency,
+            search,
         );
         let b = run_workbench(
+            &exec,
             &wb,
             &machine,
             SchedulerKind::Baseline,
             PrefetchPolicy::HitLatency,
+            search,
         );
         for (mo, bo) in m.outcomes.iter().zip(&b.outcomes) {
             if let (Some(mi), Some(bi)) = (mo.ii, bo.ii) {
@@ -580,13 +481,14 @@ mod tests {
         let wb = small_wb();
         let machine = MachineConfig::paper_config(2, 32).unwrap();
         let exec = SweepExecutor::new(2);
-        let trial = time_workbench_with(
+        let trial = time_workbench(
             &exec,
             &wb,
             &machine,
             SchedulerKind::MirsC,
             PrefetchPolicy::HitLatency,
             2,
+            test_env::search(),
         );
         assert_eq!(trial.jobs, 2);
         assert_eq!(trial.loops, wb.loops().len());
@@ -604,7 +506,10 @@ mod tests {
     fn sweep_summaries_chunk_outcomes_per_job() {
         let wb = small_wb();
         let jobs = vec![
-            SweepJob::mirs(MachineConfig::paper_config(1, 64).unwrap()),
+            SweepJob::mirs(
+                MachineConfig::paper_config(1, 64).unwrap(),
+                test_env::search(),
+            ),
             SweepJob::baseline(MachineConfig::paper_config(2, 32).unwrap()),
         ];
         let summaries = run_sweep(&SweepExecutor::new(3), &wb, &jobs);
@@ -622,10 +527,12 @@ mod tests {
         let wb = small_wb();
         let machine = MachineConfig::paper_config(1, 64).unwrap();
         let s = run_workbench(
+            &test_env::executor(),
             &wb,
             &machine,
             SchedulerKind::MirsC,
             PrefetchPolicy::HitLatency,
+            test_env::search(),
         );
         for o in &s.outcomes {
             assert!(o.converged());

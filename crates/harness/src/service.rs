@@ -12,7 +12,7 @@
 //!    problems are scheduled once and the result is shared.
 //! 3. **Remaining misses** are flattened into one task bag and scheduled
 //!    through the [`SweepExecutor`] worker pool, exactly like
-//!    [`run_workbench_opts`](crate::runner::run_workbench_opts) would.
+//!    [`run_workbench`](crate::runner::run_workbench) would.
 //!
 //! Responses come back in request order, each tagged with its
 //! [`Provenance`] (hit / fresh / shared), and fresh converged results are
@@ -29,7 +29,7 @@ use mirs::{PrefetchPolicy, SchedScratch, ScheduleResult, SearchConfig};
 use vliw::MachineConfig;
 
 use crate::cache::{cache_key, CacheKey, ScheduleCache};
-use crate::runner::{schedule_loop_opts, LoopOutcome, SchedulerKind, WorkbenchSummary};
+use crate::runner::{schedule_loop, LoopOutcome, SchedulerKind, WorkbenchSummary};
 use crate::sweep::SweepExecutor;
 
 /// One scheduling problem submitted to the service. Borrows its loop and
@@ -162,7 +162,7 @@ impl<'a> ScheduleService<'a> {
             .exec
             .run_scratch(&misses, SchedScratch::default, |scratch, _, &i| {
                 let rq = &requests[i];
-                schedule_loop_opts(scratch, rq.lp, rq.machine, rq.kind, rq.prefetch, rq.search)
+                schedule_loop(scratch, rq.lp, rq.machine, rq.kind, rq.prefetch, rq.search)
             });
         for (&i, outcome) in misses.iter().zip(fresh) {
             if let Some(r) = outcome.result.as_ref() {
@@ -210,7 +210,7 @@ fn replayed_outcome(lp: &Loop, result: ScheduleResult) -> LoopOutcome {
     }
 }
 
-/// [`run_workbench_opts`](crate::runner::run_workbench_opts) through the
+/// [`run_workbench`](crate::runner::run_workbench) through the
 /// cache: hits replay, misses schedule and populate the cache. Returns the
 /// summary plus each loop's [`Provenance`] in workbench order — a fully
 /// warm cache yields all-[`Provenance::Hit`] and performs zero scheduling
@@ -258,7 +258,7 @@ pub fn run_workbench_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workbench_opts;
+    use crate::runner::run_workbench;
     use loopgen::WorkbenchParams;
 
     fn small_wb() -> Workbench {
@@ -283,7 +283,7 @@ mod tests {
         let search = SearchConfig::default();
         let cache = tmp_cache("warm");
 
-        let reference = run_workbench_opts(
+        let reference = run_workbench(
             &exec,
             &wb,
             &machine,

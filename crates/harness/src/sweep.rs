@@ -4,8 +4,8 @@
 //! Every experiment in this crate is a bag of independent
 //! (loop, machine-config) tasks — the 1258-loop workbench, the fig5/fig6
 //! design-space sweeps, the table3 scheduling-time comparison. The
-//! [`SweepExecutor`] shards such a bag across `MIRS_JOBS` threads (default:
-//! all cores) while keeping the output *byte-identical* to a serial run:
+//! [`SweepExecutor`] shards such a bag across its worker threads while
+//! keeping the output *byte-identical* to a serial run:
 //!
 //! * workers claim **chunks** of task indices from one shared atomic
 //!   counter (cheap work stealing with NUMA-friendly locality: one
@@ -29,11 +29,11 @@
 //! each other (see `tests/parallel_sweep.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Environment variable overriding the worker count (`0` or unparsable
-/// values fall back to the default).
+/// Variable setting the worker count for [`SweepExecutor::from_vars`]
+/// (`0` keeps the default: all cores).
 pub const JOBS_ENV: &str = "MIRS_JOBS";
 
 /// Default number of consecutive tasks one atomic claim hands a worker.
@@ -106,11 +106,6 @@ pub enum SweepError {
         /// Task indices whose results were lost to the panic(s).
         lost_tasks: Vec<usize>,
     },
-    /// The sweep was cancelled through its [`CancelToken`].
-    Cancelled {
-        /// Number of tasks that completed before cancellation won.
-        completed: usize,
-    },
 }
 
 impl std::fmt::Display for SweepError {
@@ -119,60 +114,11 @@ impl std::fmt::Display for SweepError {
             SweepError::WorkerPanicked { lost_tasks } => {
                 write!(f, "sweep worker panicked; lost tasks {lost_tasks:?}")
             }
-            SweepError::Cancelled { completed } => {
-                write!(f, "sweep cancelled after {completed} completed tasks")
-            }
         }
     }
 }
 
 impl std::error::Error for SweepError {}
-
-/// Cooperative cancellation handle for a running sweep.
-///
-/// Cloneable and cheap; workers check it between tasks, so cancellation
-/// latency is one task, not one sweep.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// Fresh, un-cancelled token.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Request cancellation (idempotent, callable from any thread).
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation was requested.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Observation hooks for a sweep: progress reporting and cancellation.
-///
-/// The progress callback runs on worker threads (hence `Sync`); keep it
-/// cheap — a counter, a channel send, an `eprint!`.
-#[derive(Default)]
-pub struct SweepHooks<'h> {
-    /// Called after each completed task with `(completed_so_far, total)`.
-    ///
-    /// Callbacks are **serialized** (an internal lock couples the
-    /// completion-counter increment with the call), so an installed hook
-    /// observes exactly `1, 2, …, total` in order — never a gap, never a
-    /// reordering — for any worker count and claim-chunk size; debug
-    /// builds assert this. The serializing lock is taken **only when a
-    /// hook is installed**: hook-less sweeps pay a single relaxed atomic
-    /// increment per task and are never throttled by the guarantee.
-    pub progress: Option<&'h (dyn Fn(usize, usize) + Sync)>,
-    /// Checked by every worker before claiming the next task.
-    pub cancel: Option<&'h CancelToken>,
-}
 
 /// A fixed-width worker pool executing bags of independent tasks in
 /// deterministic order.
@@ -189,14 +135,7 @@ pub struct SweepExecutor {
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SweepExecutor>();
-    assert_send_sync::<CancelToken>();
 };
-
-impl Default for SweepExecutor {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
 
 impl SweepExecutor {
     /// Executor with exactly `jobs` workers (clamped to at least 1) and the
@@ -215,21 +154,31 @@ impl SweepExecutor {
         Self::new(1)
     }
 
-    /// Executor sized by the `MIRS_JOBS` environment variable, defaulting
-    /// to [`std::thread::available_parallelism`], with the default claim
-    /// chunk.
+    /// Executor sized by the [`JOBS_ENV`] variable as `var` looks it up,
+    /// defaulting (unset or `0`) to
+    /// [`std::thread::available_parallelism`], with the default claim
+    /// chunk. Front ends pass the process environment in; the library
+    /// never reads it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the variable is set to something other than a worker
+    /// count, naming the variable and the accepted values.
     #[must_use]
-    pub fn from_env() -> Self {
-        let jobs = std::env::var(JOBS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&j| j > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-        Self::new(jobs)
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+        let jobs = var(JOBS_ENV).map_or(0, |v| {
+            v.trim().parse::<usize>().unwrap_or_else(|_| {
+                panic!("{JOBS_ENV}={v:?} is not a worker count (expected 0, 1, 2, ...)")
+            })
+        });
+        if jobs > 0 {
+            return Self::new(jobs);
+        }
+        Self::new(
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+        )
     }
 
     /// Builder-style override of the claim chunk size (clamped to at least
@@ -286,17 +235,7 @@ impl SweepExecutor {
         T: Send,
         F: Fn(usize, &I) -> T + Sync,
     {
-        if self.runs_inline(items.len()) {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| task(i, item))
-                .collect();
-        }
-        match self.try_run_hooked(items, task, &SweepHooks::default()) {
-            Ok(results) => results,
-            Err(e) => panic!("{e}"),
-        }
+        self.run_scratch(items, || (), |_scratch, i, item| task(i, item))
     }
 
     /// [`SweepExecutor::run`] with per-worker scratch state: `init` builds
@@ -332,63 +271,31 @@ impl SweepExecutor {
                 .map(|(i, item)| task(&mut scratch, i, item))
                 .collect();
         }
-        match self.try_run_scratch_hooked(items, init, task, &SweepHooks::default()) {
+        match self.run_caught(items, init, task) {
             Ok(results) => results,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Like [`SweepExecutor::run`] but surfaces worker panics and
-    /// cancellation as a [`SweepError`] instead of panicking.
+    /// Like [`SweepExecutor::run`] but surfaces worker panics as a
+    /// [`SweepError`] instead of panicking.
     ///
     /// # Errors
     ///
-    /// [`SweepError::WorkerPanicked`] when any task panicked.
+    /// [`SweepError::WorkerPanicked`] when any task panicked (the queue is
+    /// still drained — a panic never hangs the sweep).
     pub fn try_run<I, T, F>(&self, items: &[I], task: F) -> Result<Vec<T>, SweepError>
     where
         I: Sync,
         T: Send,
         F: Fn(usize, &I) -> T + Sync,
     {
-        self.try_run_hooked(items, task, &SweepHooks::default())
+        self.run_caught(items, || (), |_scratch, i, item| task(i, item))
     }
 
-    /// Hooked variant without scratch state.
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::WorkerPanicked`] when any task panicked (the queue is
-    /// still drained — a panic never hangs the sweep) and
-    /// [`SweepError::Cancelled`] when the [`CancelToken`] fired first.
-    pub fn try_run_hooked<I, T, F>(
-        &self,
-        items: &[I],
-        task: F,
-        hooks: &SweepHooks<'_>,
-    ) -> Result<Vec<T>, SweepError>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> T + Sync,
-    {
-        self.try_run_scratch_hooked(items, || (), |_scratch, i, item| task(i, item), hooks)
-    }
-
-    /// Full-control variant: per-worker scratch state plus progress and
-    /// cancellation hooks. Every other `run` flavour delegates here.
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::WorkerPanicked`] when any task panicked (the queue is
-    /// still drained — a panic never hangs the sweep) and
-    /// [`SweepError::Cancelled`] when the [`CancelToken`] fired first.
-    pub fn try_run_scratch_hooked<I, T, S, G, F>(
-        &self,
-        items: &[I],
-        init: G,
-        task: F,
-        hooks: &SweepHooks<'_>,
-    ) -> Result<Vec<T>, SweepError>
+    /// The core every `run` flavour delegates to: per-worker scratch
+    /// state, every task panic caught and reported by task index.
+    fn run_caught<I, T, S, G, F>(&self, items: &[I], init: G, task: F) -> Result<Vec<T>, SweepError>
     where
         I: Sync,
         T: Send,
@@ -396,40 +303,6 @@ impl SweepExecutor {
         F: Fn(&mut S, usize, &I) -> T + Sync,
     {
         let total = items.len();
-        let done = AtomicUsize::new(0);
-        // Progress-hook contract: with a hook installed, the counter
-        // increment and the callback happen under one lock, so callbacks
-        // are fully serialized and the observed sequence is exactly
-        // 1, 2, …, total (one call per *completed task*, never per claimed
-        // chunk). Without the lock two workers could race between their
-        // `fetch_add` and their call, and the observer would see
-        // `progress(5)` before `progress(4)` — non-monotone output that
-        // looked like chunk-sized jumps under a claim chunk above 1. The lock
-        // exists **only for the hook**: hook-less sweeps skip it entirely
-        // and pay one relaxed `fetch_add` per task, so the serialization
-        // guarantee — and its cost — apply exclusively to runs that
-        // install `SweepHooks::progress`. Debug builds assert the
-        // monotonicity on the hook path.
-        let progress_lock = Mutex::new(());
-        let last_reported = AtomicUsize::new(0);
-        let report = |_idx: usize| match hooks.progress {
-            Some(progress) => {
-                let _serialized = progress_lock.lock().unwrap_or_else(|e| e.into_inner());
-                let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-                let previous = last_reported.swap(completed, Ordering::Relaxed);
-                debug_assert_eq!(
-                    completed,
-                    previous + 1,
-                    "progress callbacks must observe exactly 1, 2, …, total"
-                );
-                progress(completed, total);
-            }
-            None => {
-                done.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        let cancelled = || hooks.cancel.is_some_and(CancelToken::is_cancelled);
-
         // A sweep launched from inside another sweep's worker (nested
         // branch pools) is clamped to the cores not already running pooled
         // workers; top-level sweeps keep their configured width.
@@ -444,16 +317,8 @@ impl SweepExecutor {
             let mut results = Vec::with_capacity(total);
             let mut lost_tasks: Vec<usize> = Vec::new();
             for (i, item) in items.iter().enumerate() {
-                if cancelled() {
-                    return Err(SweepError::Cancelled {
-                        completed: done.load(Ordering::Relaxed),
-                    });
-                }
                 match catch_unwind(AssertUnwindSafe(|| task(&mut scratch, i, item))) {
-                    Ok(t) => {
-                        results.push(t);
-                        report(i);
-                    }
+                    Ok(t) => results.push(t),
                     Err(_) => lost_tasks.push(i),
                 }
             }
@@ -484,7 +349,7 @@ impl SweepExecutor {
                         let mut scratch = init_ref();
                         let mut local: Vec<(usize, T)> = Vec::new();
                         let mut lost: Vec<usize> = Vec::new();
-                        'claims: loop {
+                        loop {
                             let start = next.fetch_add(chunk, Ordering::Relaxed);
                             if start >= total {
                                 break;
@@ -492,21 +357,13 @@ impl SweepExecutor {
                             let end = (start + chunk).min(total);
                             for (i, item) in items[start..end].iter().enumerate() {
                                 let i = start + i;
-                                // Cancellation latency stays one *task*,
-                                // not one chunk.
-                                if cancelled() {
-                                    break 'claims;
-                                }
                                 // Catch per-task panics so one bad loop
                                 // cannot take the other results on this
                                 // worker with it.
                                 match catch_unwind(AssertUnwindSafe(|| {
                                     task_ref(&mut scratch, i, item)
                                 })) {
-                                    Ok(t) => {
-                                        local.push((i, t));
-                                        report(i);
-                                    }
+                                    Ok(t) => local.push((i, t)),
                                     Err(_) => lost.push(i),
                                 }
                             }
@@ -559,17 +416,10 @@ impl SweepExecutor {
             lost_tasks.sort_unstable();
             return Err(SweepError::WorkerPanicked { lost_tasks });
         }
-        // A cancellation that raced in *after* the last task completed did
-        // not lose anything — return the full result set, like the serial
-        // path (whose loop has already exited by then) does.
-        let results: Vec<T> = slots.into_iter().flatten().collect();
-        if results.len() < total {
-            debug_assert!(cancelled(), "missing results without panic or cancel");
-            return Err(SweepError::Cancelled {
-                completed: done.load(Ordering::Relaxed),
-            });
-        }
-        Ok(results)
+        Ok(slots
+            .into_iter()
+            .map(|slot| slot.expect("every task ran on a surviving worker"))
+            .collect())
     }
 }
 
@@ -586,7 +436,9 @@ type WorkerPart<T> = Result<Vec<(usize, T)>, WorkerLoss<T>>;
 
 /// A [`mirs::BranchExecutor`] backed by a private [`SweepExecutor`]: fans
 /// the independent attempts of one `backtrack` or `exact` candidate-II
-/// group across `MIRS_BRANCH_JOBS` workers.
+/// group across
+/// [`SearchConfig::branch_jobs`](mirs::SearchConfig::branch_jobs)
+/// workers.
 ///
 /// This is the harness's bridge between the in-loop search and the sweep
 /// engine. Scheduling outcomes are byte-identical to the serial search —
@@ -597,8 +449,8 @@ type WorkerPart<T> = Result<Vec<(usize, T)>, WorkerLoss<T>>;
 /// [`SchedScratch`](mirs::SchedScratch)es are pooled across the groups of
 /// one loop behind a mutex, so repeated groups reuse warmed allocations
 /// instead of re-allocating per branch;
-/// [`runner::schedule_loop_opts`](crate::runner::schedule_loop_opts) builds
-/// one pool per loop.
+/// [`runner::schedule_loop`](crate::runner::schedule_loop) builds one pool
+/// per loop.
 ///
 /// Branch groups are small bags (typically 3 tasks), so the pool claims
 /// one branch per atomic fetch (`chunk = 1`). When the pool is opened
@@ -692,10 +544,31 @@ mod tests {
     fn executor_clamps_to_at_least_one_worker() {
         assert_eq!(SweepExecutor::new(0).jobs(), 1);
         assert_eq!(SweepExecutor::serial().jobs(), 1);
-        assert!(SweepExecutor::from_env().jobs() >= 1);
-        assert!(SweepExecutor::from_env().chunk() >= 1);
         assert_eq!(SweepExecutor::new(2).with_chunk(0).chunk(), 1);
         assert_eq!(SweepExecutor::new(2).chunk(), DEFAULT_CHUNK);
+    }
+
+    #[test]
+    fn jobs_variable_sizes_the_executor() {
+        let jobs = |value: Option<&str>| {
+            SweepExecutor::from_vars(|name| {
+                assert_eq!(name, JOBS_ENV);
+                value.map(str::to_string)
+            })
+        };
+        assert_eq!(jobs(Some("4")).jobs(), 4);
+        assert_eq!(jobs(Some(" 1 ")).jobs(), 1);
+        // Unset and `0` both mean every core.
+        let cores = jobs(None).jobs();
+        assert!(cores >= 1);
+        assert_eq!(jobs(Some("0")).jobs(), cores);
+        assert_eq!(jobs(None).chunk(), DEFAULT_CHUNK);
+    }
+
+    #[test]
+    #[should_panic(expected = "MIRS_JOBS=\"four\" is not a worker count")]
+    fn jobs_variable_that_is_not_a_number_panics() {
+        let _ = SweepExecutor::from_vars(|_| Some("four".to_string()));
     }
 
     #[test]
@@ -812,76 +685,10 @@ mod tests {
     }
 
     #[test]
-    fn pre_cancelled_sweep_runs_nothing() {
-        let exec = SweepExecutor::new(4);
-        let token = CancelToken::new();
-        token.cancel();
-        let hooks = SweepHooks {
-            progress: None,
-            cancel: Some(&token),
-        };
-        let items: Vec<usize> = (0..32).collect();
-        let out = exec.try_run_hooked(&items, |_, &x| x, &hooks);
-        assert_eq!(out, Err(SweepError::Cancelled { completed: 0 }));
-    }
-
-    #[test]
-    fn progress_is_monotone_and_exact_for_any_jobs_and_chunk() {
-        // The observed completion sequence must be exactly 1..=total, in
-        // order, for any worker count and claim-chunk size — per completed
-        // *task*, never per claimed chunk, and never out of order (the
-        // regression this pins: two workers racing between the counter
-        // increment and the callback).
-        for jobs in [1usize, 3, 4] {
-            for chunk in [1usize, 2, 8] {
-                let seen = std::sync::Mutex::new(Vec::new());
-                let progress = |completed: usize, total: usize| {
-                    assert_eq!(total, 37);
-                    seen.lock().unwrap().push(completed);
-                };
-                let hooks = SweepHooks {
-                    progress: Some(&progress),
-                    cancel: None,
-                };
-                let items: Vec<usize> = (0..37).collect();
-                let exec = SweepExecutor::new(jobs).with_chunk(chunk);
-                let out = exec.try_run_hooked(&items, |_, &x| x, &hooks).unwrap();
-                assert_eq!(out.len(), 37);
-                let seen = seen.into_inner().unwrap();
-                assert_eq!(
-                    seen,
-                    (1..=37).collect::<Vec<_>>(),
-                    "jobs={jobs} chunk={chunk}: progress must be monotone and exact"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn progress_hook_sees_every_completion() {
-        let count = AtomicUsize::new(0);
-        let progress = |_done: usize, total: usize| {
-            assert_eq!(total, 24);
-            count.fetch_add(1, Ordering::Relaxed);
-        };
-        let hooks = SweepHooks {
-            progress: Some(&progress),
-            cancel: None,
-        };
-        let items: Vec<usize> = (0..24).collect();
-        let exec = SweepExecutor::new(3);
-        let out = exec.try_run_hooked(&items, |_, &x| x + 1, &hooks).unwrap();
-        assert_eq!(out.len(), 24);
-        assert_eq!(count.load(Ordering::Relaxed), 24);
-    }
-
-    #[test]
     fn errors_format_readably() {
         let e = SweepError::WorkerPanicked {
             lost_tasks: vec![3],
         };
         assert!(e.to_string().contains("lost tasks [3]"));
-        let c = SweepError::Cancelled { completed: 7 };
-        assert!(c.to_string().contains("after 7"));
     }
 }

@@ -4,6 +4,7 @@
 use crate::runner::{run_sweep, SweepJob, WorkbenchSummary};
 use crate::sweep::SweepExecutor;
 use loopgen::Workbench;
+use mirs::SearchConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vliw::{ClusterConfig, MachineConfig};
@@ -87,15 +88,9 @@ fn row_from(
 }
 
 /// Run the whole table on a workbench, sharding every (configuration,
-/// scheduler, loop) task across [`SweepExecutor::from_env`].
+/// scheduler, loop) task across `exec`; MIRS-C climbs with `search`.
 #[must_use]
-pub fn run(wb: &Workbench) -> Table1 {
-    run_with(&SweepExecutor::from_env(), wb)
-}
-
-/// [`run`] on an explicit executor.
-#[must_use]
-pub fn run_with(exec: &SweepExecutor, wb: &Workbench) -> Table1 {
+pub fn run(exec: &SweepExecutor, wb: &Workbench, search: SearchConfig) -> Table1 {
     let mut cells: Vec<(u32, u32)> = Vec::new();
     let mut jobs: Vec<SweepJob> = Vec::new();
     for &k in &[1u32, 2, 4] {
@@ -103,7 +98,7 @@ pub fn run_with(exec: &SweepExecutor, wb: &Workbench) -> Table1 {
             let mc = machine(k, lm);
             cells.push((k, lm));
             jobs.push(SweepJob::baseline(mc.clone()));
-            jobs.push(SweepJob::mirs(mc));
+            jobs.push(SweepJob::mirs(mc, search));
         }
     }
     let summaries = run_sweep(exec, wb, &jobs);
@@ -143,6 +138,7 @@ impl fmt::Display for Table1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_env;
     use loopgen::WorkbenchParams;
 
     #[test]
@@ -151,7 +147,7 @@ mod tests {
             loops: 5,
             ..Default::default()
         });
-        let t = run(&wb);
+        let t = run(&test_env::executor(), &wb, test_env::search());
         assert_eq!(t.rows.len(), 6);
         for r in &t.rows {
             assert!(

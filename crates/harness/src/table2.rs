@@ -5,6 +5,7 @@
 use crate::runner::{run_sweep, SweepJob, WorkbenchSummary};
 use crate::sweep::SweepExecutor;
 use loopgen::Workbench;
+use mirs::SearchConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vliw::MachineConfig;
@@ -76,16 +77,10 @@ fn row_from(
 }
 
 /// Run the whole table on a workbench (k × z = 64 registers in total),
-/// sharding every (configuration, scheduler, loop) task across
-/// [`SweepExecutor::from_env`].
+/// sharding every (configuration, scheduler, loop) task across `exec`;
+/// MIRS-C climbs with `search`.
 #[must_use]
-pub fn run(wb: &Workbench) -> Table2 {
-    run_with(&SweepExecutor::from_env(), wb)
-}
-
-/// [`run`] on an explicit executor.
-#[must_use]
-pub fn run_with(exec: &SweepExecutor, wb: &Workbench) -> Table2 {
+pub fn run(exec: &SweepExecutor, wb: &Workbench, search: SearchConfig) -> Table2 {
     let mut cells: Vec<(u32, u32)> = Vec::new();
     let mut jobs: Vec<SweepJob> = Vec::new();
     for &k in &[1u32, 2, 4] {
@@ -98,7 +93,7 @@ pub fn run_with(exec: &SweepExecutor, wb: &Workbench) -> Table2 {
                 .expect("valid constrained config");
             cells.push((k, lm));
             jobs.push(SweepJob::baseline(mc.clone()));
-            jobs.push(SweepJob::mirs(mc));
+            jobs.push(SweepJob::mirs(mc, search));
         }
     }
     let summaries = run_sweep(exec, wb, &jobs);
@@ -148,6 +143,7 @@ impl fmt::Display for Table2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_env;
     use loopgen::WorkbenchParams;
 
     #[test]
@@ -156,7 +152,7 @@ mod tests {
             loops: 5,
             ..Default::default()
         });
-        let t = run(&wb);
+        let t = run(&test_env::executor(), &wb, test_env::search());
         assert_eq!(t.rows.len(), 6);
         for r in &t.rows {
             assert_eq!(r.mirs_not_converged, 0, "MIRS-C must always converge");

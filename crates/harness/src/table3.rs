@@ -4,6 +4,7 @@
 use crate::runner::{run_sweep, SweepJob};
 use crate::sweep::SweepExecutor;
 use loopgen::Workbench;
+use mirs::SearchConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vliw::{ClusterConfig, MachineConfig};
@@ -33,15 +34,10 @@ pub struct Table3 {
 }
 
 /// Run the scheduling-time comparison on a workbench, sharding every
-/// (configuration, scheduler, loop) task across [`SweepExecutor::from_env`].
+/// (configuration, scheduler, loop) task across `exec`; MIRS-C climbs
+/// with `search`.
 #[must_use]
-pub fn run(wb: &Workbench) -> Table3 {
-    run_with(&SweepExecutor::from_env(), wb)
-}
-
-/// [`run`] on an explicit executor.
-#[must_use]
-pub fn run_with(exec: &SweepExecutor, wb: &Workbench) -> Table3 {
+pub fn run(exec: &SweepExecutor, wb: &Workbench, search: SearchConfig) -> Table3 {
     let configs: Vec<(String, u32, Option<u32>)> = vec![
         ("1 x inf".into(), 1, None),
         ("1 x 64".into(), 1, Some(64)),
@@ -66,7 +62,7 @@ pub fn run_with(exec: &SweepExecutor, wb: &Workbench) -> Table3 {
                 .expect("valid config");
             cells.push((label.clone(), lm));
             jobs.push(SweepJob::baseline(mc.clone()));
-            jobs.push(SweepJob::mirs(mc));
+            jobs.push(SweepJob::mirs(mc, search));
         }
     }
     let summaries = run_sweep(exec, wb, &jobs);
@@ -130,6 +126,7 @@ impl fmt::Display for Table3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_env;
     use loopgen::WorkbenchParams;
 
     #[test]
@@ -138,7 +135,7 @@ mod tests {
             loops: 3,
             ..Default::default()
         });
-        let t = run(&wb);
+        let t = run(&test_env::executor(), &wb, test_env::search());
         assert_eq!(t.rows.len(), 12);
         for r in &t.rows {
             assert!(r.mirs_seconds_all >= r.mirs_seconds_same_subset);

@@ -4,42 +4,19 @@
 //! Run with: `cargo run --release --example clustered_exploration`
 //!
 //! `--strategy linear|backtrack|exact` selects the II-search strategy for
-//! every scheduled loop by mapping the flag onto `MIRS_STRATEGY` before the
-//! first scheduler run (the table/fig runners all read that variable).
+//! every scheduled loop (default: `MIRS_STRATEGY`); `MIRS_JOBS` sizes the
+//! sweep.
 
 use harness::{fig2, fig5};
 use loopgen::{Workbench, WorkbenchParams};
+use mirs_repro::cli;
 use vliw::HwModel;
 
-/// Map a `--strategy NAME` flag onto the `MIRS_STRATEGY` environment
-/// variable (validated), so every runner downstream picks it up.
-fn apply_strategy_flag() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    let name = loop {
-        match it.next() {
-            Some(a) if a == "--strategy" => break it.next().cloned(),
-            Some(a) => {
-                if let Some(v) = a.strip_prefix("--strategy=") {
-                    break Some(v.to_string());
-                }
-            }
-            None => break None,
-        }
-    };
-    if let Some(name) = name {
-        if mirs::SearchStrategyKind::parse(&name).is_none() {
-            let expected = mirs::SearchStrategyKind::ALL.map(|s| s.label()).join("|");
-            eprintln!("unknown strategy '{name}' (expected {expected})");
-            std::process::exit(2);
-        }
-        std::env::set_var(mirs::STRATEGY_ENV, &name);
-        println!("II-search strategy: {name}\n");
-    }
-}
-
 fn main() {
-    apply_strategy_flag();
+    let search = cli::search();
+    if cli::flag_arg("strategy").is_some() {
+        println!("II-search strategy: {}\n", search.strategy);
+    }
     let hw = HwModel::default();
     println!("{}", fig2::run(&hw));
 
@@ -51,7 +28,7 @@ fn main() {
         "Scheduling a {}-loop workbench on every k/z/lambda_m design point...\n",
         wb.loops().len()
     );
-    let fig = fig5::run(&wb, &hw);
+    let fig = fig5::run(&cli::env_executor(), &wb, &hw, search);
     println!("{fig}");
 
     // The paper's headline: clustered configurations lose a few percent in

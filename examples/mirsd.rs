@@ -19,7 +19,7 @@
 //! Flags: `--loops N` (workbench size, default 60; `MIRS_SCHEDTIME_LOOPS`
 //! is honoured too), `--configs KxR,…` (paper configurations, default
 //! `1x64,2x32,4x16`), `--strategy linear|backtrack|exact`
-//! (default: the `MIRS_STRATEGY` environment), `--passes N` (default 2:
+//! (default: `MIRS_STRATEGY`), `--passes N` (default 2:
 //! cold + warm),
 //! `--cache-dir DIR` (default: `MIRS_CACHE_DIR`), `--jobs N`, `--quiet`
 //! (summary lines only), and `--assert-warm-all-hits` (exit non-zero
@@ -28,95 +28,26 @@
 
 use harness::cache::ScheduleCache;
 use harness::service::{Provenance, ScheduleRequest, ScheduleService};
-use harness::sweep::SweepExecutor;
 use loopgen::{Workbench, WorkbenchParams};
-use mirs::{SearchConfig, SearchStrategyKind};
+use mirs_repro::cli;
 use vliw::MachineConfig;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Value of `--NAME X` (also accepts `--NAME=X`), if present.
-fn flag_arg(name: &str) -> Option<String> {
-    let long = format!("--{name}");
-    let prefixed = format!("--{name}=");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == &long {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&prefixed) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// Whether the bare flag `--NAME` is present.
-fn flag_set(name: &str) -> bool {
-    let long = format!("--{name}");
-    std::env::args().skip(1).any(|a| a == long)
-}
-
-/// Parse a `KxR` configuration name into the paper machine config.
-fn bad_config(spec: &str) -> ! {
-    eprintln!("bad config '{spec}' (expected KxR, e.g. 2x32)");
-    std::process::exit(2);
-}
-
-fn parse_config(spec: &str) -> MachineConfig {
-    let (k, regs) = spec
-        .trim()
-        .split_once(['x', 'X'])
-        .unwrap_or_else(|| bad_config(spec));
-    let k: u32 = k.parse().unwrap_or_else(|_| bad_config(spec));
-    let regs: u32 = regs.parse().unwrap_or_else(|_| bad_config(spec));
-    MachineConfig::paper_config(k, regs).unwrap_or_else(|e| {
-        eprintln!("invalid config '{spec}': {e}");
-        std::process::exit(2);
-    })
-}
-
 fn main() {
-    let loops = flag_arg("loops")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| env_usize("MIRS_SCHEDTIME_LOOPS", 60));
-    let passes: u32 = flag_arg("passes").and_then(|v| v.parse().ok()).unwrap_or(2);
-    let quiet = flag_set("quiet");
-    let strategy = match flag_arg("strategy") {
-        Some(name) => SearchStrategyKind::parse(&name).unwrap_or_else(|| {
-            // Derived from the tier ladder so a new strategy shows up here
-            // without anyone remembering to edit a string.
-            let expected = SearchStrategyKind::ALL.map(|s| s.label()).join("|");
-            eprintln!("unknown strategy '{name}' (expected {expected})");
-            std::process::exit(2);
-        }),
-        None => SearchConfig::from_env().strategy,
-    };
-    // Keep the env-derived knobs (branch_jobs, exact_budget); only the
-    // strategy is overridden by the flag.
-    let search = SearchConfig {
-        strategy,
-        ..SearchConfig::from_env()
-    };
-    let machines: Vec<MachineConfig> = flag_arg("configs")
+    let loops =
+        cli::flag_parse("loops").unwrap_or_else(|| cli::env_usize("MIRS_SCHEDTIME_LOOPS", 60));
+    let passes: u32 = cli::flag_parse("passes").unwrap_or(2);
+    let quiet = cli::flag_set("quiet");
+    // `--strategy` overrides only the strategy; the other search knobs
+    // come from the environment.
+    let search = cli::search();
+    let strategy = search.strategy;
+    let machines: Vec<MachineConfig> = cli::flag_arg("configs")
         .unwrap_or_else(|| "1x64,2x32,4x16".to_string())
         .split(',')
-        .map(parse_config)
+        .map(cli::paper_config)
         .collect();
-    let exec = match flag_arg("jobs").and_then(|v| v.parse().ok()) {
-        Some(jobs) => SweepExecutor::new(jobs),
-        None => SweepExecutor::from_env(),
-    };
-    let cache = match flag_arg("cache-dir") {
-        Some(dir) => ScheduleCache::at(dir),
-        None => ScheduleCache::from_env(),
-    };
+    let exec = cli::executor();
+    let cache = cli::flag_arg("cache-dir").map_or_else(cli::env_cache, ScheduleCache::at);
     if !cache.is_enabled() {
         eprintln!(
             "note: cache disabled (set --cache-dir or MIRS_CACHE_DIR); every pass schedules fresh"
@@ -192,7 +123,7 @@ fn main() {
         );
     }
 
-    if flag_set("assert-warm-all-hits") && !last_all_hits {
+    if cli::flag_set("assert-warm-all-hits") && !last_all_hits {
         eprintln!("error: final pass was not served entirely from the cache");
         std::process::exit(1);
     }

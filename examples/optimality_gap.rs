@@ -29,30 +29,8 @@
 
 use loopgen::{hard_cases, kernels, synthetic, SyntheticParams};
 use mirs::{MirsScheduler, ScheduleResult, SchedulerOptions, SearchConfig};
+use mirs_repro::cli;
 use vliw::MachineConfig;
-
-/// Value of `--NAME X` (also accepts `--NAME=X`), if present.
-fn flag_arg(name: &str) -> Option<String> {
-    let long = format!("--{name}");
-    let prefixed = format!("--{name}=");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == &long {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&prefixed) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-fn parse_flag<T: std::str::FromStr>(name: &str, default: T) -> T {
-    flag_arg(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One audited loop: its provenance plus the three scheduling outcomes.
 struct Row {
@@ -145,23 +123,17 @@ fn json_escape(s: &str) -> String {
 }
 
 fn main() {
-    let loops: usize = parse_flag("loops", 48);
-    let max_nodes: usize = parse_flag("max-nodes", 12);
-    let budget: u64 = parse_flag("budget", SearchConfig::exact().exact_budget);
-    let min_optimal_frac: f64 = parse_flag("min-optimal-frac", 0.8);
-    let max_median_gap: f64 = parse_flag("max-median-gap", 1.0);
-    let report_path = flag_arg("report").unwrap_or_else(|| "GAP_report.json".to_string());
+    let loops: usize = cli::flag_parse("loops").unwrap_or(48);
+    let max_nodes: usize = cli::flag_parse("max-nodes").unwrap_or(12);
+    let budget: u64 = cli::flag_parse("budget").unwrap_or(SearchConfig::exact().exact_budget);
+    let min_optimal_frac: f64 = cli::flag_parse("min-optimal-frac").unwrap_or(0.8);
+    let max_median_gap: f64 = cli::flag_parse("max-median-gap").unwrap_or(1.0);
+    let report_path = cli::flag_arg("report").unwrap_or_else(|| "GAP_report.json".to_string());
 
     // Default is the paper's unclustered 1x64; `--config KxR` (e.g. 1x16)
     // audits a register-tight machine where spilling pushes the heuristics
     // away from the resource/recurrence bound.
-    let spec = flag_arg("config").unwrap_or_else(|| "1x64".to_string());
-    let (k, regs) = spec.split_once(['x', 'X']).unwrap_or(("1", "64"));
-    let machine = MachineConfig::paper_config(
-        k.parse().expect("config cluster count"),
-        regs.parse().expect("config register count"),
-    )
-    .expect("valid paper config");
+    let machine = cli::paper_config(&cli::flag_arg("config").unwrap_or_else(|| "1x64".to_string()));
 
     // The audited slice: pinned hard cases, the small hand-written
     // kernels, then the deterministic synthetic grid.

@@ -5,6 +5,7 @@
 
 use harness::fig7;
 use loopgen::{Workbench, WorkbenchParams};
+use mirs_repro::cli;
 use vliw::HwModel;
 
 fn main() {
@@ -13,7 +14,7 @@ fn main() {
         ..Default::default()
     });
     let hw = HwModel::default();
-    let fig = fig7::run(&wb, &hw);
+    let fig = fig7::run(&cli::env_executor(), &wb, &hw, cli::env_search());
     println!("{fig}");
 
     // The paper's observation: prefetching removes stall cycles at the cost

@@ -18,7 +18,7 @@
 //! genuinely serial run — the baseline of every speedup number printed in
 //! the last two columns. `--strategy a,b,…` selects the II-search
 //! strategies to compare (same names as `MIRS_STRATEGY`: `linear`,
-//! `backtrack`, `exact`; default: the environment's strategy) and prints
+//! `backtrack`, `exact`; default: `MIRS_STRATEGY`'s strategy) and prints
 //! one row per (config, strategy) with the per-strategy ΣII and spill-op
 //! columns next to the timings. Schedules are byte-identical for any
 //! worker count.
@@ -33,71 +33,24 @@
 //! loops. `--no-prune` (or `MIRS_PRUNE=0`) disables it to time the
 //! unfiltered climb — schedules are byte-identical either way.
 
-use harness::cache::ScheduleCache;
-use harness::runner::{run_workbench_opts, time_workbench_opts, SchedTimeTrial, SchedulerKind};
+use harness::runner::{run_workbench, time_workbench, SchedTimeTrial, SchedulerKind};
 use harness::service::run_workbench_cached;
-use harness::sweep::SweepExecutor;
 use loopgen::{Workbench, WorkbenchParams};
-use mirs::{PrefetchPolicy, SearchConfig, SearchStrategyKind};
+use mirs::{PrefetchPolicy, SearchConfig};
+use mirs_repro::cli;
 use vliw::MachineConfig;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Whether the bare flag `--NAME` is present.
-fn flag_set(name: &str) -> bool {
-    let long = format!("--{name}");
-    std::env::args().skip(1).any(|a| a == long)
-}
-
-/// Value of `--NAME X` (also accepts `--NAME=X`), if present.
-fn flag_arg(name: &str) -> Option<String> {
-    let long = format!("--{name}");
-    let prefixed = format!("--{name}=");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == &long {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&prefixed) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// The `--strategy` list (comma-separated), defaulting to the strategy the
-/// `MIRS_STRATEGY` environment selects.
-fn strategies() -> Vec<SearchStrategyKind> {
-    match flag_arg("strategy") {
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                SearchStrategyKind::parse(name).unwrap_or_else(|| {
-                    let expected = SearchStrategyKind::ALL.map(|s| s.label()).join("|");
-                    eprintln!("unknown strategy '{name}' (expected {expected})");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-        None => vec![SearchConfig::from_env().strategy],
-    }
-}
-
 fn main() {
-    let loops = env_usize("MIRS_SCHEDTIME_LOOPS", 60);
-    let repeats = env_usize("MIRS_SCHEDTIME_REPEATS", 3) as u32;
-    let exec = match flag_arg("jobs").and_then(|v| v.parse().ok()) {
-        Some(jobs) => SweepExecutor::new(jobs),
-        None => SweepExecutor::from_env(),
-    };
-    let strategies = strategies();
-    let cache = ScheduleCache::from_env();
+    let loops = cli::env_usize("MIRS_SCHEDTIME_LOOPS", 60);
+    let repeats = cli::env_usize("MIRS_SCHEDTIME_REPEATS", 3) as u32;
+    let exec = cli::executor();
+    // The strategy list comes from `--strategy`; every other search knob
+    // (branch jobs, the filter) from the environment, so audit runs can
+    // drive the branch-parallel path through this example.
+    let env = cli::env_search();
+    let strategies = cli::strategies_flag().unwrap_or_else(|| vec![env.strategy]);
+    let prune = env.prune && !cli::flag_set("no-prune");
+    let cache = cli::env_cache();
     let wb = Workbench::generate(&WorkbenchParams {
         loops,
         ..WorkbenchParams::default()
@@ -126,13 +79,7 @@ fn main() {
     for (k, regs) in [(1u32, 64u32), (2, 32), (4, 16)] {
         let machine = MachineConfig::paper_config(k, regs).expect("paper config");
         for &strategy in &strategies {
-            // Keep the environment's MIRS_BRANCH_JOBS even when --strategy
-            // overrides the strategy list, so audit runs can drive the
-            // branch-parallel path through this example.
-            let env_search = SearchConfig::from_env();
-            let search = SearchConfig::for_strategy(strategy)
-                .with_branch_jobs(env_search.branch_jobs)
-                .with_prune(env_search.prune && !flag_set("no-prune"));
+            let search = SearchConfig { strategy, ..env }.with_prune(prune);
             // The metrics pass doubles as one of the timed passes when the
             // cache is off: its wall clock and aggregate scheduling seconds
             // fold into the trial below, so the SII/spill columns cost no
@@ -154,7 +101,7 @@ fn main() {
                 )
                 .0
             } else {
-                run_workbench_opts(
+                run_workbench(
                     &exec,
                     &wb,
                     &machine,
@@ -183,7 +130,7 @@ fn main() {
                 repeats
             };
             let mut trial = if timed_repeats > 0 {
-                time_workbench_opts(
+                time_workbench(
                     &exec,
                     &wb,
                     &machine,

@@ -6,12 +6,15 @@
 //! Together with the golden schedule-hash tests (which pin the absolute
 //! hashes) this is the contract that lets `MIRS_JOBS` default to all cores
 //! without the experiment outputs ever depending on thread interleaving.
+//! Every run here climbs with the search configuration the `MIRS_*`
+//! variables select, so the CI strategy legs reach these tests too.
 
-use harness::runner::{run_sweep, run_workbench_with, SweepJob, WorkbenchSummary};
+use harness::runner::{run_sweep, run_workbench, SweepJob, WorkbenchSummary};
 use harness::sweep::{SweepError, SweepExecutor};
 use harness::SchedulerKind;
 use loopgen::{Workbench, WorkbenchParams};
-use mirs::PrefetchPolicy;
+use mirs::{PrefetchPolicy, SchedScratch};
+use mirs_repro::cli;
 use proptest::prelude::*;
 use vliw::MachineConfig;
 
@@ -63,13 +66,15 @@ proptest! {
         let k = 1u32 << clusters_pow;
         let regs = [16u32, 32, 64][regs_idx];
         let machine = MachineConfig::paper_config(k, regs).unwrap();
+        let search = cli::env_search();
         let run = |jobs: usize, chunk: usize| {
-            run_workbench_with(
+            run_workbench(
                 &SweepExecutor::new(jobs).with_chunk(chunk),
                 &wb,
                 &machine,
                 SchedulerKind::MirsC,
                 PrefetchPolicy::HitLatency,
+                search,
             )
         };
         let serial = run(1, 1);
@@ -87,17 +92,25 @@ fn run_sweep_matches_per_config_serial_runs() {
         loops: 6,
         ..WorkbenchParams::default()
     });
+    let search = cli::env_search();
     let jobs = vec![
-        SweepJob::mirs(MachineConfig::paper_config(1, 64).unwrap()),
+        SweepJob::mirs(MachineConfig::paper_config(1, 64).unwrap(), search),
         SweepJob::baseline(MachineConfig::paper_config(1, 64).unwrap()),
-        SweepJob::mirs(MachineConfig::paper_config(2, 32).unwrap()),
-        SweepJob::mirs(MachineConfig::paper_config(4, 16).unwrap()),
+        SweepJob::mirs(MachineConfig::paper_config(2, 32).unwrap(), search),
+        SweepJob::mirs(MachineConfig::paper_config(4, 16).unwrap(), search),
     ];
     let parallel = run_sweep(&SweepExecutor::new(4), &wb, &jobs);
     assert_eq!(parallel.len(), jobs.len());
     let serial = SweepExecutor::serial();
     for (job, got) in jobs.iter().zip(&parallel) {
-        let want = run_workbench_with(&serial, &wb, &job.machine, job.scheduler, job.prefetch);
+        let want = run_workbench(
+            &serial,
+            &wb,
+            &job.machine,
+            job.scheduler,
+            job.prefetch,
+            job.search,
+        );
         assert_eq!(got.scheduler, job.scheduler);
         assert_identical(&want, got, &job.machine.name());
     }
@@ -114,13 +127,16 @@ fn scheduling_worker_panic_is_surfaced_as_error() {
     });
     let machine = MachineConfig::paper_config(2, 32).unwrap();
     let exec = SweepExecutor::new(4);
+    let search = cli::env_search();
     let out = exec.try_run(wb.loops(), |i, lp| {
         assert!(i != 3, "synthetic failure on loop 3");
         harness::runner::schedule_loop(
+            &mut SchedScratch::default(),
             lp,
             &machine,
             SchedulerKind::MirsC,
             PrefetchPolicy::HitLatency,
+            search,
         )
     });
     match out {
@@ -131,7 +147,8 @@ fn scheduling_worker_panic_is_surfaced_as_error() {
     }
 }
 
-/// `MIRS_JOBS`-driven and explicit executors agree on the workbench.
+/// The executor `MIRS_JOBS` sizes at the edge agrees with a serial one
+/// on the workbench.
 #[test]
 fn from_env_executor_is_deterministic_too() {
     let wb = Workbench::generate(&WorkbenchParams {
@@ -139,19 +156,22 @@ fn from_env_executor_is_deterministic_too() {
         ..WorkbenchParams::default()
     });
     let machine = MachineConfig::paper_config(2, 32).unwrap();
-    let via_env = run_workbench_with(
-        &SweepExecutor::from_env(),
+    let search = cli::env_search();
+    let via_env = run_workbench(
+        &cli::env_executor(),
         &wb,
         &machine,
         SchedulerKind::MirsC,
         PrefetchPolicy::HitLatency,
+        search,
     );
-    let serial = run_workbench_with(
+    let serial = run_workbench(
         &SweepExecutor::serial(),
         &wb,
         &machine,
         SchedulerKind::MirsC,
         PrefetchPolicy::HitLatency,
+        search,
     );
     assert_identical(&serial, &via_env, "from_env");
 }

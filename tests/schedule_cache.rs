@@ -4,7 +4,7 @@
 //! on corrupt entries.
 
 use harness::cache::{ScheduleCache, StoreOutcome};
-use harness::runner::run_workbench_opts;
+use harness::runner::run_workbench;
 use harness::service::{run_workbench_cached, Provenance, ScheduleRequest, ScheduleService};
 use harness::{SchedulerKind, SweepExecutor};
 use loopgen::{Workbench, WorkbenchParams};
@@ -144,7 +144,7 @@ fn warm_pass_replays_golden_hashes_without_scheduling() {
         MachineConfig::paper_config(1, 64).unwrap(),
         MachineConfig::paper_config(2, 32).unwrap(),
     ] {
-        let reference = run_workbench_opts(
+        let reference = run_workbench(
             &exec,
             &wb,
             &machine,
@@ -306,7 +306,7 @@ fn service_batches_mix_configs_and_dedup() {
     }
     // Per-config reference runs agree with the batch.
     for (machine, chunk) in [(&m1, &responses[..n]), (&m2, &responses[n..2 * n])] {
-        let reference = run_workbench_opts(
+        let reference = run_workbench(
             &exec,
             &wb,
             machine,

@@ -315,7 +315,7 @@ proptest! {
 /// runs) and the merge order is deterministic either way.
 #[test]
 fn nested_branch_pools_under_a_saturated_outer_sweep_match_serial() {
-    use harness::runner::{run_workbench_opts, SchedulerKind};
+    use harness::runner::{run_workbench, SchedulerKind};
     use harness::sweep::SweepExecutor;
     use mirs::PrefetchPolicy;
 
@@ -327,7 +327,7 @@ fn nested_branch_pools_under_a_saturated_outer_sweep_match_serial() {
     // More outer workers than cores: every branch pool is opened from a
     // worker of an already-oversubscribed sweep.
     let outer = SweepExecutor::new(cores * 2).with_chunk(1);
-    let fanned = run_workbench_opts(
+    let fanned = run_workbench(
         &outer,
         &wb,
         &machine,
@@ -335,7 +335,7 @@ fn nested_branch_pools_under_a_saturated_outer_sweep_match_serial() {
         PrefetchPolicy::HitLatency,
         SearchConfig::backtracking().with_branch_jobs(4),
     );
-    let serial = run_workbench_opts(
+    let serial = run_workbench(
         &SweepExecutor::serial(),
         &wb,
         &machine,
@@ -527,8 +527,7 @@ fn admission_filter_prunes_hard_cases_soundly() {
 }
 
 /// The spill memo is an accelerator, never a behaviour change; its counters
-/// surface through the result stats so hit rates are observable (also via
-/// `MIRS_DEBUG` prints in the driver).
+/// surface through the result stats so hit rates are observable.
 #[test]
 fn spill_memo_counters_are_exposed_and_active_under_pressure() {
     let wb = workbench(20);

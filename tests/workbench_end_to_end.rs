@@ -1,11 +1,30 @@
 //! Cross-crate integration tests: workload generation → scheduling
 //! (MIRS-C and baseline) → validation → memory simulation.
 
-use harness::{run_workbench, SchedulerKind};
+use harness::{SchedulerKind, WorkbenchSummary};
 use loopgen::{Workbench, WorkbenchParams};
 use memsim::{simulate, MemoryParams};
 use mirs::{MirsScheduler, PrefetchPolicy, SchedulerOptions, SearchConfig, ValidationError};
+use mirs_repro::cli;
 use vliw::{ClusterId, HwModel, MachineConfig};
+
+/// `harness::run_workbench` on the executor and search configuration the
+/// `MIRS_*` variables select, so the CI legs reach these tests.
+fn run_workbench(
+    wb: &Workbench,
+    machine: &MachineConfig,
+    kind: SchedulerKind,
+    prefetch: PrefetchPolicy,
+) -> WorkbenchSummary {
+    harness::run_workbench(
+        &cli::env_executor(),
+        wb,
+        machine,
+        kind,
+        prefetch,
+        cli::env_search(),
+    )
+}
 
 fn workbench() -> Workbench {
     Workbench::generate(&WorkbenchParams {
