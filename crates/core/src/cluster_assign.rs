@@ -5,7 +5,7 @@ use crate::scratch::Derivation;
 use ddg::{DepEdge, NodeId, NodeOrigin, OperationData, ValueId};
 use vliw::{ClusterId, OpClass, Opcode, ResourceKind};
 
-impl SchedState<'_, '_> {
+impl SchedState<'_> {
     /// Select the most appropriate cluster for `node` (step C1).
     ///
     /// Clusters are ranked, in the paper's order of importance, by
@@ -117,13 +117,13 @@ impl SchedState<'_, '_> {
         let carried = self.memo.carried(node);
         debug_assert!(
             {
-                let live = crate::spill::compute_carried_values(self.graph, node);
+                let live = crate::spill::compute_carried_values(&self.graph, node);
                 live.len() == carried.len() && live.iter().all(|v| carried.contains(v))
             },
             "carried-values table diverged from the graph for {node} (content, \
              not order: rewiring re-orders out-edges, the table keeps the base \
              order): table {carried:?}, graph {:?}",
-            crate::spill::compute_carried_values(self.graph, node)
+            crate::spill::compute_carried_values(&self.graph, node)
         );
         carried
     }

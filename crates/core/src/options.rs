@@ -56,8 +56,8 @@ pub enum SearchStrategyKind {
     #[default]
     Linear,
     /// Branch at every candidate II: besides the canonical HRMS order, try
-    /// deterministically perturbed priority orders under nested graph
-    /// checkpoints, and accept the best candidate by the (II, spill-ops,
+    /// deterministically perturbed priority orders, each on its own copy of
+    /// the loop's graph, and accept the best candidate by the (II, spill-ops,
     /// moves) metric. Never worse than [`SearchStrategyKind::Linear`] on
     /// that metric, at the cost of extra attempts.
     Backtracking,

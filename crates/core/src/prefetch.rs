@@ -60,6 +60,18 @@ pub fn apply_prefetch_policy(
     }
 }
 
+/// Whether [`apply_prefetch_policy`] would leave `graph` as it is: the
+/// policy is `HitLatency` and every load already has hit latency. The
+/// scheduler then attempts copies of the loop's own graph instead of a
+/// clone with the policy applied.
+pub(crate) fn leaves_unchanged(graph: &DepGraph, policy: &PrefetchPolicy) -> bool {
+    matches!(policy, PrefetchPolicy::HitLatency)
+        && graph.node_ids().all(|n| {
+            let op = graph.op(n);
+            !op.opcode.is_load() || op.mem_latency == MemLatency::Hit
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,10 +19,9 @@ pub struct PriorityList {
 }
 
 impl PriorityList {
-    // Some accessors are only exercised by unit tests and debugging code.
-    #![allow(dead_code)]
     /// Build the list from an HRMS ordering (first element = highest
     /// priority).
+    #[cfg(test)]
     #[must_use]
     pub fn from_order(order: &[NodeId]) -> Self {
         let mut list = Self::default();
@@ -31,8 +30,7 @@ impl PriorityList {
     }
 
     /// Reload the list from an HRMS ordering, forgetting all previous ranks
-    /// and pending nodes but keeping the allocations — equivalent to
-    /// [`PriorityList::from_order`] on a warmed buffer.
+    /// and pending nodes but keeping the allocations.
     pub fn reset_from_order(&mut self, order: &[NodeId]) {
         self.rank.clear();
         self.pending.clear();
@@ -56,6 +54,7 @@ impl PriorityList {
     }
 
     /// Number of waiting nodes.
+    #[cfg(test)]
     #[must_use]
     pub fn len(&self) -> usize {
         self.pending.len()
@@ -125,6 +124,7 @@ impl PriorityList {
     }
 
     /// Whether the node is currently waiting in the list.
+    #[cfg(test)]
     #[must_use]
     pub fn contains(&self, node: NodeId) -> bool {
         self.pending.contains(&node)

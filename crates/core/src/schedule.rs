@@ -119,8 +119,8 @@ pub struct PartialSchedule {
     /// Memoized fold per move route, at `src · clusters + dst`.
     move_tables: Vec<Option<FoldedTable>>,
     /// Placement of each scheduled node, at `NodeId::index` (grown on
-    /// demand; `reset` clears every slot, since node ids are reused after
-    /// a graph rollback).
+    /// demand; `reset` clears every slot, since each attempt's graph copy
+    /// hands out the node ids of the attempt before it again).
     placements: Vec<Option<PlacementInfo>>,
     /// Number of scheduled nodes (occupied `placements` slots).
     placed: usize,

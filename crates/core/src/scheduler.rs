@@ -5,8 +5,8 @@
 //! The *search over candidate IIs* — which attempts are made, in which
 //! order, and which successful attempt is accepted — lives in
 //! [`crate::search`]; this module only knows how to run a single attempt
-//! inside a graph transaction and how to package a finished attempt as a
-//! [`ScheduleResult`].
+//! on its own copy of the loop's graph and how to package a finished
+//! attempt as a [`ScheduleResult`].
 
 use crate::error::ScheduleError;
 use crate::options::SchedulerOptions;
@@ -40,15 +40,15 @@ pub(crate) struct Window {
 
 /// Mutable state of one scheduling attempt (one II value).
 ///
-/// The graph is *borrowed*: all attempts of one scheduling run share a
-/// single working graph, mutated inside a transaction and rolled back
-/// between II restarts. Every other component comes from (and returns to)
-/// the run's [`SchedScratch`], so an attempt reuses the buffers of the one
-/// before it.
-pub(crate) struct SchedState<'m, 'g> {
+/// The graph is the attempt's own copy of the search's base graph, which
+/// the attempt edits freely (spill and move insertion, rewiring). It and
+/// every other component come from (and return to) the run's
+/// [`SchedScratch`], so an attempt reuses the buffers of the one before
+/// it; a successful attempt moves its graph into the result instead.
+pub(crate) struct SchedState<'m> {
     pub machine: &'m MachineConfig,
     pub opts: SchedulerOptions,
-    pub graph: &'g mut DepGraph,
+    pub graph: DepGraph,
     pub sched: PartialSchedule,
     pub plist: PriorityList,
     /// Dense per-node and per-value bookkeeping: previous cycles (the
@@ -75,12 +75,11 @@ pub(crate) struct SchedState<'m, 'g> {
 /// Outcome of one attempt at a fixed II.
 ///
 /// A successful attempt hands the *live* [`SchedState`] back to the search
-/// driver instead of a finished result: the driver decides whether to
-/// accept it in place (commit the transaction, take the working graph —
-/// zero clones, the linear-search fast path) or to stash it as a candidate
-/// (clone the graph, roll the transaction back) and keep exploring.
-pub(crate) enum AttemptOutcome<'m, 'g> {
-    Success(Box<SchedState<'m, 'g>>),
+/// driver instead of a finished result: the driver packages it with
+/// [`SchedState::into_result`] when it beats the best candidate so far and
+/// hands its buffers back with [`SchedState::reclaim_into`] otherwise.
+pub(crate) enum AttemptOutcome<'m> {
+    Success(Box<SchedState<'m>>),
     Restart,
 }
 
@@ -139,22 +138,20 @@ impl<'m> MirsScheduler<'m> {
 
     /// [`MirsScheduler::schedule`] with caller-provided scratch buffers.
     ///
-    /// The scratch amortises every per-attempt allocation (MRT arrays,
-    /// pressure gauges, priority list, node- and value-indexed slots, the
-    /// spill memo)
-    /// across II restarts and across loops; the parallel sweep harness
-    /// keeps one scratch per worker thread. Results are byte-identical to
-    /// [`MirsScheduler::schedule`] for any reuse pattern.
+    /// The scratch amortises every per-attempt allocation (the graph
+    /// copy, MRT arrays, pressure gauges, priority list, node- and
+    /// value-indexed slots, the spill memo) across II restarts and across
+    /// loops; the parallel sweep harness keeps one scratch per worker
+    /// thread. Results are byte-identical to [`MirsScheduler::schedule`]
+    /// for any reuse pattern.
     ///
-    /// Internally one working graph is cloned from `lp` per call and handed
-    /// to a `SearchDriver`; every II attempt mutates it inside a
-    /// [`DepGraph`] transaction and rolls back on restart, so the default
-    /// linear search performs **zero** further graph clones (branching
-    /// strategies clone once per stashed candidate). Builds with debug
-    /// assertions check that each rollback reproduced the attempt-start
-    /// graph bit-identically. This path never fans a
-    /// group out, whatever
-    /// [`SearchConfig::branch_jobs`](crate::SearchConfig::branch_jobs)
+    /// Every II attempt schedules its own copy of one base graph: `lp`'s
+    /// graph itself when the prefetch policy leaves it unchanged, else one
+    /// clone of it with the policy applied. The copy is made with
+    /// `clone_from` into the scratch's graph buffer, so a restart reuses
+    /// the allocations of the attempt before it, and a successful attempt
+    /// moves its copy into the result. This path never fans a group out,
+    /// whatever [`SearchConfig::branch_jobs`](crate::SearchConfig::branch_jobs)
     /// says; [`MirsScheduler::schedule_with_exec`] does.
     ///
     /// # Errors
@@ -176,7 +173,7 @@ impl<'m> MirsScheduler<'m> {
     /// attempt ([`SearchStrategyKind::Backtracking`](crate::SearchStrategyKind::Backtracking)
     /// and [`SearchStrategyKind::Exact`](crate::SearchStrategyKind::Exact)),
     /// the attempts of each group are fanned across `exec` (each on a
-    /// private graph clone and scratch) and merged in deterministic attempt
+    /// private graph copy and scratch) and merged in deterministic attempt
     /// order. The accepted schedule and every search counter are
     /// byte-identical to [`MirsScheduler::schedule_with`] for any executor.
     /// Every other configuration ignores `exec`.
@@ -212,30 +209,27 @@ impl<'m> MirsScheduler<'m> {
     }
 
     /// One scheduling attempt at a fixed II (steps 1–6 of Figure 4) over
-    /// `order` (the canonical HRMS order, or a perturbed variant of it).
+    /// `order` (the canonical HRMS order, or a perturbed variant of it),
+    /// on a copy of `base` taken from `scratch`. `base` holds
+    /// `mem_ops_base` memory operations.
     ///
-    /// The caller owns the transaction: `graph` arrives checkpointed, this
-    /// function mutates it freely (spill/move insertion, rewiring), and on
-    /// [`AttemptOutcome::Restart`] the caller rolls those edits back. On
-    /// success the live state is returned; the caller turns it into a
-    /// [`ScheduleResult`] via [`SchedState::into_result`] (committing or
-    /// rolling back the transaction as its search strategy dictates).
-    pub(crate) fn attempt<'g>(
+    /// On [`AttemptOutcome::Restart`] every buffer, the copy included, is
+    /// back in `scratch`. On success the live state is returned; the
+    /// caller turns it into a [`ScheduleResult`] via
+    /// [`SchedState::into_result`] or hands it back via
+    /// [`SchedState::reclaim_into`].
+    pub(crate) fn attempt(
         &self,
-        graph: &'g mut DepGraph,
+        base: &DepGraph,
         order: &[NodeId],
         ii: u32,
         mem_ops_base: u64,
         scratch: &mut SchedScratch,
         carried: &mut SchedulerStats,
-    ) -> AttemptOutcome<'m, 'g> {
+    ) -> AttemptOutcome<'m> {
         let budget = i64::from(self.opts.budget_ratio) * order.len() as i64;
+        let graph = scratch.take_graph(base);
         let pressure = scratch.take_pressure(self.machine.clusters(), ii, graph.value_count());
-        debug_assert_eq!(
-            mem_ops_base,
-            graph.count_ops(Opcode::is_memory) as u64,
-            "memory-op count drifted across a restart (rollback incomplete?)"
-        );
         let mut st = SchedState {
             machine: self.machine,
             opts: self.opts,
@@ -263,7 +257,7 @@ impl<'m> MirsScheduler<'m> {
     }
 }
 
-impl SchedState<'_, '_> {
+impl SchedState<'_> {
     /// Drive the placement loop (steps 1–6 of Figure 4) to completion over
     /// whatever the priority list currently holds, then apply the final
     /// register-allocation check: with spilling disabled (the behaviour of
@@ -359,10 +353,17 @@ impl SchedState<'_, '_> {
         })
     }
 
-    /// Return every scratch-owned buffer of this attempt so the next one
-    /// reuses the allocations. The borrowed graph is simply released.
+    /// Return every buffer of this attempt, the graph included, so the
+    /// next one reuses the allocations.
     pub(crate) fn reclaim_into(self, scratch: &mut SchedScratch) {
-        scratch.reclaim(self.sched, self.pressure, self.plist, self.slots, self.memo);
+        scratch.reclaim(
+            self.graph,
+            self.sched,
+            self.pressure,
+            self.plist,
+            self.slots,
+            self.memo,
+        );
     }
 
     /// Folded reservation table of `node` when executed on `cluster`.
@@ -389,7 +390,7 @@ impl SchedState<'_, '_> {
         let table = self.reservation_for(node, cluster);
         if let Some(cycle) = self.find_free_slot(table, window) {
             self.sched.place(node, cycle, cluster, table);
-            self.pressure.touch_node(self.graph, node);
+            self.pressure.touch_node(&self.graph, node);
             self.slots.set_prev_cycle(node, cycle);
             return true;
         }
@@ -461,7 +462,7 @@ impl SchedState<'_, '_> {
         }
         self.slots.conflicts = conflicts;
         self.sched.place(node, forced_cycle, cluster, table);
-        self.pressure.touch_node(self.graph, node);
+        self.pressure.touch_node(&self.graph, node);
         self.slots.set_prev_cycle(node, forced_cycle);
 
         // Eject previously scheduled predecessors and successors whose
@@ -515,7 +516,7 @@ impl SchedState<'_, '_> {
     /// will be reconsidered when the node is picked up again.
     pub(crate) fn eject_node(&mut self, node: NodeId) {
         let cycle = self.sched.eject(node);
-        self.pressure.touch_node(self.graph, node);
+        self.pressure.touch_node(&self.graph, node);
         self.slots.set_prev_cycle(node, cycle);
         self.stats.ejections += 1;
         self.plist.push_back(node);
@@ -530,7 +531,7 @@ impl SchedState<'_, '_> {
         // `remove_move` never touches).
         let mut orphaned = std::mem::take(&mut self.slots.orphaned_moves);
         orphaned.clear();
-        let graph = &*self.graph;
+        let graph = &self.graph;
         let is_move = |n: NodeId| graph.is_live(n) && graph.op(n).opcode.is_move();
         for &e in graph.in_edge_ids(node) {
             let p = graph.edge(e).from;
@@ -672,21 +673,14 @@ impl SchedState<'_, '_> {
         self.graph.count_ops(Opcode::is_move) as u32
     }
 
-    /// Package the finished attempt as a [`ScheduleResult`] and hand the
-    /// scratch buffers back for the next attempt or loop.
-    ///
-    /// With `take_graph` the transaction is committed and the working graph
-    /// moved into the result — the zero-clone path for an attempt that is
-    /// accepted on the spot. Without it the graph is *cloned* into the
-    /// result and the transaction left open, so the caller can roll back
-    /// and keep exploring other candidates; the clone is committed (its
-    /// journal dropped) so the result owns a standalone graph either way.
+    /// Package the finished attempt as a [`ScheduleResult`], which takes
+    /// the attempt's graph, and hand the other buffers back to the scratch
+    /// for the next attempt or loop.
     pub(crate) fn into_result(
         mut self,
         scratch: &mut SchedScratch,
         loop_name: &str,
         mii_value: u32,
-        take_graph: bool,
     ) -> ScheduleResult {
         let ii = self.sched.ii();
         let min_cycle = self.sched.min_cycle().unwrap_or(0);
@@ -713,14 +707,7 @@ impl SchedState<'_, '_> {
         let (memo_hits, memo_misses) = self.memo.counters();
         self.stats.spill_memo_hits = memo_hits;
         self.stats.spill_memo_misses = memo_misses;
-        let mut graph = if take_graph {
-            self.graph.commit();
-            std::mem::take(&mut *self.graph)
-        } else {
-            let mut copy = self.graph.clone();
-            copy.commit();
-            copy
-        };
+        let mut graph = std::mem::take(&mut self.graph);
         self.name_inserted(&mut graph);
         let stats = self.stats;
         let span = u32::try_from(max_cycle - min_cycle).unwrap_or(0);
@@ -741,7 +728,7 @@ impl SchedState<'_, '_> {
     }
 
     /// Spell out the names of every value and node this attempt inserted
-    /// into `graph`, the result's committed copy of the working graph.
+    /// into `graph`, the attempt's graph on its way into the result.
     ///
     /// Values come first, in creation order: names nest (`x@c1@c2`,
     /// `x@c1.reload`), and a value only ever derives from an older one.

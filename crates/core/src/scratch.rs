@@ -2,28 +2,30 @@
 //! every per-attempt allocation of the scheduler across II restarts *and*
 //! across loops.
 //!
-//! A scheduling attempt needs a partial schedule (MRT arrays sized by
-//! resources × II), per-cluster pressure gauges, a priority list and the
-//! [`AttemptSlots`]: dense node- and value-indexed bookkeeping (previous
-//! cycle, move route, move index, spill store), the log the names of
-//! inserted values are built from, and the lists the force, eject,
-//! move-rewire and spill-ranking paths reuse on every pick. The scratch
-//! holds them between attempts: `take_*` hands a buffer out (reset to
-//! empty, capacity preserved), `reclaim` puts it back when the attempt
-//! ends.
+//! A scheduling attempt needs its own copy of the loop's dependence graph,
+//! a partial schedule (MRT arrays sized by resources × II), per-cluster
+//! pressure gauges, a priority list and the [`AttemptSlots`]: dense node-
+//! and value-indexed bookkeeping (previous cycle, move route, move index,
+//! spill store), the log the names of inserted values are built from, and
+//! the lists the force, eject, move-rewire and spill-ranking paths reuse on
+//! every pick. The scratch holds them between attempts: `take_*` hands a
+//! buffer out with its capacity preserved (reset to empty, or for the
+//! graph, overwritten with a copy of the base), `reclaim` puts it back
+//! when the attempt ends. A successful attempt keeps its graph: it moves
+//! into the result.
 //!
 //! Reuse is invisible to the schedule: every buffer is reset to exactly the
-//! state a freshly constructed one would have. Node and value ids are
-//! reused after a graph rollback, so a take clears every slot rather than
-//! trusting the previous attempt to have emptied them; no outcome depends
-//! on a buffer's capacity. The golden `schedule_hash` tests and the slot
-//! test below pin this.
+//! state a freshly constructed one would have. Every attempt's graph copy
+//! hands out the node and value ids the attempt before it inserted again,
+//! so a take clears every slot rather than trusting the previous attempt
+//! to have emptied them; no outcome depends on a buffer's capacity. The
+//! golden `schedule_hash` tests and the buffer test below pin this.
 
 use crate::pressure::PressureTracker;
 use crate::priority::PriorityList;
 use crate::schedule::PartialSchedule;
 use crate::spill::{ScheduledUse, SpillMemo};
-use ddg::{NodeId, ValueId};
+use ddg::{DepGraph, NodeId, ValueId};
 use vliw::{ClusterId, MachineConfig};
 
 /// What a value inserted during an attempt derives from. Its name is a
@@ -200,6 +202,9 @@ impl AttemptSlots {
 /// machine configurations is always safe.
 #[derive(Debug, Default)]
 pub struct SchedScratch {
+    /// Graph buffer of the next attempt; empty after a successful attempt
+    /// moved its graph into the result.
+    graph: DepGraph,
     sched: Option<PartialSchedule>,
     pressure: Option<PressureTracker>,
     plist: PriorityList,
@@ -217,6 +222,13 @@ impl SchedScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A copy of `base` in the reused graph buffer.
+    pub(crate) fn take_graph(&mut self, base: &DepGraph) -> DepGraph {
+        let mut graph = std::mem::take(&mut self.graph);
+        graph.clone_from(base);
+        graph
     }
 
     /// Partial schedule for `machine` at `ii`, reusing prior MRT storage.
@@ -284,12 +296,14 @@ impl SchedScratch {
     /// next loop) reuses the allocations.
     pub(crate) fn reclaim(
         &mut self,
+        graph: DepGraph,
         sched: PartialSchedule,
         pressure: PressureTracker,
         plist: PriorityList,
         slots: AttemptSlots,
         spill_memo: SpillMemo,
     ) {
+        self.graph = graph;
         self.sched = Some(sched);
         self.pressure = Some(pressure);
         self.plist = plist;
@@ -301,7 +315,30 @@ impl SchedScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vliw::MachineConfig;
+    use ddg::OperationData;
+    use vliw::{MachineConfig, Opcode};
+
+    /// A chain of `len` additions, each reading the one before.
+    fn chain(len: usize) -> DepGraph {
+        let mut g = DepGraph::new();
+        let mut prev: Option<(NodeId, ValueId)> = None;
+        for i in 0..len {
+            let v = g.add_value(format!("v{i}"), false);
+            let srcs = prev.map(|(_, pv)| vec![pv]).unwrap_or_default();
+            let n = g.add_node(OperationData::new(Opcode::FpAdd, Some(v), srcs));
+            if let Some((pn, pv)) = prev {
+                g.add_flow(pn, n, pv, 0);
+            }
+            prev = Some((n, v));
+        }
+        g
+    }
+
+    /// `graph` is a copy of `base`, epoch included.
+    fn assert_copy_of(graph: &DepGraph, base: &DepGraph) {
+        assert!(graph.same_content(base), "stale graph content");
+        assert_eq!(graph.structural_epoch(), base.structural_epoch());
+    }
 
     #[test]
     fn taken_buffers_start_empty_for_any_history() {
@@ -312,7 +349,16 @@ mod tests {
         // Ids past the taken size: the slots grow on write.
         let (far_n, far_v) = (ddg::NodeId(40), ddg::ValueId(30));
         let c1 = vliw::ClusterId(1);
+        let (small, large) = (chain(2), chain(5));
 
+        // Edit the graph copy as an attempt would: insert, rewire, remove.
+        let mut graph = scratch.take_graph(&small);
+        assert_copy_of(&graph, &small);
+        let reload = graph.add_value("v0.reload", false);
+        let load = graph.add_node(OperationData::new(Opcode::SpillLoad, Some(reload), vec![]));
+        graph.replace_src(ddg::NodeId(1), v, reload);
+        graph.add_flow(load, ddg::NodeId(1), reload, 0);
+        graph.remove_node(n);
         let mut sched = scratch.take_sched(&m2, 7);
         let add = sched.op_table(&m2, vliw::Opcode::FpAdd, vliw::ClusterId(0));
         sched.place(n, 3, vliw::ClusterId(0), add);
@@ -329,9 +375,13 @@ mod tests {
         slots.conflicts.push(n);
         slots.new_moves.push(far_n);
         let spill_memo = scratch.take_spill_memo();
-        scratch.reclaim(sched, pressure, plist, slots, spill_memo);
+        scratch.reclaim(graph, sched, pressure, plist, slots, spill_memo);
 
-        // Re-take for a different machine/II: everything must look fresh.
+        // Re-take for a different machine/II and a larger base: everything
+        // must look fresh.
+        let mut graph = scratch.take_graph(&large);
+        assert_copy_of(&graph, &large);
+        graph.remove_node(ddg::NodeId(3));
         let sched = scratch.take_sched(&m1, 3);
         assert_eq!(sched.ii(), 3);
         assert!(sched.is_empty());
@@ -355,5 +405,11 @@ mod tests {
         let plist = scratch.take_plist(&[ddg::NodeId(5)]);
         assert_eq!(plist.len(), 1);
         assert_eq!(plist.rank_of(n), None, "old ranks forgotten");
+        let pressure = scratch.take_pressure(1, 3, 2);
+        let spill_memo = scratch.take_spill_memo();
+        scratch.reclaim(graph, sched, pressure, plist, slots, spill_memo);
+
+        // A buffer grown past the base shrinks back to it.
+        assert_copy_of(&scratch.take_graph(&small), &small);
     }
 }

@@ -22,13 +22,15 @@
 //! branching strategies can never return a worse (II, spill-ops) pair
 //! than the linear climb.
 //!
-//! The driver owns the working graph (the one clone of the whole search),
-//! the nested [`CheckpointStack`] (search root → group → attempt), the
-//! epoch-cached HRMS order and the borrowed [`SchedScratch`]. By default a
-//! group runs on the working graph: each attempt mutates it inside a
-//! transaction and is rolled back when abandoned, and the last attempt of
-//! a group that is also its best takes the working graph with no clone.
-//! The linear climb therefore never clones the graph again.
+//! Every attempt restarts from the unmodified loop (Section 3.2.4): it
+//! schedules its own copy of one base graph, which nothing edits. The base
+//! is `lp`'s own graph when the prefetch policy would change nothing, and
+//! otherwise one clone of it with the policy applied. The copy is made by
+//! `clone_from` into the graph buffer of the [`SchedScratch`], so a
+//! restart reuses the allocations of the attempt before it, and a
+//! successful attempt moves its copy into the result. The HRMS order and
+//! the spill memo's base entries are derived from the base once and serve
+//! every attempt.
 //!
 //! Determinism: every perturbation seed is derived from a fixed base seed,
 //! the II and the branch index by a SplitMix64 mix, so the same loop
@@ -51,23 +53,24 @@
 //! # Branch-parallel execution
 //!
 //! The attempts of one group are mutually independent: each starts from
-//! the pristine root graph, and its outcome is a pure function of
+//! a copy of the base graph, and its outcome is a pure function of
 //! `(graph, order, ii, options)`. A [`BranchExecutor`] exploits that.
 //! [`MirsScheduler::schedule_with_exec`](crate::MirsScheduler::schedule_with_exec)
 //! hands the driver its executor when
 //! [`SearchConfig::branch_jobs`](crate::SearchConfig::branch_jobs) `> 1`
 //! and a group holds more than one attempt. Each attempt of a group then
-//! schedules a private graph clone with its own [`SchedScratch`], and the
-//! outcomes are merged in attempt order through the same candidate
-//! comparison. The accepted schedule and every search counter are
-//! byte-identical to the transactional path for any worker count.
+//! runs with the worker's own [`SchedScratch`], and the outcomes are
+//! merged in attempt order through the same candidate comparison. The
+//! accepted schedule and every search counter are byte-identical to the
+//! serial path for any worker count.
 
 use crate::error::ScheduleError;
 use crate::options::SearchStrategyKind;
 use crate::result::{ScheduleResult, SchedulerStats, SearchMeta, SearchProof};
 use crate::scheduler::{AttemptOutcome, MirsScheduler};
 use crate::scratch::SchedScratch;
-use ddg::{hrms, mii, CheckpointStack, DepGraph, Loop, NodeId};
+use ddg::{hrms, mii, DepGraph, Loop, NodeId};
+use std::borrow::Cow;
 use std::sync::Mutex;
 use std::time::Instant;
 use vliw::Opcode;
@@ -113,13 +116,6 @@ const BRANCHES: u32 = 2;
 
 /// Base seed of the deterministic priority perturbations.
 const SEED: u64 = 0x5eed_1e55_c0de_2026;
-
-/// Whether the search audits its graph transactions: every rollback is
-/// checked against a clone of the attempt-start graph, and a fanned group
-/// against a clone of the shared base graph. On in builds with debug
-/// assertions, which is how release builds get audited too
-/// (`CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true`).
-const AUDIT: bool = cfg!(debug_assertions);
 
 /// Attempt seed for branch `branch` of candidate II `ii`.
 fn derive_seed(ii: u32, branch: u32) -> u64 {
@@ -188,8 +184,8 @@ struct BranchOutcome {
     spill_ops: u32,
     /// Live moves of the schedule (candidate tie-break; 0 on failure).
     moves: u32,
-    /// Work counters of a *failed* attempt (what the transactional path
-    /// would have carried into the next attempt's stats).
+    /// Work counters of a *failed* attempt (what the serial path carries
+    /// into the next attempt's stats).
     delta: SchedulerStats,
 }
 
@@ -204,24 +200,53 @@ fn accumulate(into: &mut SchedulerStats, delta: &SchedulerStats) {
     into.moves_removed += delta.moves_removed;
 }
 
-/// The engine climbing the candidate IIs of one loop.
-///
-/// Owns the working graph (the one clone of the whole search), the nested
-/// [`CheckpointStack`] (search root → candidate-II group → attempt, so
-/// attempt rollbacks compose), the epoch-cached HRMS order and its
-/// perturbed variants, and drives the borrowed [`SchedScratch`] through
-/// every attempt.
-pub(crate) struct SearchDriver<'a, 'm> {
+/// What every attempt of one search reads and none writes. Fanned
+/// attempts share it by reference across the executor's workers.
+struct SearchBase<'a, 'm> {
     sched: &'a MirsScheduler<'m>,
     lp: &'a Loop,
-    scratch: &'a mut SchedScratch,
-    graph: DepGraph,
-    cps: CheckpointStack,
+    /// The graph every attempt copies: `lp.graph` itself when the prefetch
+    /// policy would change nothing, else one clone with the policy applied.
+    graph: Cow<'a, DepGraph>,
+    /// Canonical HRMS order of `graph`.
     order: Vec<NodeId>,
-    order_epoch: u64,
-    perturbed: Vec<NodeId>,
+    /// Memory operations in `graph`.
     mem_ops_base: u64,
     mii: u32,
+}
+
+impl<'m> SearchBase<'_, 'm> {
+    /// Run attempt `branch` of the group at `ii` on a copy of the base
+    /// graph: over the canonical order for branch 0, over a perturbation
+    /// of it (built in `perturbed`) for the others.
+    fn attempt(
+        &self,
+        ii: u32,
+        branch: u32,
+        perturbed: &mut Vec<NodeId>,
+        scratch: &mut SchedScratch,
+        carried: &mut SchedulerStats,
+    ) -> AttemptOutcome<'m> {
+        let order: &[NodeId] = if branch == 0 {
+            &self.order
+        } else {
+            perturb_order(&self.order, derive_seed(ii, branch), perturbed);
+            perturbed
+        };
+        scratch.spill_memo_mut().begin_attempt();
+        self.sched
+            .attempt(&self.graph, order, ii, self.mem_ops_base, scratch, carried)
+    }
+}
+
+/// The engine climbing the candidate IIs of one loop.
+///
+/// Owns the [`SearchBase`] and the perturbed-order buffer, and drives the
+/// borrowed [`SchedScratch`] through every attempt.
+pub(crate) struct SearchDriver<'a, 'm> {
+    base: SearchBase<'a, 'm>,
+    scratch: &'a mut SchedScratch,
+    perturbed: Vec<NodeId>,
     max_ii: u32,
     start: Instant,
     // Search bookkeeping.
@@ -253,10 +278,9 @@ pub(crate) struct SearchDriver<'a, 'm> {
 }
 
 impl<'a, 'm> SearchDriver<'a, 'm> {
-    /// Set up the search for `lp`: clone the working graph, apply the
-    /// prefetch policy, derive recurrences/MII/HRMS order once, reset the
-    /// scratch's spill memo to the loop's base epoch and open the root of
-    /// the checkpoint tree.
+    /// Set up the search for `lp`: settle the base graph, derive
+    /// recurrences/MII/HRMS order from it once and reset the scratch's
+    /// spill memo to it.
     pub(crate) fn new(
         sched: &'a MirsScheduler<'m>,
         lp: &'a Loop,
@@ -265,10 +289,13 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         let machine = sched.machine();
         let opts = sched.options();
         let lat = machine.latencies();
-        // The one graph clone of the whole run: every attempt works on
-        // this graph transactionally and is rolled back when abandoned.
-        let mut graph = lp.graph.clone();
-        crate::prefetch::apply_prefetch_policy(&mut graph, lat, &opts.prefetch, lp.trip_count);
+        let graph = if crate::prefetch::leaves_unchanged(&lp.graph, &opts.prefetch) {
+            Cow::Borrowed(&lp.graph)
+        } else {
+            let mut graph = lp.graph.clone();
+            crate::prefetch::apply_prefetch_policy(&mut graph, lat, &opts.prefetch, lp.trip_count);
+            Cow::Owned(graph)
+        };
 
         // Recurrences feed both the RecMII bound and the HRMS ordering —
         // derive them once instead of running Tarjan + the per-circuit
@@ -281,32 +308,23 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             machine.total_mem_ports(),
         );
         let mii_value = bounds.mii();
-        // The HRMS order depends only on graph structure, and a rollback
-        // restores both the structure and the epoch — so one ordering
-        // serves every attempt. The epoch check in `run_serial_group`
-        // keeps the cache honest should an edit ever escape the
-        // transaction discipline.
+        // Every attempt starts from a copy of the unedited base, so one
+        // ordering and one memory-op count serve them all, and the memo's
+        // entries derived at the base epoch hold for every copy.
         let order = hrms::hrms_order_with(&graph, lat, &recs);
-        let order_epoch = graph.structural_epoch();
-        // Invariant across attempts for the same reason the order is: the
-        // rollback restores the graph bit-identically at attempt start.
         let mem_ops_base = graph.count_ops(Opcode::is_memory) as u64;
-        // Structural memo entries taken at this epoch stay valid across
-        // every rollback of the search.
-        scratch.spill_memo_mut().begin_loop(&graph, order_epoch);
-        let mut cps = CheckpointStack::new();
-        cps.push(&mut graph); // depth 1: the root of the search tree
+        scratch.spill_memo_mut().begin_loop(&graph);
         Self {
-            sched,
-            lp,
+            base: SearchBase {
+                sched,
+                lp,
+                graph,
+                order,
+                mem_ops_base,
+                mii: mii_value,
+            },
             scratch,
-            graph,
-            cps,
-            order,
-            order_epoch,
             perturbed: Vec::new(),
-            mem_ops_base,
-            mii: mii_value,
             max_ii: opts.max_ii,
             start: Instant::now(),
             attempts: 0,
@@ -327,23 +345,19 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
     /// Climb from the strategy's floor to `max_ii`, one group per II, and
     /// accept the best candidate of the first II whose group succeeds.
     ///
-    /// With `fan`, every group runs on graph clones across the executor;
-    /// without it, on the transactional working graph.
+    /// With `fan`, every group's attempts run across the executor;
+    /// without it, one after another on the driver's scratch.
     pub(crate) fn run(
         mut self,
         fan: Option<&dyn BranchExecutor>,
     ) -> Result<ScheduleResult, ScheduleError> {
-        let strategy = self.sched.options().search.strategy;
+        let strategy = self.base.sched.options().search.strategy;
         let floor = if strategy == SearchStrategyKind::Exact {
             self.certify()
         } else {
-            self.mii
+            self.base.mii
         };
         let group = group_len(strategy);
-        // Fanned attempts must never touch the shared base graph; builds
-        // with debug assertions re-check it against this pristine copy
-        // after every group.
-        let audit_base = (fan.is_some() && AUDIT).then(|| self.graph.clone());
         for ii in floor..=self.max_ii {
             self.last_ii = ii;
             if self.should_prune(ii) {
@@ -354,22 +368,8 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             }
             self.groups += 1;
             match fan {
-                Some(exec) => {
-                    self.run_group(exec, ii, group);
-                    if let Some(base) = &audit_base {
-                        assert!(
-                            self.graph.same_content(base),
-                            "branch-parallel search mutated the shared base graph of \
-                             loop '{}' at II {ii}",
-                            self.lp.name
-                        );
-                    }
-                }
-                None => {
-                    if let Some(accepted) = self.run_serial_group(ii, group) {
-                        return Ok(accepted);
-                    }
-                }
+                Some(exec) => self.run_group(exec, ii, group),
+                None => self.run_serial_group(ii, group),
             }
             if self.best.is_some() {
                 break;
@@ -378,7 +378,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         match self.best.take() {
             Some(c) => Ok(self.finish(c.result)),
             None => Err(ScheduleError::NotConverged {
-                loop_name: self.lp.name.clone(),
+                loop_name: self.base.lp.name.clone(),
                 last_ii: self.last_ii,
             }),
         }
@@ -389,17 +389,18 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
     /// sets. [`SearchDriver::finish`] turns the bound into the result's
     /// [`SearchProof`]; `mii` keeps reporting the ResMII/RecMII bound.
     fn certify(&mut self) -> u32 {
-        let mut budget = exact::ExactBudget::new(self.sched.options().search.exact_budget);
+        let mut budget = exact::ExactBudget::new(self.base.sched.options().search.exact_budget);
         // Build the shared relaxation state eagerly: the certifier probes
         // it per candidate II, and the admission filter keeps consulting
         // the same cached closure during the climb afterwards.
         let relax_start = Instant::now();
-        let filter = relax::RelaxFilter::new(&self.graph, self.sched.machine(), self.mii);
+        let base = &self.base;
+        let filter = relax::RelaxFilter::new(&base.graph, base.sched.machine(), base.mii);
         self.relax_secs += relax_start.elapsed().as_secs_f64();
-        let bound = exact::certify_lower_bound(filter.cache(), self.mii, self.max_ii, &mut budget);
+        let bound = exact::certify_lower_bound(filter.cache(), base.mii, self.max_ii, &mut budget);
         self.filter = Some(filter);
         self.bound = Some(bound);
-        bound.lower_bound.max(self.mii)
+        bound.lower_bound.max(self.base.mii)
     }
 
     /// Should the group at `ii` be skipped? True only when the relaxation
@@ -411,144 +412,74 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             return false;
         }
         let relax_start = Instant::now();
-        let graph = &self.graph;
-        let machine = self.sched.machine();
-        let mii = self.mii;
-        let filter = self
-            .filter
-            .get_or_insert_with(|| relax::RelaxFilter::new(graph, machine, mii));
+        let base = &self.base;
+        let filter = self.filter.get_or_insert_with(|| {
+            relax::RelaxFilter::new(&base.graph, base.sched.machine(), base.mii)
+        });
         let rejected = filter.rejects(ii);
         self.relax_secs += relax_start.elapsed().as_secs_f64();
         rejected
     }
 
-    /// Run the `len` attempts of the group at `ii` one after another on
-    /// the transactional working graph. Returns the result when the
-    /// group's last attempt is also its best: it is accepted in place,
-    /// taking the working graph without a clone.
-    fn run_serial_group(&mut self, ii: u32, len: u32) -> Option<ScheduleResult> {
-        // Group level of the checkpoint tree (depth 2).
-        self.cps.abandon_to(&mut self.graph, 1);
-        self.cps.push(&mut self.graph);
+    /// Run the `len` attempts of the group at `ii` one after another,
+    /// packaging a success only when it beats the best candidate so far.
+    fn run_serial_group(&mut self, ii: u32, len: u32) {
         for branch in 0..len {
-            // Paranoia refresh of the epoch-cached order (rollbacks restore
-            // the epoch, so this never fires under the transaction
-            // discipline).
-            if self.graph.structural_epoch() != self.order_epoch {
-                self.order = hrms::hrms_order(&self.graph, self.sched.machine().latencies());
-                self.order_epoch = self.graph.structural_epoch();
-            }
             self.attempts += 1;
-            let attempt = self.attempts;
-            self.scratch.spill_memo_mut().begin_attempt();
-            // Attempt level (depth 3).
-            let depth = self.cps.push(&mut self.graph);
-            debug_assert!(depth >= 3, "search root, II group and attempt nest");
-            let audit_base = AUDIT.then(|| self.graph.clone());
-            let order: &[NodeId] = if branch == 0 {
-                &self.order
-            } else {
-                perturb_order(&self.order, derive_seed(ii, branch), &mut self.perturbed);
-                &self.perturbed
-            };
-            let outcome = self.sched.attempt(
-                &mut self.graph,
-                order,
+            let outcome = self.base.attempt(
                 ii,
-                self.mem_ops_base,
+                branch,
+                &mut self.perturbed,
                 self.scratch,
                 &mut self.carried,
             );
-            match outcome {
-                AttemptOutcome::Restart => self.failures += 1,
-                AttemptOutcome::Success(st) => {
-                    // NOTE: `st` holds the mutable borrow of `self.graph`,
-                    // so this block must stick to disjoint-field accesses
-                    // (best, scratch, …) until `st` is consumed.
-                    self.successes += 1;
-                    let key = CandidateKey {
-                        ii,
-                        spill_ops: st.spill_op_count(),
-                        moves: st.move_op_count(),
-                        attempt,
-                    };
-                    if self.best.as_ref().is_none_or(|b| key < b.key) {
-                        let in_place = branch + 1 == len;
-                        let mut result =
-                            st.into_result(self.scratch, &self.lp.name, self.mii, in_place);
-                        result.stats.restarts = self.failures;
-                        if in_place {
-                            self.cps.clear();
-                            return Some(self.finish(result));
-                        }
-                        // Stash the clone, then abandon the attempt branch
-                        // so the group continues from its pristine state.
-                        self.best = Some(Candidate { key, result });
-                    } else {
-                        st.reclaim_into(self.scratch);
-                    }
-                }
+            let AttemptOutcome::Success(st) = outcome else {
+                self.failures += 1;
+                continue;
+            };
+            self.successes += 1;
+            let key = CandidateKey {
+                ii,
+                spill_ops: st.spill_op_count(),
+                moves: st.move_op_count(),
+                attempt: self.attempts,
+            };
+            if self.best.as_ref().is_none_or(|b| key < b.key) {
+                let mut result = st.into_result(self.scratch, &self.base.lp.name, self.base.mii);
+                result.stats.restarts = self.failures;
+                self.best = Some(Candidate { key, result });
+            } else {
+                st.reclaim_into(self.scratch);
             }
-            self.cps.abandon(&mut self.graph);
-            self.audit_rollback(&audit_base, ii);
         }
-        None
     }
 
     /// Fan the `len` attempts of the group at `ii` across the executor,
-    /// then merge the outcomes *in attempt order* — the order the
-    /// transactional path runs them in, so the incumbent-best updates,
-    /// failure counts and carried work counters match it exactly, for any
-    /// executor and any worker count.
+    /// then merge the outcomes *in attempt order* — the order the serial
+    /// path runs them in, so the incumbent-best updates, failure counts
+    /// and carried work counters match it exactly, for any executor and
+    /// any worker count.
     fn run_group(&mut self, exec: &dyn BranchExecutor, ii: u32, len: u32) {
         let len = len as usize;
         let slots: Vec<Mutex<Option<BranchOutcome>>> = std::iter::repeat_with(|| Mutex::new(None))
             .take(len)
             .collect();
         {
-            let sched = self.sched;
-            let lp = self.lp;
-            let graph = &self.graph;
-            let order = &self.order;
-            let order_epoch = self.order_epoch;
-            let mem_ops_base = self.mem_ops_base;
-            let mii_value = self.mii;
+            let base = &self.base;
             let slots = &slots;
             let job = move |branch: usize, scratch: &mut SchedScratch| {
-                // Private clone of the group-start graph (identical to the
-                // search root); the branch owns it outright, so no
-                // transaction is needed — failure drops it, success commits
-                // and moves it into the result.
-                let mut branch_graph = graph.clone();
-                let mut perturbed = Vec::new();
-                let branch_order: &[NodeId] = if branch == 0 {
-                    order
-                } else {
-                    perturb_order(order, derive_seed(ii, branch as u32), &mut perturbed);
-                    &perturbed
-                };
                 // The pooled scratch may have served another loop (or
-                // another branch of this one): re-anchor the memo to this
-                // clone's epoch. Outcomes cannot depend on scratch history.
-                scratch
-                    .spill_memo_mut()
-                    .begin_loop(&branch_graph, order_epoch);
-                scratch.spill_memo_mut().begin_attempt();
+                // another branch of this one): re-anchor the memo to the
+                // base graph. Outcomes cannot depend on scratch history.
+                scratch.spill_memo_mut().begin_loop(&base.graph);
                 let mut delta = SchedulerStats::default();
-                let outcome = sched.attempt(
-                    &mut branch_graph,
-                    branch_order,
-                    ii,
-                    mem_ops_base,
-                    scratch,
-                    &mut delta,
-                );
+                let outcome = base.attempt(ii, branch as u32, &mut Vec::new(), scratch, &mut delta);
                 let (result, spill_ops, moves) = match outcome {
                     AttemptOutcome::Restart => (None, 0, 0),
                     AttemptOutcome::Success(st) => {
                         let spill_ops = st.spill_op_count();
                         let moves = st.move_op_count();
-                        let result = st.into_result(scratch, &lp.name, mii_value, true);
+                        let result = st.into_result(scratch, &base.lp.name, base.mii);
                         (Some(result), spill_ops, moves)
                     }
                 };
@@ -570,7 +501,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                     panic!(
                         "BranchExecutor contract violation: branch {branch} of \
                          loop '{}' was never run",
-                        self.lp.name
+                        self.base.lp.name
                     )
                 });
             self.attempts += 1;
@@ -582,7 +513,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 Some(mut result) => {
                     self.successes += 1;
                     // Fold in the counters carried over failed attempts,
-                    // as the transactional path threads them through the
+                    // as the serial path threads them through the
                     // attempt's stats; a success always consumes them.
                     accumulate(&mut result.stats, &self.carried);
                     self.carried = SchedulerStats::default();
@@ -601,19 +532,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         }
     }
 
-    /// Assert the rollback restored the attempt-start graph bit-identically
-    /// (builds with debug assertions).
-    fn audit_rollback(&self, base: &Option<DepGraph>, ii: u32) {
-        if let Some(base) = base {
-            assert!(
-                self.graph.same_content(base),
-                "transactional rollback diverged from the attempt-start graph \
-                 for loop '{}' at II {ii}",
-                self.lp.name
-            );
-        }
-    }
-
     /// Stamp the accepted result with timing and search metadata.
     fn finish(&mut self, mut result: ScheduleResult) -> ScheduleResult {
         result.stats.scheduling_seconds = self.start.elapsed().as_secs_f64();
@@ -628,7 +546,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                      the relaxation is unsound",
                     b.lower_bound,
                     result.ii,
-                    self.lp.name
+                    self.base.lp.name
                 );
                 if result.ii <= b.lower_bound {
                     SearchProof::Optimal
@@ -640,7 +558,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             }
         };
         result.search = SearchMeta {
-            strategy: self.sched.options().search.strategy,
+            strategy: self.base.sched.options().search.strategy,
             attempts: self.attempts,
             candidates: self.successes,
             groups: self.groups,

@@ -5,7 +5,7 @@ use crate::schedule::FoldedTable;
 use crate::scheduler::{Direction, SchedState, Window};
 use ddg::{NodeId, NodeOrigin};
 
-impl SchedState<'_, '_> {
+impl SchedState<'_> {
     /// Earliest cycle at which `node` can issue so that all of its already
     /// scheduled predecessors complete first.
     pub(crate) fn early_start(&self, node: NodeId) -> Option<i64> {

@@ -31,7 +31,8 @@ const SPILL_ARRAY_BASE: u32 = 1 << 24;
 /// partial schedule. Re-deriving these lists dominated the spill heuristic
 /// on restart-heavy configurations — the same scans ran once per spill
 /// check, per cluster, per attempt, although the underlying structure is
-/// identical at every attempt start (the rollback restores it bit for bit).
+/// identical at every attempt start (each attempt starts from a copy of
+/// the same base graph).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct VariantUses {
     /// Producer of the value (`None` → nothing to spill).
@@ -114,17 +115,18 @@ struct MemoSlot<T> {
 /// [`SpillMemo::invalidate`] for the values it touches, right next to the
 /// `PressureTracker::mark_value` call those sites already make.
 ///
-/// Validity across *rollbacks* needs one extra guard: the epoch is restored
-/// by every rollback, so a raw epoch comparison would alias states from
-/// different attempts (attempt 1's third edit and attempt 2's third edit
-/// both sit at `base + 3`). An entry is therefore trusted only if
+/// Validity across *attempts* needs one extra guard: every attempt's graph
+/// copy starts at the base graph's epoch, so a raw epoch comparison would
+/// alias states from different attempts (attempt 1's third edit and
+/// attempt 2's third edit both sit at `base + 3`). An entry is therefore
+/// trusted only if
 ///
-/// * it was derived at the loop's **base epoch** — the attempt-start
-///   structure every rollback provably restores bit-identically, so these
-///   entries survive all restarts (this is the cross-restart memoisation:
-///   larger-II attempts stop re-deriving the same use lists), or
+/// * it was derived at the loop's **base epoch** — the unedited base
+///   structure every attempt's copy starts from, so these entries survive
+///   all restarts (this is the cross-restart memoisation: larger-II
+///   attempts stop re-deriving the same use lists), or
 /// * it was derived **within the current attempt** (epochs only move
-///   forward between rollbacks, and the invalidation hooks keep the entry
+///   forward within an attempt, and the invalidation hooks keep the entry
 ///   honest against every in-attempt rewiring).
 ///
 /// The memo is purely an accelerator: every lookup is `debug_assert`ed
@@ -160,10 +162,10 @@ pub struct SpillMemo {
 }
 
 impl SpillMemo {
-    /// Reset for a new loop whose attempt-start structure is `graph` at
-    /// `base_epoch`, precomputing the carried-values table.
-    pub(crate) fn begin_loop(&mut self, graph: &DepGraph, base_epoch: u64) {
-        self.base_epoch = base_epoch;
+    /// Reset for a new loop whose attempts all start from copies of
+    /// `graph`, precomputing the carried-values table.
+    pub(crate) fn begin_loop(&mut self, graph: &DepGraph) {
+        self.base_epoch = graph.structural_epoch();
         self.token = 0;
         self.uses.clear();
         self.uses.resize_with(graph.value_count(), || None);
@@ -317,7 +319,7 @@ enum Leader {
     },
 }
 
-impl SchedState<'_, '_> {
+impl SchedState<'_> {
     /// Per-cluster lifetime intervals and invariant counts of the current
     /// partial schedule. A value's register lives in the cluster of its
     /// producer; loop invariants occupy one register in every cluster with a
@@ -375,7 +377,7 @@ impl SchedState<'_, '_> {
     /// `MaxLive` per cluster of the current partial schedule, read from the
     /// incremental pressure gauges.
     pub(crate) fn register_requirements(&mut self) -> Vec<u32> {
-        self.pressure.flush(self.graph, &self.sched);
+        self.pressure.flush(&self.graph, &self.sched);
         debug_assert!(self.pressure_matches_scratch());
         self.pressure.max_live_per_cluster()
     }
@@ -419,7 +421,7 @@ impl SchedState<'_, '_> {
             // Bounded number of spill actions per invocation; the heuristic
             // runs again after every scheduled node anyway.
             for _ in 0..4 {
-                self.pressure.flush(self.graph, &self.sched);
+                self.pressure.flush(&self.graph, &self.sched);
                 debug_assert!(self.pressure_matches_scratch());
                 let gauge = self.pressure.cluster(cluster.index());
                 let rr = gauge.max_live();
@@ -489,7 +491,7 @@ impl SchedState<'_, '_> {
         // while graph/schedule/pressure/slots are read-only, so the loop
         // bodies below must stay on direct field accesses.
         let memo = &mut self.memo;
-        let graph = &*self.graph;
+        let graph = &self.graph;
         let sched = &self.sched;
         let slots = &self.slots;
         let mut best: Option<(f64, Leader)> = None;
@@ -720,7 +722,7 @@ impl SchedState<'_, '_> {
     /// cycle of the over-pressured cluster, forcing its non-spillable
     /// section out of that cycle.
     fn eject_from_critical_cycle(&mut self, cluster: ClusterId, critical_cycle: u32) {
-        let graph = &*self.graph;
+        let graph = &self.graph;
         let victim = self.sched.first_placed_in(cluster, critical_cycle, |n| {
             graph.op(n).opcode.defines_register()
         });

@@ -3,7 +3,7 @@
 //! machine: dependences, resources, operand locality and register files.
 
 use ddg::{mii, Loop, LoopBuilder};
-use mirs::{MirsScheduler, PrefetchPolicy, SchedulerOptions};
+use mirs::{apply_prefetch_policy, MirsScheduler, PrefetchPolicy, SchedulerOptions};
 use vliw::{MachineConfig, Opcode};
 
 fn daxpy() -> Loop {
@@ -278,6 +278,39 @@ fn binding_prefetch_increases_register_pressure_but_not_traffic() {
         prefetched.max_live.iter().sum::<u32>() >= normal.max_live.iter().sum::<u32>(),
         "scheduling loads with miss latency lengthens lifetimes"
     );
+}
+
+#[test]
+fn hit_latency_schedules_loads_already_marked_miss_as_hits() {
+    // The scheduler attempts copies of the loop's own graph only when the
+    // prefetch policy would change nothing; loads that arrive marked for
+    // prefetching must still be reset to hit latency first.
+    let machine = MachineConfig::paper_config(2, 32).unwrap();
+    let selective = PrefetchPolicy::SelectiveBinding { min_trip_count: 16 };
+    let mut marked_loops = 0;
+    for hit in all_loops() {
+        let mut miss = hit.clone();
+        let marked = apply_prefetch_policy(
+            &mut miss.graph,
+            machine.latencies(),
+            &selective,
+            miss.trip_count,
+        );
+        if marked > 0 {
+            marked_loops += 1;
+        }
+        let want = schedule_and_validate(&hit, &machine, SchedulerOptions::default());
+        let got = schedule_and_validate(&miss, &machine, SchedulerOptions::default());
+        assert_eq!(
+            got.schedule_hash(),
+            want.schedule_hash(),
+            "loop {}",
+            hit.name
+        );
+        assert_eq!(got.ii, want.ii, "loop {}", hit.name);
+        assert_eq!(got.placements, want.placements, "loop {}", hit.name);
+    }
+    assert!(marked_loops > 0, "no load was marked for prefetching");
 }
 
 #[test]

@@ -1,18 +1,11 @@
-//! Mutable data-dependence graph with a transactional mutation layer.
+//! Mutable data-dependence graph of one loop body.
 //!
-//! Besides the plain graph operations, [`DepGraph`] supports *checkpointed
-//! transactions*: [`DepGraph::checkpoint`] starts (or marks a point inside)
-//! a journaled transaction, every subsequent structural edit — node/edge
-//! insertion and removal, operand rewiring through
-//! [`DepGraph::replace_src`], value registration, producer changes —
-//! records its inverse in an undo log, and [`DepGraph::rollback_to`]
-//! replays those inverses to restore the graph *bit-identically* (same
-//! adjacency-list and consumer-index orderings, same id allocation state)
-//! in O(edits) instead of rebuilding from a clone in O(graph).
-//!
-//! The iterative scheduler is the motivating client: one working graph per
-//! loop survives every II restart, rolled back between attempts instead of
-//! being re-cloned per attempt.
+//! Node and edge ids are stable (removal leaves a tombstone), adjacency
+//! lists keep insertion order and a value→consumers index answers
+//! `consumers_of` without a scan. The hand-written `Clone` impls reuse the
+//! destination's allocations in `clone_from`: the scheduler gives every II
+//! attempt its own copy of one immutable base graph that way, copying
+//! into a reused buffer instead of allocating a graph per attempt.
 
 use crate::ids::{NodeId, ValueId};
 use crate::loop_ir::MemAccess;
@@ -97,7 +90,7 @@ pub enum NodeOrigin {
 }
 
 /// Payload of a graph node: one machine operation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct OperationData {
     /// Machine opcode.
     pub opcode: Opcode,
@@ -149,8 +142,53 @@ impl OperationData {
     }
 }
 
+// `clone_from` reuses the operand list and the name, which a derived impl
+// would allocate again. Both methods destructure the source, so a new
+// field fails to compile until it is copied here.
+impl Clone for OperationData {
+    fn clone(&self) -> Self {
+        let Self {
+            opcode,
+            dest,
+            srcs,
+            mem,
+            mem_latency,
+            origin,
+            name,
+        } = self;
+        Self {
+            opcode: *opcode,
+            dest: *dest,
+            srcs: srcs.clone(),
+            mem: *mem,
+            mem_latency: *mem_latency,
+            origin: *origin,
+            name: name.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            opcode,
+            dest,
+            srcs,
+            mem,
+            mem_latency,
+            origin,
+            name,
+        } = source;
+        self.opcode = *opcode;
+        self.dest = *dest;
+        self.srcs.clone_from(srcs);
+        self.mem = *mem;
+        self.mem_latency = *mem_latency;
+        self.origin = *origin;
+        self.name.clone_from(name);
+    }
+}
+
 /// A value (virtual register) of the loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ValueData {
     /// Human-readable name.
     pub name: String,
@@ -160,67 +198,31 @@ pub struct ValueData {
     pub invariant: bool,
 }
 
-/// One reversible primitive mutation, recorded while a transaction is
-/// active. Undoing entries in reverse journal order restores the graph
-/// bit-identically: tombstone slots, adjacency-list positions and
-/// consumer-index orderings all come back exactly as they were.
-#[derive(Debug, Clone)]
-enum UndoOp {
-    /// A value was appended by `add_value`.
-    AddValue,
-    /// A value's `(producer, invariant)` pair was overwritten.
-    SetProducer {
-        v: ValueId,
-        producer: Option<NodeId>,
-        invariant: bool,
-    },
-    /// `replace_src` rewrote `old` → `new` in the listed operand slots.
-    ReplaceSrc {
-        n: NodeId,
-        old: ValueId,
-        new: ValueId,
-        slots: Vec<u32>,
-    },
-    /// A node was appended by `add_node` (its `set_producer` side effect is
-    /// journaled separately, before this entry).
-    AddNode,
-    /// A node was tombstoned by `remove_node` (its incident-edge removals
-    /// are journaled separately, before this entry).
-    RemoveNode {
-        n: NodeId,
-        op: OperationData,
-        cleared_producer: bool,
-    },
-    /// An edge was appended by `add_edge`.
-    AddEdge,
-    /// An edge was tombstoned by `remove_edge`; the positions it occupied
-    /// in the endpoint adjacency lists are kept so the undo restores the
-    /// exact iteration order.
-    RemoveEdge {
-        e: EdgeId,
-        edge: DepEdge,
-        succ_pos: u32,
-        pred_pos: u32,
-    },
-    /// `op_mut` handed out mutable access to a node's payload; the whole
-    /// payload is snapshotted since the borrow is unconstrained.
-    MutateOp { n: NodeId, op: OperationData },
-}
+// `clone_from` reuses the name; see the `OperationData` impl.
+impl Clone for ValueData {
+    fn clone(&self) -> Self {
+        let Self {
+            name,
+            producer,
+            invariant,
+        } = self;
+        Self {
+            name: name.clone(),
+            producer: *producer,
+            invariant: *invariant,
+        }
+    }
 
-/// Opaque mark inside a [`DepGraph`] transaction, produced by
-/// [`DepGraph::checkpoint`] and consumed by [`DepGraph::rollback_to`].
-///
-/// Checkpoints nest: rolling back to an outer checkpoint discards
-/// everything after it, including inner checkpoints. A checkpoint is
-/// invalidated by [`DepGraph::commit`] and by rolling back *past* it.
-#[derive(Debug, Clone)]
-pub struct GraphCheckpoint {
-    journal_len: usize,
-    epoch: u64,
-    /// Transaction generation the checkpoint belongs to; a commit bumps the
-    /// graph's generation, so stale checkpoints are detected instead of
-    /// silently rolling back a *later* transaction's edits.
-    generation: u64,
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            name,
+            producer,
+            invariant,
+        } = source;
+        self.name.clone_from(name);
+        self.producer = *producer;
+        self.invariant = *invariant;
+    }
 }
 
 /// Mutable data-dependence graph of one loop body.
@@ -228,9 +230,7 @@ pub struct GraphCheckpoint {
 /// Node and edge ids are stable: removal leaves a tombstone, so ids held by
 /// the scheduler never dangle silently (accessors panic on removed ids,
 /// `contains`/`is_live` can be used to check).
-///
-/// See the module docs for the transactional checkpoint/rollback layer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct DepGraph {
     nodes: Vec<Option<OperationData>>,
     values: Vec<ValueData>,
@@ -243,21 +243,64 @@ pub struct DepGraph {
     /// `remove_node` and `replace_src` so `consumers_of` is O(consumers)
     /// instead of O(nodes).
     consumers: Vec<Vec<NodeId>>,
-    /// Undo log of the active transaction (empty while journaling is off).
-    journal: Vec<UndoOp>,
-    /// Whether mutations are currently journaled.
-    journaling: bool,
-    /// Monotonic-per-transaction structural version: bumped by every
-    /// mutation, restored by rollback. Two equal epochs taken at
-    /// checkpoint boundaries denote identical structure, so derived data
-    /// (an HRMS order, cached heights) can be reused across rollbacks.
-    /// Epochs taken *mid-transaction* must not be compared across a
-    /// rollback (an equal count of different edits would alias).
+    /// Structural version: bumped by every mutation and carried over by
+    /// a copy (see [`DepGraph::structural_epoch`]).
     epoch: u64,
-    /// Bumped by every [`DepGraph::commit`]; checkpoints carry the
-    /// generation they were taken in, so `rollback_to` can reject
-    /// checkpoints that a commit invalidated.
-    generation: u64,
+}
+
+// `clone_from` reuses every list of the destination, down to the operand
+// lists, names and adjacency lists of its nodes and values, so copying a
+// base graph into a graph buffer allocates only where the buffer is
+// smaller. The source is destructured, so a new field fails to compile
+// until it is copied here.
+impl Clone for DepGraph {
+    fn clone(&self) -> Self {
+        let mut copy = Self::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Make `self` a copy of `source`, epoch included, keeping `self`'s
+    /// allocations.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ddg::{DepGraph, OperationData};
+    /// use vliw::Opcode;
+    ///
+    /// let mut base = DepGraph::new();
+    /// let x = base.add_value("x", false);
+    /// base.add_node(OperationData::new(Opcode::Load, Some(x), vec![]));
+    ///
+    /// // A buffer that an earlier attempt grew past the base.
+    /// let mut buf = base.clone();
+    /// let slot = buf.add_value("x.spill", false);
+    /// buf.add_node(OperationData::new(Opcode::SpillStore, Some(slot), vec![x]));
+    /// assert!(!buf.same_content(&base));
+    ///
+    /// buf.clone_from(&base);
+    /// assert!(buf.same_content(&base));
+    /// assert_eq!(buf.structural_epoch(), base.structural_epoch());
+    /// ```
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            nodes,
+            values,
+            edges,
+            succ,
+            pred,
+            consumers,
+            epoch,
+        } = source;
+        self.nodes.clone_from(nodes);
+        self.values.clone_from(values);
+        self.edges.clone_from(edges);
+        self.succ.clone_from(succ);
+        self.pred.clone_from(pred);
+        self.consumers.clone_from(consumers);
+        self.epoch = *epoch;
+    }
 }
 
 impl DepGraph {
@@ -280,9 +323,6 @@ impl DepGraph {
         });
         self.consumers.push(Vec::new());
         self.epoch += 1;
-        if self.journaling {
-            self.journal.push(UndoOp::AddValue);
-        }
         id
     }
 
@@ -307,18 +347,12 @@ impl DepGraph {
         (0..self.values.len()).map(|i| ValueId(i as u32))
     }
 
-    /// Rename value `v`. Names are not journaled, so this is for a
-    /// committed graph only: the scheduler names the values it inserted
-    /// once per result, after the commit.
+    /// Rename value `v`. Names are not structure: the epoch stays put.
     ///
     /// # Panics
     ///
-    /// Panics inside a transaction or if `v` is out of range.
+    /// Panics if `v` is out of range.
     pub fn rename_value(&mut self, v: ValueId, name: String) {
-        assert!(
-            !self.journaling,
-            "names are not journaled: rename after commit"
-        );
         self.values[v.index()].name = name;
     }
 
@@ -328,14 +362,6 @@ impl DepGraph {
     ///
     /// Panics if `v` is out of range.
     pub fn set_producer(&mut self, v: ValueId, producer: NodeId) {
-        if self.journaling {
-            let old = &self.values[v.index()];
-            self.journal.push(UndoOp::SetProducer {
-                v,
-                producer: old.producer,
-                invariant: old.invariant,
-            });
-        }
         self.epoch += 1;
         let data = &mut self.values[v.index()];
         data.producer = Some(producer);
@@ -402,31 +428,18 @@ impl DepGraph {
         if old == new {
             return self.op(n).srcs.iter().filter(|&&s| s == old).count();
         }
-        let journaling = self.journaling;
         let op = self.nodes[n.index()]
             .as_mut()
             .unwrap_or_else(|| panic!("node {n} is not live"));
         let mut replaced = 0;
-        // Lazily allocated: empty until the first hit, and only filled when
-        // a transaction is active (the undo must restore exactly the slots
-        // that changed — the node may legitimately read `new` elsewhere).
-        let mut slots: Vec<u32> = Vec::new();
-        for (i, s) in op.srcs.iter_mut().enumerate() {
-            if *s == old {
-                *s = new;
-                replaced += 1;
-                if journaling {
-                    slots.push(i as u32);
-                }
-            }
+        for s in op.srcs.iter_mut().filter(|s| **s == old) {
+            *s = new;
+            replaced += 1;
         }
         if replaced > 0 {
             self.unindex_consumer(old, n);
             self.index_consumer(new, n);
             self.epoch += 1;
-            if journaling {
-                self.journal.push(UndoOp::ReplaceSrc { n, old, new, slots });
-            }
         }
         replaced
     }
@@ -446,9 +459,6 @@ impl DepGraph {
         self.succ.push(Vec::new());
         self.pred.push(Vec::new());
         self.epoch += 1;
-        if self.journaling {
-            self.journal.push(UndoOp::AddNode);
-        }
         id
     }
 
@@ -473,24 +483,15 @@ impl DepGraph {
             }
         }
         if let Some(op) = self.nodes[n.index()].take() {
-            let mut cleared_producer = false;
             if let Some(dest) = op.dest {
                 if self.values[dest.index()].producer == Some(n) {
                     self.values[dest.index()].producer = None;
-                    cleared_producer = true;
                 }
             }
             for &src in &op.srcs {
                 self.unindex_consumer(src, n);
             }
             self.epoch += 1;
-            if self.journaling {
-                self.journal.push(UndoOp::RemoveNode {
-                    n,
-                    op,
-                    cleared_producer,
-                });
-            }
         }
     }
 
@@ -517,40 +518,27 @@ impl DepGraph {
 
     /// Mutable operation data of node `n`.
     ///
-    /// Inside a transaction the whole payload is snapshotted (the returned
-    /// borrow is unconstrained), so callers on hot paths should prefer the
-    /// targeted mutators. The operand list must not be edited through this
-    /// handle — route operand rewrites through [`DepGraph::replace_src`] so
-    /// the consumer index stays coherent.
+    /// The operand list must not be edited through this handle — route
+    /// operand rewrites through [`DepGraph::replace_src`] so the consumer
+    /// index stays coherent.
     ///
     /// # Panics
     ///
     /// Panics if `n` was removed or never existed.
     pub fn op_mut(&mut self, n: NodeId) -> &mut OperationData {
-        if self.journaling {
-            let snapshot = self.nodes[n.index()]
-                .as_ref()
-                .unwrap_or_else(|| panic!("node {n} is not live"))
-                .clone();
-            self.journal.push(UndoOp::MutateOp { n, op: snapshot });
-        }
         self.epoch += 1;
         self.nodes[n.index()]
             .as_mut()
             .unwrap_or_else(|| panic!("node {n} is not live"))
     }
 
-    /// Rename node `n`; like [`DepGraph::rename_value`], for a committed
-    /// graph only.
+    /// Rename node `n`; like [`DepGraph::rename_value`], the epoch stays
+    /// put.
     ///
     /// # Panics
     ///
-    /// Panics inside a transaction or if `n` is not live.
+    /// Panics if `n` is not live.
     pub fn rename_node(&mut self, n: NodeId, name: String) {
-        assert!(
-            !self.journaling,
-            "names are not journaled: rename after commit"
-        );
         self.nodes[n.index()]
             .as_mut()
             .unwrap_or_else(|| panic!("node {n} is not live"))
@@ -602,9 +590,6 @@ impl DepGraph {
         self.pred[edge.to.index()].push(id);
         self.edges.push(Some(edge));
         self.epoch += 1;
-        if self.journaling {
-            self.journal.push(UndoOp::AddEdge);
-        }
         id
     }
 
@@ -629,9 +614,9 @@ impl DepGraph {
         let edge = self.edges[e.index()]
             .take()
             .unwrap_or_else(|| panic!("edge {e} is not live"));
-        // Remove by position (an edge id appears exactly once per list) and
-        // remember the positions: iteration order over adjacency lists is
-        // scheduler-visible, so the rollback must restore it exactly.
+        // Remove by position (an edge id appears exactly once per list),
+        // keeping the order of the rest: iteration order over adjacency
+        // lists is scheduler-visible.
         let succ_list = &mut self.succ[edge.from.index()];
         let succ_pos = succ_list
             .iter()
@@ -645,14 +630,6 @@ impl DepGraph {
             .expect("live edge is in its target's pred list");
         pred_list.remove(pred_pos);
         self.epoch += 1;
-        if self.journaling {
-            self.journal.push(UndoOp::RemoveEdge {
-                e,
-                edge,
-                succ_pos: succ_pos as u32,
-                pred_pos: pred_pos as u32,
-            });
-        }
     }
 
     /// Edge data.
@@ -798,111 +775,12 @@ impl DepGraph {
         self.node_ids().filter(|&n| pred(self.op(n).opcode)).count()
     }
 
-    // ----- transactions ---------------------------------------------------
-
-    /// Start journaling mutations (if not already) and return a checkpoint
-    /// marking the current state. Until [`DepGraph::commit`], every
-    /// structural edit records its inverse; [`DepGraph::rollback_to`]
-    /// restores the state at a checkpoint in O(edits since the checkpoint).
-    ///
-    /// Checkpoints nest freely: each call just marks a position in the
-    /// journal.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ddg::{DepGraph, OperationData};
-    /// use vliw::Opcode;
-    ///
-    /// let mut g = DepGraph::new();
-    /// let x = g.add_value("x", false);
-    /// let load = g.add_node(OperationData::new(Opcode::Load, Some(x), vec![]));
-    ///
-    /// let before = g.clone();
-    /// let cp = g.checkpoint();
-    ///
-    /// // Speculative edit: spill the loaded value, then think better of it.
-    /// let slot = g.add_value("x.spill", false);
-    /// g.add_node(OperationData::new(Opcode::SpillStore, Some(slot), vec![x]));
-    /// g.remove_node(load);
-    /// assert!(!g.same_content(&before));
-    ///
-    /// g.rollback_to(&cp);
-    /// assert!(g.same_content(&before)); // bit-identical, not just equivalent
-    /// assert!(g.is_live(load));
-    /// g.commit();
-    /// ```
-    pub fn checkpoint(&mut self) -> GraphCheckpoint {
-        self.journaling = true;
-        GraphCheckpoint {
-            journal_len: self.journal.len(),
-            epoch: self.epoch,
-            generation: self.generation,
-        }
-    }
-
-    /// Undo every mutation performed since `cp`, restoring the graph
-    /// bit-identically: node/edge tombstones, id allocation state,
-    /// adjacency-list order and the consumer index all return to exactly
-    /// the checkpointed state, and the structural epoch is restored so
-    /// epoch-keyed caches taken at the checkpoint stay valid.
-    ///
-    /// The transaction stays open — the caller can keep mutating and roll
-    /// back to the same (or an older) checkpoint again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no transaction is active or if the graph was already
-    /// rolled back past `cp` (or `cp` was invalidated by a commit).
-    pub fn rollback_to(&mut self, cp: &GraphCheckpoint) {
-        assert!(
-            self.journaling,
-            "rollback_to without an active transaction (checkpoint invalidated by commit?)"
-        );
-        assert_eq!(
-            cp.generation, self.generation,
-            "checkpoint was invalidated by a commit (it belongs to an earlier transaction)"
-        );
-        assert!(
-            self.journal.len() >= cp.journal_len,
-            "checkpoint is ahead of the journal (already rolled back past it)"
-        );
-        while self.journal.len() > cp.journal_len {
-            let op = self.journal.pop().expect("length checked above");
-            self.undo(op);
-        }
-        self.epoch = cp.epoch;
-    }
-
-    /// Accept every journaled mutation: the undo log is discarded and
-    /// journaling stops. All outstanding checkpoints are invalidated —
-    /// the transaction generation is bumped, so using one in a later
-    /// [`DepGraph::rollback_to`] panics instead of silently undoing the
-    /// wrong transaction's edits.
-    pub fn commit(&mut self) {
-        self.journal.clear();
-        self.journaling = false;
-        self.generation += 1;
-    }
-
-    /// Whether a transaction is currently journaling mutations.
-    #[must_use]
-    pub fn in_transaction(&self) -> bool {
-        self.journaling
-    }
-
-    /// Number of undo entries in the active transaction's journal.
-    #[must_use]
-    pub fn journal_len(&self) -> usize {
-        self.journal.len()
-    }
-
-    /// Structural version of the graph: bumped by every mutation and
-    /// restored by [`DepGraph::rollback_to`]. Two equal epochs observed at
-    /// checkpoint boundaries denote bit-identical structure, so derived
-    /// orderings (HRMS priority lists, cached heights) can be reused across
-    /// II restarts. Do not compare epochs taken mid-transaction across a
-    /// rollback.
+    /// Structural version of the graph: bumped by every mutation, and
+    /// carried over by `clone` and `clone_from`. Every copy of one base
+    /// graph starts at the base's epoch with the base's structure, so data
+    /// derived from the base at that epoch (the spill memo's use lists)
+    /// holds for each copy until the copy is edited. Epochs of two copies
+    /// edited differently can coincide and say nothing about each other.
     #[must_use]
     pub fn structural_epoch(&self) -> u64 {
         self.epoch
@@ -910,9 +788,7 @@ impl DepGraph {
 
     /// Whether two graphs have identical content: same nodes, values,
     /// edges (including tombstones and id allocation), same adjacency-list
-    /// and consumer-index orderings. Transaction bookkeeping (journal,
-    /// epoch) is ignored — this is the "rollback equals fresh clone"
-    /// relation the scheduler's audit mode asserts at every restart.
+    /// and consumer-index orderings. The structural epoch is ignored.
     #[must_use]
     pub fn same_content(&self, other: &DepGraph) -> bool {
         self.nodes == other.nodes
@@ -926,8 +802,8 @@ impl DepGraph {
     /// Structural payload of the graph for the snapshot codec
     /// (`ddg::snap`): nodes, values and edges *including tombstones*, in
     /// id order. Adjacency lists and the consumer index are derived data,
-    /// rebuilt on decode by [`DepGraph::from_snap_parts`]; transaction
-    /// bookkeeping is never captured.
+    /// rebuilt on decode by [`DepGraph::from_snap_parts`]; the epoch is
+    /// not captured.
     pub(crate) fn snap_parts(
         &self,
     ) -> (&[Option<OperationData>], &[ValueData], &[Option<DepEdge>]) {
@@ -942,8 +818,8 @@ impl DepGraph {
     /// index by scanning live nodes' operands in id order — exactly the
     /// orderings the mutation API maintains (appends are in id order and
     /// removals preserve relative order), so the rebuilt graph is
-    /// [`DepGraph::same_content`]-identical to the encoded one. Journaling
-    /// state is reset: snapshots never capture an open transaction.
+    /// [`DepGraph::same_content`]-identical to the encoded one. The epoch
+    /// starts at 0.
     ///
     /// # Errors
     ///
@@ -1021,229 +897,8 @@ impl DepGraph {
             succ,
             pred,
             consumers,
-            journal: Vec::new(),
-            journaling: false,
             epoch: 0,
-            generation: 0,
         })
-    }
-
-    /// Apply the inverse of one journaled mutation.
-    fn undo(&mut self, op: UndoOp) {
-        match op {
-            UndoOp::AddValue => {
-                self.values.pop().expect("journaled value exists");
-                let consumers = self.consumers.pop().expect("consumer list exists");
-                debug_assert!(
-                    consumers.is_empty(),
-                    "consumers of a rolled-back value must be undone first"
-                );
-            }
-            UndoOp::SetProducer {
-                v,
-                producer,
-                invariant,
-            } => {
-                let data = &mut self.values[v.index()];
-                data.producer = producer;
-                data.invariant = invariant;
-            }
-            UndoOp::ReplaceSrc { n, old, new, slots } => {
-                let op = self.nodes[n.index()]
-                    .as_mut()
-                    .expect("rewritten node is live at undo time");
-                for &i in &slots {
-                    debug_assert_eq!(op.srcs[i as usize], new, "slot drifted since journaling");
-                    op.srcs[i as usize] = old;
-                }
-                let still_reads_new = op.srcs.contains(&new);
-                self.index_consumer(old, n);
-                if !still_reads_new {
-                    self.unindex_consumer(new, n);
-                }
-            }
-            UndoOp::AddNode => {
-                let id = NodeId((self.nodes.len() - 1) as u32);
-                let op = self
-                    .nodes
-                    .pop()
-                    .expect("journaled node exists")
-                    .expect("appended node is live at undo time");
-                let succ = self.succ.pop().expect("succ list exists");
-                let pred = self.pred.pop().expect("pred list exists");
-                debug_assert!(
-                    succ.is_empty() && pred.is_empty(),
-                    "incident edges of a rolled-back node must be undone first"
-                );
-                for &src in &op.srcs {
-                    self.unindex_consumer(src, id);
-                }
-                // A dest producer set by `add_node` is restored by the
-                // `SetProducer` entry journaled just before this one.
-            }
-            UndoOp::RemoveNode {
-                n,
-                op,
-                cleared_producer,
-            } => {
-                if cleared_producer {
-                    let dest = op.dest.expect("cleared_producer implies a dest");
-                    self.values[dest.index()].producer = Some(n);
-                }
-                for &src in &op.srcs {
-                    self.index_consumer(src, n);
-                }
-                debug_assert!(
-                    self.nodes[n.index()].is_none(),
-                    "tombstone occupied at RemoveNode undo"
-                );
-                self.nodes[n.index()] = Some(op);
-            }
-            UndoOp::AddEdge => {
-                let edge = self
-                    .edges
-                    .pop()
-                    .expect("journaled edge exists")
-                    .expect("appended edge is live at undo time");
-                let e = EdgeId(self.edges.len() as u32);
-                let s = self.succ[edge.from.index()].pop();
-                debug_assert_eq!(s, Some(e), "appended edge is last in its succ list");
-                let p = self.pred[edge.to.index()].pop();
-                debug_assert_eq!(p, Some(e), "appended edge is last in its pred list");
-            }
-            UndoOp::RemoveEdge {
-                e,
-                edge,
-                succ_pos,
-                pred_pos,
-            } => {
-                debug_assert!(
-                    self.edges[e.index()].is_none(),
-                    "tombstone occupied at RemoveEdge undo"
-                );
-                self.succ[edge.from.index()].insert(succ_pos as usize, e);
-                self.pred[edge.to.index()].insert(pred_pos as usize, e);
-                self.edges[e.index()] = Some(edge);
-            }
-            UndoOp::MutateOp { n, op } => {
-                debug_assert_eq!(
-                    self.nodes[n.index()].as_ref().map(|o| &o.srcs),
-                    Some(&op.srcs),
-                    "operand lists must not change through op_mut"
-                );
-                self.nodes[n.index()] = Some(op);
-            }
-        }
-    }
-}
-
-/// A stack of nested [`GraphCheckpoint`]s — the checkpoint-*tree* helper
-/// behind branching searches over one transactional graph.
-///
-/// A plain checkpoint is a single mark; exploring several alternatives from
-/// one state (a window of candidate IIs, perturbed retries of the same II)
-/// needs a discipline on top: enter a branch by pushing a checkpoint, try
-/// edits, and either *abandon* the branch (roll the graph back to the mark
-/// and pop it) or *keep* it (pop the mark, folding the branch's edits into
-/// the parent scope). Because every sibling branch starts by abandoning the
-/// previous one, the set of live checkpoints always forms a root-to-leaf
-/// path of the search tree — which is exactly a stack.
-///
-/// The stack never clones the graph; all state restoration is the O(edits)
-/// journal rollback of the transaction layer.
-#[derive(Debug, Default)]
-pub struct CheckpointStack {
-    stack: Vec<GraphCheckpoint>,
-}
-
-impl CheckpointStack {
-    /// Empty stack (depth 0).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of nested checkpoints currently held.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Whether no checkpoint is held.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.stack.is_empty()
-    }
-
-    /// Enter a branch: mark the current graph state and return the new
-    /// nesting depth (1 for the outermost scope).
-    pub fn push(&mut self, g: &mut DepGraph) -> usize {
-        self.stack.push(g.checkpoint());
-        self.stack.len()
-    }
-
-    /// Abandon the innermost branch: roll the graph back to the most recent
-    /// mark and pop it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stack is empty, or if the underlying
-    /// [`DepGraph::rollback_to`] rejects the checkpoint (committed or
-    /// rolled-back-past transaction).
-    pub fn abandon(&mut self, g: &mut DepGraph) {
-        let cp = self
-            .stack
-            .pop()
-            .expect("abandon on an empty CheckpointStack");
-        g.rollback_to(&cp);
-    }
-
-    /// Roll the graph back to the innermost mark but keep it on the stack,
-    /// so another sibling branch can start from the same state.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`CheckpointStack::abandon`].
-    pub fn rewind(&mut self, g: &mut DepGraph) {
-        let cp = self
-            .stack
-            .last()
-            .expect("rewind on an empty CheckpointStack");
-        g.rollback_to(cp);
-    }
-
-    /// Keep the innermost branch: pop its mark *without* rolling back, so
-    /// the branch's edits belong to the enclosing scope from now on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stack is empty.
-    pub fn keep(&mut self) {
-        self.stack.pop().expect("keep on an empty CheckpointStack");
-    }
-
-    /// Abandon branches until the stack is `depth` deep, rolling the graph
-    /// back through each popped mark (outermost-popped last, so the final
-    /// state is the `depth`-level mark).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` exceeds the current depth.
-    pub fn abandon_to(&mut self, g: &mut DepGraph, depth: usize) {
-        assert!(
-            depth <= self.stack.len(),
-            "abandon_to({depth}) on a stack of depth {}",
-            self.stack.len()
-        );
-        while self.stack.len() > depth {
-            self.abandon(g);
-        }
-    }
-
-    /// Forget every mark without touching the graph (e.g. after the graph
-    /// was committed or handed off).
-    pub fn clear(&mut self) {
-        self.stack.clear();
     }
 }
 
@@ -1446,146 +1101,23 @@ mod tests {
         assert_eq!(g.consumer_ids(v), nodes.as_slice());
     }
 
-    /// The scheduler-shaped mutation burst: spill store/load insertion,
-    /// operand rewiring, move insertion and removal.
-    fn scheduler_style_edits(g: &mut DepGraph, a: NodeId, b: NodeId, v: ValueId) {
-        // Spill: store the value, reload it, rewire the consumer.
-        let st = g.add_node(OperationData::new(Opcode::SpillStore, None, vec![v]));
-        g.add_flow(a, st, v, 0);
-        let reload = g.add_value("t.reload", false);
-        let ld = g.add_node(OperationData::new(Opcode::SpillLoad, Some(reload), vec![]));
-        g.add_edge(DepEdge {
-            from: st,
-            to: ld,
-            kind: DepKind::Memory,
-            distance: 0,
-            delay_override: None,
-            value: None,
-        });
-        let direct: Vec<EdgeId> = g
-            .in_edges(b)
-            .into_iter()
-            .filter(|&e| g.edge(e).value == Some(v))
-            .collect();
-        for e in direct {
-            g.remove_edge(e);
-        }
-        g.replace_src(b, v, reload);
-        g.add_flow(ld, b, reload, 0);
-        // Move: insert, then remove again (the eject path).
-        let copy = g.add_value("t@1", false);
-        let mut mv_data = OperationData::new(Opcode::Move, Some(copy), vec![v]);
-        mv_data.origin = NodeOrigin::Move { value: v };
-        let mv = g.add_node(mv_data);
-        g.add_flow(a, mv, v, 0);
-        g.remove_node(mv);
-    }
-
     #[test]
-    fn rollback_restores_scheduler_style_edits_bit_identically() {
-        let (mut g, a, b, v) = simple_graph();
-        let before = g.clone();
-        let cp = g.checkpoint();
-        scheduler_style_edits(&mut g, a, b, v);
-        assert!(!g.same_content(&before), "edits visibly changed the graph");
-        g.rollback_to(&cp);
-        assert!(g.same_content(&before), "rollback restored the graph");
-        assert_eq!(g.structural_epoch(), cp.epoch);
-        assert_eq!(g.journal_len(), 0);
-        assert!(g.in_transaction(), "rollback keeps the transaction open");
-    }
-
-    #[test]
-    fn rollback_is_repeatable_across_attempts() {
-        let (mut g, a, b, v) = simple_graph();
-        let before = g.clone();
-        let cp = g.checkpoint();
-        for _ in 0..3 {
-            scheduler_style_edits(&mut g, a, b, v);
-            g.rollback_to(&cp);
-            assert!(g.same_content(&before));
-            assert_eq!(g.structural_epoch(), cp.epoch);
-        }
-    }
-
-    #[test]
-    fn nested_checkpoints_roll_back_independently() {
-        let (mut g, a, _b, v) = simple_graph();
-        let outer = g.checkpoint();
-        let snapshot_outer = g.clone();
-        let st = g.add_node(OperationData::new(Opcode::SpillStore, None, vec![v]));
-        g.add_flow(a, st, v, 0);
-        let inner = g.checkpoint();
-        let snapshot_inner = g.clone();
+    fn replace_src_onto_an_operand_the_node_already_reads() {
+        // srcs = [v, w]; replacing v -> w gives [w, w] with one consumer
+        // entry for w.
+        let mut g = DepGraph::new();
+        let v = g.add_value("v", false);
         let w = g.add_value("w", false);
-        let n = g.add_node(OperationData::new(Opcode::FpAdd, Some(w), vec![v]));
-        g.add_flow(a, n, v, 0);
-        // Inner rollback drops only the inner edits.
-        g.rollback_to(&inner);
-        assert!(g.same_content(&snapshot_inner));
-        assert!(g.is_live(st), "outer edit survives the inner rollback");
-        // Outer rollback drops the rest.
-        g.rollback_to(&outer);
-        assert!(g.same_content(&snapshot_outer));
-        assert!(!g.is_live(st));
+        let n = g.add_node(OperationData::new(Opcode::FpAdd, None, vec![v, w]));
+        assert_eq!(g.replace_src(n, v, w), 1);
+        assert_eq!(g.op(n).srcs(), &[w, w]);
+        assert_eq!(g.consumers_of(v), vec![]);
+        assert_eq!(g.consumers_of(w), vec![n]);
     }
 
     #[test]
-    fn commit_keeps_edits_and_closes_the_transaction() {
-        let (mut g, a, _b, v) = simple_graph();
-        let _cp = g.checkpoint();
-        let st = g.add_node(OperationData::new(Opcode::SpillStore, None, vec![v]));
-        g.add_flow(a, st, v, 0);
-        g.commit();
-        assert!(!g.in_transaction());
-        assert_eq!(g.journal_len(), 0);
-        assert!(g.is_live(st), "committed edits survive");
-        // Mutations after a commit are not journaled.
-        let _ = g.add_value("later", false);
-        assert_eq!(g.journal_len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "without an active transaction")]
-    fn rollback_after_commit_panics() {
-        let (mut g, _a, _b, v) = simple_graph();
-        let cp = g.checkpoint();
-        let _ = g.add_node(OperationData::new(Opcode::SpillStore, None, vec![v]));
-        g.commit();
-        g.rollback_to(&cp);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalidated by a commit")]
-    fn stale_checkpoint_is_rejected_inside_a_new_transaction() {
-        // A checkpoint from before a commit must not silently roll back a
-        // later transaction's edits (and rewind the epoch to a state the
-        // graph no longer has).
-        let (mut g, _a, _b, v) = simple_graph();
-        let stale = g.checkpoint();
-        let _ = g.add_value("committed", false);
-        g.commit();
-        let _fresh = g.checkpoint();
-        let _ = g.add_node(OperationData::new(Opcode::SpillStore, None, vec![v]));
-        g.rollback_to(&stale);
-    }
-
-    #[test]
-    #[should_panic(expected = "rolled back past it")]
-    fn rollback_past_an_inner_checkpoint_invalidates_it() {
-        let (mut g, _a, _b, v) = simple_graph();
-        let outer = g.checkpoint();
-        let _ = g.add_node(OperationData::new(Opcode::SpillStore, None, vec![v]));
-        let inner = g.checkpoint();
-        let _ = g.add_value("x", false);
-        g.rollback_to(&outer);
-        g.rollback_to(&inner);
-    }
-
-    #[test]
-    fn rollback_restores_adjacency_order_after_mid_list_removal() {
-        // Three parallel edges a->b; remove the middle one, roll back, and
-        // the original edge iteration order must come back exactly.
+    fn remove_edge_keeps_the_order_of_the_rest() {
+        // Iteration order over adjacency lists is scheduler-visible.
         let mut g = DepGraph::new();
         let v = g.add_value("v", false);
         let a = g.add_node(OperationData::new(Opcode::Load, Some(v), vec![]));
@@ -1593,110 +1125,25 @@ mod tests {
         let e0 = g.add_flow(a, b, v, 0);
         let e1 = g.add_flow(a, b, v, 1);
         let e2 = g.add_flow(a, b, v, 2);
-        let cp = g.checkpoint();
         g.remove_edge(e1);
         assert_eq!(g.out_edge_ids(a), &[e0, e2]);
-        g.rollback_to(&cp);
-        assert_eq!(g.out_edge_ids(a), &[e0, e1, e2]);
-        assert_eq!(g.in_edge_ids(b), &[e0, e1, e2]);
+        assert_eq!(g.in_edge_ids(b), &[e0, e2]);
     }
 
     #[test]
-    fn rollback_restores_op_mut_payloads() {
-        let (mut g, a, _b, _v) = simple_graph();
-        let cp = g.checkpoint();
-        g.op_mut(a).mem_latency = MemLatency::Miss;
-        g.op_mut(a).name = "renamed".into();
-        g.rollback_to(&cp);
-        assert_eq!(g.op(a).mem_latency, MemLatency::Hit);
-        assert_eq!(g.op(a).name, "");
-    }
-
-    #[test]
-    fn replace_src_rollback_keeps_preexisting_operands_of_the_new_value() {
-        // srcs = [v, w]; replace v->w gives [w, w]; the rollback must
-        // restore [v, w], not [v, v].
-        let mut g = DepGraph::new();
-        let v = g.add_value("v", false);
-        let w = g.add_value("w", false);
-        let n = g.add_node(OperationData::new(Opcode::FpAdd, None, vec![v, w]));
-        let cp = g.checkpoint();
-        assert_eq!(g.replace_src(n, v, w), 1);
-        assert_eq!(g.op(n).srcs(), &[w, w]);
-        assert_eq!(g.consumers_of(v), vec![]);
-        g.rollback_to(&cp);
-        assert_eq!(g.op(n).srcs(), &[v, w]);
-        assert_eq!(g.consumers_of(v), vec![n]);
-        assert_eq!(g.consumers_of(w), vec![n]);
-    }
-
-    #[test]
-    fn epoch_advances_on_mutation_and_rewinds_on_rollback() {
-        let (mut g, _a, b, v) = simple_graph();
-        let e0 = g.structural_epoch();
-        let cp = g.checkpoint();
-        let w = g.add_value("w", false);
-        g.replace_src(b, v, w);
-        assert_ne!(g.structural_epoch(), e0);
-        g.rollback_to(&cp);
-        assert_eq!(g.structural_epoch(), e0);
-    }
-
-    #[test]
-    fn checkpoint_stack_nests_and_abandons_in_order() {
-        let (mut g, a, _b, v) = simple_graph();
-        let base = g.clone();
-        let mut cps = CheckpointStack::new();
-        assert!(cps.is_empty());
-        assert_eq!(cps.push(&mut g), 1);
-        g.op_mut(a).mem_latency = MemLatency::Miss;
-        let after_outer_edit = g.clone();
-        assert_eq!(cps.push(&mut g), 2);
-        let w = g.add_value("w", false);
-        let n = g.add_node(OperationData::new(Opcode::FpAdd, None, vec![v, w]));
-        assert_eq!(cps.push(&mut g), 3);
-        g.remove_node(n);
-        assert_eq!(cps.depth(), 3);
-        // Rewind re-enters the innermost branch without popping it.
-        cps.rewind(&mut g);
-        assert!(g.is_live(n));
-        assert_eq!(cps.depth(), 3);
-        g.remove_node(n);
-        // Abandon the two inner branches, then the outer one.
-        cps.abandon_to(&mut g, 1);
-        assert!(g.same_content(&after_outer_edit));
-        assert_eq!(cps.depth(), 1);
-        cps.abandon(&mut g);
-        assert!(g.same_content(&base));
-        assert!(cps.is_empty());
-    }
-
-    #[test]
-    fn checkpoint_stack_keep_folds_a_branch_into_its_parent() {
+    fn epoch_advances_on_mutation_and_copies_carry_it() {
         let (mut g, _a, b, v) = simple_graph();
         let base = g.clone();
-        let mut cps = CheckpointStack::new();
-        cps.push(&mut g);
-        cps.push(&mut g);
+        assert_eq!(base.structural_epoch(), g.structural_epoch());
         let w = g.add_value("w", false);
         g.replace_src(b, v, w);
-        let with_edit = g.clone();
-        // Keeping the inner branch must not roll anything back...
-        cps.keep();
-        assert_eq!(cps.depth(), 1);
-        assert!(g.same_content(&with_edit));
-        // ...and the kept edits now belong to the outer scope.
-        cps.abandon(&mut g);
-        assert!(g.same_content(&base));
-    }
-
-    #[test]
-    #[should_panic(expected = "abandon_to(3)")]
-    fn checkpoint_stack_rejects_deepening_abandon_to() {
-        let (mut g, _a, _b, _v) = simple_graph();
-        let mut cps = CheckpointStack::new();
-        cps.push(&mut g);
-        cps.abandon_to(&mut g, 3);
+        assert_ne!(g.structural_epoch(), base.structural_epoch());
+        // Renaming is not a structural edit.
+        let before = g.structural_epoch();
+        g.rename_value(w, "w2".into());
+        assert_eq!(g.structural_epoch(), before);
+        g.clone_from(&base);
+        assert_eq!(g.structural_epoch(), base.structural_epoch());
     }
 
     #[test]

@@ -62,9 +62,6 @@ pub mod snap;
 pub mod unroll;
 
 pub use builder::LoopBuilder;
-pub use graph::{
-    CheckpointStack, DepEdge, DepGraph, DepKind, EdgeId, GraphCheckpoint, NodeOrigin,
-    OperationData, ValueData,
-};
+pub use graph::{DepEdge, DepGraph, DepKind, EdgeId, NodeOrigin, OperationData, ValueData};
 pub use ids::{NodeId, ValueId};
 pub use loop_ir::{Loop, MemAccess};

@@ -6,9 +6,8 @@
 //! tombstone slots** — so the decoded graph is
 //! [`DepGraph::same_content`]-identical to the original and continues id
 //! allocation exactly where the encoded graph left off. Derived data
-//! (adjacency lists, the value→consumers index) is rebuilt on decode;
-//! transaction bookkeeping (journal, epoch, generation) is reset, since
-//! snapshots never capture an open transaction.
+//! (adjacency lists, the value→consumers index) is rebuilt on decode; the
+//! structural epoch is not captured and restarts at 0.
 //!
 //! # Example
 //!
@@ -355,7 +354,7 @@ mod tests {
     fn graph_round_trip_preserves_tombstones_and_id_allocation() {
         let mut lp = sample_loop();
         // Tombstone a node and one of its values' edges through the public
-        // mutation API (journaling off → edits are permanent).
+        // mutation API.
         let victim = lp.graph.node_ids().nth(1).unwrap();
         lp.graph.remove_node(victim);
         let g = &lp.graph;

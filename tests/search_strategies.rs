@@ -261,10 +261,9 @@ proptest! {
     /// `MIRS_BRANCH_JOBS=1` and `=4` produce byte-identical schedules and
     /// identical `SearchMeta` on randomized workbenches, for every
     /// strategy. For `Backtracking` and `Exact` this crosses three
-    /// executions of each group: on the transactional working graph
-    /// (`branch_jobs = 1`), on graph clones merged one after another (a
-    /// one-worker pool) and on graph clones fanned across a real thread
-    /// pool.
+    /// executions of each group: serially on the driver's scratch
+    /// (`branch_jobs = 1`), merged one after another on a one-worker pool
+    /// and fanned across a real thread pool.
     #[test]
     fn branch_jobs_one_and_four_are_byte_identical(
         seed in 0u64..400,
