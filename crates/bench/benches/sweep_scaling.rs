@@ -1,7 +1,6 @@
 //! Thread-count scaling of the parallel sweep engine: full MIRS-C passes
 //! over one workbench on the 4x16 paper configuration, sharded across 1, 2,
-//! 4 and 8 workers, plus a nested leg (`jobs_4_branch_4`) that combines a
-//! 4-worker outer sweep with 4-worker in-loop branch pools.
+//! 4 and 8 workers.
 //!
 //! The per-thread-count wall-clock means land in
 //! `target/criterion/sweep_scaling/summary.json`, giving CI a longitudinal
@@ -14,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use harness::runner::{time_workbench, SchedulerKind};
 use harness::sweep::SweepExecutor;
 use loopgen::{Workbench, WorkbenchParams};
-use mirs::{PrefetchPolicy, SearchConfig, SearchStrategyKind};
+use mirs::PrefetchPolicy;
 use mirs_repro::cli;
 use vliw::MachineConfig;
 
@@ -45,27 +44,6 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
-    // Nested scaling leg: a 4-worker outer sweep whose backtracking
-    // searches each fan their candidate-II branch groups across a
-    // 4-worker nested `BranchPool`. The nested pools clamp themselves to
-    // the cores the outer sweep leaves free, so this series watches the
-    // oversubscription guard as much as the raw speedup.
-    let exec = SweepExecutor::new(4);
-    let search = SearchConfig::for_strategy(SearchStrategyKind::Backtracking).with_branch_jobs(4);
-    g.bench_function("jobs_4_branch_4", |b| {
-        b.iter(|| {
-            time_workbench(
-                &exec,
-                &wb,
-                &machine,
-                SchedulerKind::MirsC,
-                PrefetchPolicy::HitLatency,
-                1,
-                search,
-            )
-            .best_wall_seconds()
-        })
-    });
     g.finish();
 }
 

@@ -57,15 +57,15 @@ mod result;
 mod schedule;
 mod scheduler;
 mod scratch;
-pub mod search;
+mod search;
 mod slots;
 pub mod snap;
 mod spill;
 
 pub use error::ScheduleError;
 pub use options::{
-    EjectionPolicy, PrefetchPolicy, SchedulerOptions, SearchConfig, SearchStrategyKind,
-    BRANCH_JOBS_ENV, PRUNE_ENV, STRATEGY_ENV,
+    EjectionPolicy, PrefetchPolicy, SchedulerOptions, SearchConfig, SearchStrategyKind, PRUNE_ENV,
+    STRATEGY_ENV,
 };
 pub use prefetch::apply_prefetch_policy;
 pub use result::{
@@ -74,4 +74,3 @@ pub use result::{
 pub use schedule::{FoldedTable, PartialSchedule};
 pub use scheduler::MirsScheduler;
 pub use scratch::SchedScratch;
-pub use search::BranchExecutor;

@@ -35,10 +35,6 @@ pub enum PrefetchPolicy {
 /// `exact`) for [`SearchConfig::from_vars`].
 pub const STRATEGY_ENV: &str = "MIRS_STRATEGY";
 
-/// Variable setting [`SearchConfig::branch_jobs`] for
-/// [`SearchConfig::from_vars`] (`0` keeps the default of 1).
-pub const BRANCH_JOBS_ENV: &str = "MIRS_BRANCH_JOBS";
-
 /// Variable switching [`SearchConfig::prune`] for
 /// [`SearchConfig::from_vars`] (`1`/`on`/`true` or `0`/`off`/`false`).
 pub const PRUNE_ENV: &str = "MIRS_PRUNE";
@@ -128,22 +124,13 @@ impl std::fmt::Display for SearchStrategyKind {
     }
 }
 
-/// Parameters of the II search performed by the
-/// [`SearchDriver`](crate::search) layer.
+/// Parameters of the II search that
+/// [`MirsScheduler::schedule_with`](crate::MirsScheduler::schedule_with)
+/// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchConfig {
     /// Strategy deciding the sequence of (II, priority-order) attempts.
     pub strategy: SearchStrategyKind,
-    /// Worker threads one candidate-II group of
-    /// [`SearchStrategyKind::Backtracking`] or [`SearchStrategyKind::Exact`]
-    /// may be fanned across, through the
-    /// [`BranchExecutor`](crate::BranchExecutor) a caller hands to
-    /// [`MirsScheduler::schedule_with_exec`](crate::MirsScheduler::schedule_with_exec)
-    /// (the harness wires its sweep pool in). `1` (the default) keeps the
-    /// search serial and in-process. Results are byte-identical for every
-    /// value: a group's attempts are independent by construction and the
-    /// merge is in deterministic attempt order.
-    pub branch_jobs: u32,
     /// Branch-and-bound budget of [`SearchStrategyKind::Exact`], counted in
     /// residue-assignment expansions summed over every candidate II probed
     /// for one loop. When the budget runs out the bound certified so far is
@@ -152,12 +139,13 @@ pub struct SearchConfig {
     /// is certified — so it is excluded from the cache key.
     pub exact_budget: u64,
     /// Admission-filter the II climb: before each cold attempt, a bounded
-    /// relaxation pass ([`crate::search`] module docs) either *proves* the
-    /// candidate II infeasible — the attempt is skipped outright and
-    /// counted in [`SchedulerStats::pruned_iis`](crate::SchedulerStats) —
-    /// or admits it untouched. Only proven-infeasible IIs are skipped, so
-    /// every strategy produces byte-identical schedules with the filter on
-    /// or off. Default on.
+    /// relaxation pass (recurrence cycles, aggregate slot and port
+    /// capacities, register lifetime area) either *proves* the candidate II
+    /// infeasible — the attempt is skipped outright and counted in
+    /// [`SchedulerStats::pruned_iis`](crate::SchedulerStats) — or admits it
+    /// untouched. Only proven-infeasible IIs are skipped, so every strategy
+    /// produces byte-identical schedules with the filter on or off. Default
+    /// on.
     pub prune: bool,
 }
 
@@ -165,7 +153,6 @@ impl Default for SearchConfig {
     fn default() -> Self {
         Self {
             strategy: SearchStrategyKind::Linear,
-            branch_jobs: 1,
             exact_budget: Self::DEFAULT_EXACT_BUDGET,
             prune: true,
         }
@@ -205,11 +192,12 @@ impl SearchConfig {
         Self::for_strategy(SearchStrategyKind::Exact)
     }
 
-    /// Builder-style setter for the branch-group worker count (clamped to
-    /// at least 1).
+    /// Returns `self` unchanged: the search runs the attempts of a
+    /// candidate-II group one after another, so there is no branch worker
+    /// count to set. This no-op stays only because the `perfbench` crate
+    /// still calls it with 1; it goes together with those calls.
     #[must_use]
-    pub fn with_branch_jobs(mut self, jobs: u32) -> Self {
-        self.branch_jobs = jobs.max(1);
+    pub fn with_branch_jobs(self, _jobs: u32) -> Self {
         self
     }
 
@@ -227,8 +215,8 @@ impl SearchConfig {
         self
     }
 
-    /// Configuration named by the [`STRATEGY_ENV`], [`BRANCH_JOBS_ENV`]
-    /// and [`PRUNE_ENV`] variables, as `var` looks them up (the
+    /// Configuration named by the [`STRATEGY_ENV`] and [`PRUNE_ENV`]
+    /// variables, as `var` looks them up (the
     /// [`SearchConfig::default`] value of any that is unset). Front ends
     /// pass the process environment in; the library never reads it.
     ///
@@ -247,19 +235,12 @@ impl SearchConfig {
                 )
             })
         });
-        let branch_jobs = var(BRANCH_JOBS_ENV).map_or(1, |v| {
-            v.trim().parse::<u32>().unwrap_or_else(|_| {
-                panic!("{BRANCH_JOBS_ENV}={v:?} is not a worker count (expected 0, 1, 2, ...)")
-            })
-        });
         let prune = var(PRUNE_ENV).is_none_or(|v| match v.trim().to_ascii_lowercase().as_str() {
             "1" | "on" | "true" => true,
             "0" | "off" | "false" => false,
             _ => panic!("{PRUNE_ENV}={v:?} is not a switch (expected 1|on|true|0|off|false)"),
         });
-        Self::for_strategy(strategy)
-            .with_branch_jobs(branch_jobs)
-            .with_prune(prune)
+        Self::for_strategy(strategy).with_prune(prune)
     }
 }
 
@@ -440,11 +421,9 @@ mod tests {
     #[test]
     fn search_config_builders_compose() {
         let cfg = SearchConfig::backtracking()
-            .with_branch_jobs(0)
             .with_exact_budget(123)
             .with_prune(false);
         assert_eq!(cfg.strategy, SearchStrategyKind::Backtracking);
-        assert_eq!(cfg.branch_jobs, 1, "branch jobs clamp to at least 1");
         assert_eq!(cfg.exact_budget, 123);
         assert!(!cfg.prune);
         assert!(SearchConfig::default().prune);
@@ -457,8 +436,6 @@ mod tests {
             SearchConfig::default().exact_budget,
             SearchConfig::DEFAULT_EXACT_BUDGET
         );
-        assert_eq!(cfg.with_branch_jobs(4).branch_jobs, 4);
-        assert_eq!(SearchConfig::default().branch_jobs, 1);
         let o = SchedulerOptions::default().with_strategy(SearchStrategyKind::Exact);
         assert_eq!(o.search, SearchConfig::exact());
         let o = SchedulerOptions::default().with_search(cfg);
@@ -479,20 +456,11 @@ mod tests {
     #[test]
     fn env_variables_parse_with_defaults_for_unset_values() {
         assert_eq!(SearchConfig::from_vars(vars(&[])), SearchConfig::default());
-        let cfg = SearchConfig::from_vars(vars(&[
-            (STRATEGY_ENV, "Backtracking"),
-            (BRANCH_JOBS_ENV, "4"),
-            (PRUNE_ENV, "0"),
-        ]));
-        assert_eq!(
-            cfg,
-            SearchConfig::backtracking()
-                .with_branch_jobs(4)
-                .with_prune(false)
-        );
-        // `0` branch jobs means the default; every spelling of the prune
-        // switch is honoured.
-        let cfg = SearchConfig::from_vars(vars(&[(BRANCH_JOBS_ENV, "0"), (PRUNE_ENV, "on")]));
+        let cfg =
+            SearchConfig::from_vars(vars(&[(STRATEGY_ENV, "Backtracking"), (PRUNE_ENV, "0")]));
+        assert_eq!(cfg, SearchConfig::backtracking().with_prune(false));
+        // Every spelling of the prune switch is honoured.
+        let cfg = SearchConfig::from_vars(vars(&[(PRUNE_ENV, "on")]));
         assert_eq!(cfg, SearchConfig::default());
         for off in ["off", "false", "FALSE", " 0 "] {
             assert!(
@@ -500,12 +468,6 @@ mod tests {
                 "{off}"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "MIRS_BRANCH_JOBS=\"x\" is not a worker count")]
-    fn env_branch_jobs_that_is_not_a_number_panics() {
-        let _ = SearchConfig::from_vars(vars(&[(BRANCH_JOBS_ENV, "x")]));
     }
 
     #[test]

@@ -17,6 +17,11 @@ pub struct Placement {
 }
 
 /// Counters describing the work the scheduler performed.
+///
+/// The work counters (`attempts`, `ejections`, `forced` and
+/// `moves_removed`) sum over every attempt of the II search: failed ones,
+/// successes that lost the candidate comparison and the accepted one. The
+/// spill and move counts describe the accepted schedule.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SchedulerStats {
     /// Nodes picked from the priority list (including re-scheduling after
@@ -34,7 +39,8 @@ pub struct SchedulerStats {
     pub moves: u32,
     /// Move operations that were inserted and later removed again.
     pub moves_removed: u64,
-    /// Times the schedule was discarded and restarted with a larger II.
+    /// Attempts that failed before the accepted one, perturbed branches
+    /// included.
     pub restarts: u32,
     /// Spill-candidate evaluations answered from the cross-restart spill
     /// memo carried in [`SchedScratch`](crate::SchedScratch).
@@ -143,8 +149,7 @@ pub struct SearchMeta {
     pub candidates: u32,
     /// Candidate-II groups the search ran (one per II attempted and not
     /// pruned; a group holds the canonical attempt plus, for the branching
-    /// strategies, that II's perturbed ones). Identical for serial and
-    /// branch-parallel runs of the same search.
+    /// strategies, that II's perturbed ones).
     pub groups: u32,
     /// Distinct candidate IIs the relaxation admission filter proved
     /// infeasible and skipped (mirrors

@@ -15,7 +15,7 @@ use crate::priority::PriorityList;
 use crate::result::{Placement, ScheduleResult, SchedulerStats, SearchMeta};
 use crate::schedule::{FoldedTable, PartialSchedule};
 use crate::scratch::{AttemptSlots, Derivation, SchedScratch};
-use crate::search::{group_len, BranchExecutor, SearchDriver};
+use crate::search::SearchDriver;
 use crate::spill::SpillMemo;
 use ddg::collections::HashMap;
 use ddg::{DepGraph, Loop, NodeId, NodeOrigin};
@@ -77,10 +77,11 @@ pub(crate) struct SchedState<'m> {
 /// A successful attempt hands the *live* [`SchedState`] back to the search
 /// driver instead of a finished result: the driver packages it with
 /// [`SchedState::into_result`] when it beats the best candidate so far and
-/// hands its buffers back with [`SchedState::reclaim_into`] otherwise.
+/// hands its buffers back with [`SchedState::reclaim_into`] otherwise. A
+/// failed attempt hands back only its work counters.
 pub(crate) enum AttemptOutcome<'m> {
     Success(Box<SchedState<'m>>),
-    Restart,
+    Restart(SchedulerStats),
 }
 
 /// The MIRS-C scheduler.
@@ -150,9 +151,7 @@ impl<'m> MirsScheduler<'m> {
     /// clone of it with the policy applied. The copy is made with
     /// `clone_from` into the scratch's graph buffer, so a restart reuses
     /// the allocations of the attempt before it, and a successful attempt
-    /// moves its copy into the result. This path never fans a group out,
-    /// whatever [`SearchConfig::branch_jobs`](crate::SearchConfig::branch_jobs)
-    /// says; [`MirsScheduler::schedule_with_exec`] does.
+    /// moves its copy into the result.
     ///
     /// # Errors
     ///
@@ -162,50 +161,12 @@ impl<'m> MirsScheduler<'m> {
         lp: &Loop,
         scratch: &mut SchedScratch,
     ) -> Result<ScheduleResult, ScheduleError> {
-        self.search(lp, scratch, None)
-    }
-
-    /// [`MirsScheduler::schedule_with`] with a caller-supplied
-    /// [`BranchExecutor`] for the branch-parallel search path.
-    ///
-    /// When [`SearchConfig::branch_jobs`](crate::SearchConfig::branch_jobs)
-    /// is above 1 and the strategy's candidate-II group holds more than one
-    /// attempt ([`SearchStrategyKind::Backtracking`](crate::SearchStrategyKind::Backtracking)
-    /// and [`SearchStrategyKind::Exact`](crate::SearchStrategyKind::Exact)),
-    /// the attempts of each group are fanned across `exec` (each on a
-    /// private graph copy and scratch) and merged in deterministic attempt
-    /// order. The accepted schedule and every search counter are
-    /// byte-identical to [`MirsScheduler::schedule_with`] for any executor.
-    /// Every other configuration ignores `exec`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MirsScheduler::schedule`].
-    pub fn schedule_with_exec(
-        &self,
-        lp: &Loop,
-        scratch: &mut SchedScratch,
-        exec: &dyn BranchExecutor,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        let search = self.opts.search;
-        let fan = search.branch_jobs > 1 && group_len(search.strategy) > 1;
-        self.search(lp, scratch, fan.then_some(exec))
-    }
-
-    /// Run the II search over `lp`, fanning every candidate-II group
-    /// across `fan` when one is given.
-    fn search(
-        &self,
-        lp: &Loop,
-        scratch: &mut SchedScratch,
-        fan: Option<&dyn BranchExecutor>,
-    ) -> Result<ScheduleResult, ScheduleError> {
         if lp.graph.node_count() == 0 {
             return Err(ScheduleError::EmptyLoop {
                 loop_name: lp.name.clone(),
             });
         }
-        SearchDriver::new(self, lp, scratch).run(fan)
+        SearchDriver::new(self, lp, scratch).run()
     }
 
     /// One scheduling attempt at a fixed II (steps 1–6 of Figure 4) over
@@ -214,8 +175,9 @@ impl<'m> MirsScheduler<'m> {
     /// `mem_ops_base` memory operations.
     ///
     /// On [`AttemptOutcome::Restart`] every buffer, the copy included, is
-    /// back in `scratch`. On success the live state is returned; the
-    /// caller turns it into a [`ScheduleResult`] via
+    /// back in `scratch`, and the outcome carries the attempt's work
+    /// counters. On success the live state is returned, counters included;
+    /// the caller turns it into a [`ScheduleResult`] via
     /// [`SchedState::into_result`] or hands it back via
     /// [`SchedState::reclaim_into`].
     pub(crate) fn attempt(
@@ -225,7 +187,6 @@ impl<'m> MirsScheduler<'m> {
         ii: u32,
         mem_ops_base: u64,
         scratch: &mut SchedScratch,
-        carried: &mut SchedulerStats,
     ) -> AttemptOutcome<'m> {
         let budget = i64::from(self.opts.budget_ratio) * order.len() as i64;
         let graph = scratch.take_graph(base);
@@ -246,14 +207,14 @@ impl<'m> MirsScheduler<'m> {
             spills_inserted: 0,
             pressure,
             memo: scratch.take_spill_memo(),
-            stats: std::mem::take(carried),
+            stats: SchedulerStats::default(),
         };
         if st.complete_placement() {
             return AttemptOutcome::Success(Box::new(st));
         }
-        *carried = std::mem::take(&mut st.stats);
+        let stats = st.stats;
         st.reclaim_into(scratch);
-        AttemptOutcome::Restart
+        AttemptOutcome::Restart(stats)
     }
 }
 
@@ -261,7 +222,7 @@ impl SchedState<'_> {
     /// Drive the placement loop (steps 1–6 of Figure 4) to completion over
     /// whatever the priority list currently holds, then apply the final
     /// register-allocation check: with spilling disabled (the behaviour of
-    /// non-iterative schedulers such as [31]) the only remedy for excessive
+    /// non-iterative schedulers such as \[31\]) the only remedy for excessive
     /// register pressure is a larger II.
     ///
     /// Returns whether the attempt succeeded; on failure the whole state is

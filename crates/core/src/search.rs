@@ -37,6 +37,15 @@
 //! explores the identical tree in every run, on every thread of the
 //! parallel sweep harness.
 //!
+//! # Work counters
+//!
+//! The accepted result's work counters (`SchedulerStats::attempts`,
+//! `ejections`, `forced` and `moves_removed`) count the whole climb: the
+//! driver adds each attempt's counters to running totals when the attempt
+//! ends, whether it failed, lost the candidate comparison or was accepted.
+//! `SchedulerStats::restarts` counts the attempts that failed before the
+//! accepted one, perturbed branches included.
+//!
 //! # The admission filter
 //!
 //! With [`SearchConfig::prune`](crate::SearchConfig::prune) on (the
@@ -49,20 +58,6 @@
 //! attempts disappear. `SearchMeta::pruned_iis` and
 //! `SchedulerStats::relax_seconds` surface what the filter did and what
 //! it cost.
-//!
-//! # Branch-parallel execution
-//!
-//! The attempts of one group are mutually independent: each starts from
-//! a copy of the base graph, and its outcome is a pure function of
-//! `(graph, order, ii, options)`. A [`BranchExecutor`] exploits that.
-//! [`MirsScheduler::schedule_with_exec`](crate::MirsScheduler::schedule_with_exec)
-//! hands the driver its executor when
-//! [`SearchConfig::branch_jobs`](crate::SearchConfig::branch_jobs) `> 1`
-//! and a group holds more than one attempt. Each attempt of a group then
-//! runs with the worker's own [`SchedScratch`], and the outcomes are
-//! merged in attempt order through the same candidate comparison. The
-//! accepted schedule and every search counter are byte-identical to the
-//! serial path for any worker count.
 
 use crate::error::ScheduleError;
 use crate::options::SearchStrategyKind;
@@ -71,35 +66,11 @@ use crate::scheduler::{AttemptOutcome, MirsScheduler};
 use crate::scratch::SchedScratch;
 use ddg::{hrms, mii, DepGraph, Loop, NodeId};
 use std::borrow::Cow;
-use std::sync::Mutex;
 use std::time::Instant;
 use vliw::Opcode;
 
 pub(crate) mod exact;
 pub(crate) mod relax;
-
-/// Executes the independent attempts of one candidate-II group, possibly
-/// concurrently.
-///
-/// The driver calls [`BranchExecutor::run_branches`] once per group with
-/// the number of attempts to run; the executor must invoke `job(index,
-/// scratch)` **exactly once** for every `index` in `0..branches` — in any
-/// order, with any concurrency — and return only after every invocation
-/// has finished. Each concurrent invocation needs exclusive access to a
-/// [`SchedScratch`]; reusing one scratch across sequential invocations is
-/// fine (the job fully re-initialises it).
-///
-/// The job is pure with respect to the executor: results land in
-/// per-branch slots owned by the driver, so scheduling outcomes are
-/// byte-identical for every conforming executor, from a serial loop to a
-/// thread pool. A panicking invocation may be propagated or may abort
-/// remaining branches; it must not be swallowed while reporting
-/// completion.
-pub trait BranchExecutor {
-    /// Run `job` for every branch index in `0..branches` and wait for all
-    /// of them.
-    fn run_branches(&self, branches: usize, job: &(dyn Fn(usize, &mut SchedScratch) + Sync));
-}
 
 /// SplitMix64 mixing step — the deterministic seed/jitter generator used
 /// for priority perturbations (no external PRNG dependency).
@@ -130,7 +101,7 @@ const PERTURB_STRENGTH: f64 = 3.0;
 /// re-sorted (stably), so the global HRMS structure survives while local
 /// ties and near-ties are reshuffled. Identical `(order, seed)` inputs
 /// produce identical outputs on every platform.
-pub(crate) fn perturb_order(order: &[NodeId], seed: u64, out: &mut Vec<NodeId>) {
+fn perturb_order(order: &[NodeId], seed: u64, out: &mut Vec<NodeId>) {
     let mut state = splitmix64(seed);
     let mut keyed: Vec<(f64, NodeId)> = order
         .iter()
@@ -149,7 +120,7 @@ pub(crate) fn perturb_order(order: &[NodeId], seed: u64, out: &mut Vec<NodeId>) 
 
 /// Attempts in one candidate-II group of `strategy`: the canonical HRMS
 /// order, plus [`BRANCHES`] perturbed orders for the branching strategies.
-pub(crate) fn group_len(strategy: SearchStrategyKind) -> u32 {
+fn group_len(strategy: SearchStrategyKind) -> u32 {
     match strategy {
         SearchStrategyKind::Linear => 1,
         SearchStrategyKind::Backtracking | SearchStrategyKind::Exact => 1 + BRANCHES,
@@ -174,35 +145,22 @@ struct Candidate {
     result: ScheduleResult,
 }
 
-/// What one fanned-out attempt produced, reported back to the driver
-/// through its per-branch slot.
-struct BranchOutcome {
-    /// The finished schedule on success (`stats` holds only this attempt's
-    /// own work counters; the merge folds the carried counters in).
-    result: Option<ScheduleResult>,
-    /// Spill operations of the schedule (candidate metric; 0 on failure).
-    spill_ops: u32,
-    /// Live moves of the schedule (candidate tie-break; 0 on failure).
-    moves: u32,
-    /// Work counters of a *failed* attempt (what the serial path carries
-    /// into the next attempt's stats).
-    delta: SchedulerStats,
+/// Add the work counters of one attempt's `stats` to the running totals
+/// `into`. Absolute fields (spill/move counts, memo counters, timing) are
+/// set at result-packaging time and are not summed.
+fn accumulate(into: &mut SchedulerStats, stats: &SchedulerStats) {
+    into.attempts += stats.attempts;
+    into.ejections += stats.ejections;
+    into.forced += stats.forced;
+    into.moves_removed += stats.moves_removed;
 }
 
-/// Fold the accumulative work counters of `delta` into `into` — exactly
-/// the fields [`MirsScheduler::attempt`] accumulates across restarts via
-/// the carried stats. Absolute fields (spill/move counts, memo counters,
-/// timing) are set at result-packaging time and must not be summed.
-fn accumulate(into: &mut SchedulerStats, delta: &SchedulerStats) {
-    into.attempts += delta.attempts;
-    into.ejections += delta.ejections;
-    into.forced += delta.forced;
-    into.moves_removed += delta.moves_removed;
-}
-
-/// What every attempt of one search reads and none writes. Fanned
-/// attempts share it by reference across the executor's workers.
-struct SearchBase<'a, 'm> {
+/// The engine climbing the candidate IIs of one loop.
+///
+/// Holds what every attempt reads and none writes (the base graph, its
+/// HRMS order, memory-op count and MII) next to the search bookkeeping,
+/// and drives the borrowed [`SchedScratch`] through every attempt.
+pub(crate) struct SearchDriver<'a, 'm> {
     sched: &'a MirsScheduler<'m>,
     lp: &'a Loop,
     /// The graph every attempt copies: `lp.graph` itself when the prefetch
@@ -213,39 +171,8 @@ struct SearchBase<'a, 'm> {
     /// Memory operations in `graph`.
     mem_ops_base: u64,
     mii: u32,
-}
-
-impl<'m> SearchBase<'_, 'm> {
-    /// Run attempt `branch` of the group at `ii` on a copy of the base
-    /// graph: over the canonical order for branch 0, over a perturbation
-    /// of it (built in `perturbed`) for the others.
-    fn attempt(
-        &self,
-        ii: u32,
-        branch: u32,
-        perturbed: &mut Vec<NodeId>,
-        scratch: &mut SchedScratch,
-        carried: &mut SchedulerStats,
-    ) -> AttemptOutcome<'m> {
-        let order: &[NodeId] = if branch == 0 {
-            &self.order
-        } else {
-            perturb_order(&self.order, derive_seed(ii, branch), perturbed);
-            perturbed
-        };
-        scratch.spill_memo_mut().begin_attempt();
-        self.sched
-            .attempt(&self.graph, order, ii, self.mem_ops_base, scratch, carried)
-    }
-}
-
-/// The engine climbing the candidate IIs of one loop.
-///
-/// Owns the [`SearchBase`] and the perturbed-order buffer, and drives the
-/// borrowed [`SchedScratch`] through every attempt.
-pub(crate) struct SearchDriver<'a, 'm> {
-    base: SearchBase<'a, 'm>,
     scratch: &'a mut SchedScratch,
+    /// Buffer the perturbed orders are built in.
     perturbed: Vec<NodeId>,
     max_ii: u32,
     start: Instant,
@@ -258,7 +185,8 @@ pub(crate) struct SearchDriver<'a, 'm> {
     last_ii: u32,
     /// Candidate-II groups run so far (`SearchMeta::groups`).
     groups: u32,
-    carried: SchedulerStats,
+    /// Work counters summed over every attempt that has ended.
+    work: SchedulerStats,
     best: Option<Candidate>,
     /// Certified lower bound from the exact bounding phase (`None` for
     /// heuristic strategies); turned into the result's [`SearchProof`].
@@ -315,14 +243,12 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         let mem_ops_base = graph.count_ops(Opcode::is_memory) as u64;
         scratch.spill_memo_mut().begin_loop(&graph);
         Self {
-            base: SearchBase {
-                sched,
-                lp,
-                graph,
-                order,
-                mem_ops_base,
-                mii: mii_value,
-            },
+            sched,
+            lp,
+            graph,
+            order,
+            mem_ops_base,
+            mii: mii_value,
             scratch,
             perturbed: Vec::new(),
             max_ii: opts.max_ii,
@@ -332,7 +258,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             successes: 0,
             last_ii: mii_value.saturating_sub(1),
             groups: 0,
-            carried: SchedulerStats::default(),
+            work: SchedulerStats::default(),
             best: None,
             bound: None,
             prune: opts.search.prune,
@@ -344,21 +270,9 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
 
     /// Climb from the strategy's floor to `max_ii`, one group per II, and
     /// accept the best candidate of the first II whose group succeeds.
-    ///
-    /// With `fan`, every group's attempts run across the executor;
-    /// without it, one after another on the driver's scratch.
-    pub(crate) fn run(
-        mut self,
-        fan: Option<&dyn BranchExecutor>,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        let strategy = self.base.sched.options().search.strategy;
-        let floor = if strategy == SearchStrategyKind::Exact {
-            self.certify()
-        } else {
-            self.base.mii
-        };
-        let group = group_len(strategy);
-        for ii in floor..=self.max_ii {
+    pub(crate) fn run(mut self) -> Result<ScheduleResult, ScheduleError> {
+        let group = group_len(self.sched.options().search.strategy);
+        for ii in self.floor()..=self.max_ii {
             self.last_ii = ii;
             if self.should_prune(ii) {
                 // No attempt at this II can succeed: its whole group is
@@ -367,10 +281,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 continue;
             }
             self.groups += 1;
-            match fan {
-                Some(exec) => self.run_group(exec, ii, group),
-                None => self.run_serial_group(ii, group),
-            }
+            self.attempt_group(ii, group);
             if self.best.is_some() {
                 break;
             }
@@ -378,9 +289,19 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         match self.best.take() {
             Some(c) => Ok(self.finish(c.result)),
             None => Err(ScheduleError::NotConverged {
-                loop_name: self.base.lp.name.clone(),
+                loop_name: self.lp.name.clone(),
                 last_ii: self.last_ii,
             }),
+        }
+    }
+
+    /// The II the climb starts from: the MII, or for
+    /// [`SearchStrategyKind::Exact`] the certified bound.
+    fn floor(&mut self) -> u32 {
+        if self.sched.options().search.strategy == SearchStrategyKind::Exact {
+            self.certify()
+        } else {
+            self.mii
         }
     }
 
@@ -389,18 +310,17 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
     /// sets. [`SearchDriver::finish`] turns the bound into the result's
     /// [`SearchProof`]; `mii` keeps reporting the ResMII/RecMII bound.
     fn certify(&mut self) -> u32 {
-        let mut budget = exact::ExactBudget::new(self.base.sched.options().search.exact_budget);
+        let mut budget = exact::ExactBudget::new(self.sched.options().search.exact_budget);
         // Build the shared relaxation state eagerly: the certifier probes
         // it per candidate II, and the admission filter keeps consulting
         // the same cached closure during the climb afterwards.
         let relax_start = Instant::now();
-        let base = &self.base;
-        let filter = relax::RelaxFilter::new(&base.graph, base.sched.machine(), base.mii);
+        let filter = relax::RelaxFilter::new(&self.graph, self.sched.machine(), self.mii);
         self.relax_secs += relax_start.elapsed().as_secs_f64();
-        let bound = exact::certify_lower_bound(filter.cache(), base.mii, self.max_ii, &mut budget);
+        let bound = exact::certify_lower_bound(filter.cache(), self.mii, self.max_ii, &mut budget);
         self.filter = Some(filter);
         self.bound = Some(bound);
-        bound.lower_bound.max(self.base.mii)
+        bound.lower_bound.max(self.mii)
     }
 
     /// Should the group at `ii` be skipped? True only when the relaxation
@@ -412,31 +332,45 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             return false;
         }
         let relax_start = Instant::now();
-        let base = &self.base;
-        let filter = self.filter.get_or_insert_with(|| {
-            relax::RelaxFilter::new(&base.graph, base.sched.machine(), base.mii)
-        });
+        let (graph, machine, mii) = (&self.graph, self.sched.machine(), self.mii);
+        let filter = self
+            .filter
+            .get_or_insert_with(|| relax::RelaxFilter::new(graph, machine, mii));
         let rejected = filter.rejects(ii);
         self.relax_secs += relax_start.elapsed().as_secs_f64();
         rejected
     }
 
+    /// Run attempt `branch` of the group at `ii` on a copy of the base
+    /// graph: over the canonical order for branch 0, over a perturbation
+    /// of it for the others.
+    fn attempt(&mut self, ii: u32, branch: u32) -> AttemptOutcome<'m> {
+        let order: &[NodeId] = if branch == 0 {
+            &self.order
+        } else {
+            perturb_order(&self.order, derive_seed(ii, branch), &mut self.perturbed);
+            &self.perturbed
+        };
+        self.scratch.spill_memo_mut().begin_attempt();
+        self.sched
+            .attempt(&self.graph, order, ii, self.mem_ops_base, self.scratch)
+    }
+
     /// Run the `len` attempts of the group at `ii` one after another,
-    /// packaging a success only when it beats the best candidate so far.
-    fn run_serial_group(&mut self, ii: u32, len: u32) {
+    /// adding each one's work counters to the totals and packaging a
+    /// success only when it beats the best candidate so far.
+    fn attempt_group(&mut self, ii: u32, len: u32) {
         for branch in 0..len {
             self.attempts += 1;
-            let outcome = self.base.attempt(
-                ii,
-                branch,
-                &mut self.perturbed,
-                self.scratch,
-                &mut self.carried,
-            );
-            let AttemptOutcome::Success(st) = outcome else {
-                self.failures += 1;
-                continue;
+            let st = match self.attempt(ii, branch) {
+                AttemptOutcome::Success(st) => st,
+                AttemptOutcome::Restart(stats) => {
+                    accumulate(&mut self.work, &stats);
+                    self.failures += 1;
+                    continue;
+                }
             };
+            accumulate(&mut self.work, &st.stats);
             self.successes += 1;
             let key = CandidateKey {
                 ii,
@@ -445,7 +379,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 attempt: self.attempts,
             };
             if self.best.as_ref().is_none_or(|b| key < b.key) {
-                let mut result = st.into_result(self.scratch, &self.base.lp.name, self.base.mii);
+                let mut result = st.into_result(self.scratch, &self.lp.name, self.mii);
                 result.stats.restarts = self.failures;
                 self.best = Some(Candidate { key, result });
             } else {
@@ -454,89 +388,17 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         }
     }
 
-    /// Fan the `len` attempts of the group at `ii` across the executor,
-    /// then merge the outcomes *in attempt order* — the order the serial
-    /// path runs them in, so the incumbent-best updates, failure counts
-    /// and carried work counters match it exactly, for any executor and
-    /// any worker count.
-    fn run_group(&mut self, exec: &dyn BranchExecutor, ii: u32, len: u32) {
-        let len = len as usize;
-        let slots: Vec<Mutex<Option<BranchOutcome>>> = std::iter::repeat_with(|| Mutex::new(None))
-            .take(len)
-            .collect();
-        {
-            let base = &self.base;
-            let slots = &slots;
-            let job = move |branch: usize, scratch: &mut SchedScratch| {
-                // The pooled scratch may have served another loop (or
-                // another branch of this one): re-anchor the memo to the
-                // base graph. Outcomes cannot depend on scratch history.
-                scratch.spill_memo_mut().begin_loop(&base.graph);
-                let mut delta = SchedulerStats::default();
-                let outcome = base.attempt(ii, branch as u32, &mut Vec::new(), scratch, &mut delta);
-                let (result, spill_ops, moves) = match outcome {
-                    AttemptOutcome::Restart => (None, 0, 0),
-                    AttemptOutcome::Success(st) => {
-                        let spill_ops = st.spill_op_count();
-                        let moves = st.move_op_count();
-                        let result = st.into_result(scratch, &base.lp.name, base.mii);
-                        (Some(result), spill_ops, moves)
-                    }
-                };
-                let out = BranchOutcome {
-                    result,
-                    spill_ops,
-                    moves,
-                    delta,
-                };
-                *slots[branch].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            };
-            exec.run_branches(len, &job);
-        }
-        for (branch, slot) in slots.into_iter().enumerate() {
-            let out = slot
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "BranchExecutor contract violation: branch {branch} of \
-                         loop '{}' was never run",
-                        self.base.lp.name
-                    )
-                });
-            self.attempts += 1;
-            match out.result {
-                None => {
-                    self.failures += 1;
-                    accumulate(&mut self.carried, &out.delta);
-                }
-                Some(mut result) => {
-                    self.successes += 1;
-                    // Fold in the counters carried over failed attempts,
-                    // as the serial path threads them through the
-                    // attempt's stats; a success always consumes them.
-                    accumulate(&mut result.stats, &self.carried);
-                    self.carried = SchedulerStats::default();
-                    result.stats.restarts = self.failures;
-                    let key = CandidateKey {
-                        ii,
-                        spill_ops: out.spill_ops,
-                        moves: out.moves,
-                        attempt: self.attempts,
-                    };
-                    if self.best.as_ref().is_none_or(|b| key < b.key) {
-                        self.best = Some(Candidate { key, result });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Stamp the accepted result with timing and search metadata.
+    /// Stamp the accepted result with the climb's work totals, timing and
+    /// search metadata.
     fn finish(&mut self, mut result: ScheduleResult) -> ScheduleResult {
-        result.stats.scheduling_seconds = self.start.elapsed().as_secs_f64();
-        result.stats.relax_seconds = self.relax_secs;
-        result.stats.pruned_iis = self.pruned_iis;
+        let stats = &mut result.stats;
+        stats.attempts = self.work.attempts;
+        stats.ejections = self.work.ejections;
+        stats.forced = self.work.forced;
+        stats.moves_removed = self.work.moves_removed;
+        stats.scheduling_seconds = self.start.elapsed().as_secs_f64();
+        stats.relax_seconds = self.relax_secs;
+        stats.pruned_iis = self.pruned_iis;
         let proof = match self.bound {
             None => SearchProof::Heuristic,
             Some(b) => {
@@ -546,7 +408,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                      the relaxation is unsound",
                     b.lower_bound,
                     result.ii,
-                    self.base.lp.name
+                    self.lp.name
                 );
                 if result.ii <= b.lower_bound {
                     SearchProof::Optimal
@@ -558,7 +420,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             }
         };
         result.search = SearchMeta {
-            strategy: self.base.sched.options().search.strategy,
+            strategy: self.sched.options().search.strategy,
             attempts: self.attempts,
             candidates: self.successes,
             groups: self.groups,
@@ -566,5 +428,108 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             proof,
         };
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::options::{SchedulerOptions, SearchConfig};
+    use loopgen::{Workbench, WorkbenchParams};
+    use vliw::MachineConfig;
+
+    /// The work counters of `stats`: picks, ejections, forced placements
+    /// and removed moves.
+    fn work(stats: &SchedulerStats) -> [u64; 4] {
+        [
+            stats.attempts,
+            stats.ejections,
+            stats.forced,
+            stats.moves_removed,
+        ]
+    }
+
+    /// Replay the climb of `sched` over `lp` on a fresh scratch, one
+    /// attempt at a time through the driver's own attempt helper, and sum
+    /// every attempt's work counters. Returns the sums and the number of
+    /// attempts made.
+    fn replay(sched: &MirsScheduler<'_>, lp: &Loop) -> ([u64; 4], u32) {
+        let mut scratch = SchedScratch::new();
+        let mut driver = SearchDriver::new(sched, lp, &mut scratch);
+        let group = group_len(sched.options().search.strategy);
+        let mut sums = [0; 4];
+        let mut attempts = 0;
+        for ii in driver.floor()..=driver.max_ii {
+            if driver.should_prune(ii) {
+                continue;
+            }
+            let mut converged = false;
+            for branch in 0..group {
+                attempts += 1;
+                let stats = match driver.attempt(ii, branch) {
+                    AttemptOutcome::Restart(stats) => stats,
+                    AttemptOutcome::Success(st) => {
+                        converged = true;
+                        let stats = st.stats;
+                        st.reclaim_into(driver.scratch);
+                        stats
+                    }
+                };
+                for (sum, n) in sums.iter_mut().zip(work(&stats)) {
+                    *sum += n;
+                }
+            }
+            if converged {
+                break;
+            }
+        }
+        (sums, attempts)
+    }
+
+    /// Schedule every loop of `loops` on `machine` with every strategy and
+    /// check the result's work counters against a replay of its climb.
+    fn check_counts(loops: &[Loop], machine: &MachineConfig, max_ii: u32) {
+        for search in [
+            SearchConfig::linear(),
+            SearchConfig::backtracking(),
+            SearchConfig::exact(),
+        ] {
+            let opts = SchedulerOptions {
+                max_ii,
+                ..SchedulerOptions::default()
+            }
+            .with_search(search);
+            let sched = MirsScheduler::new(machine, opts);
+            for lp in loops {
+                let label = format!("{}/{}/{}", machine.name(), search.strategy, lp.name);
+                let result = sched
+                    .schedule(lp)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                let (sums, attempts) = replay(&sched, lp);
+                assert_eq!(result.search.attempts, attempts, "{label}: attempts");
+                assert_eq!(
+                    work(&result.stats),
+                    sums,
+                    "{label}: [picks, ejections, forced, moves removed] must sum \
+                     over every attempt of the climb"
+                );
+            }
+        }
+    }
+
+    /// The accepted result counts the work of every attempt: failures,
+    /// successes that lost the candidate comparison and the winner.
+    #[test]
+    fn work_counters_sum_over_every_attempt() {
+        let wb = Workbench::generate(&WorkbenchParams {
+            loops: 20,
+            ..WorkbenchParams::default()
+        });
+        for (k, regs) in [(1, 64), (4, 16)] {
+            let machine = MachineConfig::paper_config(k, regs).unwrap();
+            check_counts(wb.loops(), &machine, SchedulerOptions::default().max_ii);
+        }
+        let machine = MachineConfig::paper_config(1, 8).unwrap();
+        check_counts(&loopgen::hard_cases(), &machine, 64);
     }
 }

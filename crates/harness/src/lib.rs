@@ -41,15 +41,8 @@
 //! one process can compare several strategies and a call behaves the same
 //! in every process. Strategy exploration is seed-derived and
 //! deterministic, so the parallel-equals-serial guarantee above holds for
-//! every strategy.
-//!
-//! The `backtrack` and `exact` strategies can additionally fan the
-//! independent attempts of each candidate-II group across a nested
-//! [`sweep::BranchPool`] of `SearchConfig::branch_jobs` workers (default
-//! 1). Branch outcomes are merged in deterministic attempt order, so
-//! schedules stay byte-identical to the serial search for any combination
-//! of outer and branch worker counts; nested pools clamp themselves to the
-//! cores the outer sweep leaves free.
+//! every strategy. Parallelism is across loops only: one loop's search
+//! runs its attempts one after another on the worker that claimed it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,11 +64,11 @@ pub use runner::{
     run_sweep, run_workbench, LoopOutcome, SchedulerKind, SweepJob, WorkbenchSummary,
 };
 pub use service::{Provenance, ScheduleRequest, ScheduleResponse, ScheduleService};
-pub use sweep::{BranchPool, SweepError, SweepExecutor};
+pub use sweep::{SweepError, SweepExecutor};
 
 /// The unit tests' edge: the process environment parsed the way the front
-/// ends parse it, so the `MIRS_JOBS`, `MIRS_STRATEGY`, `MIRS_BRANCH_JOBS`
-/// and `MIRS_PRUNE` CI legs reach the table, figure and runner tests too.
+/// ends parse it, so the `MIRS_JOBS`, `MIRS_STRATEGY` and `MIRS_PRUNE` CI
+/// legs reach the table, figure and runner tests too.
 #[cfg(test)]
 mod test_env {
     fn var(name: &str) -> Option<String> {

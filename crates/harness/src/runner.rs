@@ -5,7 +5,7 @@
 //! (crate::sweep): loops are independent tasks, outcomes are collected by
 //! loop index, and a parallel run is byte-identical to a serial one.
 
-use crate::sweep::{BranchPool, SweepExecutor};
+use crate::sweep::SweepExecutor;
 use baseline::{BaselineOptions, BaselineScheduler};
 use ddg::Loop;
 use loopgen::Workbench;
@@ -145,9 +145,9 @@ impl WorkbenchSummary {
 ///
 /// `scratch` carries warmed allocations from loop to loop, so a worker
 /// scheduling many loops allocates its MRT/pressure/priority storage once;
-/// outcomes are byte-identical for any reuse pattern. A `backtrack` or
-/// `exact` search with `branch_jobs > 1` fans its candidate-II groups
-/// across a [`BranchPool`] built for the loop.
+/// outcomes are byte-identical for any reuse pattern. MIRS-C loops go
+/// through [`MirsScheduler::schedule_with`], which runs every attempt on
+/// the calling thread.
 #[must_use]
 pub fn schedule_loop(
     scratch: &mut SchedScratch,
@@ -170,12 +170,8 @@ pub fn schedule_loop(
             let opts = SchedulerOptions::default()
                 .with_prefetch(prefetch)
                 .with_search(search);
-            // The scheduler decides whether a candidate-II group fans out
-            // across the pool; outcomes are byte-identical to the serial
-            // search, so the pool only changes wall-clock time.
-            let pool = BranchPool::new(search.branch_jobs as usize);
             MirsScheduler::new(machine, opts)
-                .schedule_with_exec(lp, scratch, &pool)
+                .schedule_with(lp, scratch)
                 .ok()
         }
         SchedulerKind::Baseline => {

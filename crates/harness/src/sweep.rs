@@ -9,10 +9,10 @@
 //!
 //! * workers claim **chunks** of task indices from one shared atomic
 //!   counter (cheap work stealing with NUMA-friendly locality: one
-//!   fetch-add hands out up to [`DEFAULT_CHUNK`] — 8 — consecutive
-//!   tasks, cutting counter contention and keeping a worker's consecutive
-//!   loops in its local cache; small bags are auto-declustered so every
-//!   worker still gets work),
+//!   fetch-add hands out up to 8 consecutive tasks, cutting counter
+//!   contention and keeping a worker's consecutive loops in its local
+//!   cache; small bags are auto-declustered so every worker still gets
+//!   work),
 //! * each result is tagged with its task index and the final vector is
 //!   assembled by index, so the outcome order never depends on thread
 //!   interleaving or the chunk size,
@@ -25,76 +25,18 @@
 //!   task.
 //!
 //! Determinism is pinned by the golden `schedule_hash` tests and a property
-//! test driving 1-, 2- and N-thread runs at several chunk sizes against
-//! each other (see `tests/parallel_sweep.rs`).
+//! test driving 1-, 2- and N-thread runs against each other (see
+//! `tests/parallel_sweep.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Variable setting the worker count for [`SweepExecutor::from_vars`]
 /// (`0` keeps the default: all cores).
 pub const JOBS_ENV: &str = "MIRS_JOBS";
 
-/// Default number of consecutive tasks one atomic claim hands a worker.
-pub const DEFAULT_CHUNK: usize = 8;
-
-thread_local! {
-    /// Marks threads spawned by a pooled sweep, so a sweep started *from*
-    /// such a thread (e.g. a [`BranchPool`] fanning search branches out of
-    /// a loop that is itself a sweep task) knows it is nested.
-    static IN_SWEEP_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Worker threads currently spawned by pooled sweeps, process-wide. Feeds
-/// the nested-sweep oversubscription guard below.
-static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Registers `count` pooled workers for the duration of a sweep; the
-/// `Drop` keeps the gauge honest even if the sweep unwinds.
-struct ActiveWorkersGuard(usize);
-
-impl ActiveWorkersGuard {
-    fn register(count: usize) -> Self {
-        ACTIVE_WORKERS.fetch_add(count, Ordering::Relaxed);
-        Self(count)
-    }
-}
-
-impl Drop for ActiveWorkersGuard {
-    fn drop(&mut self) {
-        ACTIVE_WORKERS.fetch_sub(self.0, Ordering::Relaxed);
-    }
-}
-
-/// Worker budget for a sweep that may be nested inside another sweep's
-/// worker thread.
-///
-/// `SweepExecutor` spawns fresh scoped threads per run rather than sharing
-/// a fixed pool, so a nested sweep can never *deadlock* a saturated outer
-/// pool — submitting from a worker always makes progress. What nesting
-/// *can* do is oversubscribe the machine: an 8-worker outer sweep whose
-/// every task opens a 4-worker branch pool would ask for 32 threads on a
-/// handful of cores. This clamps a **nested** run to the cores not already
-/// claimed by pooled workers (counting the calling worker's own core as
-/// free — it blocks until the nested sweep finishes), degrading to an
-/// inline run when the outer sweep has the machine saturated. Top-level
-/// sweeps are never clamped: an explicit `SweepExecutor::new(8)` keeps its
-/// 8 workers, oversubscribed or not, so scaling benchmarks measure what
-/// they configure. Results are byte-identical for every worker count, so
-/// the clamp is invisible outside of wall-clock time.
-fn nested_worker_budget(requested: usize) -> usize {
-    if requested <= 1 || !IN_SWEEP_WORKER.with(std::cell::Cell::get) {
-        return requested;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let free = cores
-        .saturating_sub(ACTIVE_WORKERS.load(Ordering::Relaxed))
-        .saturating_add(1);
-    requested.min(free.max(1))
-}
+/// Most consecutive tasks one atomic claim hands a worker.
+const CHUNK: usize = 8;
 
 /// Why a sweep did not produce a full result vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,7 +71,6 @@ impl std::error::Error for SweepError {}
 #[derive(Debug, Clone)]
 pub struct SweepExecutor {
     jobs: usize,
-    chunk: usize,
 }
 
 const _: fn() = || {
@@ -138,14 +79,10 @@ const _: fn() = || {
 };
 
 impl SweepExecutor {
-    /// Executor with exactly `jobs` workers (clamped to at least 1) and the
-    /// default claim chunk.
+    /// Executor with exactly `jobs` workers (clamped to at least 1).
     #[must_use]
     pub fn new(jobs: usize) -> Self {
-        Self {
-            jobs: jobs.max(1),
-            chunk: DEFAULT_CHUNK,
-        }
+        Self { jobs: jobs.max(1) }
     }
 
     /// Single-threaded executor: tasks run inline on the caller's thread.
@@ -156,9 +93,8 @@ impl SweepExecutor {
 
     /// Executor sized by the [`JOBS_ENV`] variable as `var` looks it up,
     /// defaulting (unset or `0`) to
-    /// [`std::thread::available_parallelism`], with the default claim
-    /// chunk. Front ends pass the process environment in; the library
-    /// never reads it.
+    /// [`std::thread::available_parallelism`]. Front ends pass the process
+    /// environment in; the library never reads it.
     ///
     /// # Panics
     ///
@@ -181,41 +117,25 @@ impl SweepExecutor {
         )
     }
 
-    /// Builder-style override of the claim chunk size (clamped to at least
-    /// 1). Results are byte-identical for every chunk size; only the claim
-    /// pattern — counter contention and task locality — changes.
-    #[must_use]
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
-        self
-    }
-
     /// Configured worker count.
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.jobs
     }
 
-    /// Configured claim chunk size.
-    #[must_use]
-    pub fn chunk(&self) -> usize {
-        self.chunk
-    }
-
-    /// Effective chunk for a bag of `total` tasks: the configured chunk,
-    /// declustered so every worker can expect several claims — a 6-task
-    /// bag on 4 workers must not collapse onto one worker just because the
-    /// chunk is 8. Purely a scheduling-granularity decision; the result
-    /// vector is identical either way.
+    /// Effective chunk for a bag of `total` tasks: [`CHUNK`], declustered
+    /// so every worker can expect several claims — a 6-task bag on 4
+    /// workers must not collapse onto one worker just because the chunk is
+    /// 8. Purely a scheduling-granularity decision; the result vector is
+    /// identical either way.
     fn chunk_for(&self, total: usize) -> usize {
-        self.chunk.min((total / (self.jobs * 4)).max(1))
+        CHUNK.min((total / (self.jobs * 4)).max(1))
     }
 
-    /// Whether a bag of `total` tasks would run on the caller's thread:
-    /// one configured worker, a single-task bag, or a nested sweep on a
-    /// saturated machine.
+    /// Whether a bag of `total` tasks runs on the caller's thread: one
+    /// configured worker or a single-task bag.
     fn runs_inline(&self, total: usize) -> bool {
-        nested_worker_budget(self.jobs.min(total)) <= 1
+        self.jobs.min(total) <= 1
     }
 
     /// Run `task` over every item and return the results in item order,
@@ -303,10 +223,7 @@ impl SweepExecutor {
         F: Fn(&mut S, usize, &I) -> T + Sync,
     {
         let total = items.len();
-        // A sweep launched from inside another sweep's worker (nested
-        // branch pools) is clamped to the cores not already running pooled
-        // workers; top-level sweeps keep their configured width.
-        let workers = nested_worker_budget(self.jobs.min(total));
+        let workers = self.jobs.min(total);
         if workers <= 1 {
             // Inline fast path: `--jobs 1` is a genuinely serial run (the
             // baseline of every speedup claim), not a one-thread pool. The
@@ -340,12 +257,10 @@ impl SweepExecutor {
         let next = AtomicUsize::new(0);
         let task_ref = &task;
         let init_ref = &init;
-        let _active = ActiveWorkersGuard::register(workers);
         let parts: Vec<WorkerPart<T>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        IN_SWEEP_WORKER.with(|flag| flag.set(true));
                         let mut scratch = init_ref();
                         let mut local: Vec<(usize, T)> = Vec::new();
                         let mut lost: Vec<usize> = Vec::new();
@@ -434,90 +349,14 @@ struct WorkerLoss<T> {
 /// [`WorkerLoss`] when any of its tasks panicked.
 type WorkerPart<T> = Result<Vec<(usize, T)>, WorkerLoss<T>>;
 
-/// A [`mirs::BranchExecutor`] backed by a private [`SweepExecutor`]: fans
-/// the independent attempts of one `backtrack` or `exact` candidate-II
-/// group across
-/// [`SearchConfig::branch_jobs`](mirs::SearchConfig::branch_jobs)
-/// workers.
-///
-/// This is the harness's bridge between the in-loop search and the sweep
-/// engine. Scheduling outcomes are byte-identical to the serial search —
-/// the core driver merges branch results in deterministic attempt order —
-/// so the pool only changes wall-clock time. The scheduler decides whether
-/// a group fans out at all
-/// ([`MirsScheduler::schedule_with_exec`](mirs::MirsScheduler::schedule_with_exec)).
-/// [`SchedScratch`](mirs::SchedScratch)es are pooled across the groups of
-/// one loop behind a mutex, so repeated groups reuse warmed allocations
-/// instead of re-allocating per branch;
-/// [`runner::schedule_loop`](crate::runner::schedule_loop) builds one pool
-/// per loop.
-///
-/// Branch groups are small bags (typically 3 tasks), so the pool claims
-/// one branch per atomic fetch (`chunk = 1`). When the pool is opened
-/// *inside* an outer sweep's worker — the nested case — an
-/// oversubscription guard clamps its width to the cores the outer
-/// sweep left free, degrading to a serial in-thread run on a saturated
-/// machine: no deadlock is possible either way (every run spawns fresh
-/// scoped threads), the clamp only prevents oversubscription.
-pub struct BranchPool {
-    exec: SweepExecutor,
-    scratches: Mutex<Vec<mirs::SchedScratch>>,
-}
-
-impl BranchPool {
-    /// Pool with exactly `jobs` branch workers (clamped to at least 1).
-    #[must_use]
-    pub fn new(jobs: usize) -> Self {
-        Self {
-            exec: SweepExecutor::new(jobs).with_chunk(1),
-            scratches: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Configured branch-worker count.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.exec.jobs()
-    }
-
-    fn pop_scratch(&self) -> mirs::SchedScratch {
-        self.scratches
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn push_scratch(&self, scratch: mirs::SchedScratch) {
-        self.scratches
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(scratch);
-    }
-}
-
-impl mirs::BranchExecutor for BranchPool {
-    fn run_branches(&self, branches: usize, job: &(dyn Fn(usize, &mut mirs::SchedScratch) + Sync)) {
-        let indices: Vec<usize> = (0..branches).collect();
-        self.exec.run(&indices, |_, &branch| {
-            // Pop/push around each branch rather than per-worker `init`
-            // state, so the scratches survive the pool's scoped threads
-            // and warm the next group. Which scratch a branch gets is
-            // interleaving-dependent — fine, because scheduling outcomes
-            // never depend on scratch history (the sweep-wide contract).
-            let mut scratch = self.pop_scratch();
-            job(branch, &mut scratch);
-            self.push_scratch(scratch);
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn results_are_in_item_order_for_any_worker_count() {
+        // 2 and 3 workers claim chunks of 8 from 97 items, 8 workers chunks
+        // of 3 and 64 workers chunks of 1.
         let items: Vec<u64> = (0..97).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for jobs in [1usize, 2, 3, 8, 64] {
@@ -529,13 +368,17 @@ mod tests {
 
     #[test]
     fn results_are_in_item_order_for_any_chunk_size() {
-        let items: Vec<u64> = (0..203).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
+        // The effective chunk follows the bag size: 4 workers claim chunks
+        // of 1, 2, 5 and 8 from these bags.
+        let totals = [13u64, 40, 90, 203];
+        let chunks = totals.map(|n| SweepExecutor::new(4).chunk_for(n as usize));
+        assert_eq!(chunks, [1, 2, 5, 8]);
         for jobs in [2usize, 4] {
-            for chunk in [1usize, 3, 8, 64, 1024] {
-                let exec = SweepExecutor::new(jobs).with_chunk(chunk);
-                let got = exec.run(&items, |_, &x| x * 3);
-                assert_eq!(got, expect, "jobs={jobs} chunk={chunk}");
+            for total in totals {
+                let items: Vec<u64> = (0..total).collect();
+                let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
+                let got = SweepExecutor::new(jobs).run(&items, |_, &x| x * 3);
+                assert_eq!(got, expect, "jobs={jobs} items={total}");
             }
         }
     }
@@ -544,8 +387,6 @@ mod tests {
     fn executor_clamps_to_at_least_one_worker() {
         assert_eq!(SweepExecutor::new(0).jobs(), 1);
         assert_eq!(SweepExecutor::serial().jobs(), 1);
-        assert_eq!(SweepExecutor::new(2).with_chunk(0).chunk(), 1);
-        assert_eq!(SweepExecutor::new(2).chunk(), DEFAULT_CHUNK);
     }
 
     #[test]
@@ -562,7 +403,6 @@ mod tests {
         let cores = jobs(None).jobs();
         assert!(cores >= 1);
         assert_eq!(jobs(Some("0")).jobs(), cores);
-        assert_eq!(jobs(None).chunk(), DEFAULT_CHUNK);
     }
 
     #[test]
@@ -575,12 +415,10 @@ mod tests {
     fn small_bags_are_declustered_so_every_worker_gets_work() {
         // 6 tasks, 4 workers, chunk 8: the effective chunk must shrink to 1
         // (a single worker must not swallow the whole bag in one claim).
-        let exec = SweepExecutor::new(4).with_chunk(8);
+        let exec = SweepExecutor::new(4);
         assert_eq!(exec.chunk_for(6), 1);
-        // A big bag keeps the configured chunk.
-        assert_eq!(exec.chunk_for(1258), 8);
-        // And the override is honoured up to the decluster bound.
-        assert_eq!(SweepExecutor::new(2).with_chunk(64).chunk_for(1258), 64);
+        // A big bag keeps the full chunk.
+        assert_eq!(exec.chunk_for(1258), CHUNK);
     }
 
     #[test]
@@ -594,7 +432,7 @@ mod tests {
         for jobs in [1usize, 4] {
             inits.store(0, Ordering::Relaxed);
             executed.store(0, Ordering::Relaxed);
-            let exec = SweepExecutor::new(jobs).with_chunk(4);
+            let exec = SweepExecutor::new(jobs);
             let got = exec.run_scratch(
                 &items,
                 || {

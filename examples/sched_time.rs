@@ -44,9 +44,8 @@ fn main() {
     let loops = cli::env_usize("MIRS_SCHEDTIME_LOOPS", 60);
     let repeats = cli::env_usize("MIRS_SCHEDTIME_REPEATS", 3) as u32;
     let exec = cli::executor();
-    // The strategy list comes from `--strategy`; every other search knob
-    // (branch jobs, the filter) from the environment, so audit runs can
-    // drive the branch-parallel path through this example.
+    // The strategy list comes from `--strategy`; the filter switch from
+    // the environment or `--no-prune`.
     let env = cli::env_search();
     let strategies = cli::strategies_flag().unwrap_or_else(|| vec![env.strategy]);
     let prune = env.prune && !cli::flag_set("no-prune");

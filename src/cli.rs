@@ -19,8 +19,8 @@ fn env_var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// The search configuration `MIRS_STRATEGY`, `MIRS_BRANCH_JOBS` and
-/// `MIRS_PRUNE` select ([`SearchConfig::from_vars`]).
+/// The search configuration `MIRS_STRATEGY` and `MIRS_PRUNE` select
+/// ([`SearchConfig::from_vars`]).
 #[must_use]
 pub fn env_search() -> SearchConfig {
     SearchConfig::from_vars(env_var)

@@ -12,14 +12,9 @@
 //!   structural oracle there;
 //! * every strategy is deterministic (same loop, same machine, same hash)
 //!   and records its metadata in `ScheduleResult::search`;
-//! * the branch-parallel path of `Backtracking` and `Exact`
-//!   (`SearchConfig::branch_jobs > 1`, fanned across a
-//!   `harness::sweep::BranchPool`) is byte-identical to the serial search
-//!   for any worker count, on converged loops and on `NotConverged`
-//!   verdicts alike — including when the outer workbench sweep already
-//!   saturates the machine's cores.
+//! * `Exact` reproduces `Backtracking`'s schedule and stamps a sound
+//!   proof, and the admission filter never changes a schedule.
 
-use harness::sweep::BranchPool;
 use loopgen::{Workbench, WorkbenchParams};
 use mirs::{
     MirsScheduler, SchedScratch, ScheduleResult, SchedulerOptions, SearchConfig, SearchProof,
@@ -176,34 +171,6 @@ fn every_strategy_is_deterministic() {
     }
 }
 
-/// Schedule with an explicit branch-job count through a [`BranchPool`] of
-/// `pool_jobs` workers, as the harness runners do (the scheduler keeps
-/// `branch_jobs <= 1` and `Linear` on the serial in-process path).
-fn schedule_jobs(
-    machine: &MachineConfig,
-    lp: &ddg::Loop,
-    opts: SchedulerOptions,
-    branch_jobs: u32,
-    pool_jobs: usize,
-    scratch: &mut SchedScratch,
-) -> Result<ScheduleResult, mirs::ScheduleError> {
-    let opts = opts.with_search(opts.search.with_branch_jobs(branch_jobs));
-    MirsScheduler::new(machine, opts).schedule_with_exec(lp, scratch, &BranchPool::new(pool_jobs))
-}
-
-/// Everything observable about the search outcome that must not depend on
-/// the branch-job count.
-fn outcome_fingerprint(r: &ScheduleResult) -> (u64, u32, u32, u32, u32, mirs::SearchMeta) {
-    (
-        r.schedule_hash(),
-        r.ii,
-        r.stats.restarts,
-        spill_ops(r),
-        r.stats.moves,
-        r.search,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
@@ -253,140 +220,6 @@ proptest! {
                             machine.name(), lp.name
                         );
                     }
-                }
-            }
-        }
-    }
-
-    /// `MIRS_BRANCH_JOBS=1` and `=4` produce byte-identical schedules and
-    /// identical `SearchMeta` on randomized workbenches, for every
-    /// strategy. For `Backtracking` and `Exact` this crosses three
-    /// executions of each group: serially on the driver's scratch
-    /// (`branch_jobs = 1`), merged one after another on a one-worker pool
-    /// and fanned across a real thread pool.
-    #[test]
-    fn branch_jobs_one_and_four_are_byte_identical(
-        seed in 0u64..400,
-        loops in 3usize..7,
-        clusters_pow in 1u32..3,
-    ) {
-        let wb = Workbench::generate(&WorkbenchParams {
-            loops,
-            seed,
-            ..WorkbenchParams::default()
-        });
-        let k = 1u32 << clusters_pow;
-        let machine = MachineConfig::paper_config(k, 64 / k).unwrap();
-        let mut scratch = SchedScratch::new();
-        for cfg in [
-            SearchConfig::linear(),
-            SearchConfig::backtracking(),
-            SearchConfig::exact(),
-        ] {
-            let opts = SchedulerOptions::default().with_search(cfg);
-            for lp in wb.loops() {
-                let run = |branch_jobs, pool_jobs, scratch: &mut SchedScratch| {
-                    schedule_jobs(&machine, lp, opts, branch_jobs, pool_jobs, scratch)
-                        .expect("workbench loops converge")
-                };
-                let serial = run(1, 1, &mut scratch);
-                let fanned = run(4, 4, &mut scratch);
-                prop_assert_eq!(
-                    outcome_fingerprint(&serial),
-                    outcome_fingerprint(&fanned),
-                    "{}/{}: branch_jobs=4 diverged from serial", cfg.strategy, lp.name
-                );
-                // The group merge on a one-worker pool: also identical.
-                let inline = run(4, 1, &mut scratch);
-                prop_assert_eq!(
-                    outcome_fingerprint(&serial),
-                    outcome_fingerprint(&inline),
-                    "{}/{}: inline branch groups diverged from serial", cfg.strategy, lp.name
-                );
-            }
-        }
-    }
-}
-
-/// A branch pool opened while the *outer* workbench sweep already
-/// saturates every core must neither deadlock nor change results: the
-/// nested pools clamp themselves to the free cores (degrading to in-thread
-/// runs) and the merge order is deterministic either way.
-#[test]
-fn nested_branch_pools_under_a_saturated_outer_sweep_match_serial() {
-    use harness::runner::{run_workbench, SchedulerKind};
-    use harness::sweep::SweepExecutor;
-    use mirs::PrefetchPolicy;
-
-    let wb = workbench(16);
-    let machine = MachineConfig::paper_config(4, 16).unwrap();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    // More outer workers than cores: every branch pool is opened from a
-    // worker of an already-oversubscribed sweep.
-    let outer = SweepExecutor::new(cores * 2).with_chunk(1);
-    let fanned = run_workbench(
-        &outer,
-        &wb,
-        &machine,
-        SchedulerKind::MirsC,
-        PrefetchPolicy::HitLatency,
-        SearchConfig::backtracking().with_branch_jobs(4),
-    );
-    let serial = run_workbench(
-        &SweepExecutor::serial(),
-        &wb,
-        &machine,
-        SchedulerKind::MirsC,
-        PrefetchPolicy::HitLatency,
-        SearchConfig::backtracking(),
-    );
-    assert_eq!(serial.outcomes.len(), fanned.outcomes.len());
-    for (a, b) in serial.outcomes.iter().zip(&fanned.outcomes) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.ii, b.ii, "II of {}", a.name);
-        let ha = a.result.as_ref().map(outcome_fingerprint);
-        let hb = b.result.as_ref().map(outcome_fingerprint);
-        assert_eq!(ha, hb, "fingerprint of {}", a.name);
-    }
-}
-
-/// The whole verdict must agree across the serial and branch-parallel
-/// paths, `NotConverged` included: on 4x16 an II cap of 0 lies below every
-/// MII, and caps of 4 and 6 stop many climbs part-way, so the fanned path
-/// must end at the same `last_ii` as the serial one (never a hang, never a
-/// bogus schedule).
-#[test]
-fn branch_parallel_not_converged_matches_serial() {
-    let wb = workbench(30);
-    let machine = MachineConfig::paper_config(4, 16).unwrap();
-    let mut scratch = SchedScratch::new();
-    for cfg in [SearchConfig::backtracking(), SearchConfig::exact()] {
-        for max_ii in [0u32, 4, 6] {
-            let opts = SchedulerOptions {
-                max_ii,
-                ..SchedulerOptions::default()
-            }
-            .with_search(cfg);
-            for lp in wb.loops() {
-                let [serial, fanned] = [1u32, 4].map(|jobs| {
-                    schedule_jobs(&machine, lp, opts, jobs, jobs as usize, &mut scratch)
-                        .as_ref()
-                        .map(outcome_fingerprint)
-                        .map_err(Clone::clone)
-                });
-                assert_eq!(
-                    serial, fanned,
-                    "{}/{}/max_ii {max_ii}: branch_jobs=4 diverged from serial",
-                    cfg.strategy, lp.name
-                );
-                if max_ii == 0 {
-                    assert!(
-                        matches!(serial, Err(mirs::ScheduleError::NotConverged { .. })),
-                        "{}: max_ii 0 cannot converge",
-                        lp.name
-                    );
                 }
             }
         }
