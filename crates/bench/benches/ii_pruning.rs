@@ -9,8 +9,9 @@
 //!
 //! The `roomy60_prune_on`/`_prune_off` pair tracks the opposite case: a
 //! 60-loop paper-scale workbench slice on 1x64, where almost every loop
-//! lands at its MII and the filter cannot fire, so the gap between the
-//! two rows is what the filter costs when it prunes nothing.
+//! lands at its MII and the filter cannot fire. The filter is built only
+//! after a failed first attempt, for 3 of the 60 loops, so the gap
+//! between the two rows is what those builds cost.
 //!
 //! The per-row means land in `target/criterion/ii_pruning/summary.json`
 //! and fold into the `bench_trend` longitudinal series.

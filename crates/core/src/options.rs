@@ -138,14 +138,15 @@ pub struct SearchConfig {
     /// change which schedule is produced — only how much of the lower bound
     /// is certified — so it is excluded from the cache key.
     pub exact_budget: u64,
-    /// Admission-filter the II climb: before each cold attempt, a bounded
-    /// relaxation pass (recurrence cycles, aggregate slot and port
-    /// capacities, register lifetime area) either *proves* the candidate II
-    /// infeasible — the attempt is skipped outright and counted in
+    /// Admission-filter the II climb: a bounded relaxation pass
+    /// (recurrence cycles, aggregate slot and port capacities, register
+    /// lifetime area) either *proves* a candidate II infeasible — its
+    /// attempts are skipped, or dropped uncounted, and the II is counted in
     /// [`SchedulerStats::pruned_iis`](crate::SchedulerStats) — or admits it
-    /// untouched. Only proven-infeasible IIs are skipped, so every strategy
-    /// produces byte-identical schedules with the filter on or off. Default
-    /// on.
+    /// untouched. The pass is built only once an attempt has failed (see
+    /// the `search` module). Only proven-infeasible IIs are skipped, so
+    /// every strategy produces byte-identical schedules with the filter on
+    /// or off. Default on.
     pub prune: bool,
 }
 

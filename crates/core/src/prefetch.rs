@@ -14,14 +14,13 @@
 
 use crate::options::PrefetchPolicy;
 use ddg::{recurrence, DepGraph};
-use vliw::{LatencyModel, MemLatency, Opcode};
+use vliw::{MemLatency, Opcode};
 
 /// Annotate every load in `graph` with the latency assumption mandated by
 /// `policy`. Returns the number of loads that were marked for prefetching
 /// (scheduled with miss latency).
 pub fn apply_prefetch_policy(
     graph: &mut DepGraph,
-    lat: &LatencyModel,
     policy: &PrefetchPolicy,
     trip_count: u64,
 ) -> usize {
@@ -42,7 +41,7 @@ pub fn apply_prefetch_policy(
             if trip_count < *min_trip_count {
                 return 0;
             }
-            let in_recurrence = recurrence::nodes_in_recurrences(graph, lat);
+            let in_recurrence = recurrence::nodes_in_recurrences(graph);
             let mut marked = 0;
             for n in nodes {
                 let op = graph.op(n).opcode;
@@ -101,7 +100,7 @@ mod tests {
     /// clone site shared by every test below.
     fn applied(lp: &ddg::Loop, policy: &PrefetchPolicy) -> (ddg::DepGraph, usize) {
         let mut g = lp.graph.clone();
-        let marked = apply_prefetch_policy(&mut g, &LatencyModel::default(), policy, lp.trip_count);
+        let marked = apply_prefetch_policy(&mut g, policy, lp.trip_count);
         (g, marked)
     }
 

@@ -137,11 +137,12 @@ pub struct SearchMeta {
     /// pair — `restarts + 1` for the linear strategy, possibly more for
     /// branching ones.
     ///
-    /// Invariant: `attempts` counts only attempts that *actually ran* the
-    /// inner scheduling loop. Candidate IIs the relaxation admission filter
-    /// skipped are excluded — they appear in [`SearchMeta::pruned_iis`]
-    /// instead — so `attempts + pruned_iis` reconciles against the IIs the
-    /// climb visited.
+    /// Invariant: `attempts` counts only attempts at IIs the relaxation
+    /// admission filter admitted. Candidate IIs it rejected are excluded —
+    /// they appear in [`SearchMeta::pruned_iis`] instead, even when a
+    /// canonical attempt ran there before the filter was built — so
+    /// `attempts + pruned_iis` reconciles against the IIs the climb
+    /// visited.
     pub attempts: u32,
     /// Successful candidate schedules evaluated during the search,
     /// including the accepted one (1 when the first success was accepted

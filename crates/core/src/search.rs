@@ -50,14 +50,23 @@
 //!
 //! With [`SearchConfig::prune`](crate::SearchConfig::prune) on (the
 //! default), a bounded relaxation pass (the private `relax` submodule)
-//! screens every II of the climb before its group runs: when the pass
-//! *proves* the II infeasible — and every II below it back to the MII is
-//! proven too — the driver skips the whole group. Because only
-//! provably-infeasible IIs are ever skipped, the accepted schedule is
-//! byte-identical with the filter on or off; only the wasted cold
-//! attempts disappear. `SearchMeta::pruned_iis` and
+//! screens the IIs of the climb: when the pass *proves* an II infeasible —
+//! and every II below it back to the MII is proven too — the driver skips
+//! the whole group. Because only provably-infeasible IIs are ever skipped,
+//! the accepted schedule is byte-identical with the filter on or off; only
+//! the wasted cold attempts disappear. `SearchMeta::pruned_iis` and
 //! `SchedulerStats::relax_seconds` surface what the filter did and what
 //! it cost.
+//!
+//! The filter is built only once an attempt has failed. Until then the
+//! climb runs the canonical attempt at its floor first: a success proves
+//! the II feasible, so the filter could not have rejected it, and most
+//! loops succeed there without paying for the filter. When that attempt
+//! fails, the filter is built and screens the II after all; if it rejects
+//! the II, the attempt is dropped as if it never ran (no attempt, group,
+//! restart or work counter counts it, and the spill memo is reset to the
+//! loop's start) and the II counts as pruned. `exact` builds the filter
+//! up front, since its certifier shares the filter's relaxation.
 
 use crate::error::ScheduleError;
 use crate::options::SearchStrategyKind;
@@ -194,7 +203,7 @@ pub(crate) struct SearchDriver<'a, 'm> {
     /// Whether the relaxation admission filter screens candidate IIs
     /// ([`SearchConfig::prune`](crate::SearchConfig::prune)).
     prune: bool,
-    /// The admission filter, built lazily on the first screened II
+    /// The admission filter, built after the first failed attempt
     /// (eagerly by [`SearchDriver::certify`], which shares its cache with
     /// the certifier).
     filter: Option<relax::RelaxFilter>,
@@ -221,7 +230,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             Cow::Borrowed(&lp.graph)
         } else {
             let mut graph = lp.graph.clone();
-            crate::prefetch::apply_prefetch_policy(&mut graph, lat, &opts.prefetch, lp.trip_count);
+            crate::prefetch::apply_prefetch_policy(&mut graph, &opts.prefetch, lp.trip_count);
             Cow::Owned(graph)
         };
 
@@ -274,14 +283,26 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         let group = group_len(self.sched.options().search.strategy);
         for ii in self.floor()..=self.max_ii {
             self.last_ii = ii;
-            if self.should_prune(ii) {
+            let mut first = None;
+            if self.prune && self.filter.is_none() {
+                // No filter yet: only a failed canonical attempt makes the
+                // filter worth building (see the module doc).
+                let outcome = self.attempt(ii, 0);
+                if matches!(outcome, AttemptOutcome::Restart(_)) && self.should_prune(ii) {
+                    // Drop the attempt as if it never ran.
+                    self.scratch.spill_memo_mut().begin_loop(&self.graph);
+                    self.pruned_iis += 1;
+                    continue;
+                }
+                first = Some(outcome);
+            } else if self.should_prune(ii) {
                 // No attempt at this II can succeed: its whole group is
                 // skipped, and the II is counted once.
                 self.pruned_iis += 1;
                 continue;
             }
             self.groups += 1;
-            self.attempt_group(ii, group);
+            self.attempt_group(ii, group, first);
             if self.best.is_some() {
                 break;
             }
@@ -358,11 +379,13 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
 
     /// Run the `len` attempts of the group at `ii` one after another,
     /// adding each one's work counters to the totals and packaging a
-    /// success only when it beats the best candidate so far.
-    fn attempt_group(&mut self, ii: u32, len: u32) {
+    /// success only when it beats the best candidate so far. `first` is
+    /// the outcome of the canonical attempt when it has already run.
+    fn attempt_group(&mut self, ii: u32, len: u32, mut first: Option<AttemptOutcome<'m>>) {
         for branch in 0..len {
             self.attempts += 1;
-            let st = match self.attempt(ii, branch) {
+            let outcome = first.take().unwrap_or_else(|| self.attempt(ii, branch));
+            let st = match outcome {
                 AttemptOutcome::Success(st) => st,
                 AttemptOutcome::Restart(stats) => {
                     accumulate(&mut self.work, &stats);
@@ -452,7 +475,9 @@ mod tests {
     /// Replay the climb of `sched` over `lp` on a fresh scratch, one
     /// attempt at a time through the driver's own attempt helper, and sum
     /// every attempt's work counters. Returns the sums and the number of
-    /// attempts made.
+    /// attempts made. The replay screens every II before attempting it,
+    /// so it also checks that a first attempt the climb drops at an II the
+    /// filter rejects counts nothing.
     fn replay(sched: &MirsScheduler<'_>, lp: &Loop) -> ([u64; 4], u32) {
         let mut scratch = SchedScratch::new();
         let mut driver = SearchDriver::new(sched, lp, &mut scratch);

@@ -290,12 +290,7 @@ fn hit_latency_schedules_loads_already_marked_miss_as_hits() {
     let mut marked_loops = 0;
     for hit in all_loops() {
         let mut miss = hit.clone();
-        let marked = apply_prefetch_policy(
-            &mut miss.graph,
-            machine.latencies(),
-            &selective,
-            miss.trip_count,
-        );
+        let marked = apply_prefetch_policy(&mut miss.graph, &selective, miss.trip_count);
         if marked > 0 {
             marked_loops += 1;
         }

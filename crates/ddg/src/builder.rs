@@ -111,7 +111,7 @@ impl LoopBuilder {
         let srcs = data.srcs.clone();
         let node = self.graph.add_node(data);
         let mut seen: Vec<ValueId> = Vec::new();
-        for src in srcs {
+        for &src in &srcs {
             if seen.contains(&src) {
                 continue;
             }

@@ -19,7 +19,7 @@
 //! each set by walking outwards from the already-ordered nodes, preferring
 //! deeper nodes (longest-path height) so the critical path is not delayed.
 
-use crate::collections::{HashMap, HashSet};
+use crate::collections::HashSet;
 use crate::graph::DepGraph;
 use crate::ids::NodeId;
 use crate::recurrence::{recurrences, Recurrence};
@@ -150,15 +150,8 @@ impl NeighbourCounts {
 
 /// Longest-path height of every node over intra-iteration (distance 0)
 /// edges: the accumulated latency from the node to the furthest sink.
-/// Deeper nodes are more urgent.
-#[must_use]
-pub fn heights(g: &DepGraph, lat: &LatencyModel) -> HashMap<NodeId, i64> {
-    let dense = heights_dense(g, lat);
-    g.node_ids().map(|n| (n, dense[n.index()])).collect()
-}
-
-/// [`heights`] as a dense per-node-id array (removed ids hold 0) — the
-/// allocation-light form the ordering loop indexes directly.
+/// Deeper nodes are more urgent. Indexed by `NodeId::index`; removed ids
+/// hold 0.
 fn heights_dense(g: &DepGraph, lat: &LatencyModel) -> Vec<i64> {
     let mut height: Vec<i64> = vec![0; g.node_capacity()];
     // Hoist the distance-0 edges (with their latencies) out of the fixpoint
@@ -291,8 +284,8 @@ fn order_set(
 /// successors (nodes inside recurrence circuits are exempt). Returns the
 /// ids of nodes violating the property; used by tests.
 #[must_use]
-pub fn ordering_violations(g: &DepGraph, lat: &LatencyModel, order: &[NodeId]) -> Vec<NodeId> {
-    let in_rec = crate::recurrence::nodes_in_recurrences(g, lat);
+pub fn ordering_violations(g: &DepGraph, order: &[NodeId]) -> Vec<NodeId> {
+    let in_rec = crate::recurrence::nodes_in_recurrences(g);
     let mut placed: HashSet<NodeId> = HashSet::default();
     let mut bad = Vec::new();
     for &n in order {
@@ -364,7 +357,7 @@ mod tests {
         let lp = b.finish(10);
         let lat = LatencyModel::default();
         let order = hrms_order(&lp.graph, &lat);
-        assert!(ordering_violations(&lp.graph, &lat, &order).is_empty());
+        assert!(ordering_violations(&lp.graph, &order).is_empty());
     }
 
     #[test]
@@ -376,7 +369,7 @@ mod tests {
         b.store("y", a);
         let lp = b.finish(10);
         let lat = LatencyModel::default();
-        let h = heights(&lp.graph, &lat);
+        let h = heights_dense(&lp.graph, &lat);
         let load = lp
             .graph
             .node_ids()
@@ -388,8 +381,8 @@ mod tests {
             .find(|&n| lp.graph.op(n).opcode == Opcode::Store)
             .unwrap();
         // load is the deepest node: 2 (load) + 4 (mul) + 4 (add) to the store.
-        assert_eq!(h[&load], 10);
-        assert_eq!(h[&store], 0);
+        assert_eq!(h[load.index()], 10);
+        assert_eq!(h[store.index()], 0);
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod lifetime;
 mod loop_ir;
 pub mod mii;
 pub mod recurrence;
+mod small_list;
 pub mod snap;
 pub mod unroll;
 

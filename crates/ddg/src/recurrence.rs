@@ -221,18 +221,22 @@ pub fn rec_mii_of(g: &DepGraph, nodes: &[NodeId], lat: &LatencyModel) -> u32 {
     min_ii_without_positive_cycle(nodes.len(), &edges, g.latency_sum(lat).max(1))
 }
 
+/// Whether the strongly connected component `scc` is a recurrence
+/// circuit: it has more than one node, or a self edge.
+fn is_recurrence(g: &DepGraph, scc: &[NodeId]) -> bool {
+    scc.len() > 1
+        || g.out_edge_ids(scc[0])
+            .iter()
+            .any(|&e| g.edge(e).to == scc[0])
+}
+
 /// All recurrence circuits of the graph with their `RecMII` contribution,
 /// sorted by decreasing `rec_mii` (the order HRMS schedules them in).
 #[must_use]
 pub fn recurrences(g: &DepGraph, lat: &LatencyModel) -> Vec<Recurrence> {
     let mut recs: Vec<Recurrence> = strongly_connected_components(g)
         .into_iter()
-        .filter(|scc| {
-            scc.len() > 1
-                || g.out_edge_ids(scc[0])
-                    .iter()
-                    .any(|&e| g.edge(e).to == scc[0])
-        })
+        .filter(|scc| is_recurrence(g, scc))
         .map(|nodes| {
             let rec_mii = rec_mii_of(g, &nodes, lat);
             Recurrence { nodes, rec_mii }
@@ -246,15 +250,14 @@ pub fn recurrences(g: &DepGraph, lat: &LatencyModel) -> Vec<Recurrence> {
     recs
 }
 
-/// Nodes that belong to some recurrence circuit.
+/// Nodes that belong to some recurrence circuit: the members of the
+/// components [`recurrences`] keeps, found without its `RecMII` searches.
 #[must_use]
-pub fn nodes_in_recurrences(
-    g: &DepGraph,
-    lat: &LatencyModel,
-) -> crate::collections::HashSet<NodeId> {
-    recurrences(g, lat)
+pub fn nodes_in_recurrences(g: &DepGraph) -> crate::collections::HashSet<NodeId> {
+    strongly_connected_components(g)
         .into_iter()
-        .flat_map(|r| r.nodes)
+        .filter(|scc| is_recurrence(g, scc))
+        .flatten()
         .collect()
 }
 
@@ -335,14 +338,13 @@ mod tests {
         let lp = b.finish(10);
         let lat = LatencyModel::default();
         assert!(recurrences(&lp.graph, &lat).is_empty());
-        assert!(nodes_in_recurrences(&lp.graph, &lat).is_empty());
+        assert!(nodes_in_recurrences(&lp.graph).is_empty());
     }
 
     #[test]
     fn recurrence_membership() {
         let lp = accumulation_loop();
-        let lat = LatencyModel::default();
-        let members = nodes_in_recurrences(&lp.graph, &lat);
+        let members = nodes_in_recurrences(&lp.graph);
         assert_eq!(members.len(), 1);
         // The load is not in a recurrence.
         let load_node = lp
@@ -371,5 +373,11 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert!(recs[0].rec_mii >= recs[1].rec_mii);
         assert_eq!(recs[0].rec_mii, 17);
+        // Membership is the union of the circuits, RecMII aside.
+        let members = nodes_in_recurrences(&lp.graph);
+        let union: crate::collections::HashSet<NodeId> =
+            recs.into_iter().flat_map(|r| r.nodes).collect();
+        assert_eq!(members, union);
+        assert_eq!(members.len(), 2);
     }
 }

@@ -31,6 +31,7 @@
 use crate::graph::{DepEdge, DepGraph, DepKind, EdgeId, NodeOrigin, OperationData, ValueData};
 use crate::ids::{NodeId, ValueId};
 use crate::loop_ir::{Loop, MemAccess};
+use crate::small_list::{Slot, SmallList};
 use vliw::snap::{
     decode_blob, encode_blob, fnv1a, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter,
 };
@@ -74,6 +75,28 @@ impl SnapEncode for EdgeId {
 impl SnapDecode for EdgeId {
     fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(EdgeId(r.get_u32()?))
+    }
+}
+
+// The same bytes as a `Vec`: a length, then the entries.
+impl<T: SnapEncode, const N: usize> SnapEncode for SmallList<T, N> {
+    fn encode_snap(&self, w: &mut SnapWriter) {
+        w.put_len(self.len());
+        for v in self {
+            v.encode_snap(w);
+        }
+    }
+}
+
+impl<T: SnapDecode + Slot, const N: usize> SnapDecode for SmallList<T, N> {
+    fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        // get_len caps the count at the remaining byte count.
+        let n = r.get_len()?;
+        let mut out = Self::new();
+        for _ in 0..n {
+            out.push(T::decode_snap(r)?);
+        }
+        Ok(out)
     }
 }
 
@@ -172,19 +195,15 @@ impl SnapEncode for OperationData {
 
 impl SnapDecode for OperationData {
     fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let opcode = SnapDecode::decode_snap(r)?;
-        let dest = SnapDecode::decode_snap(r)?;
-        let srcs: Vec<ValueId> = SnapDecode::decode_snap(r)?;
-        let mem = SnapDecode::decode_snap(r)?;
-        let mem_latency = SnapDecode::decode_snap(r)?;
-        let origin = SnapDecode::decode_snap(r)?;
-        let name = SnapDecode::decode_snap(r)?;
-        let mut op = OperationData::new(opcode, dest, srcs);
-        op.mem = mem;
-        op.mem_latency = mem_latency;
-        op.origin = origin;
-        op.name = name;
-        Ok(op)
+        Ok(OperationData {
+            opcode: SnapDecode::decode_snap(r)?,
+            dest: SnapDecode::decode_snap(r)?,
+            srcs: SnapDecode::decode_snap(r)?,
+            mem: SnapDecode::decode_snap(r)?,
+            mem_latency: SnapDecode::decode_snap(r)?,
+            origin: SnapDecode::decode_snap(r)?,
+            name: SnapDecode::decode_snap(r)?,
+        })
     }
 }
 
