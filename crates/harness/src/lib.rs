@@ -5,8 +5,8 @@
 //! MIRS-C scheduler (crate `mirs`) and, where the paper compares against the
 //! non-iterative scheduler of reference \[31\], through the baseline
 //! scheduler (crate `baseline`). The modules return plain data structures
-//! and implement [`std::fmt::Display`] so the bench harness, the examples
-//! and the command-line runners can print tables shaped like the paper's.
+//! and implement [`std::fmt::Display`], so the examples print tables shaped
+//! like the paper's: `examples/artefacts.rs` prints every one of them.
 //!
 //! | Paper artefact | Module |
 //! |---|---|

@@ -1,11 +1,11 @@
 //! Front-end configuration, parsed in one place.
 //!
 //! The library crates read no environment variable: every driver takes its
-//! executor and search configuration as arguments. The examples, the bench
-//! targets and the integration tests are the edge that turns command-line
-//! flags and `MIRS_*` variables into those arguments, through this module.
-//! A malformed flag or variable ends the program with a message that names
-//! it and the values it accepts.
+//! executor and search configuration as arguments. The examples and the
+//! integration tests are the edge that turns command-line flags and
+//! `MIRS_*` variables into those arguments, through this module. A
+//! malformed flag or variable, or a value flag given without its value,
+//! ends the program with a message that names it.
 
 use harness::cache::ScheduleCache;
 use harness::sweep::SweepExecutor;
@@ -54,7 +54,7 @@ pub fn env_usize(name: &str, default: usize) -> usize {
 /// Value of `--NAME X` (also accepted as `--NAME=X`), if present.
 #[must_use]
 pub fn flag_arg(name: &str) -> Option<String> {
-    find_flag(&std::env::args().skip(1).collect::<Vec<_>>(), name)
+    find_flag(&std::env::args().skip(1).collect::<Vec<_>>(), name).unwrap_or_else(|e| fail(&e))
 }
 
 /// Whether the bare flag `--NAME` is present.
@@ -127,20 +127,24 @@ pub fn paper_config(spec: &str) -> MachineConfig {
         .unwrap_or_else(|e| fail(&format!("invalid config '{spec}': {e}")))
 }
 
-/// Value of `--NAME X` or `--NAME=X` in `args`.
-fn find_flag(args: &[String], name: &str) -> Option<String> {
+/// Value of `--NAME X` or `--NAME=X` in `args`; an error when `--NAME`
+/// is the last argument or another flag follows it.
+fn find_flag(args: &[String], name: &str) -> Result<Option<String>, String> {
     let long = format!("--{name}");
     let prefixed = format!("--{name}=");
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if *a == long {
-            return it.next().cloned();
+            return match it.next() {
+                Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+                _ => Err(format!("{long} needs a value")),
+            };
         }
         if let Some(v) = a.strip_prefix(&prefixed) {
-            return Some(v.to_string());
+            return Ok(Some(v.to_string()));
         }
     }
-    None
+    Ok(None)
 }
 
 /// Print `msg` and end the program with the usage-error status.
@@ -158,12 +162,16 @@ mod tests {
         let args: Vec<String> = ["--jobs", "4", "--strategy=linear,exact", "--quiet"]
             .map(String::from)
             .to_vec();
-        assert_eq!(find_flag(&args, "jobs").as_deref(), Some("4"));
+        assert_eq!(find_flag(&args, "jobs"), Ok(Some("4".into())));
         assert_eq!(
-            find_flag(&args, "strategy").as_deref(),
-            Some("linear,exact")
+            find_flag(&args, "strategy"),
+            Ok(Some("linear,exact".into()))
         );
-        assert_eq!(find_flag(&args, "quiet"), None, "a bare flag has no value");
-        assert_eq!(find_flag(&args, "loops"), None);
+        assert_eq!(find_flag(&args, "loops"), Ok(None));
+        // A value flag given last, or with another flag in its value's place.
+        let needs = |flag: &str| Err(format!("--{flag} needs a value"));
+        assert_eq!(find_flag(&args, "quiet"), needs("quiet"));
+        let args = ["--cache-dir", "--quiet"].map(String::from);
+        assert_eq!(find_flag(&args, "cache-dir"), needs("cache-dir"));
     }
 }

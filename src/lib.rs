@@ -2,7 +2,7 @@
 //!
 //! This crate hosts the cross-crate integration tests under `tests/`, the
 //! runnable examples under `examples/` and [`cli`], the one place those
-//! front ends (and the bench targets) parse flags and `MIRS_*` variables.
+//! front ends parse flags and `MIRS_*` variables.
 //! The actual implementation lives in the `crates/` members:
 //!
 //! * `vliw` — clustered VLIW machine model and hardware cost model.
