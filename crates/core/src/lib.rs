@@ -64,7 +64,7 @@ mod spill;
 
 pub use error::ScheduleError;
 pub use options::{
-    EjectionPolicy, PrefetchPolicy, SchedulerOptions, SearchConfig, SearchStrategyKind, PRUNE_ENV,
+    EjectionPolicy, PrefetchPolicy, SchedulerOptions, SearchConfig, SearchStrategyKind,
     STRATEGY_ENV,
 };
 pub use prefetch::apply_prefetch_policy;

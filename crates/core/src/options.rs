@@ -35,10 +35,6 @@ pub enum PrefetchPolicy {
 /// `exact`) for [`SearchConfig::from_vars`].
 pub const STRATEGY_ENV: &str = "MIRS_STRATEGY";
 
-/// Variable switching [`SearchConfig::prune`] for
-/// [`SearchConfig::from_vars`] (`1`/`on`/`true` or `0`/`off`/`false`).
-pub const PRUNE_ENV: &str = "MIRS_PRUNE";
-
 /// Which engine drives the search over candidate IIs.
 ///
 /// The strategy only decides *which* (II, priority-order) attempts are made
@@ -138,16 +134,6 @@ pub struct SearchConfig {
     /// change which schedule is produced — only how much of the lower bound
     /// is certified — so it is excluded from the cache key.
     pub exact_budget: u64,
-    /// Admission-filter the II climb: a bounded relaxation pass
-    /// (recurrence cycles, aggregate slot and port capacities, register
-    /// lifetime area) either *proves* a candidate II infeasible — its
-    /// attempts are skipped, or dropped uncounted, and the II is counted in
-    /// [`SchedulerStats::pruned_iis`](crate::SchedulerStats) — or admits it
-    /// untouched. The pass is built only once an attempt has failed (see
-    /// the `search` module). Only proven-infeasible IIs are skipped, so
-    /// every strategy produces byte-identical schedules with the filter on
-    /// or off. Default on.
-    pub prune: bool,
 }
 
 impl Default for SearchConfig {
@@ -155,7 +141,6 @@ impl Default for SearchConfig {
         Self {
             strategy: SearchStrategyKind::Linear,
             exact_budget: Self::DEFAULT_EXACT_BUDGET,
-            prune: true,
         }
     }
 }
@@ -209,22 +194,14 @@ impl SearchConfig {
         self
     }
 
-    /// Builder-style setter for the relaxation admission filter.
-    #[must_use]
-    pub fn with_prune(mut self, prune: bool) -> Self {
-        self.prune = prune;
-        self
-    }
-
-    /// Configuration named by the [`STRATEGY_ENV`] and [`PRUNE_ENV`]
-    /// variables, as `var` looks them up (the
-    /// [`SearchConfig::default`] value of any that is unset). Front ends
+    /// Configuration named by the [`STRATEGY_ENV`] variable, as `var`
+    /// looks it up ([`SearchConfig::default`] when it is unset). Front ends
     /// pass the process environment in; the library never reads it.
     ///
     /// # Panics
     ///
-    /// Panics when a variable is set to a value it does not accept, naming
-    /// the variable and the accepted values.
+    /// Panics when the variable names no strategy, naming the variable and
+    /// the accepted values.
     #[must_use]
     pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
         let strategy = var(STRATEGY_ENV).map_or(SearchStrategyKind::default(), |name| {
@@ -236,12 +213,7 @@ impl SearchConfig {
                 )
             })
         });
-        let prune = var(PRUNE_ENV).is_none_or(|v| match v.trim().to_ascii_lowercase().as_str() {
-            "1" | "on" | "true" => true,
-            "0" | "off" | "false" => false,
-            _ => panic!("{PRUNE_ENV}={v:?} is not a switch (expected 1|on|true|0|off|false)"),
-        });
-        Self::for_strategy(strategy).with_prune(prune)
+        Self::for_strategy(strategy)
     }
 }
 
@@ -385,7 +357,6 @@ mod tests {
         assert!(o.enable_backtracking);
         assert_eq!(o.prefetch, PrefetchPolicy::HitLatency);
         assert_eq!(o.search.strategy, SearchStrategyKind::Linear);
-        assert!(o.search.prune, "the admission filter is on by default");
         assert_eq!(SchedulerOptions::paper(), o);
     }
 
@@ -421,13 +392,9 @@ mod tests {
 
     #[test]
     fn search_config_builders_compose() {
-        let cfg = SearchConfig::backtracking()
-            .with_exact_budget(123)
-            .with_prune(false);
+        let cfg = SearchConfig::backtracking().with_exact_budget(123);
         assert_eq!(cfg.strategy, SearchStrategyKind::Backtracking);
         assert_eq!(cfg.exact_budget, 123);
-        assert!(!cfg.prune);
-        assert!(SearchConfig::default().prune);
         assert_eq!(
             SearchConfig::exact().strategy,
             SearchStrategyKind::Exact,
@@ -457,24 +424,8 @@ mod tests {
     #[test]
     fn env_variables_parse_with_defaults_for_unset_values() {
         assert_eq!(SearchConfig::from_vars(vars(&[])), SearchConfig::default());
-        let cfg =
-            SearchConfig::from_vars(vars(&[(STRATEGY_ENV, "Backtracking"), (PRUNE_ENV, "0")]));
-        assert_eq!(cfg, SearchConfig::backtracking().with_prune(false));
-        // Every spelling of the prune switch is honoured.
-        let cfg = SearchConfig::from_vars(vars(&[(PRUNE_ENV, "on")]));
-        assert_eq!(cfg, SearchConfig::default());
-        for off in ["off", "false", "FALSE", " 0 "] {
-            assert!(
-                !SearchConfig::from_vars(vars(&[(PRUNE_ENV, off)])).prune,
-                "{off}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "MIRS_PRUNE=\"no\" is not a switch (expected 1|on|true|0|off|false)")]
-    fn env_prune_that_is_not_a_switch_panics() {
-        let _ = SearchConfig::from_vars(vars(&[(PRUNE_ENV, "no")]));
+        let cfg = SearchConfig::from_vars(vars(&[(STRATEGY_ENV, "Backtracking")]));
+        assert_eq!(cfg, SearchConfig::backtracking());
     }
 
     #[test]

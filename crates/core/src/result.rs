@@ -48,14 +48,14 @@ pub struct SchedulerStats {
     /// Spill-candidate evaluations that had to re-derive their structural
     /// use lists (cache cold, or the structural epoch had moved).
     pub spill_memo_misses: u64,
-    /// Distinct candidate IIs the relaxation admission filter proved
-    /// infeasible and skipped without a cold attempt (0 with
-    /// [`SearchConfig::prune`](crate::SearchConfig) off, or when every
-    /// candidate II had to be tried).
-    pub pruned_iis: u32,
-    /// Wall-clock seconds spent inside the relaxation admission filter
-    /// (building the parametric closure and evaluating per-II verdicts),
-    /// already included in [`SchedulerStats::scheduling_seconds`].
+    /// Wall-clock seconds the [`SearchStrategyKind::Exact`] certifier took
+    /// to build its relaxation and certify the climb's floor (0 under the
+    /// other strategies), already included in
+    /// [`SchedulerStats::scheduling_seconds`]. Kept only for the benchmark's
+    /// `mirs.search.relax_share`; the benchmark change that retires that
+    /// metric (ROADMAP item 1) removes this field with it.
+    ///
+    /// [`SearchStrategyKind::Exact`]: crate::SearchStrategyKind::Exact
     pub relax_seconds: f64,
     /// Wall-clock scheduling time in seconds.
     pub scheduling_seconds: f64,
@@ -135,27 +135,21 @@ pub struct SearchMeta {
     pub strategy: crate::SearchStrategyKind,
     /// Scheduling attempts made across every candidate (II, priority-order)
     /// pair — `restarts + 1` for the linear strategy, possibly more for
-    /// branching ones.
-    ///
-    /// Invariant: `attempts` counts only attempts at IIs the relaxation
-    /// admission filter admitted. Candidate IIs it rejected are excluded —
-    /// they appear in [`SearchMeta::pruned_iis`] instead, even when a
-    /// canonical attempt ran there before the filter was built — so
-    /// `attempts + pruned_iis` reconciles against the IIs the climb
-    /// visited.
+    /// branching ones. The climb attempts every II from its floor up to the
+    /// accepted one, so this is `groups` times the group size.
     pub attempts: u32,
     /// Successful candidate schedules evaluated during the search,
     /// including the accepted one (1 when the first success was accepted
     /// immediately, as the linear strategy always does).
     pub candidates: u32,
-    /// Candidate-II groups the search ran (one per II attempted and not
-    /// pruned; a group holds the canonical attempt plus, for the branching
-    /// strategies, that II's perturbed ones).
+    /// Candidate-II groups the search ran, one per II from the climb's
+    /// floor up to the accepted one (a group holds the canonical attempt
+    /// plus, for the branching strategies, that II's perturbed ones).
     pub groups: u32,
-    /// Distinct candidate IIs the relaxation admission filter proved
-    /// infeasible and skipped (mirrors
-    /// [`SchedulerStats::pruned_iis`](crate::SchedulerStats); excluded
-    /// from [`SearchMeta::attempts`]).
+    /// Always 0: the search skips no candidate II. Kept only because the
+    /// benchmark reads it for its per-layer pruned-II metric; the benchmark
+    /// change that retires that metric (ROADMAP item 1) removes this field
+    /// with it.
     pub pruned_iis: u32,
     /// Optimality certificate ([`SearchProof::Heuristic`] for every
     /// non-exact strategy).

@@ -45,28 +45,6 @@
 //! ends, whether it failed, lost the candidate comparison or was accepted.
 //! `SchedulerStats::restarts` counts the attempts that failed before the
 //! accepted one, perturbed branches included.
-//!
-//! # The admission filter
-//!
-//! With [`SearchConfig::prune`](crate::SearchConfig::prune) on (the
-//! default), a bounded relaxation pass (the private `relax` submodule)
-//! screens the IIs of the climb: when the pass *proves* an II infeasible —
-//! and every II below it back to the MII is proven too — the driver skips
-//! the whole group. Because only provably-infeasible IIs are ever skipped,
-//! the accepted schedule is byte-identical with the filter on or off; only
-//! the wasted cold attempts disappear. `SearchMeta::pruned_iis` and
-//! `SchedulerStats::relax_seconds` surface what the filter did and what
-//! it cost.
-//!
-//! The filter is built only once an attempt has failed. Until then the
-//! climb runs the canonical attempt at its floor first: a success proves
-//! the II feasible, so the filter could not have rejected it, and most
-//! loops succeed there without paying for the filter. When that attempt
-//! fails, the filter is built and screens the II after all; if it rejects
-//! the II, the attempt is dropped as if it never ran (no attempt, group,
-//! restart or work counter counts it, and the spill memo is reset to the
-//! loop's start) and the II counts as pruned. `exact` builds the filter
-//! up front, since its certifier shares the filter's relaxation.
 
 use crate::error::ScheduleError;
 use crate::options::SearchStrategyKind;
@@ -189,8 +167,8 @@ pub(crate) struct SearchDriver<'a, 'm> {
     attempts: u32,
     failures: u32,
     successes: u32,
-    /// Highest II attempted or pruned (MII − 1 before the first);
-    /// reported by `NotConverged`.
+    /// Highest II attempted (MII − 1 before the first); reported by
+    /// `NotConverged`.
     last_ii: u32,
     /// Candidate-II groups run so far (`SearchMeta::groups`).
     groups: u32,
@@ -200,17 +178,8 @@ pub(crate) struct SearchDriver<'a, 'm> {
     /// Certified lower bound from the exact bounding phase (`None` for
     /// heuristic strategies); turned into the result's [`SearchProof`].
     bound: Option<exact::CertifiedBound>,
-    /// Whether the relaxation admission filter screens candidate IIs
-    /// ([`SearchConfig::prune`](crate::SearchConfig::prune)).
-    prune: bool,
-    /// The admission filter, built after the first failed attempt
-    /// (eagerly by [`SearchDriver::certify`], which shares its cache with
-    /// the certifier).
-    filter: Option<relax::RelaxFilter>,
-    /// Candidate IIs the filter proved infeasible and skipped.
-    pruned_iis: u32,
-    /// Wall-clock seconds spent in the relaxation (cache builds plus
-    /// per-II verdicts), surfaced as `SchedulerStats::relax_seconds`.
+    /// Wall-clock seconds `exact`'s certifier took, surfaced as
+    /// `SchedulerStats::relax_seconds`.
     relax_secs: f64,
 }
 
@@ -270,9 +239,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             work: SchedulerStats::default(),
             best: None,
             bound: None,
-            prune: opts.search.prune,
-            filter: None,
-            pruned_iis: 0,
             relax_secs: 0.0,
         }
     }
@@ -283,26 +249,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         let group = group_len(self.sched.options().search.strategy);
         for ii in self.floor()..=self.max_ii {
             self.last_ii = ii;
-            let mut first = None;
-            if self.prune && self.filter.is_none() {
-                // No filter yet: only a failed canonical attempt makes the
-                // filter worth building (see the module doc).
-                let outcome = self.attempt(ii, 0);
-                if matches!(outcome, AttemptOutcome::Restart(_)) && self.should_prune(ii) {
-                    // Drop the attempt as if it never ran.
-                    self.scratch.spill_memo_mut().begin_loop(&self.graph);
-                    self.pruned_iis += 1;
-                    continue;
-                }
-                first = Some(outcome);
-            } else if self.should_prune(ii) {
-                // No attempt at this II can succeed: its whole group is
-                // skipped, and the II is counted once.
-                self.pruned_iis += 1;
-                continue;
-            }
-            self.groups += 1;
-            self.attempt_group(ii, group, first);
+            self.attempt_group(ii, group);
             if self.best.is_some() {
                 break;
             }
@@ -331,35 +278,13 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
     /// sets. [`SearchDriver::finish`] turns the bound into the result's
     /// [`SearchProof`]; `mii` keeps reporting the ResMII/RecMII bound.
     fn certify(&mut self) -> u32 {
+        let start = Instant::now();
         let mut budget = exact::ExactBudget::new(self.sched.options().search.exact_budget);
-        // Build the shared relaxation state eagerly: the certifier probes
-        // it per candidate II, and the admission filter keeps consulting
-        // the same cached closure during the climb afterwards.
-        let relax_start = Instant::now();
-        let filter = relax::RelaxFilter::new(&self.graph, self.sched.machine(), self.mii);
-        self.relax_secs += relax_start.elapsed().as_secs_f64();
-        let bound = exact::certify_lower_bound(filter.cache(), self.mii, self.max_ii, &mut budget);
-        self.filter = Some(filter);
+        let cache = relax::RelaxCache::build(&self.graph, self.sched.machine());
+        let bound = exact::certify_lower_bound(&cache, self.mii, self.max_ii, &mut budget);
+        self.relax_secs = start.elapsed().as_secs_f64();
         self.bound = Some(bound);
         bound.lower_bound.max(self.mii)
-    }
-
-    /// Should the group at `ii` be skipped? True only when the relaxation
-    /// has proven every II from the MII up to `ii` infeasible — no attempt
-    /// could possibly succeed, so skipping them cannot change which
-    /// schedule the search accepts.
-    fn should_prune(&mut self, ii: u32) -> bool {
-        if !self.prune {
-            return false;
-        }
-        let relax_start = Instant::now();
-        let (graph, machine, mii) = (&self.graph, self.sched.machine(), self.mii);
-        let filter = self
-            .filter
-            .get_or_insert_with(|| relax::RelaxFilter::new(graph, machine, mii));
-        let rejected = filter.rejects(ii);
-        self.relax_secs += relax_start.elapsed().as_secs_f64();
-        rejected
     }
 
     /// Run attempt `branch` of the group at `ii` on a copy of the base
@@ -379,13 +304,12 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
 
     /// Run the `len` attempts of the group at `ii` one after another,
     /// adding each one's work counters to the totals and packaging a
-    /// success only when it beats the best candidate so far. `first` is
-    /// the outcome of the canonical attempt when it has already run.
-    fn attempt_group(&mut self, ii: u32, len: u32, mut first: Option<AttemptOutcome<'m>>) {
+    /// success only when it beats the best candidate so far.
+    fn attempt_group(&mut self, ii: u32, len: u32) {
+        self.groups += 1;
         for branch in 0..len {
             self.attempts += 1;
-            let outcome = first.take().unwrap_or_else(|| self.attempt(ii, branch));
-            let st = match outcome {
+            let st = match self.attempt(ii, branch) {
                 AttemptOutcome::Success(st) => st,
                 AttemptOutcome::Restart(stats) => {
                     accumulate(&mut self.work, &stats);
@@ -421,7 +345,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         stats.moves_removed = self.work.moves_removed;
         stats.scheduling_seconds = self.start.elapsed().as_secs_f64();
         stats.relax_seconds = self.relax_secs;
-        stats.pruned_iis = self.pruned_iis;
         let proof = match self.bound {
             None => SearchProof::Heuristic,
             Some(b) => {
@@ -447,8 +370,8 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             attempts: self.attempts,
             candidates: self.successes,
             groups: self.groups,
-            pruned_iis: self.pruned_iis,
             proof,
+            ..SearchMeta::default()
         };
         result
     }
@@ -475,9 +398,7 @@ mod tests {
     /// Replay the climb of `sched` over `lp` on a fresh scratch, one
     /// attempt at a time through the driver's own attempt helper, and sum
     /// every attempt's work counters. Returns the sums and the number of
-    /// attempts made. The replay screens every II before attempting it,
-    /// so it also checks that a first attempt the climb drops at an II the
-    /// filter rejects counts nothing.
+    /// attempts made.
     fn replay(sched: &MirsScheduler<'_>, lp: &Loop) -> ([u64; 4], u32) {
         let mut scratch = SchedScratch::new();
         let mut driver = SearchDriver::new(sched, lp, &mut scratch);
@@ -485,9 +406,6 @@ mod tests {
         let mut sums = [0; 4];
         let mut attempts = 0;
         for ii in driver.floor()..=driver.max_ii {
-            if driver.should_prune(ii) {
-                continue;
-            }
             let mut converged = false;
             for branch in 0..group {
                 attempts += 1;

@@ -14,8 +14,8 @@
 //! core — the difference-constraint closure, the aggregate slot/port
 //! capacities and the register lifetime-area bound — lives in the shared
 //! [`relax`](super::relax) module, cached per loop so every candidate-II
-//! probe of one certification run (and the driver's admission filter)
-//! reuses the same tables instead of rebuilding them. On top of it the
+//! probe of one certification run reuses the same tables instead of
+//! rebuilding them. On top of it the
 //! constraint store here holds two residue-level families:
 //!
 //! * **Dependence windows.** Every edge of the pre-scheduling graph
@@ -125,7 +125,7 @@ enum Walk {
 /// IIs upward from `mii` (itself already certified by ResMII/RecMII)
 /// until one is relaxation-feasible, undecidable within `budget`, or
 /// above `max_ii`. Every probe reuses the cached closure and capacity
-/// tables — and the driver's admission filter shares the same cache.
+/// tables.
 pub(crate) fn certify_lower_bound(
     cache: &RelaxCache,
     mii: u32,
@@ -374,9 +374,9 @@ impl<'c> Store<'c> {
 }
 
 /// Decide one candidate II for the loop behind `cache`. The bounded
-/// relaxation pass (recurrence threshold, aggregate capacities, register
-/// lifetime area — the same screen the admission filter runs) goes
-/// first and is budget-free; only an undecided II pays for the DFS.
+/// relaxation pass ([`RelaxCache::verdict`]: recurrence threshold,
+/// aggregate capacities, register lifetime area) goes first and is
+/// budget-free; only an undecided II pays for the DFS.
 pub(crate) fn decide_ii(cache: &RelaxCache, ii: u32, budget: &mut ExactBudget) -> IiVerdict {
     debug_assert!(ii >= 1);
     if cache.n() == 0 {

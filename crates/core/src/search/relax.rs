@@ -1,18 +1,13 @@
-//! The shared relaxation layer of the II search: sound, DFS-free
-//! infeasibility reasoning reused by **two** consumers —
-//!
-//! * the exact certifier ([`super::exact`]), which runs the full residue
-//!   branch-and-bound on top of the closure and capacity tables cached
-//!   here, and
-//! * the driver's **admission filter** ([`RelaxFilter`]), which consults
-//!   only the bounded relaxation pass ([`RelaxCache::verdict`]) to skip
-//!   candidate IIs that are provably infeasible before any cold
-//!   scheduling attempt is spent on them.
+//! The relaxation the exact certifier ([`super::exact`]) stands on:
+//! sound, DFS-free infeasibility reasoning over tables cached once per
+//! loop. The certifier screens every candidate II through the bounded
+//! pass ([`RelaxCache::verdict`]) before its residue branch-and-bound, and
+//! that search reads the closure and capacity tables kept here.
 //!
 //! Every check in this module is *implied by any valid schedule*: an
 //! [`Verdict::Infeasible`] answer means no schedule — with any spilling,
 //! ejection or cluster-move choices — can exist at that II, which is what
-//! makes skipping the attempt byte-identity-safe ([`Verdict::Undecided`]
+//! lets the certifier count the II below its bound ([`Verdict::Undecided`]
 //! claims nothing). Three constraint families are checked:
 //!
 //! 1. **Recurrence cycles.** Every dependence edge requires
@@ -62,7 +57,7 @@
 //! closure alone would give. On register-roomy machines almost every
 //! loop stops at the screen.
 //!
-//! # Incremental across the climb
+//! # Incremental across the probes
 //!
 //! All II-dependent state is derived from II-independent tables built
 //! once per loop. The longest-path closure is kept *parametrically*: for
@@ -74,11 +69,11 @@
 //! Floyd–Warshall pass over frontiers yields, for **every** `II ≥ T` at
 //! once, exactly the per-II closure the certifier previously recomputed
 //! from scratch per probe ([`RelaxCache::closure_at`] materialises it in
-//! `O(n²·f)`). The same cache instance serves every candidate II of the
-//! climb and `certify_lower_bound`'s probes — the cross-probe reuse the
-//! ROADMAP's oracle item called for. Frontiers are capped ([`FRONTIER_CAP`])
-//! as a safety valve; dropping entries only *under*-approximates the
-//! closure, which weakens the bound but never makes it unsound.
+//! `O(n²·f)`). The same cache instance serves every probe of
+//! `certify_lower_bound` — the cross-probe reuse the ROADMAP's oracle
+//! item called for. Frontiers are capped ([`FRONTIER_CAP`]) as a safety
+//! valve; dropping entries only *under*-approximates the closure, which
+//! weakens the bound but never makes it unsound.
 
 use ddg::DepGraph;
 use std::cell::OnceCell;
@@ -157,7 +152,7 @@ impl RegModel {
 }
 
 /// Per-loop relaxation state, II-independent; built once and consulted
-/// for every candidate II of the climb and every certifier probe.
+/// for every certifier probe.
 pub(crate) struct RelaxCache {
     n: usize,
     /// GP-pool slots occupied per node (0 for memory/move ops).
@@ -298,9 +293,9 @@ impl RelaxCache {
             .get_or_init(|| recurrence_threshold(self.n, &self.cons, lo, feasible_at))
     }
 
-    /// The bounded relaxation pass of the admission filter (and the
-    /// pre-DFS screen of the certifier): aggregate capacities, recurrence
-    /// cycles and the register lifetime-area bound — no search.
+    /// The bounded relaxation pass, the certifier's pre-DFS screen:
+    /// aggregate capacities, recurrence cycles and the register
+    /// lifetime-area bound — no search.
     pub(crate) fn verdict(&self, ii: u32) -> Verdict {
         debug_assert!(ii >= 1);
         if self.n == 0 {
@@ -575,52 +570,6 @@ fn build_frontiers(n: usize, cons: &[Constraint], anchor: i64) -> Vec<Frontier> 
     fr
 }
 
-/// The driver's admission filter: an incremental frontier of
-/// relaxation-proven-infeasible IIs, growing upward from the MII.
-///
-/// An II is only ever skipped when **every** II from the MII up to and
-/// including it is proven infeasible ([`RelaxFilter::rejects`]); the
-/// pruned set is therefore always the contiguous prefix `[mii, frontier)`
-/// of the climb, each member sits strictly below any sound certified
-/// lower bound, and the first II the search actually attempts is the same
-/// one it would have reached by failing through the prefix cold — which
-/// is why skipping preserves byte-identical schedules for every strategy.
-pub(crate) struct RelaxFilter {
-    cache: RelaxCache,
-    /// Lowest II not yet proven infeasible; everything in
-    /// `[mii, frontier)` is proven.
-    frontier: u32,
-    /// The frontier stopped extending (an II came back [`Verdict::Undecided`]).
-    open: bool,
-}
-
-impl RelaxFilter {
-    pub(crate) fn new(graph: &DepGraph, machine: &MachineConfig, mii: u32) -> Self {
-        Self {
-            cache: RelaxCache::build(graph, machine),
-            frontier: mii.max(1),
-            open: true,
-        }
-    }
-
-    /// The per-loop relaxation state, shared with the exact certifier.
-    pub(crate) fn cache(&self) -> &RelaxCache {
-        &self.cache
-    }
-
-    /// `true` iff every II up to and including `ii` is proven infeasible —
-    /// the attempt can be skipped without changing the search outcome.
-    pub(crate) fn rejects(&mut self, ii: u32) -> bool {
-        while self.open && self.frontier <= ii {
-            match self.cache.verdict(self.frontier) {
-                Verdict::Infeasible => self.frontier += 1,
-                Verdict::Undecided => self.open = false,
-            }
-        }
-        ii < self.frontier
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -855,17 +804,67 @@ mod tests {
         assert_eq!(cache.verdict(4), Verdict::Undecided);
     }
 
+    /// Soundness on the pinned register-tight hard cases (1x8, and 2x8 for
+    /// the clustered one): the verdict never rejects an II that `linear`
+    /// or `backtrack` achieved, the run of IIs it rejects from the MII
+    /// upwards ends at or below the certifier's bound, and it does reject
+    /// some II there, so the check is not vacuous. Twenty default workbench
+    /// loops on 1x64 add witnesses at the MII, where most of them land.
     #[test]
-    fn filter_prunes_exactly_the_infeasible_prefix() {
-        let lp = recurrence_loop();
-        let machine = MachineConfig::paper_config(1, 64).unwrap();
-        // Start the climb below the recurrence threshold on purpose: the
-        // filter must reject the whole infeasible prefix and nothing above.
-        let mut filter = RelaxFilter::new(&lp.graph, &machine, 5);
-        assert!(filter.rejects(5));
-        assert!(filter.rejects(7));
-        assert!(!filter.rejects(8));
-        assert!(filter.rejects(6), "already-decided IIs stay decided");
-        assert!(!filter.rejects(20), "beyond the frontier nothing is pruned");
+    fn verdict_rejects_no_achieved_ii_on_the_hard_cases() {
+        use crate::search::exact::{certify_lower_bound, ExactBudget};
+        use crate::{MirsScheduler, SchedulerOptions, SearchConfig};
+        use loopgen::{Workbench, WorkbenchParams};
+        let max_ii = SchedulerOptions::default().max_ii;
+        let mut cases = Vec::new();
+        for lp in loopgen::hard_cases() {
+            let clusters = if lp.name.contains("clustered") { 2 } else { 1 };
+            cases.push((lp, MachineConfig::paper_config(clusters, 8).unwrap()));
+        }
+        let hard = cases.len();
+        let wb = Workbench::generate(&WorkbenchParams {
+            loops: 20,
+            ..WorkbenchParams::default()
+        });
+        let roomy = MachineConfig::paper_config(1, 64).unwrap();
+        cases.extend(wb.loops().iter().map(|lp| (lp.clone(), roomy.clone())));
+        let mut rejected_on_hard_cases = 0;
+        for (i, (lp, machine)) in cases.iter().enumerate() {
+            let label = format!("{}/{}", machine.name(), lp.name);
+            let cache = RelaxCache::build(&lp.graph, machine);
+            let mut mii = max_ii;
+            for search in [SearchConfig::linear(), SearchConfig::backtracking()] {
+                let opts = SchedulerOptions::default().with_search(search);
+                let r = MirsScheduler::new(machine, opts)
+                    .schedule(lp)
+                    .unwrap_or_else(|e| panic!("{label} under {}: {e}", search.strategy));
+                assert_eq!(
+                    cache.verdict(r.ii),
+                    Verdict::Undecided,
+                    "{label}: {} achieved II {}, which the relaxation rejects",
+                    search.strategy,
+                    r.ii
+                );
+                mii = r.mii;
+            }
+            let rejected = (mii..=max_ii)
+                .take_while(|&ii| cache.verdict(ii) == Verdict::Infeasible)
+                .count() as u32;
+            let mut budget = ExactBudget::new(SearchConfig::DEFAULT_EXACT_BUDGET);
+            let bound = certify_lower_bound(&cache, mii, max_ii, &mut budget);
+            assert!(
+                mii + rejected <= bound.lower_bound,
+                "{label}: the relaxation rejects IIs {mii}..{} but the certifier's bound is {}",
+                mii + rejected,
+                bound.lower_bound
+            );
+            if i < hard {
+                rejected_on_hard_cases += rejected;
+            }
+        }
+        assert!(
+            rejected_on_hard_cases > 0,
+            "no hard case has an II to reject"
+        );
     }
 }

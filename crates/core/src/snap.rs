@@ -87,7 +87,6 @@ impl SnapEncode for SchedulerStats {
         w.put_u32(self.restarts);
         w.put_u64(self.spill_memo_hits);
         w.put_u64(self.spill_memo_misses);
-        w.put_u32(self.pruned_iis);
         w.put_f64(self.relax_seconds);
         w.put_f64(self.scheduling_seconds);
     }
@@ -106,7 +105,6 @@ impl SnapDecode for SchedulerStats {
             restarts: r.get_u32()?,
             spill_memo_hits: r.get_u64()?,
             spill_memo_misses: r.get_u64()?,
-            pruned_iis: r.get_u32()?,
             relax_seconds: r.get_f64()?,
             scheduling_seconds: r.get_f64()?,
         })

@@ -12,10 +12,10 @@
 //! [`cache_key`] hashes the loop's structural fingerprint
 //! ([`ddg::snap::loop_fingerprint`]), the machine configuration name, the
 //! scheduler kind and the prefetch policy. No [`mirs::SearchConfig`] field is
-//! part of the key: `prune` never changes the schedule bytes, `exact_budget`
-//! only changes how much of the lower bound is certified, and the search
-//! **strategy** is deliberately *excluded* — strategies form a quality
-//! ladder over the same problem, which enables the refinement rule below.
+//! part of the key: `exact_budget` only changes how much of the lower bound
+//! is certified, and the search **strategy** is deliberately *excluded* —
+//! strategies form a quality ladder over the same problem, which enables
+//! the refinement rule below.
 //!
 //! # Serve rule and refinement
 //!
@@ -605,14 +605,14 @@ mod tests {
         let lp = daxpy();
         let key = problem_key(&lp);
         let machine = MachineConfig::paper_config(2, 32).unwrap();
-        // Neither the strategy nor the filter is part of the key.
+        // Neither the strategy nor the exact budget is part of the key.
         assert_eq!(
             key,
             ScheduleRequest::mirs(&lp, &machine, SearchConfig::backtracking()).key()
         );
         assert_eq!(
             key,
-            ScheduleRequest::mirs(&lp, &machine, SearchConfig::default().with_prune(false)).key()
+            ScheduleRequest::mirs(&lp, &machine, SearchConfig::exact().with_exact_budget(1)).key()
         );
         // Everything else is.
         let other_machine = MachineConfig::paper_config(4, 16).unwrap();

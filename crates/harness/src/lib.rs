@@ -67,8 +67,8 @@ pub use service::{Provenance, ScheduleRequest, ScheduleResponse, ScheduleService
 pub use sweep::{SweepError, SweepExecutor};
 
 /// The unit tests' edge: the process environment parsed the way the front
-/// ends parse it, so the `MIRS_JOBS`, `MIRS_STRATEGY` and `MIRS_PRUNE` CI
-/// legs reach the table, figure and runner tests too.
+/// ends parse it, so the `MIRS_JOBS` and `MIRS_STRATEGY` CI legs reach the
+/// table, figure and runner tests too.
 #[cfg(test)]
 mod test_env {
     fn var(name: &str) -> Option<String> {

@@ -138,6 +138,41 @@ impl WorkbenchSummary {
     pub fn total_scheduling_seconds(&self) -> f64 {
         self.outcomes.iter().map(|o| o.scheduling_seconds).sum()
     }
+
+    /// The loops that `self` and `other`, two runs over the same
+    /// workbench, both converged on with a different II or memory traffic,
+    /// and each run's ΣII and Σtrf over them (the "different" columns of
+    /// Tables 1 and 2).
+    #[must_use]
+    pub fn differing(&self, other: &WorkbenchSummary) -> Differing {
+        let mut d = Differing::default();
+        for (a, b) in self.outcomes.iter().zip(&other.outcomes) {
+            let (Some(ii_a), Some(ii_b)) = (a.ii, b.ii) else {
+                continue;
+            };
+            if ii_a == ii_b && a.memory_traffic == b.memory_traffic {
+                continue;
+            }
+            d.loops += 1;
+            d.sum_ii[0] += u64::from(ii_a);
+            d.sum_ii[1] += u64::from(ii_b);
+            d.sum_trf[0] += u64::from(a.memory_traffic);
+            d.sum_trf[1] += u64::from(b.memory_traffic);
+        }
+        d
+    }
+}
+
+/// What [`WorkbenchSummary::differing`] counts: the loops two runs
+/// schedule differently, and the sums of each run over them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Differing {
+    /// Loops both runs converged on with a different II or memory traffic.
+    pub loops: usize,
+    /// ΣII over those loops: the first run's, then the other's.
+    pub sum_ii: [u64; 2],
+    /// Σtrf over those loops: the first run's, then the other's.
+    pub sum_trf: [u64; 2],
 }
 
 /// Schedule one loop with the chosen scheduler and II-search

@@ -58,32 +58,15 @@ fn row_from(
     // Only loops both schedulers converge on are compared (our synthetic
     // workbench occasionally defeats the non-iterative baseline even with
     // unbounded registers, which the paper's workload did not).
-    let different: Vec<usize> = base
-        .outcomes
-        .iter()
-        .zip(&mirs.outcomes)
-        .enumerate()
-        .filter(|(_, (b, m))| b.converged() && m.converged())
-        .filter(|(_, (b, m))| b.ii != m.ii || b.memory_traffic != m.memory_traffic)
-        .map(|(i, _)| i)
-        .collect();
-    let in_set = |idx: &[usize], i: usize| idx.contains(&i);
-    let sum = |s: &WorkbenchSummary, f: &dyn Fn(&crate::runner::LoopOutcome) -> u64| -> u64 {
-        s.outcomes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| in_set(&different, *i))
-            .map(|(_, o)| f(o))
-            .sum()
-    };
+    let d = base.differing(mirs);
     Table1Row {
         clusters,
         move_latency,
-        different_schedules: different.len(),
-        baseline_sum_ii: sum(base, &|o| o.ii.map(u64::from).unwrap_or(0)),
-        baseline_sum_trf: sum(base, &|o| u64::from(o.memory_traffic)),
-        mirs_sum_ii: sum(mirs, &|o| o.ii.map(u64::from).unwrap_or(0)),
-        mirs_sum_trf: sum(mirs, &|o| u64::from(o.memory_traffic)),
+        different_schedules: d.loops,
+        baseline_sum_ii: d.sum_ii[0],
+        baseline_sum_trf: d.sum_trf[0],
+        mirs_sum_ii: d.sum_ii[1],
+        mirs_sum_trf: d.sum_trf[1],
     }
 }
 

@@ -46,33 +46,17 @@ fn row_from(
     base: &WorkbenchSummary,
     mirs: &WorkbenchSummary,
 ) -> Table2Row {
-    let both: Vec<usize> = base
-        .outcomes
-        .iter()
-        .zip(&mirs.outcomes)
-        .enumerate()
-        .filter(|(_, (b, m))| b.converged() && m.converged())
-        .filter(|(_, (b, m))| b.ii != m.ii || b.memory_traffic != m.memory_traffic)
-        .map(|(i, _)| i)
-        .collect();
-    let sum = |s: &WorkbenchSummary, f: &dyn Fn(&crate::runner::LoopOutcome) -> u64| -> u64 {
-        s.outcomes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| both.contains(i))
-            .map(|(_, o)| f(o))
-            .sum()
-    };
+    let d = base.differing(mirs);
     Table2Row {
         clusters,
         move_latency,
         baseline_not_converged: base.not_converged(),
         mirs_not_converged: mirs.not_converged(),
-        different_schedules: both.len(),
-        baseline_sum_ii: sum(base, &|o| o.ii.map(u64::from).unwrap_or(0)),
-        baseline_sum_trf: sum(base, &|o| u64::from(o.memory_traffic)),
-        mirs_sum_ii: sum(mirs, &|o| o.ii.map(u64::from).unwrap_or(0)),
-        mirs_sum_trf: sum(mirs, &|o| u64::from(o.memory_traffic)),
+        different_schedules: d.loops,
+        baseline_sum_ii: d.sum_ii[0],
+        baseline_sum_trf: d.sum_trf[0],
+        mirs_sum_ii: d.sum_ii[1],
+        mirs_sum_trf: d.sum_trf[1],
     }
 }
 

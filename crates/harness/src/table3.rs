@@ -101,7 +101,7 @@ pub fn run(exec: &SweepExecutor, wb: &Workbench, search: SearchConfig) -> Table3
 
 impl fmt::Display for Table3 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Table 3: scheduling time (seconds)")?;
+        writeln!(f, "Table 3: scheduling time (ms)")?;
         writeln!(
             f,
             "{:<10} {:>3} {:>8} {:>12} {:>14} {:>12}",
@@ -114,9 +114,9 @@ impl fmt::Display for Table3 {
                 r.config,
                 r.move_latency,
                 r.baseline_converged,
-                r.baseline_seconds,
-                r.mirs_seconds_same_subset,
-                r.mirs_seconds_all
+                r.baseline_seconds * 1e3,
+                r.mirs_seconds_same_subset * 1e3,
+                r.mirs_seconds_all * 1e3
             )?;
         }
         Ok(())
@@ -142,5 +142,26 @@ mod tests {
             assert!(r.mirs_seconds_all > 0.0);
         }
         assert!(t.to_string().contains("Table 3"));
+    }
+
+    #[test]
+    fn times_print_in_milliseconds() {
+        let t = Table3 {
+            rows: vec![Table3Row {
+                config: "1 x 64".into(),
+                move_latency: 1,
+                baseline_converged: 12,
+                baseline_seconds: 0.0012,
+                mirs_seconds_same_subset: 0.0345,
+                mirs_seconds_all: 2.5,
+            }],
+        };
+        let text = t.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "Table 3: scheduling time (ms)");
+        assert_eq!(
+            lines[2].split_whitespace().collect::<Vec<_>>(),
+            ["1", "x", "64", "1", "12", "1.200", "34.500", "2500.000"]
+        );
     }
 }

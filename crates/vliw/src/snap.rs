@@ -56,8 +56,9 @@ use std::fmt;
 /// pruned-II counters (and relax timing) and `SearchConfig` the
 /// admission-filter flag; 5 — `SearchMeta` lost the salvaged/replaced op
 /// counts, strategy tag 2 (`perturb`) was retired and the `SearchConfig`
-/// codec removed; 6 — `SearchMeta` lost the per-attempt branch timings.
-pub const FORMAT_VERSION: u16 = 6;
+/// codec removed; 6 — `SearchMeta` lost the per-attempt branch timings;
+/// 7 — `SchedulerStats` lost the duplicate pruned-II count.
+pub const FORMAT_VERSION: u16 = 7;
 
 /// Envelope magic for [`MachineConfig`] snapshots.
 pub const MACHINE_MAGIC: [u8; 4] = *b"MMCH";

@@ -10,8 +10,8 @@
 //! Names are `fig2`, `table1`, `table2`, `table3`, `fig5`, `fig6`, `fig7`,
 //! `gauges` and `ejection`; a subset prints in that order, and an unknown
 //! name ends the run with status 2. `MIRS_JOBS` sizes the sweep and
-//! `MIRS_STRATEGY`/`MIRS_PRUNE` select the II search. Every line is the same
-//! for any worker count except Table 3's seconds columns.
+//! `MIRS_STRATEGY` selects the II search. Every line is the same for any
+//! worker count except Table 3's time columns.
 
 use harness::sweep::SweepExecutor;
 use harness::{fig2, fig5, fig6, fig7, table1, table2, table3};

@@ -86,13 +86,13 @@ fn main() {
         let wall = started.elapsed().as_secs_f64();
         if !quiet {
             println!(
-                "\nconfig             loop            strategy   II  mii spill-ops  moves \
-                 pruned    prov  schedule-hash"
+                "\nconfig             loop            strategy   II  mii \
+                 spill-ops  moves    prov  schedule-hash"
             );
             for (rq, resp) in requests.iter().zip(&responses) {
                 let o = &resp.outcome;
                 println!(
-                    "{:<18} {:<14} {:>9} {:>4} {:>4} {:>9} {:>6} {:>6} {:>7}  {}",
+                    "{:<18} {:<14} {:>9} {:>4} {:>4} {:>9} {:>6} {:>7}  {}",
                     rq.machine.name(),
                     o.name,
                     rq.search.strategy.label(),
@@ -100,9 +100,6 @@ fn main() {
                     o.mii,
                     o.spill_ops(),
                     o.moves,
-                    o.result
-                        .as_ref()
-                        .map_or("-".to_string(), |r| r.search.pruned_iis.to_string()),
                     resp.provenance.label(),
                     o.result
                         .as_ref()

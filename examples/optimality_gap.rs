@@ -44,9 +44,6 @@ struct Row {
     backtrack_ii: u32,
     linear_ii: u32,
     gap_linear: i64,
-    /// Candidate IIs the admission filter pruned from the linear climb —
-    /// a free coverage signal for the relaxation's strength on this loop.
-    pruned_iis: u32,
     /// Generator spec when the loop is synthetic (pinnable as a HardCase).
     spec: Option<(SyntheticParams, u64)>,
 }
@@ -191,7 +188,6 @@ fn main() {
             backtrack_ii: backtrack.ii,
             linear_ii: linear.ii,
             gap_linear: i64::from(linear.ii) - i64::from(lower_bound),
-            pruned_iis: linear.search.pruned_iis,
             spec: *spec,
         });
     }
@@ -203,8 +199,6 @@ fn main() {
         optimal as f64 / rows.len() as f64
     };
     let median_gap = median(rows.iter().map(|r| r.gap_linear).collect());
-    let pruned_total: u64 = rows.iter().map(|r| u64::from(r.pruned_iis)).sum();
-    let pruned_loops = rows.iter().filter(|r| r.pruned_iis > 0).count();
 
     // Stash hook: print pin-ready specs for synthetic loops where the
     // linear climb is far from the certified optimum.
@@ -245,8 +239,7 @@ fn main() {
         json.push_str(&format!(
             "    {{\"loop\": \"{}\", \"nodes\": {}, \"mii\": {}, \
              \"lower_bound\": {}, \"proof\": \"{}\", \"exact_ii\": {}, \
-             \"backtrack_ii\": {}, \"linear_ii\": {}, \"gap_linear\": {}, \
-             \"pruned_iis\": {}}}{}\n",
+             \"backtrack_ii\": {}, \"linear_ii\": {}, \"gap_linear\": {}}}{}\n",
             json_escape(&r.name),
             r.nodes,
             r.mii,
@@ -256,7 +249,6 @@ fn main() {
             r.backtrack_ii,
             r.linear_ii,
             r.gap_linear,
-            r.pruned_iis,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
@@ -265,8 +257,6 @@ fn main() {
         "  \"summary\": {{\"loops\": {}, \"skipped\": {skipped}, \
          \"optimal\": {optimal}, \"optimal_fraction\": {optimal_fraction:.4}, \
          \"median_gap_linear\": {median_gap:.2}, \
-         \"pruned_iis_total\": {pruned_total}, \
-         \"pruned_loops\": {pruned_loops}, \
          \"soundness_violations\": {soundness_violations}}}\n",
         rows.len(),
     ));
@@ -279,7 +269,6 @@ fn main() {
     println!(
         "optimality audit: {} loops ({} skipped), {} proven optimal \
          ({:.0}% vs gate {:.0}%), median linear gap {:.2} (gate {:.2}), \
-         filter pruned {} grid IIs on {} loops, \
          {} soundness violations -> {}",
         rows.len(),
         skipped,
@@ -288,8 +277,6 @@ fn main() {
         min_optimal_frac * 100.0,
         median_gap,
         max_median_gap,
-        pruned_total,
-        pruned_loops,
         soundness_violations,
         report_path,
     );

@@ -27,11 +27,6 @@
 //! metrics pass routes through it and a `cache` column reports the pass's
 //! hits/misses/refines; the timed passes always schedule fresh — they
 //! measure the scheduler, not the disk.
-//!
-//! The relaxation admission filter is on by default; the `p` column counts
-//! the candidate IIs it proved infeasible and skipped across the row's
-//! loops. `--no-prune` (or `MIRS_PRUNE=0`) disables it to time the
-//! unfiltered climb — schedules are byte-identical either way.
 
 use harness::runner::{run_workbench, time_workbench, SchedTimeTrial, SchedulerKind};
 use harness::service::run_workbench_cached;
@@ -44,11 +39,9 @@ fn main() {
     let loops = cli::env_usize("MIRS_SCHEDTIME_LOOPS", 60);
     let repeats = cli::env_usize("MIRS_SCHEDTIME_REPEATS", 3) as u32;
     let exec = cli::executor();
-    // The strategy list comes from `--strategy`; the filter switch from
-    // the environment or `--no-prune`.
+    // The strategy list comes from `--strategy`, else from `MIRS_STRATEGY`.
     let env = cli::env_search();
     let strategies = cli::strategies_flag().unwrap_or_else(|| vec![env.strategy]);
-    let prune = env.prune && !cli::flag_set("no-prune");
     let cache = cli::env_cache();
     let wb = Workbench::generate(&WorkbenchParams {
         loops,
@@ -62,7 +55,7 @@ fn main() {
             .map_or(String::new(), |d| format!(", cache at {}", d.display()))
     );
     println!(
-        "{:<18} {:>9} {:>6} {:>9} {:>12} {:>12} {:>12} {:>14} {:>8} {:>12} {:>6}",
+        "{:<18} {:>9} {:>6} {:>9} {:>12} {:>12} {:>12} {:>14} {:>8} {:>12}",
         "config",
         "strategy",
         "ΣII",
@@ -72,13 +65,12 @@ fn main() {
         "wall (s)",
         "loops/s (wall)",
         "speedup",
-        "cache h/m/r",
-        "p"
+        "cache h/m/r"
     );
     for (k, regs) in [(1u32, 64u32), (2, 32), (4, 16)] {
         let machine = MachineConfig::paper_config(k, regs).expect("paper config");
         for &strategy in &strategies {
-            let search = SearchConfig { strategy, ..env }.with_prune(prune);
+            let search = SearchConfig { strategy, ..env };
             // The metrics pass doubles as one of the timed passes when the
             // cache is off: its wall clock and aggregate scheduling seconds
             // fold into the trial below, so the SII/spill columns cost no
@@ -115,12 +107,6 @@ fn main() {
                 .outcomes
                 .iter()
                 .map(|o| u64::from(o.spill_ops()))
-                .sum();
-            let pruned: u64 = summary
-                .outcomes
-                .iter()
-                .filter_map(|o| o.result.as_ref())
-                .map(|res| u64::from(res.search.pruned_iis))
                 .sum();
             let fold_metrics_pass = !cache.is_enabled();
             let timed_repeats = if fold_metrics_pass {
@@ -162,13 +148,8 @@ fn main() {
             } else {
                 "-".to_string()
             };
-            let prune_cell = if search.prune {
-                pruned.to_string()
-            } else {
-                "-".to_string()
-            };
             println!(
-                "{:<18} {:>9} {:>6} {:>9} {:>12.4} {:>12.4} {:>12.4} {:>14.1} {:>7.2}x {:>12} {:>6}",
+                "{:<18} {:>9} {:>6} {:>9} {:>12.4} {:>12.4} {:>12.4} {:>14.1} {:>7.2}x {:>12}",
                 trial.config,
                 strategy.label(),
                 summary.sum_ii(|_| true),
@@ -178,8 +159,7 @@ fn main() {
                 trial.best_wall_seconds(),
                 trial.loops as f64 / trial.best_wall_seconds(),
                 trial.speedup(),
-                cache_cell,
-                prune_cell
+                cache_cell
             );
         }
     }

@@ -19,7 +19,7 @@ fn env_var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// The search configuration `MIRS_STRATEGY` and `MIRS_PRUNE` select
+/// The search configuration `MIRS_STRATEGY` selects
 /// ([`SearchConfig::from_vars`]).
 #[must_use]
 pub fn env_search() -> SearchConfig {

@@ -13,14 +13,13 @@
 //! * every strategy is deterministic (same loop, same machine, same hash)
 //!   and records its metadata in `ScheduleResult::search`;
 //! * `Exact` reproduces `Backtracking`'s schedule and stamps a sound
-//!   proof, and the admission filter never changes a schedule.
+//!   proof.
 
 use loopgen::{Workbench, WorkbenchParams};
 use mirs::{
     MirsScheduler, SchedScratch, ScheduleResult, SchedulerOptions, SearchConfig, SearchProof,
     SearchStrategyKind,
 };
-use proptest::prelude::*;
 use vliw::MachineConfig;
 
 /// Recorded from the seed (pre-flat-MRT) scheduler and unchanged ever
@@ -171,61 +170,6 @@ fn every_strategy_is_deterministic() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
-
-    /// The relaxation admission filter only skips candidate IIs it *proves*
-    /// infeasible, so `MIRS_PRUNE` on/off must produce byte-identical
-    /// schedules for every strategy and machine. The
-    /// attempt counters legitimately differ — a pruned II never runs, so
-    /// it is excluded from `attempts` — but for the linear climb they
-    /// reconcile exactly: `attempts(on) + pruned_iis(on) = attempts(off)`.
-    #[test]
-    fn prune_on_and_off_are_byte_identical(
-        seed in 0u64..400,
-        loops in 3usize..7,
-    ) {
-        let wb = Workbench::generate(&WorkbenchParams {
-            loops,
-            seed,
-            ..WorkbenchParams::default()
-        });
-        let mut scratch = SchedScratch::new();
-        // 1x16 is where the filter fires on ordinary loops, so the
-        // potential screen falls back to the closure there.
-        for (k, regs) in [(1u32, 64u32), (1, 16), (4, 16)] {
-            let machine = MachineConfig::paper_config(k, regs).unwrap();
-            for base in [
-                SearchConfig::linear(),
-                SearchConfig::backtracking(),
-                SearchConfig::exact(),
-            ] {
-                for lp in wb.loops() {
-                    let on = schedule(&machine, lp, base.with_prune(true), &mut scratch);
-                    let off = schedule(&machine, lp, base.with_prune(false), &mut scratch);
-                    prop_assert_eq!(off.search.pruned_iis, 0, "filter off must prune nothing");
-                    prop_assert_eq!(
-                        (on.schedule_hash(), on.ii, on.mii, spill_ops(&on), on.stats.moves,
-                         on.search.candidates, on.search.proof),
-                        (off.schedule_hash(), off.ii, off.mii, spill_ops(&off), off.stats.moves,
-                         off.search.candidates, off.search.proof),
-                        "{}/{}/{}: pruning changed the search outcome",
-                        machine.name(), lp.name, base.strategy
-                    );
-                    if base.strategy == SearchStrategyKind::Linear {
-                        prop_assert_eq!(
-                            on.search.attempts + on.search.pruned_iis,
-                            off.search.attempts,
-                            "{}/{}: linear attempts must reconcile with the pruned count",
-                            machine.name(), lp.name
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// `Exact` is the backtracking climb with a certification phase in front:
 /// at the converged II the schedules are byte-identical (the cache's
 /// top-tier metric-tie refinement depends on this), and the result carries a
@@ -291,70 +235,6 @@ fn zero_exact_budget_degrades_the_proof_honestly() {
             SearchProof::BudgetExhausted(lb) => assert!(lb <= r.ii),
             other => panic!("{}: unexpected proof {other}", lp.name),
         }
-    }
-}
-
-/// The admission filter earns its keep on the pinned register-tight hard
-/// cases: the linear climb there grinds through several relaxation-provably
-/// infeasible IIs, so the filter must (a) leave every schedule
-/// byte-identical, (b) prune exactly the pinned number of IIs per case,
-/// and (c) stay sound — the pruned set is the contiguous prefix
-/// `[mii, mii+pruned)` of the climb, and every member must sit strictly
-/// below the exact oracle's certified lower bound (all hard cases are
-/// within the ≤12-op certifiable slice).
-#[test]
-fn admission_filter_prunes_hard_cases_soundly() {
-    let mut scratch = SchedScratch::new();
-    let pinned = [
-        ("hard/div-tight", 0),
-        ("hard/div-deep", 1),
-        ("hard/rec-tight", 2),
-        ("hard/rec-deep", 1),
-        ("hard/clustered-rec", 0),
-    ];
-    let cases = loopgen::hard_cases();
-    assert_eq!(cases.len(), pinned.len());
-    for (lp, (name, pruned)) in cases.iter().zip(pinned) {
-        assert_eq!(lp.name, name);
-        let machine = if lp.name.contains("clustered") {
-            MachineConfig::paper_config(2, 8).unwrap()
-        } else {
-            MachineConfig::paper_config(1, 8).unwrap()
-        };
-        let on = schedule(&machine, lp, SearchConfig::linear(), &mut scratch);
-        let off = schedule(
-            &machine,
-            lp,
-            SearchConfig::linear().with_prune(false),
-            &mut scratch,
-        );
-        assert_eq!(
-            on.schedule_hash(),
-            off.schedule_hash(),
-            "{}: pruning changed the schedule",
-            lp.name
-        );
-        assert_eq!(off.search.pruned_iis, 0);
-        assert_eq!(
-            on.search.attempts + on.search.pruned_iis,
-            off.search.attempts,
-            "{}: pruned IIs must account exactly for the skipped attempts",
-            lp.name
-        );
-        assert_eq!(on.search.pruned_iis, pruned, "{}: pruned IIs", lp.name);
-        // Soundness: the pruned prefix is [mii, mii + pruned), so its
-        // largest member is mii + pruned - 1; the certified bound must sit
-        // at or above mii + pruned (every pruned II is proven infeasible,
-        // and the oracle proves at least as much as the relaxation).
-        let ex = schedule(&machine, lp, SearchConfig::exact(), &mut scratch);
-        let lb = ex.certified_lower_bound().expect("exact always certifies");
-        assert!(
-            on.mii + on.search.pruned_iis <= lb,
-            "{}: pruned II {} is not below the certified bound {}",
-            lp.name,
-            on.mii + on.search.pruned_iis - 1,
-            lb
-        );
     }
 }
 
