@@ -59,7 +59,7 @@ mod scheduler;
 mod scratch;
 mod search;
 mod slots;
-pub mod snap;
+mod snap;
 mod spill;
 
 pub use error::ScheduleError;

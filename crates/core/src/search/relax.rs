@@ -1,5 +1,5 @@
 //! The relaxation the exact certifier ([`super::exact`]) stands on:
-//! sound, DFS-free infeasibility reasoning over tables cached once per
+//! sound, DFS-free infeasibility reasoning over tables built once per
 //! loop. The certifier screens every candidate II through the bounded
 //! pass ([`RelaxCache::verdict`]) before its residue branch-and-bound, and
 //! that search reads the closure and capacity tables kept here.
@@ -12,12 +12,11 @@
 //!
 //! 1. **Recurrence cycles.** Every dependence edge requires
 //!    `t(to) − t(from) ≥ latency − II·distance`; a positive-weight cycle in
-//!    that difference-constraint graph is unsatisfiable. One Bellman–Ford
-//!    probe at the candidate II decides it. Feasibility is monotone in II
-//!    (cycle weights `L − II·D` only shrink as II grows), so once a probe
-//!    hits a positive cycle the smallest II without one — the threshold
-//!    `T` ([`RelaxCache::rec_infeasible`]) — is found by binary search,
-//!    and the rest of the infeasible prefix is answered from it.
+//!    that difference-constraint graph is unsatisfiable. Feasibility is
+//!    monotone in II (cycle weights `L − II·D` only shrink as II grows), so
+//!    the smallest II without one — the threshold `T`
+//!    ([`RelaxCache::rec_infeasible`]) — is found once per loop, by a binary
+//!    search over Bellman–Ford probes, and answers every II.
 //! 2. **Aggregate slot capacities.** The GP-occupancy total and memory-op
 //!    count must fit `total_gp_units()·II` and `total_mem_ports()·II`, and
 //!    a single wrapped occupancy may not demand more units of one kernel
@@ -42,21 +41,6 @@
 //!    only re-home a value, and the scheduler's completion gate rejects
 //!    any placement whose pressure exceeds the register files.)
 //!
-//! # Screening before the closure
-//!
-//! The recurrence probe starts from all-zero potentials, and when it
-//! finds no positive cycle its result is a potential `π` with
-//! `π(v) ≥ π(u) + latency − II·distance` on every constraint. Summing
-//! along any path from `u` to `v` telescopes to `ℓ(u,v) ≤ π(v) − π(u)`,
-//! so replacing `ℓ` by that difference in family 3 — and dropping the
-//! spill reduction — gives an *upper* bound on the register area the
-//! exact check starts from. When even that bound fits
-//! `total registers · II`, family 3 cannot fire and the verdict is
-//! [`Verdict::Undecided`] without the closure. Only the remaining IIs
-//! build it and run the exact check, so every verdict is the one the
-//! closure alone would give. On register-roomy machines almost every
-//! loop stops at the screen.
-//!
 //! # Incremental across the probes
 //!
 //! All II-dependent state is derived from II-independent tables built
@@ -76,7 +60,6 @@
 //! weakens the bound but never makes it unsound.
 
 use ddg::DepGraph;
-use std::cell::OnceCell;
 use vliw::{MachineConfig, OpClass, Opcode};
 
 /// Sentinel for "no constraint path" in the closure (low enough that no
@@ -168,12 +151,11 @@ pub(crate) struct RelaxCache {
     cons: Vec<Constraint>,
     /// Smallest II at which the constraint graph has no positive cycle;
     /// `None` when a zero-distance positive cycle makes every II
-    /// infeasible. Searched for only once a probe hits a positive cycle
-    /// or the closure needs it as its anchor.
-    threshold: OnceCell<Option<u32>>,
-    /// Parametric closure frontiers (`n·n`), built on first use: by the
-    /// certifier, or by a verdict the potential screen cannot settle.
-    frontiers: OnceCell<Vec<Frontier>>,
+    /// infeasible.
+    threshold: Option<u32>,
+    /// Parametric closure frontiers (`n·n`), anchored at the threshold;
+    /// empty when there is none.
+    frontiers: Vec<Frontier>,
     reg: Option<RegModel>,
     /// Latency of a spill reload (the span floor of a re-loaded value).
     lat_reload: i64,
@@ -258,8 +240,12 @@ impl RelaxCache {
             }
         });
 
+        let n = gp_occ.len();
+        let threshold = recurrence_threshold(n, &cons);
+        let frontiers =
+            threshold.map_or_else(Vec::new, |t| build_frontiers(n, &cons, i64::from(t)));
         Self {
-            n: gp_occ.len(),
+            n,
             gp_occ,
             is_mem,
             gp_cap: machine.total_gp_units(),
@@ -267,8 +253,8 @@ impl RelaxCache {
             gp_total,
             mem_total,
             cons,
-            threshold: OnceCell::new(),
-            frontiers: OnceCell::new(),
+            threshold,
+            frontiers,
             reg,
             lat_reload: i64::from(lat.latency(Opcode::SpillLoad)),
         }
@@ -281,16 +267,7 @@ impl RelaxCache {
     /// The constraint graph has a positive cycle at this II (the RecMII
     /// argument: no residue/stage assignment can satisfy it).
     pub(crate) fn rec_infeasible(&self, ii: u32) -> bool {
-        self.threshold(1, None).is_none_or(|t| ii < t)
-    }
-
-    /// The recurrence threshold, searched for on first use between `lo`
-    /// (every II below it has a positive cycle) and `feasible_at` (an II
-    /// known to have none), as far as the caller knows them.
-    fn threshold(&self, lo: u32, feasible_at: Option<u32>) -> Option<u32> {
-        *self
-            .threshold
-            .get_or_init(|| recurrence_threshold(self.n, &self.cons, lo, feasible_at))
+        self.threshold.is_none_or(|t| ii < t)
     }
 
     /// The bounded relaxation pass, the certifier's pre-DFS screen:
@@ -301,7 +278,10 @@ impl RelaxCache {
         if self.n == 0 {
             return Verdict::Undecided;
         }
-        if self.capacity_infeasible(ii) || self.rec_or_area_infeasible(ii) {
+        if self.capacity_infeasible(ii)
+            || self.rec_infeasible(ii)
+            || self.register_area_infeasible(ii)
+        {
             Verdict::Infeasible
         } else {
             Verdict::Undecided
@@ -320,49 +300,14 @@ impl RelaxCache {
             || self.mem_total > u64::from(self.mem_cap) * iiu
     }
 
-    /// Constraint families 1 and 3, from the closure once it exists and
-    /// otherwise from one probe, its potential screen and — only when the
-    /// screen cannot settle the II — the closure.
-    fn rec_or_area_infeasible(&self, ii: u32) -> bool {
-        if self.frontiers.get().is_some() {
-            return self.rec_infeasible(ii) || self.register_area_infeasible(ii);
-        }
-        if let Some(&t) = self.threshold.get() {
-            if t.is_none_or(|t| ii < t) {
-                return true;
-            }
-            if self.reg.is_none() {
-                return false;
-            }
-        }
-        let iii = i64::from(ii);
-        let Some(pot) = potentials(self.n, &self.cons, iii) else {
-            // Every II below this one fails too; the threshold answers the
-            // rest of the prefix without probing each II.
-            self.threshold(ii + 1, None);
-            return true;
-        };
-        let Some(reg) = &self.reg else { return false };
-        let area_bound = reg.invariants as i64 * iii
-            + reg
-                .spans(iii, |u, v| pot[v] - pot[u])
-                .map(|(span, _)| span)
-                .sum::<i64>();
-        if area_bound <= reg.r_total * iii {
-            return false;
-        }
-        self.threshold(1, Some(ii));
-        self.register_area_infeasible(ii)
-    }
-
     /// Constraint family 3: minimum register lifetime area (after the
     /// best spill plan the memory ports allow) still exceeds the summed
-    /// register capacity over one kernel. Builds the closure; only valid
-    /// at IIs with no positive cycle.
+    /// register capacity over one kernel. Only valid at IIs with no
+    /// positive cycle.
     fn register_area_infeasible(&self, ii: u32) -> bool {
         let Some(reg) = &self.reg else { return false };
         let iii = i64::from(ii);
-        let fr = self.frontiers();
+        let fr = &self.frontiers;
         let n = self.n;
         let mut area = reg.invariants as i64 * iii;
         // `(span reduction, memory-traffic cost)` of spilling each value.
@@ -408,7 +353,7 @@ impl RelaxCache {
     pub(crate) fn closure_at(&self, ii: u32) -> Vec<i64> {
         debug_assert!(!self.rec_infeasible(ii));
         let iii = i64::from(ii);
-        self.frontiers().iter().map(|f| longest(f, iii)).collect()
+        self.frontiers.iter().map(|f| longest(f, iii)).collect()
     }
 
     /// Direct edges `(from, to, latency − II·distance)` at one II, sorted
@@ -431,16 +376,6 @@ impl RelaxCache {
         });
         out
     }
-
-    /// The parametric closure, built on first use.
-    fn frontiers(&self) -> &[Frontier] {
-        self.frontiers.get_or_init(|| {
-            let t = self
-                .threshold(1, None)
-                .expect("closure is only queried at recurrence-feasible IIs");
-            build_frontiers(self.n, &self.cons, i64::from(t.max(1)))
-        })
-    }
 }
 
 /// The longest path a frontier summarises at `ii` ([`UNREACH`] if none).
@@ -449,11 +384,8 @@ fn longest(f: &[Entry], ii: i64) -> i64 {
 }
 
 /// One Bellman–Ford probe of the constraints at `ii`, from all-zero
-/// potentials: `None` when a positive-weight cycle makes the II
-/// infeasible, otherwise potentials `π` with
-/// `π(v) ≥ π(u) + latency − II·distance` on every constraint, which bound
-/// every path weight from `u` to `v` by `π(v) − π(u)`.
-fn potentials(n: usize, cons: &[Constraint], ii: i64) -> Option<Vec<i64>> {
+/// potentials: whether a positive-weight cycle makes the II infeasible.
+fn has_positive_cycle(n: usize, cons: &[Constraint], ii: i64) -> bool {
     let mut pot = vec![0i64; n];
     for _ in 0..=n {
         let mut relaxed = false;
@@ -465,41 +397,29 @@ fn potentials(n: usize, cons: &[Constraint], ii: i64) -> Option<Vec<i64>> {
             }
         }
         if !relaxed {
-            return Some(pot);
+            return false;
         }
     }
-    None
+    true
 }
 
 /// Smallest II with no positive constraint cycle — the closure-level
-/// RecMII — given that every II below `lo` has one and, if known, that
-/// `feasible_at` has none. `None` when a zero-distance positive cycle
-/// keeps every II infeasible. Feasibility is monotone in II (cycle
-/// weights `L − II·D` only shrink as II grows), so a binary search with
-/// Bellman–Ford probes decides it.
-fn recurrence_threshold(
-    n: usize,
-    cons: &[Constraint],
-    lo: u32,
-    feasible_at: Option<u32>,
-) -> Option<u32> {
-    let hi = match feasible_at {
-        Some(ii) => i64::from(ii),
-        None => {
-            // Any cycle's latency sum is at most the sum of positive
-            // latencies, so at `hi` only zero-distance cycles can still be
-            // positive.
-            let lat_sum: i64 = cons.iter().map(|&(_, _, l, _)| l.max(0)).sum();
-            let hi = lat_sum.max(1);
-            // A positive cycle even here can never be outgrown.
-            potentials(n, cons, hi)?;
-            hi
-        }
-    };
-    let (mut lo, mut hi) = (i64::from(lo), hi);
+/// RecMII. `None` when a zero-distance positive cycle keeps every II
+/// infeasible. Feasibility is monotone in II (cycle weights `L − II·D`
+/// only shrink as II grows), so a binary search with Bellman–Ford probes
+/// decides it.
+fn recurrence_threshold(n: usize, cons: &[Constraint]) -> Option<u32> {
+    // Any cycle's latency sum is at most the sum of positive latencies, so
+    // at `hi` only zero-distance cycles can still be positive.
+    let lat_sum: i64 = cons.iter().map(|&(_, _, l, _)| l.max(0)).sum();
+    let (mut lo, mut hi) = (1, lat_sum.max(1));
+    if has_positive_cycle(n, cons, hi) {
+        // A positive cycle even here can never be outgrown.
+        return None;
+    }
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if potentials(n, cons, mid).is_none() {
+        if has_positive_cycle(n, cons, mid) {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -626,18 +546,6 @@ mod tests {
         [small_loop(), recurrence_loop(), wide_loop()]
     }
 
-    /// From the one-register test machine up to the roomy 1x64.
-    fn screen_machines() -> Vec<MachineConfig> {
-        let mut machines = vec![MachineConfig::builder()
-            .cluster(vliw::ClusterConfig::new(2, 1, 1))
-            .build()
-            .unwrap()];
-        for (k, r) in [(1, 8), (2, 8), (1, 16), (4, 16), (2, 32), (1, 64)] {
-            machines.push(MachineConfig::paper_config(k, r).unwrap());
-        }
-        machines
-    }
-
     /// Per-II Floyd–Warshall, the certifier's original formulation — the
     /// parametric frontiers must reproduce it exactly.
     fn naive_closure(cache: &RelaxCache, ii: u32) -> Vec<i64> {
@@ -675,7 +583,7 @@ mod tests {
         let machine = MachineConfig::paper_config(1, 64).unwrap();
         for lp in [small_loop(), recurrence_loop()] {
             let cache = RelaxCache::build(&lp.graph, &machine);
-            let t = cache.threshold(1, None).expect("no zero-distance cycles");
+            let t = cache.threshold.expect("no zero-distance cycles");
             for ii in t..t + 8 {
                 assert_eq!(
                     cache.closure_at(ii),
@@ -685,80 +593,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn potentials_bound_every_reachable_closure_entry() {
-        for machine in screen_machines() {
-            for lp in module_loops() {
-                let cache = RelaxCache::build(&lp.graph, &machine);
-                let n = cache.n();
-                let t = cache.threshold(1, None).expect("no zero-distance cycles");
-                for ii in t..t + 8 {
-                    let pot = potentials(n, &cache.cons, i64::from(ii))
-                        .expect("no positive cycle at or above the threshold");
-                    let cl = cache.closure_at(ii);
-                    for u in 0..n {
-                        for v in 0..n {
-                            let l = cl[u * n + v];
-                            assert!(
-                                l == UNREACH || l <= pot[v] - pot[u],
-                                "{}/{} at II {ii}: ℓ({u},{v}) = {l} above π({v}) − π({u}) = {}",
-                                machine.name(),
-                                lp.name,
-                                pot[v] - pot[u]
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn screened_verdict_equals_the_closure_verdict() {
-        let (mut screened, mut fell_back) = (0, 0);
-        for machine in screen_machines() {
-            for lp in module_loops() {
-                // The closure built up front: every verdict takes the exact path.
-                let exact = RelaxCache::build(&lp.graph, &machine);
-                let t = exact.threshold(1, None).expect("no zero-distance cycles");
-                exact.closure_at(t);
-                for ii in 1..t + 8 {
-                    // A fresh cache per II, so the screen decides alone.
-                    let cache = RelaxCache::build(&lp.graph, &machine);
-                    assert_eq!(
-                        cache.verdict(ii),
-                        exact.verdict(ii),
-                        "{}/{} at II {ii}",
-                        machine.name(),
-                        lp.name
-                    );
-                    if ii >= t && cache.reg.is_some() {
-                        if cache.frontiers.get().is_some() {
-                            fell_back += 1;
-                        } else {
-                            screened += 1;
-                        }
-                    }
-                }
-            }
-        }
-        assert!(screened > 0, "the screen settles the roomy machines");
-        assert!(fell_back > 0, "the tight machines need the closure");
-    }
-
-    #[test]
-    fn threshold_answers_the_infeasible_prefix_after_one_probe() {
-        let machine = MachineConfig::paper_config(1, 64).unwrap();
-        let lp = recurrence_loop();
-        let cache = RelaxCache::build(&lp.graph, &machine);
-        assert!(cache.threshold.get().is_none(), "nothing probed yet");
-        assert_eq!(cache.verdict(3), Verdict::Infeasible);
-        assert_eq!(cache.threshold.get(), Some(&Some(8)));
-        assert_eq!(cache.verdict(7), Verdict::Infeasible);
-        assert_eq!(cache.verdict(8), Verdict::Undecided);
-        assert!(cache.frontiers.get().is_none(), "the screen settled II 8");
     }
 
     #[test]

@@ -1,27 +1,23 @@
-//! Snapshot codec for schedule results (`MRES` blobs).
+//! Snapshot codec impls for schedule results.
 //!
-//! Builds on [`vliw::snap`] and [`ddg::snap`] to serialise a complete
-//! [`ScheduleResult`] — final graph, placements, register requirements,
-//! scheduler counters and search metadata. A decoded result reproduces the
-//! original's [`ScheduleResult::schedule_hash`] exactly, which is what lets
-//! the persistent schedule cache (`harness::cache`) verify an entry's
-//! integrity end to end.
+//! [`SnapEncode`]/[`SnapDecode`] for a complete [`ScheduleResult`] — final
+//! graph, placements, register requirements, scheduler counters and search
+//! metadata — over the [`vliw::snap`] primitives and the graph codec of
+//! [`ddg::snap`]. The schedule cache (`harness::cache`) seals one result
+//! per `MCHE` entry. A decoded result reproduces the original's
+//! [`ScheduleResult::schedule_hash`] exactly, which is what lets the cache
+//! verify an entry's integrity end to end.
 //!
 //! The placement map is serialised as a `(node, placement)` list sorted by
 //! node id — a canonical order, so encoding the same result twice yields
-//! byte-identical blobs regardless of hash-map iteration order.
+//! byte-identical payloads regardless of hash-map iteration order.
 
 use crate::options::SearchStrategyKind;
 use crate::result::{Placement, ScheduleResult, SchedulerStats, SearchMeta, SearchProof};
 use ddg::collections::HashMap;
 use ddg::{DepGraph, NodeId};
-use vliw::snap::{
-    decode_blob, encode_blob, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter,
-};
+use vliw::snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
 use vliw::ClusterId;
-
-/// Envelope magic for [`ScheduleResult`] snapshots.
-pub const RESULT_MAGIC: [u8; 4] = *b"MRES";
 
 // Tag 2 belonged to the retired `perturb` strategy; it stays unassigned so
 // a stray old blob decodes as malformed rather than as another strategy.
@@ -203,21 +199,6 @@ impl SnapDecode for ScheduleResult {
     }
 }
 
-/// Encode a [`ScheduleResult`] into a sealed `MRES` blob.
-#[must_use]
-pub fn encode_result(result: &ScheduleResult) -> Vec<u8> {
-    encode_blob(RESULT_MAGIC, result)
-}
-
-/// Decode a sealed `MRES` blob back into a [`ScheduleResult`].
-///
-/// # Errors
-///
-/// Any [`SnapError`] from the envelope or payload check.
-pub fn decode_result(blob: &[u8]) -> Result<ScheduleResult, SnapError> {
-    decode_blob(RESULT_MAGIC, blob)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,11 +221,24 @@ mod tests {
             .expect("schedulable loop")
     }
 
+    fn payload<T: SnapEncode>(value: &T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        value.encode_snap(&mut w);
+        w.into_bytes()
+    }
+
+    /// Decode a whole payload; every byte must be read.
+    fn decode<T: SnapDecode>(bytes: &[u8]) -> Result<T, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        let value = T::decode_snap(&mut r)?;
+        r.expect_end()?;
+        Ok(value)
+    }
+
     #[test]
     fn result_round_trip_preserves_schedule_hash() {
         let r = scheduled_result();
-        let blob = encode_result(&r);
-        let back = decode_result(&blob).unwrap();
+        let back: ScheduleResult = decode(&payload(&r)).unwrap();
         assert_eq!(back.schedule_hash(), r.schedule_hash());
         assert_eq!(back.ii, r.ii);
         assert_eq!(back.mii, r.mii);
@@ -259,24 +253,18 @@ mod tests {
     #[test]
     fn encoding_is_canonical() {
         let r = scheduled_result();
-        assert_eq!(encode_result(&r), encode_result(&r.clone()));
+        assert_eq!(payload(&r), payload(&r.clone()));
     }
 
     #[test]
     fn unsorted_placements_are_rejected() {
-        let r = scheduled_result();
-        let blob = encode_result(&r);
-        // Decode, then re-encode by hand with the placement list reversed.
-        let payload = vliw::snap::unseal(RESULT_MAGIC, &blob).unwrap();
-        // Find the placement section is non-trivial; instead craft a tiny
-        // result with two placements in the wrong order.
-        let _ = payload;
+        // A tiny result with two placements in the wrong order.
         let mut w = SnapWriter::new();
         String::from("t").encode_snap(&mut w);
         w.put_u32(1); // ii
         w.put_u32(1); // mii
         DepGraph::new().encode_snap(&mut w);
-        let placed = vec![
+        let placed = [
             (
                 NodeId(1),
                 Placement {
@@ -299,18 +287,14 @@ mod tests {
         w.put_u32(0);
         SchedulerStats::default().encode_snap(&mut w);
         SearchMeta::default().encode_snap(&mut w);
-        let bad = vliw::snap::seal(RESULT_MAGIC, &w.into_bytes());
         assert!(matches!(
-            decode_result(&bad),
+            decode::<ScheduleResult>(&w.into_bytes()),
             Err(SnapError::Malformed("placements are not sorted by node id"))
         ));
 
         // The retired `perturb` strategy tag is malformed, not a strategy.
-        let mut w = SnapWriter::new();
-        w.put_u8(2);
-        let bad = vliw::snap::seal(*b"TKND", &w.into_bytes());
         assert!(matches!(
-            vliw::snap::decode_blob::<SearchStrategyKind>(*b"TKND", &bad),
+            decode::<SearchStrategyKind>(&[2]),
             Err(SnapError::Malformed("unknown search-strategy tag"))
         ));
     }
@@ -331,8 +315,7 @@ mod tests {
                 pruned_iis: 4,
                 proof,
             };
-            let blob = vliw::snap::encode_blob(*b"TMET", &meta);
-            let back: SearchMeta = vliw::snap::decode_blob(*b"TMET", &blob).unwrap();
+            let back: SearchMeta = decode(&payload(&meta)).unwrap();
             assert_eq!(back, meta);
             assert_eq!(back.proof, proof);
         }

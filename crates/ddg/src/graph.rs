@@ -944,6 +944,7 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vliw::{SnapDecode, SnapEncode, SnapReader, SnapWriter};
 
     fn simple_graph() -> (DepGraph, NodeId, NodeId, ValueId) {
         let mut g = DepGraph::new();
@@ -1172,7 +1173,12 @@ mod tests {
 
     /// Encode and decode `g`, checking that the copy has its content.
     fn round_trip(g: &DepGraph) -> DepGraph {
-        let back = crate::snap::decode_graph(&crate::snap::encode_graph(g)).expect("round trip");
+        let mut w = SnapWriter::new();
+        g.encode_snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let back = DepGraph::decode_snap(&mut r).expect("round trip");
+        r.expect_end().expect("the decoder reads every byte");
         assert!(back.same_content(g));
         back
     }

@@ -21,8 +21,8 @@
 //!   critical cycle, folded modulo the initiation interval.
 //! * [`unroll`] — loop unrolling, used by the workbench to saturate wide
 //!   cores with small loop bodies.
-//! * [`snap`] — the versioned binary snapshot codec for loops and graphs
-//!   (`MDDG`/`MLOP` blobs), the substrate of the persistent schedule cache.
+//! * [`snap`] — the snapshot codec of dependence graphs, which schedule
+//!   cache entries carry, and the loop fingerprint of the cache key.
 //!
 //! # Example
 //!

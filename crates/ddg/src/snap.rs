@@ -1,46 +1,42 @@
-//! Snapshot codec for loops and dependence graphs.
+//! Snapshot codec for dependence graphs, and the loop fingerprint.
 //!
-//! Builds on the [`vliw::snap`] primitives to serialise [`DepGraph`]
-//! (`MDDG` blobs) and [`Loop`] (`MLOP` blobs). A graph snapshot captures
-//! the full structural state — nodes, values and edges **including
-//! tombstone slots** — so the decoded graph is
-//! [`DepGraph::same_content`]-identical to the original and continues id
-//! allocation exactly where the encoded graph left off. Derived data
-//! (adjacency lists, the value→consumers index) is rebuilt on decode; the
-//! structural epoch is not captured and restarts at 0.
+//! Builds on the [`vliw::snap`] primitives. A graph's payload captures the
+//! full structural state — nodes, values and edges **including tombstone
+//! slots** — so the decoded graph is [`DepGraph::same_content`]-identical
+//! to the original and continues id allocation exactly where the encoded
+//! graph left off. Derived data (adjacency lists, the value→consumers
+//! index) is rebuilt on decode; the structural epoch is not captured and
+//! restarts at 0. A schedule result carries its final graph this way into
+//! the schedule cache's entries (`harness::cache`).
+//!
+//! A [`Loop`] only encodes: [`loop_fingerprint`] hashes its payload into
+//! the loop's part of the cache key.
 //!
 //! # Example
 //!
 //! ```
-//! use ddg::{snap, LoopBuilder};
+//! use ddg::{snap::loop_fingerprint, LoopBuilder};
 //! use vliw::Opcode;
 //!
-//! let mut b = LoopBuilder::new("axpy");
-//! let a = b.invariant("a");
-//! let x = b.load("x");
-//! let m = b.op(Opcode::FpMul, &[a, x]);
-//! b.store("y", m);
-//! let lp = b.finish(100);
+//! let axpy = |trip_count| {
+//!     let mut b = LoopBuilder::new("axpy");
+//!     let a = b.invariant("a");
+//!     let x = b.load("x");
+//!     let m = b.op(Opcode::FpMul, &[a, x]);
+//!     b.store("y", m);
+//!     b.finish(trip_count)
+//! };
 //!
-//! let blob = snap::encode_loop(&lp);
-//! let back = snap::decode_loop(&blob).expect("round trip");
-//! assert!(back.graph.same_content(&lp.graph));
-//! assert_eq!(back.name, lp.name);
+//! let lp = axpy(100);
+//! assert_eq!(loop_fingerprint(&lp), loop_fingerprint(&lp.clone()));
+//! assert_ne!(loop_fingerprint(&lp), loop_fingerprint(&axpy(200)));
 //! ```
 
 use crate::graph::{DepEdge, DepGraph, DepKind, EdgeId, NodeOrigin, OperationData, ValueData};
 use crate::ids::{NodeId, ValueId};
 use crate::loop_ir::{Loop, MemAccess};
 use crate::small_list::{Slot, SmallList};
-use vliw::snap::{
-    decode_blob, encode_blob, fnv1a, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter,
-};
-
-/// Envelope magic for [`DepGraph`] snapshots.
-pub const GRAPH_MAGIC: [u8; 4] = *b"MDDG";
-
-/// Envelope magic for [`Loop`] snapshots.
-pub const LOOP_MAGIC: [u8; 4] = *b"MLOP";
+use vliw::snap::{fnv1a, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
 
 impl SnapEncode for NodeId {
     fn encode_snap(&self, w: &mut SnapWriter) {
@@ -75,16 +71,6 @@ impl SnapEncode for EdgeId {
 impl SnapDecode for EdgeId {
     fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(EdgeId(r.get_u32()?))
-    }
-}
-
-// The same bytes as a `Vec`: a length, then the entries.
-impl<T: SnapEncode, const N: usize> SnapEncode for SmallList<T, N> {
-    fn encode_snap(&self, w: &mut SnapWriter) {
-        w.put_len(self.len());
-        for v in self {
-            v.encode_snap(w);
-        }
     }
 }
 
@@ -249,22 +235,12 @@ impl SnapDecode for DepEdge {
     }
 }
 
-fn encode_tombstoned<T: SnapEncode>(slots: &[Option<T>], w: &mut SnapWriter) {
-    w.put_len(slots.len());
-    for slot in slots {
-        slot.encode_snap(w);
-    }
-}
-
 impl SnapEncode for DepGraph {
     fn encode_snap(&self, w: &mut SnapWriter) {
         let (nodes, values, edges) = self.snap_parts();
-        encode_tombstoned(nodes, w);
-        w.put_len(values.len());
-        for v in values {
-            v.encode_snap(w);
-        }
-        encode_tombstoned(edges, w);
+        nodes.encode_snap(w);
+        values.encode_snap(w);
+        edges.encode_snap(w);
     }
 }
 
@@ -284,48 +260,6 @@ impl SnapEncode for Loop {
         w.put_u64(self.trip_count);
         w.put_f64(self.weight);
     }
-}
-
-impl SnapDecode for Loop {
-    fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let name = String::decode_snap(r)?;
-        let graph = DepGraph::decode_snap(r)?;
-        let trip_count = r.get_u64()?;
-        let weight = r.get_f64()?;
-        Ok(Loop::new(name, graph, trip_count).with_weight(weight))
-    }
-}
-
-/// Encode a [`DepGraph`] into a sealed `MDDG` blob.
-#[must_use]
-pub fn encode_graph(graph: &DepGraph) -> Vec<u8> {
-    encode_blob(GRAPH_MAGIC, graph)
-}
-
-/// Decode a sealed `MDDG` blob back into a [`DepGraph`].
-///
-/// # Errors
-///
-/// Any [`SnapError`] from the envelope or payload check, including
-/// [`SnapError::Malformed`] for structurally inconsistent graphs
-/// (dangling ids, edges touching tombstoned nodes).
-pub fn decode_graph(blob: &[u8]) -> Result<DepGraph, SnapError> {
-    decode_blob(GRAPH_MAGIC, blob)
-}
-
-/// Encode a [`Loop`] into a sealed `MLOP` blob.
-#[must_use]
-pub fn encode_loop(lp: &Loop) -> Vec<u8> {
-    encode_blob(LOOP_MAGIC, lp)
-}
-
-/// Decode a sealed `MLOP` blob back into a [`Loop`].
-///
-/// # Errors
-///
-/// Any [`SnapError`] from the envelope or payload check.
-pub fn decode_loop(blob: &[u8]) -> Result<Loop, SnapError> {
-    decode_blob(LOOP_MAGIC, blob)
 }
 
 /// Structural fingerprint of a loop: FNV-1a over its snapshot payload.
@@ -358,15 +292,12 @@ mod tests {
         b.finish(1000).with_weight(0.25)
     }
 
-    #[test]
-    fn loop_round_trip() {
-        let lp = sample_loop();
-        let blob = encode_loop(&lp);
-        let back = decode_loop(&blob).unwrap();
-        assert!(back.graph.same_content(&lp.graph));
-        assert_eq!(back.name, lp.name);
-        assert_eq!(back.trip_count, lp.trip_count);
-        assert!((back.weight - lp.weight).abs() < f64::EPSILON);
+    /// Decode a whole graph payload; every byte must be read.
+    fn decode(bytes: &[u8]) -> Result<DepGraph, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        let g = DepGraph::decode_snap(&mut r)?;
+        r.expect_end()?;
+        Ok(g)
     }
 
     #[test]
@@ -378,8 +309,9 @@ mod tests {
         lp.graph.remove_node(victim);
         let g = &lp.graph;
 
-        let blob = encode_graph(g);
-        let mut back = decode_graph(&blob).unwrap();
+        let mut w = SnapWriter::new();
+        g.encode_snap(&mut w);
+        let mut back = decode(&w.into_bytes()).unwrap();
         assert!(back.same_content(g), "decoded graph differs structurally");
         assert!(!back.is_live(victim), "tombstone survived the round trip");
 
@@ -400,6 +332,13 @@ mod tests {
         let victim = other.graph.node_ids().nth(1).unwrap();
         other.graph.remove_node(victim);
         assert_ne!(loop_fingerprint(&lp), loop_fingerprint(&other));
+        // The name, trip count and weight are part of the loop too.
+        let renamed = Loop::new("dot", lp.graph.clone(), lp.trip_count).with_weight(lp.weight);
+        let reweighted = sample_loop().with_weight(0.5);
+        let longer = Loop::new(lp.name.clone(), lp.graph.clone(), 2000).with_weight(lp.weight);
+        for variant in [renamed, reweighted, longer] {
+            assert_ne!(loop_fingerprint(&lp), loop_fingerprint(&variant));
+        }
     }
 
     #[test]
@@ -418,15 +357,11 @@ mod tests {
             delay_override: None,
             value: None,
         }));
-        super::encode_tombstoned(nodes, &mut w);
-        w.put_len(values.len());
-        for v in values {
-            v.encode_snap(&mut w);
-        }
-        super::encode_tombstoned(&bad_edges, &mut w);
-        let blob = vliw::snap::seal(GRAPH_MAGIC, &w.into_bytes());
+        nodes.encode_snap(&mut w);
+        values.encode_snap(&mut w);
+        bad_edges.encode_snap(&mut w);
         assert!(matches!(
-            decode_graph(&blob),
+            decode(&w.into_bytes()),
             Err(SnapError::Malformed("edge endpoint is not a live node"))
         ));
     }

@@ -10,8 +10,12 @@
 //! # Key
 //!
 //! [`cache_key`] hashes the loop's structural fingerprint
-//! ([`ddg::snap::loop_fingerprint`]), the machine configuration name, the
-//! scheduler kind and the prefetch policy. No [`mirs::SearchConfig`] field is
+//! ([`ddg::snap::loop_fingerprint`]), the machine's snapshot payload (every
+//! cluster's units, ports and registers, the bus count and the latency
+//! model), the scheduler kind and the prefetch policy. The machine's name
+//! would not do: it leaves out the buses, the ports and the latencies, so
+//! the paper's design points that differ only in the bus count or the move
+//! latency would share entries. No [`mirs::SearchConfig`] field is
 //! part of the key: `exact_budget` only changes how much of the lower bound
 //! is certified, and the search **strategy** is deliberately *excluded* —
 //! strategies form a quality ladder over the same problem, which enables
@@ -109,7 +113,9 @@ impl std::fmt::Display for CacheKey {
     }
 }
 
-/// Compute the cache key of one scheduling problem.
+/// Compute the cache key of one scheduling problem: the loop's
+/// fingerprint, the whole machine description, the scheduler kind and the
+/// prefetch policy.
 ///
 /// The search configuration is *not* part of the key (see the module
 /// docs): all strategies address the same entry, which is what lets a
@@ -123,7 +129,7 @@ pub fn cache_key(
 ) -> CacheKey {
     let mut w = SnapWriter::new();
     w.put_u64(ddg::snap::loop_fingerprint(lp));
-    w.put_str(&machine.name());
+    machine.encode_snap(&mut w);
     w.put_str(kind.label());
     match prefetch {
         PrefetchPolicy::HitLatency => w.put_u8(0),
@@ -614,17 +620,28 @@ mod tests {
             key,
             ScheduleRequest::mirs(&lp, &machine, SearchConfig::exact().with_exact_budget(1)).key()
         );
-        // Everything else is.
-        let other_machine = MachineConfig::paper_config(4, 16).unwrap();
-        assert_ne!(
-            key,
+        // Everything else is, the whole machine included: each pair below
+        // shares a name and differs only in its move latency (Table 1) or
+        // its bus count (Figure 6).
+        let mirs_key = |machine: &MachineConfig| {
             cache_key(
                 &lp,
-                &other_machine,
+                machine,
                 SchedulerKind::MirsC,
                 PrefetchPolicy::HitLatency,
             )
-        );
+        };
+        assert_ne!(key, mirs_key(&MachineConfig::paper_config(4, 16).unwrap()));
+        for (a, b) in [
+            (crate::table1::machine(2, 1), crate::table1::machine(2, 3)),
+            (
+                MachineConfig::replicated(2, 2).unwrap(),
+                MachineConfig::replicated(2, 4).unwrap(),
+            ),
+        ] {
+            assert_eq!(a.name(), b.name());
+            assert_ne!(mirs_key(&a), mirs_key(&b), "{}", a.name());
+        }
         assert_ne!(
             key,
             cache_key(

@@ -17,8 +17,8 @@
 //!   of Rixner et al. used to reproduce Figure 2 of the paper (cycle time,
 //!   area and power as a function of registers, ports and clustering).
 //! * [`snap`] — the versioned binary snapshot codec ([`SnapEncode`] /
-//!   [`SnapDecode`], blob envelope, typed [`SnapError`]) that the whole
-//!   workspace's persistence layer builds on.
+//!   [`SnapDecode`], the sealed envelope, typed [`SnapError`]) that the
+//!   schedule cache's entries are written in.
 //!
 //! # Example
 //!

@@ -2,45 +2,60 @@
 //!
 //! This module is the foundation of the workspace's persistence layer. It
 //! defines a hand-rolled, **versioned, length-prefixed, little-endian**
-//! binary format used by `ddg::snap` (loops and dependence graphs),
-//! `mirs::snap` (schedule results) and `harness::cache` (the on-disk
-//! schedule cache). There are no external dependencies: the format is a
-//! few hundred lines of plain Rust, designed to be auditable and stable
-//! across process restarts.
+//! binary format. `ddg::snap` and `mirs` implement it for dependence graphs
+//! and schedule results, and `harness::cache` seals one result per file as
+//! its `MCHE` entry, the one format the workspace persists. The machine
+//! impls here only encode: the cache key hashes a machine's payload. There
+//! are no external dependencies: the format is a few hundred lines of plain
+//! Rust, designed to be auditable and stable across process restarts.
 //!
 //! # Blob envelope
 //!
-//! Every top-level snapshot is wrapped in a self-describing envelope:
+//! A sealed blob wraps a payload in a self-describing envelope:
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic         (per-type ASCII tag, e.g. b"MMCH")
+//! 0       4     magic         (ASCII tag of the blob's kind, e.g. b"MCHE")
 //! 4       2     version       (u16 LE, FORMAT_VERSION)
 //! 6       8     payload_len   (u64 LE)
 //! 14      n     payload       (type-specific, SnapEncode output)
 //! 14+n    8     checksum      (u64 LE, FNV-1a over the payload bytes)
 //! ```
 //!
-//! Decoding validates the magic, the version, the length, the checksum and
-//! that no trailing bytes follow — every failure is a typed [`SnapError`],
-//! never a panic, so corrupt or truncated blobs degrade gracefully.
+//! [`unseal`] validates the magic, the version, the length, the checksum
+//! and that no trailing bytes follow — every failure is a typed
+//! [`SnapError`], never a panic, so corrupt or truncated blobs degrade
+//! gracefully.
 //!
 //! # Example
 //!
 //! ```
-//! use vliw::{snap, MachineConfig};
+//! use vliw::snap::{seal, unseal, SnapError};
+//! use vliw::{SnapDecode, SnapReader, SnapWriter};
 //!
-//! let mc = MachineConfig::paper_config(2, 32)?;
-//! let blob = snap::encode_machine(&mc);
-//! let back = snap::decode_machine(&blob).expect("round trip");
-//! assert_eq!(back, mc);
-//! # Ok::<(), vliw::ConfigError>(())
+//! let mut w = SnapWriter::new();
+//! w.put_str("daxpy");
+//! w.put_u32(4);
+//! let blob = seal(*b"DEMO", &w.into_bytes());
+//!
+//! let mut r = SnapReader::new(unseal(*b"DEMO", &blob)?);
+//! assert_eq!(String::decode_snap(&mut r)?, "daxpy");
+//! assert_eq!(r.get_u32()?, 4);
+//! r.expect_end()?;
+//!
+//! // A flipped payload bit fails the checksum.
+//! let mut bad = blob.clone();
+//! bad[14] ^= 1;
+//! assert!(matches!(
+//!     unseal(*b"DEMO", &bad),
+//!     Err(SnapError::ChecksumMismatch { .. })
+//! ));
+//! # Ok::<(), SnapError>(())
 //! ```
 
 use crate::cluster::ClusterConfig;
 use crate::config::MachineConfig;
 use crate::op::{LatencyModel, MemLatency, Opcode};
-use crate::resource::{ClusterId, ResourceIndexer};
 use std::fmt;
 
 /// Current snapshot format version, written into every blob envelope.
@@ -60,9 +75,6 @@ use std::fmt;
 /// 7 — `SchedulerStats` lost the duplicate pruned-II count.
 pub const FORMAT_VERSION: u16 = 7;
 
-/// Envelope magic for [`MachineConfig`] snapshots.
-pub const MACHINE_MAGIC: [u8; 4] = *b"MMCH";
-
 /// Size of the envelope header (magic + version + payload length).
 const HEADER_LEN: usize = 4 + 2 + 8;
 
@@ -76,7 +88,7 @@ const TRAILER_LEN: usize = 8;
 /// this to fall through to a fresh computation instead of failing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapError {
-    /// The blob does not start with the expected per-type magic tag.
+    /// The blob does not start with the expected magic tag.
     BadMagic {
         /// Magic the decoder was asked to expect.
         expected: [u8; 4],
@@ -482,7 +494,9 @@ impl<T: SnapDecode> SnapDecode for Option<T> {
     }
 }
 
-impl<T: SnapEncode> SnapEncode for Vec<T> {
+// Any list — a `Vec`, a slice, a graph's inline list — encodes as a
+// length, then the entries.
+impl<T: SnapEncode> SnapEncode for [T] {
     fn encode_snap(&self, w: &mut SnapWriter) {
         w.put_len(self.len());
         for v in self {
@@ -598,44 +612,11 @@ pub fn unseal(magic: [u8; 4], blob: &[u8]) -> Result<&[u8], SnapError> {
     Ok(payload)
 }
 
-/// Encode a value into a complete, sealed snapshot blob.
-#[must_use]
-pub fn encode_blob<T: SnapEncode + ?Sized>(magic: [u8; 4], value: &T) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    value.encode_snap(&mut w);
-    seal(magic, &w.into_bytes())
-}
-
-/// Decode a complete snapshot blob produced by [`encode_blob`].
-///
-/// # Errors
-///
-/// Any [`SnapError`] from the envelope check or the payload decoder,
-/// including [`SnapError::TrailingBytes`] if the payload outlives the
-/// decoded value.
-pub fn decode_blob<T: SnapDecode>(magic: [u8; 4], blob: &[u8]) -> Result<T, SnapError> {
-    let payload = unseal(magic, blob)?;
-    let mut r = SnapReader::new(payload);
-    let value = T::decode_snap(&mut r)?;
-    r.expect_end()?;
-    Ok(value)
-}
-
 // ---------------------------------------------------------------------------
-// Machine-model impls
+// Machine-model impls. Opcodes and memory latencies travel inside graphs;
+// the machine description only encodes, since no stored format carries it:
+// the schedule cache hashes its payload into the key.
 // ---------------------------------------------------------------------------
-
-impl SnapEncode for ClusterId {
-    fn encode_snap(&self, w: &mut SnapWriter) {
-        w.put_u16(self.0);
-    }
-}
-
-impl SnapDecode for ClusterId {
-    fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ClusterId(r.get_u16()?))
-    }
-}
 
 impl SnapEncode for Opcode {
     fn encode_snap(&self, w: &mut SnapWriter) {
@@ -708,22 +689,6 @@ impl SnapEncode for LatencyModel {
     }
 }
 
-impl SnapDecode for LatencyModel {
-    fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(LatencyModel {
-            fp_add: r.get_u32()?,
-            fp_mul: r.get_u32()?,
-            fp_div: r.get_u32()?,
-            fp_sqrt: r.get_u32()?,
-            int_alu: r.get_u32()?,
-            load_hit: r.get_u32()?,
-            load_miss: r.get_u32()?,
-            store: r.get_u32()?,
-            move_latency: r.get_u32()?,
-        })
-    }
-}
-
 impl SnapEncode for ClusterConfig {
     fn encode_snap(&self, w: &mut SnapWriter) {
         w.put_u32(self.gp_units);
@@ -734,156 +699,52 @@ impl SnapEncode for ClusterConfig {
     }
 }
 
-impl SnapDecode for ClusterConfig {
-    fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ClusterConfig {
-            gp_units: r.get_u32()?,
-            mem_ports: r.get_u32()?,
-            registers: r.get_u32()?,
-            out_ports: r.get_u32()?,
-            in_ports: r.get_u32()?,
-        })
-    }
-}
-
-impl SnapEncode for ResourceIndexer {
-    fn encode_snap(&self, w: &mut SnapWriter) {
-        w.put_len(self.clusters());
-    }
-}
-
-impl SnapDecode for ResourceIndexer {
-    fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let clusters = r.get_u64()?;
-        let clusters = usize::try_from(clusters)
-            .ok()
-            .filter(|&c| c > 0 && c <= usize::from(u16::MAX))
-            .ok_or(SnapError::Malformed(
-                "invalid resource-indexer cluster count",
-            ))?;
-        Ok(ResourceIndexer::new(clusters))
-    }
-}
-
 impl SnapEncode for MachineConfig {
     fn encode_snap(&self, w: &mut SnapWriter) {
-        self.cluster_configs().to_vec().encode_snap(w);
+        self.cluster_configs().encode_snap(w);
         w.put_u32(self.buses());
         self.latencies().encode_snap(w);
     }
-}
-
-impl SnapDecode for MachineConfig {
-    fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let clusters = Vec::<ClusterConfig>::decode_snap(r)?;
-        let buses = r.get_u32()?;
-        let latencies = LatencyModel::decode_snap(r)?;
-        // Rebuild through the public builder so every decoded machine
-        // satisfies the same invariants as a hand-built one.
-        let mut b = MachineConfig::builder();
-        for c in clusters {
-            b = b.cluster(c);
-        }
-        b.buses(buses)
-            .latencies(latencies)
-            .build()
-            .map_err(|_| SnapError::Malformed("decoded machine fails validation"))
-    }
-}
-
-/// Encode a [`MachineConfig`] into a sealed `MMCH` blob.
-#[must_use]
-pub fn encode_machine(mc: &MachineConfig) -> Vec<u8> {
-    encode_blob(MACHINE_MAGIC, mc)
-}
-
-/// Decode a sealed `MMCH` blob back into a [`MachineConfig`].
-///
-/// # Errors
-///
-/// Any [`SnapError`] from the envelope or payload check.
-pub fn decode_machine(blob: &[u8]) -> Result<MachineConfig, SnapError> {
-    decode_blob(MACHINE_MAGIC, blob)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_machines() -> Vec<MachineConfig> {
-        let mut out = vec![
-            MachineConfig::paper_config(1, 64).unwrap(),
-            MachineConfig::paper_config(2, 32).unwrap(),
-            MachineConfig::paper_config(4, 16).unwrap(),
-            MachineConfig::paper_config_unbounded(2).unwrap(),
-            MachineConfig::replicated(8, 4).unwrap(),
-        ];
-        out.push(
-            MachineConfig::builder()
-                .cluster(ClusterConfig::new(4, 2, 64))
-                .cluster(ClusterConfig::new(2, 1, 32))
-                .buses(3)
-                .latencies(LatencyModel::with_move_latency(3))
-                .build()
-                .unwrap(),
-        );
-        out
-    }
-
-    #[test]
-    fn machine_round_trip() {
-        for mc in sample_machines() {
-            let blob = encode_machine(&mc);
-            let back = decode_machine(&blob).unwrap();
-            assert_eq!(back, mc, "round trip of {}", mc.name());
-            assert_eq!(back.name(), mc.name());
-        }
-    }
-
-    #[test]
-    fn indexer_round_trip() {
-        for clusters in [1usize, 2, 4, 8, 64] {
-            let ix = ResourceIndexer::new(clusters);
-            let blob = encode_blob(*b"TIDX", &ix);
-            let back: ResourceIndexer = decode_blob(*b"TIDX", &blob).unwrap();
-            assert_eq!(back, ix);
-        }
-    }
-
-    #[test]
-    fn indexer_rejects_zero_clusters_without_panicking() {
-        let mut w = SnapWriter::new();
-        w.put_len(0);
-        let blob = seal(*b"TIDX", &w.into_bytes());
-        let got = decode_blob::<ResourceIndexer>(*b"TIDX", &blob);
-        assert!(matches!(got, Err(SnapError::Malformed(_))));
-    }
-
     #[test]
     fn opcode_tags_are_total() {
         for &op in Opcode::all() {
-            let blob = encode_blob(*b"TOPC", &op);
-            let back: Opcode = decode_blob(*b"TOPC", &blob).unwrap();
-            assert_eq!(back, op);
+            let mut w = SnapWriter::new();
+            op.encode_snap(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = SnapReader::new(&bytes);
+            assert_eq!(Opcode::decode_snap(&mut r), Ok(op));
+            assert_eq!(r.expect_end(), Ok(()));
         }
     }
 
     #[test]
     fn envelope_rejects_hostile_blobs() {
-        let mc = MachineConfig::paper_config(2, 32).unwrap();
-        let blob = encode_machine(&mc);
+        let mut w = SnapWriter::new();
+        MachineConfig::paper_config(2, 32)
+            .unwrap()
+            .encode_snap(&mut w);
+        let payload = w.into_bytes();
+        let blob = seal(*b"TEST", &payload);
+        assert_eq!(unseal(*b"TEST", &blob), Ok(payload.as_slice()));
 
         // Truncations at every prefix length fail with a typed error.
         for cut in 0..blob.len() {
-            let got = decode_machine(&blob[..cut]);
-            assert!(got.is_err(), "prefix of {cut} bytes must not decode");
+            let got = unseal(*b"TEST", &blob[..cut]);
+            assert!(
+                matches!(got, Err(SnapError::Truncated { .. })),
+                "prefix of {cut} bytes: {got:?}"
+            );
         }
 
         // Wrong magic.
-        let mut bad = blob.clone();
-        bad[0] ^= 0xff;
         assert!(matches!(
-            decode_machine(&bad),
+            unseal(*b"MCHE", &blob),
             Err(SnapError::BadMagic { .. })
         ));
 
@@ -891,7 +752,7 @@ mod tests {
         let mut bad = blob.clone();
         bad[4] = 0xfe;
         assert!(matches!(
-            decode_machine(&bad),
+            unseal(*b"TEST", &bad),
             Err(SnapError::UnsupportedVersion { found: 0xfe, .. })
         ));
 
@@ -899,7 +760,7 @@ mod tests {
         let mut bad = blob.clone();
         bad[HEADER_LEN] ^= 0x01;
         assert!(matches!(
-            decode_machine(&bad),
+            unseal(*b"TEST", &bad),
             Err(SnapError::ChecksumMismatch { .. })
         ));
 
@@ -908,7 +769,7 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         assert!(matches!(
-            decode_machine(&bad),
+            unseal(*b"TEST", &bad),
             Err(SnapError::ChecksumMismatch { .. })
         ));
 
@@ -916,7 +777,7 @@ mod tests {
         let mut bad = blob.clone();
         bad.push(0);
         assert!(matches!(
-            decode_machine(&bad),
+            unseal(*b"TEST", &bad),
             Err(SnapError::TrailingBytes { count: 1 })
         ));
     }
@@ -925,8 +786,8 @@ mod tests {
     fn corrupt_length_prefix_cannot_drive_allocation() {
         let mut w = SnapWriter::new();
         w.put_u64(u64::MAX); // absurd element count
-        let blob = seal(*b"TVEC", &w.into_bytes());
-        let got = decode_blob::<Vec<u32>>(*b"TVEC", &blob);
+        let bytes = w.into_bytes();
+        let got = Vec::<u32>::decode_snap(&mut SnapReader::new(&bytes));
         assert!(matches!(got, Err(SnapError::Malformed(_))));
     }
 
@@ -934,7 +795,7 @@ mod tests {
     fn errors_display_cleanly() {
         let errs: Vec<SnapError> = vec![
             SnapError::BadMagic {
-                expected: MACHINE_MAGIC,
+                expected: *b"MCHE",
                 found: *b"XXXX",
             },
             SnapError::UnsupportedVersion {

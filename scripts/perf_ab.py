@@ -2,7 +2,7 @@
 """A/B gate: the benchmark's end-to-end metrics at a parent commit against
 the working tree, over alternated pairs of runs.
 
-    python3 scripts/perf_ab.py PARENT_REV [--pairs N] [--seconds S] [--workload W]...
+    python3 scripts/perf_ab.py PARENT_REV [--pairs N] [--seconds S] [--workload W[=S]]...
 
 The parent is exported with `git archive` into a temporary directory and its
 perfbench is built there with a target directory of its own, so no build
@@ -10,15 +10,18 @@ output of the checkout is reused. The working tree's perfbench is built in
 place, so uncommitted edits are measured. The workloads, `run_seconds` and
 the end-to-end metrics with their `better` and `bound` come from the
 checkout's BENCHMARK.json. Each run is `perfbench --workload W --seed 1
---seconds S --trace 0`, in a working directory of its side's own. Pair i
-runs the parent first when i is even and the change first when it is odd.
+--seconds S --trace 0`, in a working directory of its side's own, where S
+is the workload's own length when it is given as `--workload W=S` and
+`--seconds` (by default `run_seconds`) otherwise. Pair i runs the parent
+first when i is even and the change first when it is odd.
 
 Per workload and metric the report gives both medians, the shift of the
 change's median relative to the parent's, the parent's interquartile range
 as a share of its median, and the pairs the change won (ties count for
 neither side). Exit status: 1 when any metric's change median is worse than
 the parent's by more than its bound, 2 when a build or a run fails or a run
-reports `correct` false or `failed` > 0, 0 otherwise.
+reports `correct` false or `failed` > 0, or when a workload is unknown or a
+run length is not positive; 0 otherwise.
 """
 
 import argparse
@@ -119,6 +122,44 @@ def wins(parent_runs, change_runs, better):
     return sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs))
 
 
+def plan(specs, known, seconds):
+    """The `(workload, seconds)` runs that `--workload` specs ask for:
+    every known workload when there are none, and `seconds` for a spec
+    that names no length of its own.
+
+    >>> plan(["roomy", "tight=15"], ["roomy", "tight"], 3.0)
+    [('roomy', 3.0), ('tight', 15.0)]
+    >>> plan(None, ["roomy", "tight"], 8)
+    [('roomy', 8.0), ('tight', 8.0)]
+    >>> plan(["bogus"], ["roomy"], 3)
+    Traceback (most recent call last):
+    ValueError: unknown workload 'bogus' (known: roomy)
+    >>> plan(["roomy=0"], ["roomy"], 3)
+    Traceback (most recent call last):
+    ValueError: roomy: run length 0 is not a positive number of seconds
+    >>> plan(["roomy=soon"], ["roomy"], 3)
+    Traceback (most recent call last):
+    ValueError: roomy: run length soon is not a positive number of seconds
+    >>> plan(None, ["roomy"], -1)
+    Traceback (most recent call last):
+    ValueError: roomy: run length -1 is not a positive number of seconds
+    """
+    runs = []
+    for spec in specs or known:
+        name, _, length = spec.partition("=")
+        if name not in known:
+            raise ValueError(f"unknown workload {name!r} (known: {', '.join(known)})")
+        length = length or str(seconds)
+        try:
+            value = float(length)
+        except ValueError:
+            value = math.nan
+        if not value > 0:
+            raise ValueError(f"{name}: run length {length} is not a positive number of seconds")
+        runs.append((name, value))
+    return runs
+
+
 def cargo_build(manifest, target_dir=None):
     """Build perfbench at `manifest` and return its executable's path."""
     cmd = ["cargo", "build", "--release", "--quiet", "--manifest-path", str(manifest),
@@ -194,13 +235,17 @@ def main():
     ap.add_argument("parent_rev", help="the commit to compare against, e.g. HEAD^1")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
-    ap.add_argument("--workload", action="append", help="repeatable; default: every workload")
+    ap.add_argument("--workload", action="append", metavar="NAME[=SECONDS]",
+                    help="repeatable; default: every workload, each at --seconds")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    try:
+        runs_asked = plan(args.workload, [w["name"] for w in bench["workloads"]], seconds)
+    except ValueError as e:
+        ap.error(str(e))
     first = bench["end_to_end"][0]["name"]
     broken = []
     try:
@@ -212,7 +257,7 @@ def main():
             }
             for side in binaries:
                 (tmp / side).mkdir()
-            for workload in workloads:
+            for workload, seconds in runs_asked:
                 runs = {"parent": [], "change": []}
                 for i in range(args.pairs):
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

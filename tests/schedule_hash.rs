@@ -10,7 +10,7 @@
 
 use loopgen::{Workbench, WorkbenchParams};
 use mirs::{MirsScheduler, ScheduleError, SchedulerOptions, SearchConfig, SearchProof};
-use vliw::MachineConfig;
+use vliw::{MachineConfig, SnapEncode, SnapWriter};
 
 fn workbench() -> Workbench {
     Workbench::generate(&WorkbenchParams {
@@ -254,14 +254,13 @@ fn schedules_are_identical_with_a_reused_scratch() {
     }
 }
 
-/// FNV-1a over the `MDDG` snapshot payload of every workbench loop's final
-/// graph, in workbench order, plus the number of nodes whose name starts
-/// with `move ` and with `spill.`. `schedule_hash` leaves names out, but
-/// they travel in the `MDDG`/`MRES` payloads and cache entries, so this
+/// FNV-1a over the snapshot payload of every workbench loop's final graph,
+/// in workbench order, plus the number of nodes whose name starts with
+/// `move ` and with `spill.`. `schedule_hash` leaves names out, but they
+/// travel in the graph payload that every cache entry carries, so this
 /// pins the graphs the results carry, names of inserted values and nodes
-/// included. The envelope is left out: its magic is fixed and its length
-/// and checksum follow from the payload, so only the format version could
-/// move the digest without the graphs changing.
+/// included. Only the payload is hashed, so the format version cannot move
+/// the digest without the graphs changing.
 fn workbench_graph_digest(machine: &MachineConfig) -> (u64, usize, usize) {
     let wb = workbench();
     let sched = MirsScheduler::new(machine, SchedulerOptions::default());
@@ -269,9 +268,9 @@ fn workbench_graph_digest(machine: &MachineConfig) -> (u64, usize, usize) {
     let (mut moves, mut spills) = (0, 0);
     for lp in wb.loops() {
         let r = sched.schedule(lp).expect("reference workbench converges");
-        let blob = ddg::snap::encode_graph(&r.graph);
-        let payload = vliw::snap::unseal(ddg::snap::GRAPH_MAGIC, &blob).expect("sealed graph");
-        for &byte in payload {
+        let mut w = SnapWriter::new();
+        r.graph.encode_snap(&mut w);
+        for byte in w.into_bytes() {
             h ^= u64::from(byte);
             h = h.wrapping_mul(0x100_0000_01b3);
         }
