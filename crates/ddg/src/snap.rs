@@ -36,7 +36,7 @@ use crate::graph::{DepEdge, DepGraph, DepKind, EdgeId, NodeOrigin, OperationData
 use crate::ids::{NodeId, ValueId};
 use crate::loop_ir::{Loop, MemAccess};
 use crate::small_list::{Slot, SmallList};
-use vliw::snap::{fnv1a, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
+use vliw::snap::{hash64, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
 
 impl SnapEncode for NodeId {
     fn encode_snap(&self, w: &mut SnapWriter) {
@@ -262,17 +262,20 @@ impl SnapEncode for Loop {
     }
 }
 
-/// Structural fingerprint of a loop: FNV-1a over its snapshot payload.
+/// Structural fingerprint of a loop: [`hash64`] of its snapshot payload,
+/// seed 0.
 ///
-/// Two loops have the same fingerprint iff their snapshot encodings are
-/// byte-identical — same name, same trip count and weight, same graph
-/// content including tombstones. This is the loop component of the
-/// schedule cache key (`harness::cache`), stable across processes.
+/// Loops with byte-identical snapshot encodings — same name, same trip
+/// count and weight, same graph content including tombstones — share a
+/// fingerprint, and encodings that differ only inside one 8-byte word never
+/// do. This is the loop component of the schedule cache key
+/// (`harness::cache`), stable across processes; its value on a workbench
+/// loop is pinned there, since moving it moves every key.
 #[must_use]
 pub fn loop_fingerprint(lp: &Loop) -> u64 {
     let mut w = SnapWriter::new();
     lp.encode_snap(&mut w);
-    fnv1a(&w.into_bytes())
+    hash64(&w.into_bytes(), 0)
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ddg::Loop;
 use mirs::{PrefetchPolicy, ScheduleResult, SearchStrategyKind};
-use vliw::snap::{fnv1a, seal, unseal, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
+use vliw::snap::{hash64, seal, unseal, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
 use vliw::MachineConfig;
 
 use crate::runner::SchedulerKind;
@@ -91,8 +91,13 @@ pub fn replaces(new: &ScheduleResult, old: &ScheduleResult) -> bool {
     mn < mo || (mn == mo && new.search.strategy.tier() > old.search.strategy.tier())
 }
 
+/// Seeds of the two [`hash64`] passes over the key bytes that make a
+/// key's high and low halves.
+const KEY_SEEDS: [u64; 2] = [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344];
+
 /// Content address of one `(loop, machine, scheduler, prefetch)`
-/// scheduling problem — 128 bits of FNV-1a over the canonical key bytes.
+/// scheduling problem — two 64-bit [`hash64`] passes, each under its own
+/// fixed seed, over the canonical key bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     hi: u64,
@@ -115,7 +120,9 @@ impl std::fmt::Display for CacheKey {
 
 /// Compute the cache key of one scheduling problem: the loop's
 /// fingerprint, the whole machine description, the scheduler kind and the
-/// prefetch policy.
+/// prefetch policy, hashed by [`hash64`] once under each of two fixed
+/// seeds. Moving the key's value (its bytes, its seeds or `hash64`)
+/// strands every stored entry: it is never read again.
 ///
 /// The search configuration is *not* part of the key (see the module
 /// docs): all strategies address the same entry, which is what lets a
@@ -139,13 +146,9 @@ pub fn cache_key(
         }
     }
     let bytes = w.into_bytes();
-    let hi = fnv1a(&bytes);
-    let mut salted = Vec::with_capacity(8 + bytes.len());
-    salted.extend_from_slice(&hi.to_le_bytes());
-    salted.extend_from_slice(&bytes);
     CacheKey {
-        hi,
-        lo: fnv1a(&salted),
+        hi: hash64(&bytes, KEY_SEEDS[0]),
+        lo: hash64(&bytes, KEY_SEEDS[1]),
     }
 }
 
@@ -668,6 +671,49 @@ mod tests {
         b.store("y", ax);
         let other = b.finish(1000);
         assert_ne!(key, problem_key(&other));
+    }
+
+    /// Four inputs around the 8-byte word: empty, a lone tail, one whole
+    /// word, and three words and a tail.
+    const HASH_INPUTS: [&[u8]; 4] = [b"", b"MIRS-C!", b"schedule", b"modulo scheduling, spilled"];
+
+    /// `hash64` of each input under each key seed.
+    const PINNED_HASHES: [[u64; 4]; 2] = [
+        [
+            0xbf8f_ec90_feaa_8750,
+            0x5512_7061_9520_3707,
+            0xfe39_ef30_a8ff_8cfb,
+            0x00b1_db98_4d4c_b7ff,
+        ],
+        [
+            0x83ab_3b9d_597b_644e,
+            0x163b_0b08_9371_d2b9,
+            0xd691_bc96_8c0a_02c2,
+            0x5473_b2ff_756f_bc02,
+        ],
+    ];
+    /// `loop_fingerprint` of the first loop of the 10-loop workbench.
+    const PINNED_FINGERPRINT: u64 = 0x3c78_645b_d703_ce7d;
+    /// The key of `daxpy` on 2x32.
+    const PINNED_KEY: &str = "217f153b60c058e0656b152bb18fb07d";
+
+    /// Pin the hash behind every key on disk. Moving any of these values
+    /// strands cache entries: those already stored are never read again,
+    /// and stay until their directory is deleted.
+    #[test]
+    fn key_hashes_are_pinned() {
+        let got = KEY_SEEDS.map(|seed| HASH_INPUTS.map(|bytes| hash64(bytes, seed)));
+        assert_eq!(got, PINNED_HASHES, "hash64 drifted: got {got:x?}");
+        let wb = loopgen::Workbench::generate(&loopgen::WorkbenchParams {
+            loops: 10,
+            ..loopgen::WorkbenchParams::default()
+        });
+        let fingerprint = ddg::snap::loop_fingerprint(&wb.loops()[0]);
+        assert_eq!(
+            fingerprint, PINNED_FINGERPRINT,
+            "loop_fingerprint drifted: got {fingerprint:#018x}"
+        );
+        assert_eq!(problem_key(&daxpy()).to_string(), PINNED_KEY);
     }
 
     #[test]

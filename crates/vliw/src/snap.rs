@@ -19,13 +19,14 @@
 //! 4       2     version       (u16 LE, FORMAT_VERSION)
 //! 6       8     payload_len   (u64 LE)
 //! 14      n     payload       (type-specific, SnapEncode output)
-//! 14+n    8     checksum      (u64 LE, FNV-1a over the payload bytes)
+//! 14+n    8     checksum      (u64 LE, hash64 of the payload bytes, seed 0)
 //! ```
 //!
 //! [`unseal`] validates the magic, the version, the length, the checksum
 //! and that no trailing bytes follow — every failure is a typed
 //! [`SnapError`], never a panic, so corrupt or truncated blobs degrade
-//! gracefully.
+//! gracefully. The checksum is [`hash64`], which catches every change
+//! confined to one 8-byte word of the payload, so every flipped bit.
 //!
 //! # Example
 //!
@@ -72,8 +73,13 @@ use std::fmt;
 /// admission-filter flag; 5 — `SearchMeta` lost the salvaged/replaced op
 /// counts, strategy tag 2 (`perturb`) was retired and the `SearchConfig`
 /// codec removed; 6 — `SearchMeta` lost the per-attempt branch timings;
-/// 7 — `SchedulerStats` lost the duplicate pruned-II count.
-pub const FORMAT_VERSION: u16 = 7;
+/// 7 — `SchedulerStats` lost the duplicate pruned-II count; 8 — the
+/// checksum is [`hash64`] instead of byte-serial FNV-1a (payloads are
+/// unchanged).
+pub const FORMAT_VERSION: u16 = 8;
+
+/// Seed of the envelope checksum.
+const CHECKSUM_SEED: u64 = 0;
 
 /// Size of the envelope header (magic + version + payload length).
 const HEADER_LEN: usize = 4 + 2 + 8;
@@ -156,20 +162,46 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// FNV-1a over a byte slice — the checksum of the blob envelope.
+/// Word-at-a-time 64-bit hash of `bytes` under `seed`: the envelope
+/// checksum, the loop fingerprint (`ddg::snap::loop_fingerprint`) and both
+/// halves of the schedule cache key (`harness::cache::cache_key`).
 ///
-/// Same constants as `ScheduleResult::schedule_hash`, so the whole
-/// persistence layer shares one well-understood hash.
+/// The length, then each 8-byte little-endian word of `bytes` (the last
+/// one zero-padded) goes through one step, and splitmix64's finaliser
+/// mixes the result. A step is a bijection of the state for a fixed word
+/// and injective in the word for a fixed state, so two inputs of one
+/// length that differ only inside one word never hash alike: a flipped bit
+/// or byte is always caught. Each word is mixed (multiply, xor-shift)
+/// before it meets the state, off the state's dependency chain; without
+/// that, flipping bit 63 of one word and bits 63 and 31 of the next would
+/// collide under every seed, both halves of a cache key at once.
+///
+/// It is not a cryptographic hash: inputs that differ in several words can
+/// collide, and ones chosen with the seed in hand can be made to. Its
+/// values are pinned (`harness::cache` tests), because cache keys are
+/// built from them.
 #[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
+pub fn hash64(bytes: &[u8], seed: u64) -> u64 {
+    // Both multipliers are odd, so each multiply is a bijection.
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    const M: u64 = 0xff51_afd7_ed55_8ccd;
+    let xorshift = |x: u64| x ^ (x >> 32);
+    let step = |h: u64, w: u64| xorshift((h ^ xorshift(w.wrapping_mul(M))).wrapping_mul(K));
+    let mut h = step(seed, bytes.len() as u64);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word: [u8; 8] = word.try_into().expect("chunks of 8 bytes");
+        h = step(h, u64::from_le_bytes(word));
     }
-    h
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(last));
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
 /// Append-only little-endian payload writer.
@@ -532,7 +564,7 @@ impl<A: SnapDecode, B: SnapDecode> SnapDecode for (A, B) {
 }
 
 /// Wrap payload bytes in the versioned envelope described in the module
-/// docs: magic, version, length, payload, FNV-1a checksum.
+/// docs: magic, version, length, payload, [`hash64`] checksum (seed 0).
 #[must_use]
 pub fn seal(magic: [u8; 4], payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
@@ -540,7 +572,7 @@ pub fn seal(magic: [u8; 4], payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&hash64(payload, CHECKSUM_SEED).to_le_bytes());
     out
 }
 
@@ -550,9 +582,10 @@ pub fn seal(magic: [u8; 4], payload: &[u8]) -> Vec<u8> {
 ///
 /// [`SnapError::Truncated`] if the blob is shorter than the envelope
 /// declares, [`SnapError::BadMagic`] / [`SnapError::UnsupportedVersion`]
-/// for a foreign or future blob, [`SnapError::ChecksumMismatch`] when the
-/// payload bytes are corrupt, and [`SnapError::TrailingBytes`] if the blob
-/// continues past the envelope.
+/// for a foreign or other-version blob, [`SnapError::ChecksumMismatch`]
+/// when the payload's [`hash64`] differs from the trailer's (a flip in
+/// either, or any change inside one word of the payload, always does), and
+/// [`SnapError::TrailingBytes`] if the blob continues past the envelope.
 pub fn unseal(magic: [u8; 4], blob: &[u8]) -> Result<&[u8], SnapError> {
     if blob.len() < HEADER_LEN {
         return Err(SnapError::Truncated {
@@ -605,7 +638,7 @@ pub fn unseal(magic: [u8; 4], blob: &[u8]) -> Result<&[u8], SnapError> {
         blob[total - 2],
         blob[total - 1],
     ]);
-    let computed = fnv1a(payload);
+    let computed = hash64(payload, CHECKSUM_SEED);
     if stored != computed {
         return Err(SnapError::ChecksumMismatch { stored, computed });
     }
@@ -780,6 +813,29 @@ mod tests {
             unseal(*b"TEST", &bad),
             Err(SnapError::TrailingBytes { count: 1 })
         ));
+    }
+
+    #[test]
+    fn hash64_catches_every_one_word_change() {
+        // Three words and a tail: every flipped bit changes the hash, the
+        // zero-padded tail's included.
+        let base: Vec<u8> = (0u8..29).collect();
+        let flipped = |bits: &[usize]| {
+            let mut b = base.clone();
+            for &bit in bits {
+                b[bit / 8] ^= 1 << (bit % 8);
+            }
+            b
+        };
+        for seed in [0, 1] {
+            let h = hash64(&base, seed);
+            for bit in 0..base.len() * 8 {
+                assert_ne!(hash64(&flipped(&[bit]), seed), h, "bit {bit}");
+            }
+            // Bit 63 of word 0 and bits 63 and 31 of word 1: the pair the
+            // word mix is there to separate.
+            assert_ne!(hash64(&flipped(&[63, 127, 95]), seed), h);
+        }
     }
 
     #[test]

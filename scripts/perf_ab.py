@@ -2,23 +2,28 @@
 """A/B gate: the benchmark's end-to-end metrics at a parent commit against
 the working tree, over alternated pairs of runs.
 
-    python3 scripts/perf_ab.py PARENT_REV [--pairs N] [--seconds S] [--workload W[=S]]...
+    python3 scripts/perf_ab.py PARENT_REV [--pairs N] [--seconds S] [--seed N] [--workload W[=S]]...
 
 The parent is exported with `git archive` into a temporary directory and its
 perfbench is built there with a target directory of its own, so no build
 output of the checkout is reused. The working tree's perfbench is built in
 place, so uncommitted edits are measured. The workloads, `run_seconds` and
 the end-to-end metrics with their `better` and `bound` come from the
-checkout's BENCHMARK.json. Each run is `perfbench --workload W --seed 1
---seconds S --trace 0`, in a working directory of its side's own, where S
-is the workload's own length when it is given as `--workload W=S` and
-`--seconds` (by default `run_seconds`) otherwise. Pair i runs the parent
-first when i is even and the change first when it is odd.
+checkout's BENCHMARK.json. Each run is `perfbench --workload W --seed N
+--seconds S --trace 0`, in a working directory of its side's own, where N
+is `--seed` (1 by default, the same on both sides; another seed re-checks a
+claim on runs it was not made from) and S is the workload's own length
+when it is given as `--workload W=S` and `--seconds` (by default
+`run_seconds`) otherwise. Pair i runs the parent first when i is even and
+the change first when it is odd.
 
 Per workload and metric the report gives both medians, the shift of the
 change's median relative to the parent's, the parent's interquartile range
 as a share of its median, and the pairs the change won (ties count for
-neither side). Exit status: 1 when any metric's change median is worse than
+neither side). Each workload's table opens with each side's median count
+of timed passes: perfbench keeps every pass's per-item vectors, so
+`peak_rss_mb` grows with it, and a faster side runs more passes in the
+same seconds. Exit status: 1 when any metric's change median is worse than
 the parent's by more than its bound, 2 when a build or a run fails or a run
 reports `correct` false or `failed` > 0, or when a workload is unknown or a
 run length is not positive; 0 otherwise.
@@ -27,6 +32,7 @@ run length is not positive; 0 otherwise.
 import argparse
 import json
 import math
+import re
 import statistics
 import subprocess
 import sys
@@ -160,6 +166,24 @@ def plan(specs, known, seconds):
     return runs
 
 
+def timed_passes(lines):
+    """The run's count of untraced timed passes, from perfbench's
+    `items=... passes untraced=N ...` line.
+
+    >>> timed_passes(["host nproc=2", "items=30000 passes untraced=18 traced=0 setups=3",
+    ...               "{}"])
+    18
+    >>> timed_passes(["{}"])
+    Traceback (most recent call last):
+    ValueError: no 'items=... passes untraced=N' line in the output
+    """
+    for line in lines:
+        match = re.match(r"items=\S+ passes untraced=(\d+) ", line)
+        if match:
+            return int(match.group(1))
+    raise ValueError("no 'items=... passes untraced=N' line in the output")
+
+
 def cargo_build(manifest, target_dir=None):
     """Build perfbench at `manifest` and return its executable's path."""
     cmd = ["cargo", "build", "--release", "--quiet", "--manifest-path", str(manifest),
@@ -188,9 +212,10 @@ def build_parent(rev, tmp):
     return cargo_build(src / "perfbench" / "Cargo.toml", tmp / "parent-target")
 
 
-def run(binary, cwd, workload, seconds):
-    """One untraced perfbench run; its metrics by name."""
-    cmd = [binary, "--workload", workload, "--seed", "1", "--seconds", f"{seconds:g}",
+def run(binary, cwd, workload, seconds, seed):
+    """One untraced perfbench run: its metrics by name, and its count of
+    timed passes."""
+    cmd = [binary, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}",
            "--trace", "0"]
     done = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -201,13 +226,18 @@ def run(binary, cwd, workload, seconds):
         checks = "\n".join(line for line in lines if line.startswith("CHECK FAILED"))
         raise Failure(f"{' '.join(cmd)}: correct={result['correct']} "
                       f"failed={result['failed']}\n{checks}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    try:
+        passes = timed_passes(lines)
+    except ValueError as e:
+        raise Failure(f"{' '.join(cmd)}: {e}") from e
+    return {name: m["value"] for name, m in result["metrics"].items()}, passes
 
 
-def compare(workload, runs, metrics):
+def compare(workload, runs, passes, metrics):
     """Print one workload's table; return the metrics beyond their bound."""
     pairs = len(runs["parent"])
-    print(f"\n{workload}: {pairs} pairs")
+    print(f"\n{workload}: {pairs} pairs; median timed passes: parent "
+          f"{statistics.median(passes['parent']):g}, change {statistics.median(passes['change']):g}")
     print(f"{'metric':<16} {'parent':>12} {'change':>12} {'shift':>8} "
           f"{'parent IQR':>10} {'wins':>6}  bound")
     broken = []
@@ -235,6 +265,7 @@ def main():
     ap.add_argument("parent_rev", help="the commit to compare against, e.g. HEAD^1")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
+    ap.add_argument("--seed", type=int, default=1, help="perfbench's run seed, on both sides")
     ap.add_argument("--workload", action="append", metavar="NAME[=SECONDS]",
                     help="repeatable; default: every workload, each at --seconds")
     args = ap.parse_args()
@@ -259,14 +290,17 @@ def main():
                 (tmp / side).mkdir()
             for workload, seconds in runs_asked:
                 runs = {"parent": [], "change": []}
+                passes = {"parent": [], "change": []}
                 for i in range(args.pairs):
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                     for side in order:
-                        runs[side].append(run(binaries[side], tmp / side, workload, seconds))
+                        metrics, n = run(binaries[side], tmp / side, workload, seconds, args.seed)
+                        runs[side].append(metrics)
+                        passes[side].append(n)
                     print(f"{workload} pair {i + 1}/{args.pairs}: {first} "
                           f"parent {runs['parent'][-1].get(first, math.nan):.6g} "
                           f"change {runs['change'][-1].get(first, math.nan):.6g}", flush=True)
-                broken += compare(workload, runs, bench["end_to_end"])
+                broken += compare(workload, runs, passes, bench["end_to_end"])
     except (Failure, OSError, subprocess.CalledProcessError) as e:
         print(f"perf_ab: {e}", file=sys.stderr)
         return 2

@@ -65,6 +65,30 @@ fn entry(seed: u64, k: u32) -> Vec<u8> {
     encode_entry(&schedule(&lp, &machine(k), SearchConfig::default()))
 }
 
+/// Decode `blob`, a valid entry, with bit `bit` of byte `pos` flipped, and
+/// say whether it fails with the error that position calls for. Each
+/// header field fails its own check: a length bit the flip sets promises
+/// bytes that are not there, one it clears leaves bytes over. A flip in the
+/// payload or the trailer fails the checksum, which catches every change
+/// inside one 8-byte word.
+fn flip_fails_as_expected(blob: &[u8], pos: usize, bit: u8) -> Result<(), String> {
+    let mut bad = blob.to_vec();
+    bad[pos] ^= 1 << bit;
+    let got = decode_entry(&bad).err();
+    let expected = match pos {
+        0..=3 => matches!(got, Some(SnapError::BadMagic { .. })),
+        4..=5 => matches!(got, Some(SnapError::UnsupportedVersion { .. })),
+        6..=13 if blob[pos] & (1 << bit) == 0 => matches!(got, Some(SnapError::Truncated { .. })),
+        6..=13 => matches!(got, Some(SnapError::TrailingBytes { .. })),
+        _ => matches!(got, Some(SnapError::ChecksumMismatch { .. })),
+    };
+    if expected {
+        Ok(())
+    } else {
+        Err(format!("bit {bit} of byte {pos}: {got:?}"))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
@@ -138,10 +162,29 @@ proptest! {
         pos_permille in 0usize..1000,
         bit in 0u8..8,
     ) {
-        let mut blob = entry(seed, 1 << clusters_pow);
+        let blob = entry(seed, 1 << clusters_pow);
         let pos = pos_permille * blob.len() / 1000;
-        blob[pos] ^= 1 << bit;
-        prop_assert!(decode_entry(&blob).is_err(), "bit {bit} at byte {pos} slipped through");
+        prop_assert_eq!(flip_fails_as_expected(&blob, pos, bit), Ok(()));
+    }
+}
+
+/// Every bit of one four-cluster entry, flipped in turn, fails with the
+/// error its position calls for: the random cases above sample positions,
+/// this covers them all. This entry's payload ends in a 6-byte partial
+/// word, so the checksum's zero-padded last word is covered too.
+#[test]
+fn every_bit_of_an_entry_is_checked() {
+    let blob = entry(3, 4);
+    // 14 header bytes and an 8-byte trailer around the payload.
+    assert_eq!(
+        (blob.len() - 14 - 8) % 8,
+        6,
+        "the payload should end in a partial word"
+    );
+    for pos in 0..blob.len() {
+        for bit in 0..8 {
+            assert_eq!(flip_fails_as_expected(&blob, pos, bit), Ok(()));
+        }
     }
 }
 
