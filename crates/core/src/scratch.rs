@@ -25,8 +25,9 @@ use crate::pressure::PressureTracker;
 use crate::priority::PriorityList;
 use crate::schedule::PartialSchedule;
 use crate::spill::{ScheduledUse, SpillMemo};
+use ddg::analysis::LoopAnalysis;
 use ddg::{DepGraph, NodeId, ValueId};
-use vliw::{ClusterId, MachineConfig};
+use vliw::{ClusterId, LatencyModel, MachineConfig};
 
 /// What a value inserted during an attempt derives from. Its name is a
 /// function of this and the source value's name, so it is spelled out once
@@ -215,6 +216,10 @@ pub struct SchedScratch {
     /// the search driver resets it via [`SchedScratch::spill_memo_mut`]
     /// when a new loop begins, so reuse across loops stays invisible.
     spill_memo: SpillMemo,
+    /// Workspace of the one-time loop analysis.
+    analysis: LoopAnalysis,
+    /// HRMS order buffer, lent to the search driver for one loop.
+    order: Vec<NodeId>,
 }
 
 impl SchedScratch {
@@ -222,6 +227,21 @@ impl SchedScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Analyse `graph` under `lat` in the reused workspace: its `RecMII`,
+    /// and its HRMS order in the reused order buffer, which the caller
+    /// hands back with [`SchedScratch::reclaim_order`].
+    pub(crate) fn analyse(&mut self, graph: &DepGraph, lat: &LatencyModel) -> (u32, Vec<NodeId>) {
+        self.analysis.analyse(graph, lat);
+        let mut order = std::mem::take(&mut self.order);
+        self.analysis.order(&mut order);
+        (self.analysis.rec_mii(), order)
+    }
+
+    /// Take back the order buffer [`SchedScratch::analyse`] lent out.
+    pub(crate) fn reclaim_order(&mut self, order: Vec<NodeId>) {
+        self.order = order;
     }
 
     /// A copy of `base` in the reused graph buffer.

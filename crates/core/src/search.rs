@@ -51,7 +51,7 @@ use crate::options::SearchStrategyKind;
 use crate::result::{ScheduleResult, SchedulerStats, SearchMeta, SearchProof};
 use crate::scheduler::{AttemptOutcome, MirsScheduler};
 use crate::scratch::SchedScratch;
-use ddg::{hrms, mii, DepGraph, Loop, NodeId};
+use ddg::{mii, DepGraph, Loop, NodeId};
 use std::borrow::Cow;
 use std::time::Instant;
 use vliw::Opcode;
@@ -184,9 +184,9 @@ pub(crate) struct SearchDriver<'a, 'm> {
 }
 
 impl<'a, 'm> SearchDriver<'a, 'm> {
-    /// Set up the search for `lp`: settle the base graph, derive
-    /// recurrences/MII/HRMS order from it once and reset the scratch's
-    /// spill memo to it.
+    /// Set up the search for `lp`: settle the base graph, derive the MII
+    /// and the HRMS order from it once in the scratch's analysis workspace
+    /// and reset the scratch's spill memo to it.
     pub(crate) fn new(
         sched: &'a MirsScheduler<'m>,
         lp: &'a Loop,
@@ -203,21 +203,21 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             Cow::Owned(graph)
         };
 
-        // Recurrences feed both the RecMII bound and the HRMS ordering —
-        // derive them once instead of running Tarjan + the per-circuit
-        // binary searches twice per loop.
-        let recs = ddg::recurrence::recurrences(&graph, lat);
-        let bounds = mii::mii_with_recurrences(
-            &graph,
-            &recs,
-            machine.total_gp_units(),
-            machine.total_mem_ports(),
-        );
-        let mii_value = bounds.mii();
+        // One analysis of the base yields the RecMII and the HRMS order.
         // Every attempt starts from a copy of the unedited base, so one
         // ordering and one memory-op count serve them all, and the memo's
         // entries derived at the base epoch hold for every copy.
-        let order = hrms::hrms_order_with(&graph, lat, &recs);
+        let (rec_mii, order) = scratch.analyse(&graph, lat);
+        let bounds = mii::MiiBounds {
+            res_mii: mii::res_mii(
+                &graph,
+                lat,
+                machine.total_gp_units(),
+                machine.total_mem_ports(),
+            ),
+            rec_mii,
+        };
+        let mii_value = bounds.mii();
         let mem_ops_base = graph.count_ops(Opcode::is_memory) as u64;
         scratch.spill_memo_mut().begin_loop(&graph);
         Self {
@@ -254,6 +254,7 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
                 break;
             }
         }
+        self.scratch.reclaim_order(std::mem::take(&mut self.order));
         match self.best.take() {
             Some(c) => Ok(self.finish(c.result)),
             None => Err(ScheduleError::NotConverged {

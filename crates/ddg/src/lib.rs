@@ -12,6 +12,9 @@
 //! * [`LoopBuilder`] / [`Loop`] — a convenient way to describe innermost
 //!   loops (the unit of software pipelining), including loop-invariant
 //!   values, recurrences and memory access patterns.
+//! * [`analysis`] — the one-time analysis of a loop (recurrences,
+//!   `RecMII`, heights and the HRMS order) from one read of its graph, in a
+//!   reusable workspace.
 //! * [`mii`] — minimum initiation interval bounds (resource-constrained
 //!   `ResMII` and recurrence-constrained `RecMII`).
 //! * [`recurrence`] — strongly connected components / recurrence circuits.
@@ -49,6 +52,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod analysis;
 mod builder;
 pub mod collections;
 mod graph;

@@ -9,8 +9,9 @@
 //! `MII = max(ResMII, RecMII)` is the starting II of both the MIRS-C
 //! scheduler and the non-iterative baseline.
 
+use crate::analysis::LoopAnalysis;
 use crate::graph::DepGraph;
-use crate::recurrence::{rec_mii_of_graph, Recurrence};
+use crate::recurrence::Recurrence;
 use vliw::{LatencyModel, OpClass};
 
 /// The initiation-interval lower bounds of a loop on a machine with
@@ -38,11 +39,12 @@ impl MiiBounds {
 /// the bound a unified machine would have (and therefore a valid lower bound
 /// for any clustering of the same resources). Inter-cluster move operations
 /// are not counted because none exist before scheduling.
+///
+/// Divides and square roots block their unit for several cycles, so the
+/// bound counts occupancy under `lat`, the model the modulo reservation
+/// table uses: the machine's own.
 #[must_use]
-pub fn res_mii(g: &DepGraph, gp_units: u32, mem_ports: u32) -> u32 {
-    // Count occupancy, not just operation count: divides and square roots
-    // block their unit for several cycles.
-    let lat = LatencyModel::default();
+pub fn res_mii(g: &DepGraph, lat: &LatencyModel, gp_units: u32, mem_ports: u32) -> u32 {
     let mut gp_cycles: u64 = 0;
     let mut mem_cycles: u64 = 0;
     for n in g.node_ids() {
@@ -59,17 +61,20 @@ pub fn res_mii(g: &DepGraph, gp_units: u32, mem_ports: u32) -> u32 {
 }
 
 /// Recurrence-constrained minimum II: the smallest II at which the
-/// dependence-constraint graph has no positive cycle.
+/// dependence-constraint graph has no positive cycle, which is the largest
+/// `RecMII` of its recurrences ([`LoopAnalysis::rec_mii`]).
 #[must_use]
 pub fn rec_mii(g: &DepGraph, lat: &LatencyModel) -> u32 {
-    rec_mii_of_graph(g, lat)
+    let mut analysis = LoopAnalysis::new();
+    analysis.analyse(g, lat);
+    analysis.rec_mii()
 }
 
-/// Both bounds at once.
+/// Both bounds at once, under the machine's latency model `lat`.
 #[must_use]
 pub fn mii(g: &DepGraph, lat: &LatencyModel, gp_units: u32, mem_ports: u32) -> MiiBounds {
     MiiBounds {
-        res_mii: res_mii(g, gp_units, mem_ports),
+        res_mii: res_mii(g, lat, gp_units, mem_ports),
         rec_mii: rec_mii(g, lat),
     }
 }
@@ -78,9 +83,12 @@ pub fn mii(g: &DepGraph, lat: &LatencyModel, gp_units: u32, mem_ports: u32) -> M
 ///
 /// A positive cycle of the whole constraint graph always lies inside one
 /// strongly connected component, so `RecMII` equals the maximum per-circuit
-/// `rec_mii` (1 when there is none). Callers that need the recurrences
-/// anyway — the scheduler computes them for the HRMS ordering — get the
-/// bounds without a second whole-graph binary search.
+/// `rec_mii` (1 when there is none).
+///
+/// `ResMII` counts occupancy under [`LatencyModel::default`]: this
+/// signature has no latency model, and the recurrences carry none. On a
+/// machine with other divide or square-root latencies, use [`mii`] or
+/// [`res_mii`] with the machine's model.
 #[must_use]
 pub fn mii_with_recurrences(
     g: &DepGraph,
@@ -89,7 +97,7 @@ pub fn mii_with_recurrences(
     mem_ports: u32,
 ) -> MiiBounds {
     MiiBounds {
-        res_mii: res_mii(g, gp_units, mem_ports),
+        res_mii: res_mii(g, &LatencyModel::default(), gp_units, mem_ports),
         rec_mii: recs.iter().map(|r| r.rec_mii).max().unwrap_or(1),
     }
 }
@@ -117,9 +125,9 @@ mod tests {
         let w = b.load("w");
         b.store("q", w);
         let lp = b.finish(10);
-        assert_eq!(res_mii(&lp.graph, 8, 4), 2);
+        assert_eq!(res_mii(&lp.graph, &LatencyModel::default(), 8, 4), 2);
         // On a 2-GP / 1-mem machine the 5 memory ops dominate: ResMII = 5.
-        assert_eq!(res_mii(&lp.graph, 2, 1), 5);
+        assert_eq!(res_mii(&lp.graph, &LatencyModel::default(), 2, 1), 5);
     }
 
     #[test]
@@ -130,9 +138,16 @@ mod tests {
         let _ = b.op(Opcode::FpDiv, &[x, y]);
         let lp = b.finish(10);
         // One divide blocks a unit for 17 cycles: with one GP unit, II >= 17.
-        assert_eq!(res_mii(&lp.graph, 1, 4), 17);
+        assert_eq!(res_mii(&lp.graph, &LatencyModel::default(), 1, 4), 17);
         // With 8 GP units it still needs ceil(17/8) = 3.
-        assert_eq!(res_mii(&lp.graph, 8, 4), 3);
+        assert_eq!(res_mii(&lp.graph, &LatencyModel::default(), 8, 4), 3);
+        // A machine with an 8-cycle divider: occupancy follows its model.
+        let fast = LatencyModel {
+            fp_div: 8,
+            ..LatencyModel::default()
+        };
+        assert_eq!(res_mii(&lp.graph, &fast, 1, 4), 8);
+        assert_eq!(mii(&lp.graph, &fast, 1, 4).mii(), 8);
     }
 
     #[test]
@@ -177,7 +192,7 @@ mod tests {
     fn empty_graph_has_trivial_bounds() {
         let g = DepGraph::new();
         let lat = LatencyModel::default();
-        assert_eq!(res_mii(&g, 8, 4), 1);
+        assert_eq!(res_mii(&g, &lat, 8, 4), 1);
         assert_eq!(rec_mii(&g, &lat), 1);
     }
 }

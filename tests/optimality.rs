@@ -17,7 +17,7 @@ use mirs::{
     MirsScheduler, ScheduleResult, SchedulerOptions, SearchConfig, SearchProof, SearchStrategyKind,
 };
 use proptest::prelude::*;
-use vliw::MachineConfig;
+use vliw::{ClusterConfig, LatencyModel, MachineConfig, Opcode};
 
 fn schedule(
     machine: &MachineConfig,
@@ -129,4 +129,35 @@ fn hard_cases_keep_their_certified_bounds_sound() {
             }
         }
     }
+}
+
+/// The MII counts divide occupancy under the machine's own latency model,
+/// the one the modulo reservation table uses. With an 8-cycle divider on
+/// one GP unit and one memory port, load → divide → store has MII 8; an
+/// MII counted under the default 17-cycle divider would start every climb
+/// at 17 and let `exact` certify II 17 as optimal.
+#[test]
+fn mii_counts_occupancy_under_the_machine_latency_model() {
+    let machine = MachineConfig::builder()
+        .cluster(ClusterConfig::new(1, 1, 64))
+        .latencies(LatencyModel {
+            fp_div: 8,
+            ..LatencyModel::default()
+        })
+        .build()
+        .unwrap();
+    let mut b = ddg::LoopBuilder::new("div");
+    let x = b.load("x");
+    let d = b.op(Opcode::FpDiv, &[x, x]);
+    b.store("y", d);
+    let lp = b.finish(100);
+    let bounds = ddg::mii::mii(&lp.graph, machine.latencies(), 1, 1);
+    assert_eq!((bounds.res_mii, bounds.mii()), (8, 8));
+    for search in [SearchConfig::linear(), SearchConfig::exact()] {
+        let r = schedule(&machine, &lp, search).expect("the loop converges");
+        r.validate(&machine).expect("schedule validates");
+        assert_eq!((r.mii, r.ii), (8, 8), "{}", search.strategy);
+    }
+    let exact = schedule(&machine, &lp, SearchConfig::exact()).unwrap();
+    assert_eq!(exact.search.proof, SearchProof::Optimal);
 }

@@ -6,9 +6,11 @@
 //! order, so an analysis that reorders even one tie moves these digests
 //! before it moves any schedule pin.
 
-use ddg::{hrms, mii, recurrence, Loop};
+use ddg::analysis::LoopAnalysis;
+use ddg::{hrms, mii, recurrence, DepGraph, Loop};
 use loopgen::{Workbench, WorkbenchParams};
-use vliw::LatencyModel;
+use mirs::{MirsScheduler, SchedulerOptions};
+use vliw::{LatencyModel, MachineConfig};
 
 /// Fold one word into a running digest.
 fn fold(combined: u64, word: u64) -> u64 {
@@ -76,6 +78,43 @@ fn analysis_of_the_unsaturated_workbench_is_pinned() {
 fn analysis_of_the_hard_cases_is_pinned() {
     let got = digest(&loopgen::hard_cases());
     assert_eq!(got, HARD, "got {got:#x?}");
+}
+
+/// One workspace reused over loops whose node capacity grows and shrinks,
+/// and over scheduled graphs with removed nodes, gives the recurrences,
+/// `RecMII` and order a fresh workspace gives.
+#[test]
+fn a_reused_workspace_matches_a_fresh_one() {
+    let lat = LatencyModel::default();
+    let mut loops = workbench(WorkbenchParams::paper_scale(), 120, 0x5eed_cafe);
+    loops.sort_by_key(|lp| lp.graph.node_capacity());
+    let shrinking: Vec<Loop> = loops.iter().rev().cloned().collect();
+    loops.extend(shrinking);
+    loops.extend(loopgen::hard_cases());
+    let mut graphs: Vec<DepGraph> = loops.into_iter().map(|lp| lp.graph).collect();
+    let machine = MachineConfig::paper_config(4, 16).unwrap();
+    let sched = MirsScheduler::new(&machine, SchedulerOptions::default());
+    let scheduled: Vec<DepGraph> = workbench(WorkbenchParams::default(), 20, 0x5eed_cafe)
+        .iter()
+        .filter_map(|lp| sched.schedule(lp).ok().map(|r| r.graph))
+        .collect();
+    assert!(
+        scheduled.iter().any(|g| g.node_capacity() > g.node_count()),
+        "some scheduled graph has removed nodes"
+    );
+    graphs.extend(scheduled);
+
+    let mut reused = LoopAnalysis::new();
+    let mut order = Vec::new();
+    for g in &graphs {
+        reused.analyse(g, &lat);
+        reused.order(&mut order);
+        let mut fresh = LoopAnalysis::new();
+        fresh.analyse(g, &lat);
+        assert_eq!(reused.recurrences(), fresh.recurrences());
+        assert_eq!(reused.rec_mii(), fresh.rec_mii());
+        assert_eq!(order, hrms::hrms_order(g, &lat));
+    }
 }
 
 /// Recorded from the analysis that ran Tarjan, the `RecMII` searches, the
