@@ -12,7 +12,10 @@
 //! buffer out with its capacity preserved (reset to empty, or for the
 //! graph, overwritten with a copy of the base), `reclaim` puts it back
 //! when the attempt ends. A successful attempt keeps its graph: it moves
-//! into the result.
+//! into the result. The loop's one-time analysis (recurrences, `RecMII`,
+//! the HRMS order) runs in a [`LoopAnalysis`] workspace the scratch keeps
+//! as well, so a warm loop set-up allocates only its recurrence list and
+//! the hash sets that reproduce HRMS's ties.
 //!
 //! Reuse is invisible to the schedule: every buffer is reset to exactly the
 //! state a freshly constructed one would have. Every attempt's graph copy

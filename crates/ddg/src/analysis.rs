@@ -259,9 +259,14 @@ impl LoopAnalysis {
     /// Read the arcs of `g` and find its components, without `RecMII`.
     pub(crate) fn read(&mut self, g: &DepGraph, lat: &LatencyModel) {
         let cap = g.node_capacity();
+        // Sized once, so a fresh workspace allocates each list once: loops
+        // have about 1.4 edges per node.
         self.nodes.clear();
+        self.nodes.reserve(cap);
         self.arc_start.clear();
+        self.arc_start.reserve(cap + 1);
         self.arcs.clear();
+        self.arcs.reserve(2 * cap);
         self.latency_sum = 0;
         for n in g.node_ids() {
             self.arc_start.resize(n.index() + 1, self.arcs.len() as u32);
@@ -297,10 +302,15 @@ impl LoopAnalysis {
         reset(&mut self.lowlink, cap, 0);
         reset(&mut self.on_stack, cap, false);
         reset(&mut self.comp_of, cap, NONE);
+        self.stack.reserve(cap);
+        self.frames.reserve(cap);
         self.comp_nodes.clear();
+        self.comp_nodes.reserve(cap);
         self.comp_start.clear();
+        self.comp_start.reserve(cap + 1);
         self.comp_start.push(0);
         self.comp_rec.clear();
+        self.comp_rec.reserve(cap);
         let mut next = 0;
         for i in 0..self.nodes.len() {
             let root = self.nodes[i];
@@ -450,7 +460,9 @@ impl LoopAnalysis {
         reset(&mut self.unordered_preds, cap, 0);
         reset(&mut self.unordered_succs, cap, 0);
         self.succ_start.clear();
+        self.succ_start.reserve(cap + 1);
         self.succs.clear();
+        self.succs.reserve(self.arcs.len());
         for n in 0..cap {
             self.succ_start.push(self.succs.len() as u32);
             let start = self.arc_start[n] as usize;
@@ -467,6 +479,7 @@ impl LoopAnalysis {
         }
         self.succ_start.push(self.succs.len() as u32);
         self.pred_start.clear();
+        self.pred_start.reserve(cap + 1);
         self.pred_start.push(0);
         let mut total = 0;
         for n in 0..cap {
@@ -497,6 +510,9 @@ impl LoopAnalysis {
         self.neighbours();
         reset(&mut self.placed, cap, false);
         reset(&mut self.position, cap, NONE);
+        self.snapshot.reserve(cap);
+        self.keys.reserve(cap);
+        out.reserve(self.nodes.len());
         for rec in recs {
             let mut set: HashSet<NodeId> = rec
                 .nodes
