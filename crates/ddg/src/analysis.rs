@@ -126,7 +126,6 @@ pub struct LoopAnalysis {
 
     // Recurrences and `RecMII`.
     recs: Vec<Recurrence>,
-    rec_mii: u32,
     /// Position of each node inside its component.
     local: Vec<u32>,
     /// A component's own arcs in local indices: (from, to, latency, distance).
@@ -224,7 +223,6 @@ impl LoopAnalysis {
                 .cmp(&a.rec_mii)
                 .then(a.nodes.len().cmp(&b.nodes.len()))
         });
-        self.rec_mii = self.recs.first().map_or(1, |r| r.rec_mii);
     }
 
     /// The recurrences of the graph last analysed.
@@ -240,7 +238,7 @@ impl LoopAnalysis {
     /// upper end, so this is the whole graph's `RecMII`.
     #[must_use]
     pub fn rec_mii(&self) -> u32 {
-        self.rec_mii
+        self.recs.first().map_or(1, |r| r.rec_mii)
     }
 
     /// Fill `out` with the HRMS priority order of the graph last analysed,

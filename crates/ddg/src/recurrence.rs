@@ -9,7 +9,9 @@
 //! from the graph once. A recurrence's `RecMII` is the smallest II at
 //! which its own arcs, weighted `latency − II · distance`, close no
 //! positive cycle: a binary search over `[1, Σ (latency + 1)]` of
-//! Bellman–Ford probes.
+//! Bellman–Ford probes. A positive cycle lies inside one component, so the
+//! largest of these is the whole graph's `RecMII` ([`crate::mii::rec_mii`]),
+//! and no search runs over the whole graph.
 
 use crate::analysis::LoopAnalysis;
 use crate::graph::DepGraph;
