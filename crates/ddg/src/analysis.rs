@@ -26,11 +26,11 @@
 //! HRMS picks, among the candidates of a set, the one with the largest
 //! (readiness, height, −unordered neighbours); ties go to the first
 //! candidate in the iteration order of the set's fixed-hasher `HashSet`.
-//! The order is kept exactly: each ordered set is still built as a
-//! `HashSet` from the same insertion sequence, and its iteration order is
-//! taken once. The standard table never moves an entry on removal, so a
-//! walk of the set after each pick, minus the picked nodes, sees the order
-//! taken at the start. A candidate's key changes only when a neighbour is
+//! Each ordered set is built as such a `HashSet`, from a fixed insertion
+//! sequence with fixed size hints, and its iteration order is taken once.
+//! The standard table never moves an entry on removal, so a walk of the
+//! set after each pick, minus the picked nodes, would see the order taken
+//! at the start. A candidate's key changes only when a neighbour is
 //! placed, so only the picked node's neighbours are re-keyed.
 //!
 //! Heights on a graph whose distance-0 edges close a positive cycle have
