@@ -19,10 +19,12 @@
 //! computation throughout the test suite, and the place/eject property test
 //! drives random schedules against the same oracle.
 //!
-//! Folding and reading stay cheap. A [`PressureMap`] folds a lifetime
-//! with one whole-II pass, skipped when the lifetime never wraps, plus at
-//! most two contiguous ranges, so it takes no modulo per cycle. The spill
-//! heuristic walks a cluster's intervals in place through
+//! Folding and reading stay cheap. A [`PressureMap`] keeps the pressure in
+//! step form, so folding or unfolding a lifetime is O(1). Each recorded
+//! interval keeps its *phase*, the kernel cycle its producer was placed in
+//! (which the schedule already stores), and is folded by phase and length:
+//! nothing divides unless the lifetime is at least one II long. The spill
+//! heuristic walks a cluster's intervals and their phases in place through
 //! [`PressureTracker::intervals_in`], in value-id order, without
 //! collecting them.
 
@@ -43,6 +45,8 @@ enum Contribution {
         cluster: usize,
         /// The folded lifetime.
         interval: LifetimeInterval,
+        /// Kernel cycle the lifetime starts in (`start mod II`).
+        phase: u32,
     },
     /// A loop invariant: one register for the whole loop in every cluster
     /// its row of [`PressureTracker::invariant_in`] flags.
@@ -177,13 +181,10 @@ impl PressureTracker {
         let Some(producer) = data.producer else {
             return Contribution::None;
         };
-        let Some(def_cycle) = sched.cycle_of(producer) else {
+        let Some(def) = sched.info(producer) else {
             return Contribution::None;
         };
-        let cluster = sched
-            .cluster_of(producer)
-            .expect("scheduled node has a cluster")
-            .index();
+        let def_cycle = def.cycle;
         let mut end = def_cycle;
         for &e in graph.out_edge_ids(producer) {
             let edge = graph.edge(e);
@@ -195,12 +196,13 @@ impl PressureTracker {
             }
         }
         Contribution::Interval {
-            cluster,
+            cluster: def.cluster.index(),
             interval: LifetimeInterval {
                 value: v,
                 start: def_cycle,
                 end,
             },
+            phase: def.slot,
         }
     }
 
@@ -208,7 +210,11 @@ impl PressureTracker {
     fn fold(&mut self, v: ValueId, c: Contribution) {
         match c {
             Contribution::None => {}
-            Contribution::Interval { cluster, interval } => self.maps[cluster].add(&interval),
+            Contribution::Interval {
+                cluster,
+                interval,
+                phase,
+            } => self.maps[cluster].add_at(phase, interval.len()),
             Contribution::Invariant => {
                 let row = self.row(v);
                 for (map, &used) in self.maps.iter_mut().zip(&self.invariant_in[row]) {
@@ -225,7 +231,11 @@ impl PressureTracker {
     fn unfold(&mut self, v: ValueId, c: Contribution) {
         match c {
             Contribution::None => {}
-            Contribution::Interval { cluster, interval } => self.maps[cluster].remove(&interval),
+            Contribution::Interval {
+                cluster,
+                interval,
+                phase,
+            } => self.maps[cluster].remove_at(phase, interval.len()),
             Contribution::Invariant => {
                 let row = self.row(v);
                 for (map, used) in self.maps.iter_mut().zip(&mut self.invariant_in[row]) {
@@ -237,8 +247,8 @@ impl PressureTracker {
         }
     }
 
-    /// Pressure gauge of one cluster. Callers must [`flush`] first; the
-    /// scheduler wraps both in `SchedState::pressure_of`.
+    /// Pressure gauge of one cluster. Callers must [`flush`] first, as the
+    /// spill check does before every read.
     ///
     /// [`flush`]: PressureTracker::flush
     pub fn cluster(&self, idx: usize) -> &PressureMap {
@@ -250,16 +260,21 @@ impl PressureTracker {
         self.maps.iter().map(PressureMap::max_live).collect()
     }
 
-    /// Lifetime intervals currently contributing to `cluster`, in value-id
-    /// order — the iteration order the spill-candidate selection depends on
-    /// for deterministic tie-breaking (requires a preceding flush). Read in
-    /// place: nothing is collected.
-    pub fn intervals_in(&self, cluster: usize) -> impl Iterator<Item = LifetimeInterval> + '_ {
+    /// Lifetime intervals currently contributing to `cluster`, each with
+    /// the kernel cycle it starts in, in value-id order — the iteration
+    /// order the spill-candidate selection depends on for deterministic
+    /// tie-breaking (requires a preceding flush). Read in place: nothing is
+    /// collected.
+    pub fn intervals_in(
+        &self,
+        cluster: usize,
+    ) -> impl Iterator<Item = (LifetimeInterval, u32)> + '_ {
         self.recorded.iter().filter_map(move |c| match *c {
             Contribution::Interval {
                 cluster: cl,
                 interval,
-            } if cl == cluster => Some(interval),
+                phase,
+            } if cl == cluster => Some((interval, phase)),
             _ => None,
         })
     }

@@ -206,8 +206,9 @@ impl PartialSchedule {
         self.placed == 0
     }
 
-    /// Placement of `node`, if scheduled.
-    fn info(&self, node: NodeId) -> Option<&PlacementInfo> {
+    /// Placement of `node`, if scheduled: its cycle, kernel cycle and
+    /// cluster from one read.
+    pub(crate) fn info(&self, node: NodeId) -> Option<&PlacementInfo> {
         self.placements.get(node.index()).and_then(Option::as_ref)
     }
 

@@ -8,17 +8,27 @@
 //! the oracle the debug assertions (and the property tests) compare the
 //! incremental gauges against.
 //!
+//! A check first compares each cluster's register sum
+//! ([`PressureMap::bound`](ddg::lifetime::PressureMap::bound)) with the
+//! threshold. `MaxLive` never exceeds that sum, so a sum within the
+//! threshold settles the cluster in O(1); only a sum over it pays the one
+//! prefix pass over the kernel that reads `MaxLive` and the critical cycle.
+//!
 //! A check that finds a cluster over its threshold ranks the spill
 //! candidates without building them. It reads the cluster's intervals in
 //! place from the tracker and keeps each value's scheduled uses in a buffer
 //! reused across checks; only the winner's consumer list is collected, once
-//! per inserted spill. When no candidate qualifies, the victim in the
-//! critical cycle is found from the kernel cycle each placement stores. A
-//! check therefore allocates nothing and divides nothing per placed node.
+//! per inserted spill. Whether a lifetime or a section crosses the critical
+//! cycle is read from the kernel cycle it starts in ([`phase_covers`]): a
+//! lifetime's phase is its producer's kernel cycle and a section's the
+//! kernel cycle of the consumer that opens it, both stored by the schedule.
+//! When no candidate qualifies, the victim in the critical cycle is found
+//! from the same stored kernel cycles. A check therefore allocates nothing
+//! and divides nothing per placed node.
 
 use crate::scheduler::SchedState;
 use crate::scratch::Derivation;
-use ddg::lifetime::{LifetimeInterval, Pressure};
+use ddg::lifetime::{phase_covers, LifetimeInterval, Pressure};
 use ddg::{DepGraph, MemAccess, NodeId, NodeOrigin, OperationData, ValueId};
 use vliw::{ClusterId, LatencyModel, Opcode};
 
@@ -284,6 +294,8 @@ pub(crate) struct ScheduledUse {
     /// Absolute cycle at which the consumer reads the value: its own
     /// cycle plus `II ×` the iteration distance.
     cycle: i64,
+    /// Kernel cycle of `cycle` (the consumer's own kernel cycle).
+    slot: u32,
     /// Iteration distance of the read.
     distance: u32,
 }
@@ -383,18 +395,20 @@ impl SchedState<'_> {
     }
 
     /// Whether the incremental gauges agree with a from-scratch lifetime
-    /// computation — the invariant behind every spill decision. Referenced
-    /// by `debug_assert!` so release builds skip the O(values × edges)
-    /// recomputation.
+    /// computation — the invariant behind every spill decision: each
+    /// cluster's per-cycle pressure, and its register sum (the bound a
+    /// check reads before the pressure). Referenced by `debug_assert!` so
+    /// release builds skip the O(values × edges) recomputation.
     pub(crate) fn pressure_matches_scratch(&self) -> bool {
         let (intervals, invariants) = self.cluster_lifetimes();
+        let ii = self.sched.ii();
         self.machine.cluster_ids().all(|c| {
-            let scratch = Pressure::compute(
-                intervals[c.index()].iter(),
-                self.sched.ii(),
-                invariants[c.index()],
-            );
-            self.pressure.cluster(c.index()).per_cycle() == scratch.per_cycle()
+            let intervals = &intervals[c.index()];
+            let scratch = Pressure::compute(intervals.iter(), ii, invariants[c.index()]);
+            let bound =
+                intervals.iter().map(|iv| iv.registers(ii)).sum::<u32>() + invariants[c.index()];
+            let gauge = self.pressure.cluster(c.index());
+            gauge.per_cycle() == scratch.per_cycle() && gauge.bound() == bound
         })
     }
 
@@ -418,22 +432,26 @@ impl SchedState<'_> {
             if available == u32::MAX {
                 continue; // unbounded register file: never spill
             }
+            let threshold = if finishing {
+                available
+            } else {
+                (self.opts.spill_gauge * f64::from(available)).floor() as u32
+            };
             // Bounded number of spill actions per invocation; the heuristic
             // runs again after every scheduled node anyway.
             for _ in 0..4 {
                 self.pressure.flush(&self.graph, &self.sched);
                 debug_assert!(self.pressure_matches_scratch());
                 let gauge = self.pressure.cluster(cluster.index());
-                let rr = gauge.max_live();
-                let threshold = if finishing {
-                    available
-                } else {
-                    (self.opts.spill_gauge * f64::from(available)).floor() as u32
-                };
+                // MaxLive ≤ the register sum: a sum within the threshold
+                // settles the cluster before any pass over the kernel.
+                if gauge.bound() <= threshold {
+                    break;
+                }
+                let (rr, critical) = gauge.peak();
                 if rr <= threshold {
                     break;
                 }
-                let critical = gauge.critical_cycle();
                 // When the priority list is empty the schedule *must* fit the
                 // register file, so the minimum-span requirement is relaxed
                 // rather than giving up on the II (the paper's MSG filter
@@ -514,8 +532,8 @@ impl SchedState<'_> {
         }
 
         // Loop-variant lifetimes crossing the critical cycle.
-        for interval in self.pressure.intervals_in(cluster.index()) {
-            if !interval.covers_kernel_cycle(critical_cycle, ii) {
+        for (interval, phase) in self.pressure.intervals_in(cluster.index()) {
+            if !phase_covers(phase, interval.len(), critical_cycle, ii) {
                 continue;
             }
             let v = interval.value;
@@ -527,9 +545,8 @@ impl SchedState<'_> {
             if entry.reload {
                 continue;
             }
-            let def_cycle = sched
-                .cycle_of(producer)
-                .expect("interval producer scheduled");
+            let def_cycle = interval.start;
+            debug_assert_eq!(sched.cycle_of(producer), Some(def_cycle));
             let already_stored = slots.spill_store(v).is_some();
             debug_assert_eq!(
                 already_stored,
@@ -541,29 +558,30 @@ impl SchedState<'_> {
             // Consider every scheduled consumer as the end of a use section.
             uses.clear();
             for &(node, distance) in &entry.uses {
-                if let Some(uc) = sched.cycle_of(node) {
+                if let Some(p) = sched.info(node) {
                     uses.push(ScheduledUse {
                         node,
-                        cycle: uc + i64::from(ii) * i64::from(distance),
+                        cycle: p.cycle + i64::from(ii) * i64::from(distance),
+                        slot: p.slot,
                         distance,
                     });
                 }
             }
             uses.sort_by_key(|u| u.cycle);
             let traffic = if already_stored { 1.0 } else { 2.0 };
-            let mut prev = def_cycle;
+            // Start and kernel cycle of the section ending at each use: the
+            // first opens at the definition, each later one at the use
+            // before it (`II ×` a distance away from its consumer's cycle,
+            // so in the same kernel cycle).
+            let (mut prev, mut prev_phase) = (def_cycle, phase);
             let mut leads = false;
             for (idx, u) in uses.iter().enumerate() {
                 let span = u.cycle - prev;
                 let non_spillable = if idx == 0 { entry.producer_latency } else { 0 };
-                let section = LifetimeInterval {
-                    value: v,
-                    start: prev,
-                    end: u.cycle,
-                };
-                prev = u.cycle;
+                let section_phase = prev_phase;
+                (prev, prev_phase) = (u.cycle, u.slot);
                 if span - non_spillable < min_span
-                    || !section.covers_kernel_cycle(critical_cycle, ii)
+                    || !phase_covers(section_phase, span, critical_cycle, ii)
                 {
                     continue;
                 }

@@ -30,6 +30,7 @@ pub struct EdgeId(pub u32);
 impl EdgeId {
     /// Numeric index of the edge.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -163,12 +164,14 @@ impl OperationData {
 
     /// Scheduling latency of the operation under its memory assumption.
     #[must_use]
+    #[inline]
     pub fn latency(&self, lat: &LatencyModel) -> u32 {
         lat.latency_of(self.opcode, self.mem_latency)
     }
 
     /// Values read by the operation (may contain loop invariants).
     #[must_use]
+    #[inline]
     pub fn srcs(&self) -> &[ValueId] {
         &self.srcs
     }
@@ -364,6 +367,7 @@ impl DepGraph {
     ///
     /// Panics if `v` is out of range.
     #[must_use]
+    #[inline]
     pub fn value(&self, v: ValueId) -> &ValueData {
         &self.values[v.index()]
     }
@@ -423,6 +427,7 @@ impl DepGraph {
     /// Borrowed variant of [`DepGraph::consumers_of`] for read-only hot
     /// paths (no allocation, no oracle check).
     #[must_use]
+    #[inline]
     pub fn consumer_ids(&self, v: ValueId) -> &[NodeId] {
         &self.consumers[v.index()]
     }
@@ -528,6 +533,7 @@ impl DepGraph {
 
     /// Whether `n` refers to a live (non-removed) node.
     #[must_use]
+    #[inline]
     pub fn is_live(&self, n: NodeId) -> bool {
         self.nodes
             .get(n.index())
@@ -541,6 +547,7 @@ impl DepGraph {
     ///
     /// Panics if `n` was removed or never existed.
     #[must_use]
+    #[inline]
     pub fn op(&self, n: NodeId) -> &OperationData {
         self.nodes[n.index()]
             .as_ref()
@@ -669,6 +676,7 @@ impl DepGraph {
     ///
     /// Panics if `e` was removed or never existed.
     #[must_use]
+    #[inline]
     pub fn edge(&self, e: EdgeId) -> &DepEdge {
         self.edges[e.index()]
             .as_ref()
@@ -704,6 +712,7 @@ impl DepGraph {
     /// Outgoing edges of `n` as a borrowed slice — the allocation-free
     /// variant of [`DepGraph::out_edges`] for read-only hot paths.
     #[must_use]
+    #[inline]
     pub fn out_edge_ids(&self, n: NodeId) -> &[EdgeId] {
         &self.succ[n.index()]
     }
@@ -711,6 +720,7 @@ impl DepGraph {
     /// Incoming edges of `n` as a borrowed slice — the allocation-free
     /// variant of [`DepGraph::in_edges`] for read-only hot paths.
     #[must_use]
+    #[inline]
     pub fn in_edge_ids(&self, n: NodeId) -> &[EdgeId] {
         &self.pred[n.index()]
     }
@@ -749,6 +759,7 @@ impl DepGraph {
     /// output and memory dependences impose a one-cycle separation. An
     /// explicit `delay_override` on the edge wins over all of these.
     #[must_use]
+    #[inline]
     pub fn edge_latency(&self, e: EdgeId, lat: &LatencyModel) -> i64 {
         self.latency_of(self.edge(e), lat)
     }
@@ -757,6 +768,7 @@ impl DepGraph {
     /// computations scan adjacency lists and hold the edge anyway, so the
     /// second id lookup is pure waste on the scheduler's hottest path.
     #[must_use]
+    #[inline]
     pub fn latency_of(&self, edge: &DepEdge, lat: &LatencyModel) -> i64 {
         if let Some(d) = edge.delay_override {
             return d;

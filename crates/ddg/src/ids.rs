@@ -13,6 +13,7 @@ pub struct NodeId(pub u32);
 impl NodeId {
     /// Numeric index of the node.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -31,6 +32,7 @@ pub struct ValueId(pub u32);
 impl ValueId {
     /// Numeric index of the value.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }

@@ -13,10 +13,11 @@
 //! kernel cycle with the most live values), both from scratch
 //! ([`Pressure`]) and incrementally ([`PressureMap`]). The spill heuristic
 //! of MIRS-C splits a lifetime into *uses* (sections between consecutive
-//! consumers) itself, while it walks the consumers it already has.
+//! consumers) itself, while it walks the consumers it already has, and
+//! tests which lifetimes and sections cross the critical cycle with
+//! [`phase_covers`], from the kernel cycle each one starts in.
 
 use crate::ids::ValueId;
-use std::ops::Range;
 
 /// Lifetime of one value in absolute schedule cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,12 +33,14 @@ pub struct LifetimeInterval {
 impl LifetimeInterval {
     /// Length of the lifetime in cycles.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> i64 {
         (self.end - self.start).max(0)
     }
 
     /// Whether the lifetime is empty (defined and never used later).
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -45,33 +48,32 @@ impl LifetimeInterval {
     /// Number of registers this lifetime requires in a schedule with the
     /// given II (the number of overlapping copies of itself).
     #[must_use]
+    #[inline]
     pub fn registers(&self, ii: u32) -> u32 {
         let ii = i64::from(ii.max(1));
         u32::try_from((self.len() + ii - 1) / ii).unwrap_or(u32::MAX)
     }
+}
 
-    /// Whether the lifetime covers some absolute cycle congruent to
-    /// `kernel_cycle` modulo `ii`.
-    #[must_use]
-    pub fn covers_kernel_cycle(&self, kernel_cycle: u32, ii: u32) -> bool {
-        let ii = i64::from(ii.max(1));
-        if self.is_empty() {
-            return false;
-        }
-        if self.len() >= ii {
-            return true;
-        }
-        let c = i64::from(kernel_cycle);
-        // Does any k exist with start <= c + k*ii < end?
-        let k = (self.start - c).div_euclid(ii);
-        for cand in [k, k + 1] {
-            let cyc = c + cand * ii;
-            if cyc >= self.start && cyc < self.end {
-                return true;
-            }
-        }
-        false
-    }
+/// Whether a lifetime (or a section of one) that starts in kernel cycle
+/// `phase` and lasts `len` cycles covers some absolute cycle congruent to
+/// `kernel_cycle` modulo `ii`.
+///
+/// The first such cycle at or after the start lies `(kernel_cycle − phase)
+/// mod ii` cycles in, so the lifetime covers it exactly when that distance
+/// is below `len`. Both cycles lie in `[0, ii)`, so the distance takes one
+/// compare and one add, and nothing divides. Empty lifetimes cover nothing,
+/// and lifetimes of at least `ii` cycles cover every kernel cycle.
+#[must_use]
+#[inline]
+pub fn phase_covers(phase: u32, len: i64, kernel_cycle: u32, ii: u32) -> bool {
+    debug_assert!(phase < ii && kernel_cycle < ii, "cycles lie in the kernel");
+    let distance = if kernel_cycle >= phase {
+        kernel_cycle - phase
+    } else {
+        kernel_cycle + (ii - phase)
+    };
+    i64::from(distance) < len
 }
 
 /// Per-kernel-cycle register pressure of a set of lifetimes.
@@ -151,18 +153,55 @@ impl Pressure {
 ///
 /// The iterative scheduler places and ejects one operation at a time; each
 /// such step changes the lifetimes of only the values the operation defines
-/// or consumes. A `PressureMap` lets the spill heuristic keep per-cluster
-/// pressure current in O(II) per affected value rather than O(values ×
-/// edges) per probe. [`PressureMap::add`] folds a lifetime exactly like
-/// [`Pressure::compute`] does, and [`PressureMap::remove`] subtracts the
-/// identical contribution, so after any add/remove sequence the map equals
-/// the from-scratch computation over the currently-present intervals — the
-/// invariant the schedulers' property tests pin down.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// or consumes. A `PressureMap` keeps the pressure in *step form*, so adding
+/// or removing a lifetime is O(1):
+///
+/// * the whole-II wraps of every lifetime and the uniform adds are one
+///   level that every kernel cycle carries;
+/// * each lifetime's remainder (the part shorter than the II) is a +1 step
+///   where it starts and a −1 step where it ends. A remainder that runs past
+///   the end of the kernel adds one to the level instead and steps down over
+///   the cycles it leaves out.
+///
+/// Reading the pressure is one prefix pass over the II steps
+/// ([`PressureMap::peak`], [`PressureMap::per_cycle`]).
+/// [`PressureMap::bound`] costs nothing: it is the register sum, each folded
+/// lifetime's [`LifetimeInterval::registers`] plus the uniform adds. No
+/// kernel cycle holds more than that, so `max_live() ≤ bound()`, and a bound
+/// within a register threshold settles a spill check without the pass.
+///
+/// [`PressureMap::add`] folds a lifetime exactly like [`Pressure::compute`]
+/// does, and [`PressureMap::remove`] subtracts the identical contribution,
+/// so after any add/remove sequence the map equals the from-scratch
+/// computation over the currently-present intervals — the invariant the
+/// schedulers' property tests pin down. [`PressureMap::add_at`] folds a
+/// lifetime by its phase (its start modulo the II) and length, and divides
+/// only when the lifetime is at least one II long.
+#[derive(Debug, Clone)]
 pub struct PressureMap {
     ii: u32,
-    per_cycle: Vec<u32>,
+    /// Pressure every kernel cycle carries before the steps: the whole-II
+    /// wraps, the uniform adds, and one unit per remainder that runs past
+    /// the end of the kernel.
+    level: u32,
+    /// Remainder steps: kernel cycle `c` holds `level + steps[0] + … +
+    /// steps[c]`. One slot longer than the II, so a remainder that ends
+    /// exactly at the end of the kernel steps down where no cycle reads.
+    steps: Vec<i32>,
+    /// Registers of the folded lifetimes plus the uniform adds.
+    bound: u32,
 }
+
+/// Two gauges are equal when they fold at the same II and hold the same
+/// pressure in every kernel cycle and the same register sum, however the
+/// pressure splits between the level and the steps.
+impl PartialEq for PressureMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.ii == other.ii && self.bound == other.bound && self.per_cycle() == other.per_cycle()
+    }
+}
+
+impl Eq for PressureMap {}
 
 impl PressureMap {
     /// Empty gauge for a schedule at initiation interval `ii`.
@@ -171,50 +210,59 @@ impl PressureMap {
         let ii = ii.max(1);
         Self {
             ii,
-            per_cycle: vec![0; ii as usize],
+            level: 0,
+            steps: vec![0; ii as usize + 1],
+            bound: 0,
         }
     }
 
     /// Initiation interval the gauge folds lifetimes into.
     #[must_use]
+    #[inline]
     pub fn ii(&self) -> u32 {
         self.ii
     }
 
-    /// Per-cycle contribution of `iv`: the number of whole-II wraps (added
-    /// to every cycle) and the kernel cycles receiving one extra unit, as
-    /// at most two contiguous index ranges (the partial wrap split where it
-    /// crosses the end of the kernel).
-    fn contribution(&self, iv: &LifetimeInterval) -> (u32, Range<usize>, Range<usize>) {
+    /// Kernel cycle of absolute cycle `cycle`.
+    #[inline]
+    fn phase_of(&self, cycle: i64) -> u32 {
+        cycle.rem_euclid(i64::from(self.ii)) as u32
+    }
+
+    /// Whole-II wraps and remainder of a lifetime of `len > 0` cycles.
+    /// Divides only when the lifetime is at least one II long.
+    #[inline]
+    fn split(&self, len: i64) -> (u32, u32) {
         let ii = i64::from(self.ii);
-        let len = iv.len();
-        let full = u32::try_from(len / ii).unwrap_or(u32::MAX);
-        let start = iv.start.rem_euclid(ii) as usize;
-        let end = start + (len % ii) as usize;
-        let ii = self.ii as usize;
-        if end <= ii {
-            (full, start..end, 0..0)
+        if len < ii {
+            (0, len as u32)
         } else {
-            (full, start..ii, 0..end - ii)
+            (
+                u32::try_from(len / ii).unwrap_or(u32::MAX),
+                (len % ii) as u32,
+            )
         }
     }
 
-    /// Fold `iv` into the gauge (same arithmetic as [`Pressure::compute`]).
+    /// Step slot where a remainder of `rem` cycles (`0 < rem < II`) that
+    /// starts in kernel cycle `phase` steps down, and whether it runs past
+    /// the end of the kernel (then it steps down before it steps up, and
+    /// the level carries it).
+    #[inline]
+    fn remainder_end(&self, phase: u32, rem: u32) -> (usize, bool) {
+        let end = phase + rem;
+        if end <= self.ii {
+            (end as usize, false)
+        } else {
+            ((end - self.ii) as usize, true)
+        }
+    }
+
+    /// Fold `iv` into the gauge (same contribution as [`Pressure::compute`]).
+    #[inline]
     pub fn add(&mut self, iv: &LifetimeInterval) {
-        if iv.is_empty() {
-            return;
-        }
-        let (full, head, tail) = self.contribution(iv);
-        if full > 0 {
-            for c in &mut self.per_cycle {
-                *c += full;
-            }
-        }
-        for c in &mut self.per_cycle[head] {
-            *c += 1;
-        }
-        for c in &mut self.per_cycle[tail] {
-            *c += 1;
+        if !iv.is_empty() {
+            self.add_at(self.phase_of(iv.start), iv.len());
         }
     }
 
@@ -222,59 +270,127 @@ impl PressureMap {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds, via arithmetic underflow) if `iv` was never
-    /// added.
+    /// Removing a lifetime that was never added corrupts the gauge; debug
+    /// builds panic when the level or the register sum underflows.
+    #[inline]
     pub fn remove(&mut self, iv: &LifetimeInterval) {
-        if iv.is_empty() {
+        if !iv.is_empty() {
+            self.remove_at(self.phase_of(iv.start), iv.len());
+        }
+    }
+
+    /// Fold a lifetime of `len` cycles that starts in kernel cycle `phase`
+    /// (its start modulo the II): the contribution [`PressureMap::add`]
+    /// makes for any interval of that phase and length, without the
+    /// division that finds the phase. Nothing divides unless `len ≥ II`.
+    /// An empty lifetime (`len ≤ 0`) contributes nothing.
+    #[inline]
+    pub fn add_at(&mut self, phase: u32, len: i64) {
+        debug_assert!(phase < self.ii, "phase {phase} lies in the kernel");
+        if len <= 0 {
             return;
         }
-        let (full, head, tail) = self.contribution(iv);
-        if full > 0 {
-            for c in &mut self.per_cycle {
-                *c -= full;
-            }
+        let (full, rem) = self.split(len);
+        self.level += full;
+        self.bound += full;
+        if rem > 0 {
+            let (down, wraps) = self.remainder_end(phase, rem);
+            self.steps[phase as usize] += 1;
+            self.steps[down] -= 1;
+            self.level += u32::from(wraps);
+            self.bound += 1;
         }
-        for c in &mut self.per_cycle[head] {
-            *c -= 1;
+    }
+
+    /// Subtract exactly what [`PressureMap::add_at`] contributed for the
+    /// same phase and length.
+    ///
+    /// # Panics
+    ///
+    /// As [`PressureMap::remove`].
+    #[inline]
+    pub fn remove_at(&mut self, phase: u32, len: i64) {
+        debug_assert!(phase < self.ii, "phase {phase} lies in the kernel");
+        if len <= 0 {
+            return;
         }
-        for c in &mut self.per_cycle[tail] {
-            *c -= 1;
+        let (full, rem) = self.split(len);
+        self.level -= full;
+        self.bound -= full;
+        if rem > 0 {
+            let (down, wraps) = self.remainder_end(phase, rem);
+            self.steps[phase as usize] -= 1;
+            self.steps[down] += 1;
+            self.level -= u32::from(wraps);
+            self.bound -= 1;
         }
     }
 
     /// Add `n` to every kernel cycle (loop invariants hold one register for
     /// the whole loop; mirrors the `extra` argument of
     /// [`Pressure::compute`]).
+    #[inline]
     pub fn add_uniform(&mut self, n: u32) {
-        for c in &mut self.per_cycle {
-            *c += n;
-        }
+        self.level += n;
+        self.bound += n;
     }
 
     /// Subtract `n` from every kernel cycle.
+    #[inline]
     pub fn remove_uniform(&mut self, n: u32) {
-        for c in &mut self.per_cycle {
-            *c -= n;
+        self.level -= n;
+        self.bound -= n;
+    }
+
+    /// Upper bound on [`PressureMap::max_live`], read without a pass: the
+    /// registers of every folded lifetime (`⌈len / II⌉` each) plus the
+    /// uniform adds. A lifetime puts at most that many copies of itself in
+    /// any one kernel cycle.
+    #[must_use]
+    #[inline]
+    pub fn bound(&self) -> u32 {
+        self.bound
+    }
+
+    /// Live values per kernel cycle, in one prefix pass over the steps.
+    #[inline]
+    fn prefix(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut live = i64::from(self.level);
+        self.steps[..self.ii as usize].iter().map(move |&step| {
+            live += i64::from(step);
+            live as u32
+        })
+    }
+
+    /// `MaxLive` and the critical cycle, in one prefix pass: the highest
+    /// pressure and the *last* kernel cycle that holds it, the cycle
+    /// [`Pressure::critical_cycle`] picks.
+    #[must_use]
+    #[inline]
+    pub fn peak(&self) -> (u32, u32) {
+        let (mut max, mut at) = (0, 0);
+        for (c, live) in self.prefix().enumerate() {
+            if live >= max {
+                (max, at) = (live, c as u32);
+            }
         }
+        (max, at)
     }
 
     /// Maximum number of simultaneously live values (`MaxLive`).
     #[must_use]
+    #[inline]
     pub fn max_live(&self) -> u32 {
-        self.per_cycle.iter().copied().max().unwrap_or(0)
+        self.peak().0
     }
 
     /// Kernel cycle with the highest pressure. Ties resolve to the same
     /// cycle [`Pressure::critical_cycle`] picks, so heuristics driven by
     /// either computation take identical decisions.
     #[must_use]
+    #[inline]
     pub fn critical_cycle(&self) -> u32 {
-        self.per_cycle
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &p)| p)
-            .map(|(i, _)| i as u32)
-            .unwrap_or(0)
+        self.peak().1
     }
 
     /// Pressure at a given kernel cycle.
@@ -284,13 +400,15 @@ impl PressureMap {
     /// Panics if `cycle >= II`.
     #[must_use]
     pub fn at(&self, cycle: u32) -> u32 {
-        self.per_cycle[cycle as usize]
+        self.prefix()
+            .nth(cycle as usize)
+            .unwrap_or_else(|| panic!("kernel cycle {cycle} at II {}", self.ii))
     }
 
     /// Pressure per kernel cycle.
     #[must_use]
-    pub fn per_cycle(&self) -> &[u32] {
-        &self.per_cycle
+    pub fn per_cycle(&self) -> Vec<u32> {
+        self.prefix().collect()
     }
 }
 
@@ -341,25 +459,63 @@ mod tests {
     }
 
     #[test]
-    fn lifetime_longer_than_ii_covers_every_cycle() {
-        let a = iv(0, 5, 30);
-        for c in 0..4 {
-            assert!(a.covers_kernel_cycle(c, 4));
-        }
-        let b = iv(1, 5, 7);
-        assert!(b.covers_kernel_cycle(1, 4)); // cycle 5
-        assert!(b.covers_kernel_cycle(2, 4)); // cycle 6
-        assert!(!b.covers_kernel_cycle(3, 4));
-        assert!(!b.covers_kernel_cycle(0, 4));
-    }
-
-    #[test]
     fn empty_lifetime_contributes_nothing() {
         let a = iv(0, 4, 4);
         assert!(a.is_empty());
-        assert!(!a.covers_kernel_cycle(0, 4));
         let p = Pressure::compute([&a], 4, 0);
         assert_eq!(p.max_live(), 0);
+    }
+
+    /// Whether `[start, start + len)` holds an absolute cycle congruent to
+    /// `kernel_cycle` modulo `ii`, by walking the cycles one by one.
+    fn walk_covers(start: i64, len: i64, kernel_cycle: u32, ii: u32) -> bool {
+        (start..start + len).any(|t| t.rem_euclid(i64::from(ii)) == i64::from(kernel_cycle))
+    }
+
+    #[test]
+    fn phase_covers_matches_an_absolute_cycle_walk() {
+        // Every II up to 8, every phase, every kernel cycle and every length
+        // up to three wraps, against a walk over absolute cycles. The walk
+        // starts two wraps before, at and five wraps after the phase's own
+        // cycle: the answer must not depend on which.
+        for ii in 1..=8u32 {
+            let n = i64::from(ii);
+            for phase in 0..ii {
+                for kernel_cycle in 0..ii {
+                    for len in 0..=3 * n {
+                        let covers = phase_covers(phase, len, kernel_cycle, ii);
+                        for start in [
+                            i64::from(phase) - 2 * n,
+                            i64::from(phase),
+                            5 * n + i64::from(phase),
+                        ] {
+                            assert_eq!(
+                                covers,
+                                walk_covers(start, len, kernel_cycle, ii),
+                                "[{start}, {}) and kernel cycle {kernel_cycle} at ii {ii}",
+                                start + len
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // A lifetime at least one II long covers every kernel cycle.
+        let long = iv(0, 5, 30);
+        for c in 0..4 {
+            assert!(phase_covers(1, long.len(), c, 4));
+        }
+        // [5, 7) at II 4 starts in kernel cycle 1 and covers 1 and 2 only.
+        let short = iv(1, 5, 7);
+        assert!(phase_covers(1, short.len(), 1, 4)); // cycle 5
+        assert!(phase_covers(1, short.len(), 2, 4)); // cycle 6
+        assert!(!phase_covers(1, short.len(), 3, 4));
+        assert!(!phase_covers(1, short.len(), 0, 4));
+        // An empty lifetime covers nothing, nor does a section whose end
+        // lies before its start.
+        let empty = iv(0, 4, 4);
+        assert!(!phase_covers(0, empty.len(), 0, 4));
+        assert!(!phase_covers(0, -3, 0, 4));
     }
 
     #[test]
@@ -450,8 +606,18 @@ mod tests {
                     assert_eq!(map.per_cycle(), scratch.per_cycle(), "{at}");
                     assert_eq!(map.max_live(), scratch.max_live(), "{at}");
                     assert_eq!(map.critical_cycle(), scratch.critical_cycle(), "{at}");
+                    assert_eq!(map.bound(), lifetime.registers(ii), "{at}");
+                    // Folding by phase and length gives the same gauge.
+                    let phase = start.rem_euclid(n) as u32;
+                    let mut by_phase = PressureMap::new(ii);
+                    by_phase.add_at(phase, len);
+                    assert_eq!(by_phase.per_cycle(), map.per_cycle(), "{at}");
+                    assert_eq!(by_phase.bound(), map.bound(), "{at}");
                     map.remove(&lifetime);
                     assert!(map.per_cycle().iter().all(|&c| c == 0), "{at}");
+                    assert_eq!(map.bound(), 0, "{at}");
+                    by_phase.remove_at(phase, len);
+                    assert_eq!(by_phase, PressureMap::new(ii), "{at}");
                 }
             }
         }

@@ -63,6 +63,7 @@ pub enum Opcode {
 impl Opcode {
     /// Resource class this opcode executes on.
     #[must_use]
+    #[inline]
     pub fn class(self) -> OpClass {
         match self {
             Opcode::FpAdd
@@ -78,36 +79,42 @@ impl Opcode {
 
     /// Whether the opcode reads memory.
     #[must_use]
+    #[inline]
     pub fn is_load(self) -> bool {
         matches!(self, Opcode::Load | Opcode::SpillLoad)
     }
 
     /// Whether the opcode writes memory.
     #[must_use]
+    #[inline]
     pub fn is_store(self) -> bool {
         matches!(self, Opcode::Store | Opcode::SpillStore)
     }
 
     /// Whether the opcode accesses memory at all.
     #[must_use]
+    #[inline]
     pub fn is_memory(self) -> bool {
         self.is_load() || self.is_store()
     }
 
     /// Whether the opcode was inserted by the register spiller.
     #[must_use]
+    #[inline]
     pub fn is_spill(self) -> bool {
         matches!(self, Opcode::SpillLoad | Opcode::SpillStore)
     }
 
     /// Whether the opcode is an inter-cluster move.
     #[must_use]
+    #[inline]
     pub fn is_move(self) -> bool {
         matches!(self, Opcode::Move)
     }
 
     /// Whether the opcode produces a register result.
     #[must_use]
+    #[inline]
     pub fn defines_register(self) -> bool {
         !matches!(self, Opcode::Store | Opcode::SpillStore)
     }
@@ -220,6 +227,7 @@ impl LatencyModel {
 
     /// Latency of `op`, scheduling loads with the given memory assumption.
     #[must_use]
+    #[inline]
     pub fn latency_of(&self, op: Opcode, mem: MemLatency) -> u32 {
         match op {
             Opcode::FpAdd => self.fp_add,

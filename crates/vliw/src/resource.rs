@@ -16,6 +16,7 @@ impl ClusterId {
 
     /// Numeric index of the cluster.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -28,12 +29,14 @@ impl fmt::Display for ClusterId {
 }
 
 impl From<u16> for ClusterId {
+    #[inline]
     fn from(v: u16) -> Self {
         ClusterId(v)
     }
 }
 
 impl From<usize> for ClusterId {
+    #[inline]
     fn from(v: usize) -> Self {
         ClusterId(u16::try_from(v).expect("cluster index fits in u16"))
     }

@@ -245,7 +245,8 @@ proptest! {
     }
 
     /// Incremental pressure maps equal the from-scratch computation after
-    /// any interleaving of lifetime additions and removals.
+    /// any interleaving of lifetime additions and removals, and their
+    /// register sum bounds MaxLive.
     #[test]
     fn pressure_map_tracks_compute_under_churn(
         intervals in proptest::collection::vec((-40i64..200, 0i64..60), 1..24),
@@ -279,10 +280,14 @@ proptest! {
                 map.remove(iv);
             }
         }
+        let registers: u32 = kept.iter().map(|iv| iv.registers(ii)).sum();
         let scratch = Pressure::compute(kept.into_iter(), ii, uniform);
         prop_assert_eq!(map.per_cycle(), scratch.per_cycle());
         prop_assert_eq!(map.max_live(), scratch.max_live());
         prop_assert_eq!(map.critical_cycle(), scratch.critical_cycle());
+        // The register sum bounds MaxLive, and is Σ registers + uniform.
+        prop_assert!(map.max_live() <= map.bound());
+        prop_assert_eq!(map.bound(), registers + uniform);
     }
 
     /// The HRMS ordering is always a permutation of the nodes.
