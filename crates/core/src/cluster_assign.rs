@@ -99,9 +99,10 @@ impl SchedState<'_> {
     /// Loop-carried accumulator values produced by `node` besides its
     /// `dest` (the loop builders model `acc = acc ⊕ x` as a *separate*
     /// carried value whose producer is the reduction node) — read from the
-    /// memo's precomputed per-loop table, so the hot paths (`moves_needed`
-    /// runs once per cluster per node pick) do no edge scan and no
-    /// allocation. Empty for the overwhelmingly common dest-only case.
+    /// per-loop [`LoopValues`](crate::scratch::LoopValues) table, so the
+    /// hot paths (`moves_needed` runs once per cluster per node pick) do no
+    /// edge scan and no allocation. Empty for the overwhelmingly common
+    /// dest-only case.
     ///
     /// The export logic must cover these values too — a consumer of a
     /// carried value scheduled before the producer, in another cluster,
@@ -114,16 +115,16 @@ impl SchedState<'_> {
     /// producer's out-edges, so the live graph may list the same values in
     /// another order; the debug check therefore compares content only.
     pub(crate) fn carried_values(&self, node: NodeId) -> &[ValueId] {
-        let carried = self.memo.carried(node);
+        let carried = self.values.carried(node);
         debug_assert!(
             {
-                let live = crate::spill::compute_carried_values(&self.graph, node);
+                let live = crate::scratch::compute_carried_values(&self.graph, node);
                 live.len() == carried.len() && live.iter().all(|v| carried.contains(v))
             },
             "carried-values table diverged from the graph for {node} (content, \
              not order: rewiring re-orders out-edges, the table keeps the base \
              order): table {carried:?}, graph {:?}",
-            crate::spill::compute_carried_values(&self.graph, node)
+            crate::scratch::compute_carried_values(&self.graph, node)
         );
         carried
     }
@@ -305,14 +306,12 @@ impl SchedState<'_> {
         self.stats.moves += 1;
         self.pressure.mark_value(value);
         self.pressure.mark_value(copy);
-        self.memo.invalidate(value);
-        self.memo.invalidate(copy);
         mv
     }
 
     /// Undo a [`SchedState::rewire_consumer`]: detach `consumer` from the
     /// copy value of move `mv` and wire it back to the move's root value
-    /// (operand list, flow edges and the pressure/memo dirty marks). If the
+    /// (operand list, flow edges and the pressure dirty marks). If the
     /// move is left without consumers it is removed outright. Returns the
     /// root value and its producer for the caller's import logic, or `None`
     /// when the root has no producer to import from.
@@ -343,8 +342,6 @@ impl SchedState<'_> {
         }
         self.pressure.mark_value(copy);
         self.pressure.mark_value(root);
-        self.memo.invalidate(copy);
-        self.memo.invalidate(root);
         if self.graph.consumer_ids(copy).is_empty() {
             // Nobody reads the copy any more: drop the move entirely.
             self.remove_move(mv);
@@ -374,11 +371,9 @@ impl SchedState<'_> {
             self.graph.add_flow(mv, consumer, copy, distance);
         }
         // `consumer` now reads `copy` instead of `original`: both lifetimes
-        // (and both structural use lists) changed shape.
+        // changed shape.
         self.pressure.mark_value(original);
         self.pressure.mark_value(copy);
-        self.memo.invalidate(original);
-        self.memo.invalidate(copy);
     }
 
     /// Remove every in-edge of `node` that `matches`, in list order, and

@@ -42,11 +42,13 @@ pub struct SchedulerStats {
     /// Attempts that failed before the accepted one, perturbed branches
     /// included.
     pub restarts: u32,
-    /// Spill-candidate evaluations answered from the cross-restart spill
-    /// memo carried in [`SchedScratch`](crate::SchedScratch).
+    /// Always 0: the spill ranking reads each candidate's uses from the
+    /// graph and caches nothing. Kept only because the benchmark reads it
+    /// for its `mirs.spill.memo_hit_ratio` metric; the benchmark change
+    /// that retires that metric (ROADMAP item 1) removes this field with it.
     pub spill_memo_hits: u64,
-    /// Spill-candidate evaluations that had to re-derive their structural
-    /// use lists (cache cold, or the structural epoch had moved).
+    /// Always 0, like [`SchedulerStats::spill_memo_hits`], and kept for the
+    /// same metric until the same change.
     pub spill_memo_misses: u64,
     /// Wall-clock seconds the [`SearchStrategyKind::Exact`] certifier took
     /// to build its relaxation and certify the climb's floor (0 under the

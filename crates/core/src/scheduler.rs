@@ -14,9 +14,8 @@ use crate::pressure::PressureTracker;
 use crate::priority::PriorityList;
 use crate::result::{Placement, ScheduleResult, SchedulerStats, SearchMeta};
 use crate::schedule::{FoldedTable, PartialSchedule};
-use crate::scratch::{AttemptSlots, Derivation, SchedScratch};
+use crate::scratch::{AttemptSlots, Derivation, LoopValues, SchedScratch};
 use crate::search::SearchDriver;
-use crate::spill::SpillMemo;
 use ddg::collections::HashMap;
 use ddg::{DepGraph, Loop, NodeId, NodeOrigin};
 use vliw::{ClusterId, MachineConfig, Opcode};
@@ -67,8 +66,9 @@ pub(crate) struct SchedState<'m> {
     pub spills_inserted: u32,
     /// Incrementally maintained per-cluster register-pressure gauges.
     pub pressure: PressureTracker,
-    /// Cross-restart spill memo (structural use lists keyed by epoch).
-    pub memo: SpillMemo,
+    /// The loop's invariant and carried values, read from the base graph
+    /// once per loop.
+    pub values: LoopValues,
     pub stats: SchedulerStats,
 }
 
@@ -141,7 +141,7 @@ impl<'m> MirsScheduler<'m> {
     ///
     /// The scratch amortises every per-attempt allocation (the graph
     /// copy, MRT arrays, pressure gauges, priority list, node- and
-    /// value-indexed slots, the spill memo) across II restarts and across
+    /// value-indexed slots) across II restarts and across
     /// loops; the parallel sweep harness keeps one scratch per worker
     /// thread. Results are byte-identical to [`MirsScheduler::schedule`]
     /// for any reuse pattern.
@@ -206,7 +206,7 @@ impl<'m> MirsScheduler<'m> {
             budget,
             spills_inserted: 0,
             pressure,
-            memo: scratch.take_spill_memo(),
+            values: scratch.take_loop_values(),
             stats: SchedulerStats::default(),
         };
         if st.complete_placement() {
@@ -323,7 +323,7 @@ impl SchedState<'_> {
             self.pressure,
             self.plist,
             self.slots,
-            self.memo,
+            self.values,
         );
     }
 
@@ -560,15 +560,12 @@ impl SchedState<'_> {
         let dest_value = self.graph.op(mv).dest;
         let producer = src_value.and_then(|v| self.graph.value(v).producer);
         // The rewiring below changes both values' consumer sets and, via
-        // the ejection above, their lifetimes — and both structural use
-        // lists in the spill memo.
+        // the ejection above, their lifetimes.
         if let Some(v) = src_value {
             self.pressure.mark_value(v);
-            self.memo.invalidate(v);
         }
         if let Some(v) = dest_value {
             self.pressure.mark_value(v);
-            self.memo.invalidate(v);
         }
 
         // Reconnect outgoing edges to the predecessor and restore operands.
@@ -665,9 +662,6 @@ impl SchedState<'_> {
         self.stats.spill_stores = self.graph.count_ops(|o| o == Opcode::SpillStore) as u32;
         self.stats.spill_loads = self.graph.count_ops(|o| o == Opcode::SpillLoad) as u32;
         self.stats.moves = moves;
-        let (memo_hits, memo_misses) = self.memo.counters();
-        self.stats.spill_memo_hits = memo_hits;
-        self.stats.spill_memo_misses = memo_misses;
         let mut graph = std::mem::take(&mut self.graph);
         self.name_inserted(&mut graph);
         let stats = self.stats;

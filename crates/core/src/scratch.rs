@@ -15,7 +15,9 @@
 //! into the result. The loop's one-time analysis (recurrences, `RecMII`,
 //! the HRMS order) runs in a [`LoopAnalysis`] workspace the scratch keeps
 //! as well, so a warm loop set-up allocates only its recurrence list and
-//! the hash sets that reproduce HRMS's ties.
+//! the hash sets that reproduce HRMS's ties. The same set-up fills the
+//! [`LoopValues`], the base graph's invariant and carried values, which
+//! every attempt reads and none changes.
 //!
 //! Reuse is invisible to the schedule: every buffer is reset to exactly the
 //! state a freshly constructed one would have. Every attempt's graph copy
@@ -27,7 +29,7 @@
 use crate::pressure::PressureTracker;
 use crate::priority::PriorityList;
 use crate::schedule::PartialSchedule;
-use crate::spill::{ScheduledUse, SpillMemo};
+use crate::spill::ScheduledUse;
 use ddg::analysis::LoopAnalysis;
 use ddg::{DepGraph, NodeId, ValueId};
 use vliw::{ClusterId, LatencyModel, MachineConfig};
@@ -49,6 +51,76 @@ pub(crate) enum Derivation {
         /// Spilled value.
         of: ValueId,
     },
+}
+
+/// Values of the loop's base graph that every attempt reads and none
+/// changes, filled once per loop by [`SchedScratch::analyse`].
+#[derive(Debug, Default)]
+pub(crate) struct LoopValues {
+    /// Invariant values of the loop, in id order.
+    invariants: Vec<ValueId>,
+    /// Loop-carried values produced by each node besides its `dest`,
+    /// indexed by `NodeId::index` (one pass per loop instead of an
+    /// out-edge scan per cluster per node pick). The content is
+    /// loop-constant: producers of carried values are fixed at graph
+    /// construction, scheduler-inserted nodes only define fresh values,
+    /// and a carried value always keeps at least one carrying out-edge at
+    /// its producer (moves and spill stores replace direct edges with
+    /// edges that still carry the value). Nodes inserted during scheduling
+    /// read as empty, which is exact for them. The order is the base
+    /// graph's out-edge order for the whole loop, even after rewiring
+    /// re-orders a producer's live out-edges.
+    carried: Vec<Vec<ValueId>>,
+}
+
+impl LoopValues {
+    /// Fill the table from `graph`, the base every attempt copies.
+    fn fill(&mut self, graph: &DepGraph) {
+        self.invariants.clear();
+        self.invariants
+            .extend(graph.value_ids().filter(|&v| graph.value(v).invariant));
+        self.carried.clear();
+        self.carried.resize_with(graph.node_capacity(), Vec::new);
+        for n in graph.node_ids() {
+            let list = compute_carried_values(graph, n);
+            if !list.is_empty() {
+                self.carried[n.index()] = list;
+            }
+        }
+    }
+
+    /// The loop's invariant values, in id order.
+    pub(crate) fn invariants(&self) -> &[ValueId] {
+        &self.invariants
+    }
+
+    /// Loop-carried values `node` produces besides its `dest` (empty for
+    /// the overwhelmingly common dest-only case and for nodes inserted
+    /// during scheduling).
+    pub(crate) fn carried(&self, node: NodeId) -> &[ValueId] {
+        self.carried
+            .get(node.index())
+            .map_or(&[][..], Vec::as_slice)
+    }
+}
+
+/// The loop-carried values `node` produces besides its `dest`, in out-edge
+/// order and deduplicated: what [`LoopValues`] records per node.
+pub(crate) fn compute_carried_values(graph: &DepGraph, node: NodeId) -> Vec<ValueId> {
+    let dest = graph.op(node).dest;
+    let mut extra: Vec<ValueId> = Vec::new();
+    for &e in graph.out_edge_ids(node) {
+        let Some(v) = graph.edge(e).value else {
+            continue;
+        };
+        if Some(v) == dest || graph.value(v).producer != Some(node) {
+            continue;
+        }
+        if !extra.contains(&v) {
+            extra.push(v);
+        }
+    }
+    extra
 }
 
 /// Node- and value-indexed bookkeeping of one attempt, plus the reusable
@@ -213,12 +285,9 @@ pub struct SchedScratch {
     pressure: Option<PressureTracker>,
     plist: PriorityList,
     slots: AttemptSlots,
-    /// Cross-restart spill memo. Unlike the other buffers it carries
-    /// loop-scoped *state*, not just warmed capacity: entries persist
-    /// across the II attempts of one loop (that is its whole point) and
-    /// the search driver resets it via [`SchedScratch::spill_memo_mut`]
-    /// when a new loop begins, so reuse across loops stays invisible.
-    spill_memo: SpillMemo,
+    /// The current loop's invariant and carried values, lent to each
+    /// attempt.
+    values: LoopValues,
     /// Workspace of the one-time loop analysis.
     analysis: LoopAnalysis,
     /// HRMS order buffer, lent to the search driver for one loop.
@@ -234,8 +303,10 @@ impl SchedScratch {
 
     /// Analyse `graph` under `lat` in the reused workspace: its `RecMII`,
     /// and its HRMS order in the reused order buffer, which the caller
-    /// hands back with [`SchedScratch::reclaim_order`].
+    /// hands back with [`SchedScratch::reclaim_order`]. Also records the
+    /// graph's [`LoopValues`] for the attempts that copy it.
     pub(crate) fn analyse(&mut self, graph: &DepGraph, lat: &LatencyModel) -> (u32, Vec<NodeId>) {
+        self.values.fill(graph);
         self.analysis.analyse(graph, lat);
         let mut order = std::mem::take(&mut self.order);
         self.analysis.order(&mut order);
@@ -302,17 +373,10 @@ impl SchedScratch {
         slots
     }
 
-    /// The spill memo, *not* cleared: it deliberately survives from one II
-    /// attempt to the next within a loop (the search driver calls
-    /// [`SpillMemo::begin_loop`] through [`SchedScratch::spill_memo_mut`]
-    /// at loop start and [`SpillMemo::begin_attempt`] before each attempt).
-    pub(crate) fn take_spill_memo(&mut self) -> SpillMemo {
-        std::mem::take(&mut self.spill_memo)
-    }
-
-    /// Direct access for the search driver's per-loop/per-attempt resets.
-    pub(crate) fn spill_memo_mut(&mut self) -> &mut SpillMemo {
-        &mut self.spill_memo
+    /// The current loop's values, as [`SchedScratch::analyse`] recorded
+    /// them; an attempt only reads them.
+    pub(crate) fn take_loop_values(&mut self) -> LoopValues {
+        std::mem::take(&mut self.values)
     }
 
     /// Return every buffer of a finished attempt so the next one (or the
@@ -324,14 +388,14 @@ impl SchedScratch {
         pressure: PressureTracker,
         plist: PriorityList,
         slots: AttemptSlots,
-        spill_memo: SpillMemo,
+        values: LoopValues,
     ) {
         self.graph = graph;
         self.sched = Some(sched);
         self.pressure = Some(pressure);
         self.plist = plist;
         self.slots = slots;
-        self.spill_memo = spill_memo;
+        self.values = values;
     }
 }
 
@@ -357,12 +421,6 @@ mod tests {
         g
     }
 
-    /// `graph` is a copy of `base`, epoch included.
-    fn assert_copy_of(graph: &DepGraph, base: &DepGraph) {
-        assert!(graph.same_content(base), "stale graph content");
-        assert_eq!(graph.structural_epoch(), base.structural_epoch());
-    }
-
     #[test]
     fn taken_buffers_start_empty_for_any_history() {
         let mut scratch = SchedScratch::new();
@@ -376,7 +434,7 @@ mod tests {
 
         // Edit the graph copy as an attempt would: insert, rewire, remove.
         let mut graph = scratch.take_graph(&small);
-        assert_copy_of(&graph, &small);
+        assert_eq!(graph, small, "stale graph content");
         let reload = graph.add_value("v0.reload", false);
         let load = graph.add_node(OperationData::new(Opcode::SpillLoad, Some(reload), vec![]));
         graph.replace_src(ddg::NodeId(1), v, reload);
@@ -397,13 +455,13 @@ mod tests {
         slots.log_derived(far_v, Derivation::Reload { of: v });
         slots.conflicts.push(n);
         slots.new_moves.push(far_n);
-        let spill_memo = scratch.take_spill_memo();
-        scratch.reclaim(graph, sched, pressure, plist, slots, spill_memo);
+        let values = scratch.take_loop_values();
+        scratch.reclaim(graph, sched, pressure, plist, slots, values);
 
         // Re-take for a different machine/II and a larger base: everything
         // must look fresh.
         let mut graph = scratch.take_graph(&large);
-        assert_copy_of(&graph, &large);
+        assert_eq!(graph, large, "stale graph content");
         graph.remove_node(ddg::NodeId(3));
         let sched = scratch.take_sched(&m1, 3);
         assert_eq!(sched.ii(), 3);
@@ -429,10 +487,10 @@ mod tests {
         assert_eq!(plist.len(), 1);
         assert_eq!(plist.rank_of(n), None, "old ranks forgotten");
         let pressure = scratch.take_pressure(1, 3, 2);
-        let spill_memo = scratch.take_spill_memo();
-        scratch.reclaim(graph, sched, pressure, plist, slots, spill_memo);
+        let values = scratch.take_loop_values();
+        scratch.reclaim(graph, sched, pressure, plist, slots, values);
 
         // A buffer grown past the base shrinks back to it.
-        assert_copy_of(&scratch.take_graph(&small), &small);
+        assert_eq!(scratch.take_graph(&small), small, "stale graph content");
     }
 }

@@ -29,8 +29,8 @@
 //! `clone_from` into the graph buffer of the [`SchedScratch`], so a
 //! restart reuses the allocations of the attempt before it, and a
 //! successful attempt moves its copy into the result. The HRMS order and
-//! the spill memo's base entries are derived from the base once and serve
-//! every attempt.
+//! the table of the loop's invariant and carried values are derived from
+//! the base once and serve every attempt.
 //!
 //! Determinism: every perturbation seed is derived from a fixed base seed,
 //! the II and the branch index by a SplitMix64 mix, so the same loop
@@ -133,7 +133,7 @@ struct Candidate {
 }
 
 /// Add the work counters of one attempt's `stats` to the running totals
-/// `into`. Absolute fields (spill/move counts, memo counters, timing) are
+/// `into`. Absolute fields (spill/move counts, timing) are
 /// set at result-packaging time and are not summed.
 fn accumulate(into: &mut SchedulerStats, stats: &SchedulerStats) {
     into.attempts += stats.attempts;
@@ -184,9 +184,9 @@ pub(crate) struct SearchDriver<'a, 'm> {
 }
 
 impl<'a, 'm> SearchDriver<'a, 'm> {
-    /// Set up the search for `lp`: settle the base graph, derive the MII
-    /// and the HRMS order from it once in the scratch's analysis workspace
-    /// and reset the scratch's spill memo to it.
+    /// Set up the search for `lp`: settle the base graph, and derive the
+    /// MII, the HRMS order and the loop's invariant and carried values from
+    /// it once, in the scratch.
     pub(crate) fn new(
         sched: &'a MirsScheduler<'m>,
         lp: &'a Loop,
@@ -203,10 +203,9 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             Cow::Owned(graph)
         };
 
-        // One analysis of the base yields the RecMII and the HRMS order.
-        // Every attempt starts from a copy of the unedited base, so one
-        // ordering and one memory-op count serve them all, and the memo's
-        // entries derived at the base epoch hold for every copy.
+        // One analysis of the base yields the RecMII, the HRMS order and the
+        // loop's values. Every attempt starts from a copy of the unedited
+        // base, so one analysis and one memory-op count serve them all.
         let (rec_mii, order) = scratch.analyse(&graph, lat);
         let bounds = mii::MiiBounds {
             res_mii: mii::res_mii(
@@ -219,7 +218,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         };
         let mii_value = bounds.mii();
         let mem_ops_base = graph.count_ops(Opcode::is_memory) as u64;
-        scratch.spill_memo_mut().begin_loop(&graph);
         Self {
             sched,
             lp,
@@ -298,7 +296,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             perturb_order(&self.order, derive_seed(ii, branch), &mut self.perturbed);
             &self.perturbed
         };
-        self.scratch.spill_memo_mut().begin_attempt();
         self.sched
             .attempt(&self.graph, order, ii, self.mem_ops_base, self.scratch)
     }

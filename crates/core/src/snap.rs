@@ -247,7 +247,7 @@ mod tests {
         assert_eq!(back.max_live, r.max_live);
         assert_eq!(back.stats, r.stats);
         assert_eq!(back.search, r.search);
-        assert!(back.graph.same_content(&r.graph));
+        assert!(back.graph == r.graph);
     }
 
     #[test]

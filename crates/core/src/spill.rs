@@ -16,10 +16,13 @@
 //!
 //! A check that finds a cluster over its threshold ranks the spill
 //! candidates without building them. It reads the cluster's intervals in
-//! place from the tracker and keeps each value's scheduled uses in a buffer
-//! reused across checks; only the winner's consumer list is collected, once
-//! per inserted spill. Whether a lifetime or a section crosses the critical
-//! cycle is read from the kernel cycle it starts in ([`phase_covers`]): a
+//! place from the tracker, and each crossing value's scheduled uses from
+//! its producer's out-edge list into a buffer reused across checks; only
+//! the winner's consumer list is collected, once per inserted spill.
+//! Nothing is cached across checks or attempts: the uses are a plain
+//! function of the attempt's graph. Whether a lifetime or a section crosses
+//! the critical cycle is read from the kernel cycle it starts in
+//! ([`phase_covers`]): a
 //! lifetime's phase is its producer's kernel cycle and a section's the
 //! kernel cycle of the consumer that opens it, both stored by the schedule.
 //! When no candidate qualifies, the victim in the critical cycle is found
@@ -29,262 +32,12 @@
 use crate::scheduler::SchedState;
 use crate::scratch::Derivation;
 use ddg::lifetime::{phase_covers, LifetimeInterval, Pressure};
-use ddg::{DepGraph, MemAccess, NodeId, NodeOrigin, OperationData, ValueId};
-use vliw::{ClusterId, LatencyModel, Opcode};
+use ddg::{MemAccess, NodeId, NodeOrigin, OperationData, ValueId};
+use vliw::{ClusterId, Opcode};
 
 /// Array-symbol namespace reserved for spill locations (far above anything a
 /// loop builder will allocate, so spill accesses never alias program arrays).
 const SPILL_ARRAY_BASE: u32 = 1 << 24;
-
-/// Structural (schedule-independent) spill data of one value: everything
-/// `select_spill_candidate` derives from the *graph* rather than from the
-/// partial schedule. Re-deriving these lists dominated the spill heuristic
-/// on restart-heavy configurations — the same scans ran once per spill
-/// check, per cluster, per attempt, although the underlying structure is
-/// identical at every attempt start (each attempt starts from a copy of
-/// the same base graph).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct VariantUses {
-    /// Producer of the value (`None` → nothing to spill).
-    pub producer: Option<NodeId>,
-    /// Latency of the producer under the machine's latency model (the
-    /// non-spillable prefix of the first lifetime section).
-    pub producer_latency: i64,
-    /// Whether the producer is itself a spill reload (never re-spilled).
-    pub reload: bool,
-    /// `(consumer, iteration distance)` of every flow edge carrying the
-    /// value out of its producer, excluding spill stores, in out-edge
-    /// order (empty when `reload`).
-    pub uses: Vec<(NodeId, u32)>,
-}
-
-/// Compute [`VariantUses`] from scratch — the oracle the memo caches.
-fn compute_variant_uses(graph: &DepGraph, lat: &LatencyModel, v: ValueId) -> VariantUses {
-    let Some(producer) = graph.value(v).producer else {
-        return VariantUses::default();
-    };
-    let reload = matches!(graph.op(producer).origin, NodeOrigin::SpillLoad { .. });
-    let producer_latency = i64::from(graph.op(producer).latency(lat));
-    let mut uses = Vec::new();
-    if !reload {
-        for &e in graph.out_edge_ids(producer) {
-            let edge = graph.edge(e);
-            if edge.value != Some(v) {
-                continue;
-            }
-            if matches!(graph.op(edge.to).origin, NodeOrigin::SpillStore { .. }) {
-                continue;
-            }
-            uses.push((edge.to, edge.distance));
-        }
-    }
-    VariantUses {
-        producer: Some(producer),
-        producer_latency,
-        reload,
-        uses,
-    }
-}
-
-/// Compute the loop-carried values `node` produces besides its `dest` —
-/// the oracle behind [`SpillMemo::carried`] (deterministic: out-edge order,
-/// deduplicated).
-pub(crate) fn compute_carried_values(graph: &DepGraph, node: NodeId) -> Vec<ValueId> {
-    let dest = graph.op(node).dest;
-    let mut extra: Vec<ValueId> = Vec::new();
-    for &e in graph.out_edge_ids(node) {
-        let Some(v) = graph.edge(e).value else {
-            continue;
-        };
-        if Some(v) == dest || graph.value(v).producer != Some(node) {
-            continue;
-        }
-        if !extra.contains(&v) {
-            extra.push(v);
-        }
-    }
-    extra
-}
-
-/// One memoised entry plus the validity stamps it was taken under.
-#[derive(Debug)]
-struct MemoSlot<T> {
-    epoch: u64,
-    token: u64,
-    data: T,
-}
-
-/// Cross-restart memo of the structural spill-candidate data, carried in
-/// [`SchedScratch`](crate::SchedScratch) so it persists across II attempts
-/// (and is re-warmed, not re-allocated, across loops).
-///
-/// Entries are keyed by value and stamped with the structural epoch they
-/// were derived at; they are invalidated exactly when the structure they
-/// summarise moves — every scheduler mutation that rewires a value
-/// (move creation, consumer rewiring, move removal, spill insertion) calls
-/// [`SpillMemo::invalidate`] for the values it touches, right next to the
-/// `PressureTracker::mark_value` call those sites already make.
-///
-/// Validity across *attempts* needs one extra guard: every attempt's graph
-/// copy starts at the base graph's epoch, so a raw epoch comparison would
-/// alias states from different attempts (attempt 1's third edit and
-/// attempt 2's third edit both sit at `base + 3`). An entry is therefore
-/// trusted only if
-///
-/// * it was derived at the loop's **base epoch** — the unedited base
-///   structure every attempt's copy starts from, so these entries survive
-///   all restarts (this is the cross-restart memoisation: larger-II
-///   attempts stop re-deriving the same use lists), or
-/// * it was derived **within the current attempt** (epochs only move
-///   forward within an attempt, and the invalidation hooks keep the entry
-///   honest against every in-attempt rewiring).
-///
-/// The memo is purely an accelerator: every lookup is `debug_assert`ed
-/// equal to a from-scratch recomputation, and the golden schedule-hash
-/// tests pin that schedules are unchanged.
-#[derive(Debug, Default)]
-pub struct SpillMemo {
-    base_epoch: u64,
-    token: u64,
-    /// Per-value slots indexed by `ValueId::index` — values are allocated
-    /// densely and never removed, so a flat table beats hashing on the
-    /// spill-check hot path. Grown lazily as the scheduler adds values.
-    uses: Vec<Option<MemoSlot<VariantUses>>>,
-    /// Invariant values of the loop. The set is fixed for the whole run:
-    /// the scheduler only ever adds non-invariant values (move copies,
-    /// spill reloads) and never removes values, so one scan serves every
-    /// spill check of every attempt.
-    invariants: Option<Vec<ValueId>>,
-    /// Loop-carried values produced by each node besides its `dest`,
-    /// indexed by `NodeId::index` and precomputed from the base graph (one
-    /// pass per loop instead of an out-edge scan per cluster per node
-    /// pick). The content is loop-constant: producers of carried values
-    /// are fixed at graph construction, scheduler-inserted nodes only
-    /// define fresh values, and a carried value always keeps at least one
-    /// carrying out-edge at its producer (moves and spill stores replace
-    /// direct edges with edges that still carry the value). Nodes inserted
-    /// during scheduling read as empty, which is exact for them. The order
-    /// is the base graph's out-edge order for the whole loop, even after
-    /// rewiring re-orders a producer's live out-edges.
-    carried: Vec<Vec<ValueId>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl SpillMemo {
-    /// Reset for a new loop whose attempts all start from copies of
-    /// `graph`, precomputing the carried-values table.
-    pub(crate) fn begin_loop(&mut self, graph: &DepGraph) {
-        self.base_epoch = graph.structural_epoch();
-        self.token = 0;
-        self.uses.clear();
-        self.uses.resize_with(graph.value_count(), || None);
-        self.invariants = None;
-        self.hits = 0;
-        self.misses = 0;
-        self.carried.clear();
-        self.carried.resize_with(graph.node_capacity(), Vec::new);
-        for n in graph.node_ids() {
-            let list = compute_carried_values(graph, n);
-            if !list.is_empty() {
-                self.carried[n.index()] = list;
-            }
-        }
-    }
-
-    /// Loop-carried values `node` produces besides its `dest` (empty for
-    /// the overwhelmingly common dest-only case and for nodes inserted
-    /// during scheduling).
-    pub(crate) fn carried(&self, node: NodeId) -> &[ValueId] {
-        static EMPTY: [ValueId; 0] = [];
-        self.carried
-            .get(node.index())
-            .map_or(&EMPTY[..], Vec::as_slice)
-    }
-
-    /// Mark the start of a new scheduling attempt (invalidates mid-attempt
-    /// entries of the previous one; base-epoch entries stay valid).
-    pub(crate) fn begin_attempt(&mut self) {
-        self.token += 1;
-    }
-
-    /// Drop the entry of `v`: its producer's out-edges, its consumer set or
-    /// its operand wiring just changed. Called by every structural rewiring
-    /// site in the scheduler (alongside `PressureTracker::mark_value`).
-    pub(crate) fn invalidate(&mut self, v: ValueId) {
-        if let Some(slot) = self.uses.get_mut(v.index()) {
-            *slot = None;
-        }
-    }
-
-    /// `(hits, misses)` since [`SpillMemo::begin_loop`].
-    pub(crate) fn counters(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    fn slot_valid(&self, epoch: u64, token: u64) -> bool {
-        epoch == self.base_epoch || token == self.token
-    }
-
-    /// Structural use list of `v`, memoised.
-    pub(crate) fn variant_uses(
-        &mut self,
-        graph: &DepGraph,
-        lat: &LatencyModel,
-        v: ValueId,
-    ) -> &VariantUses {
-        if v.index() >= self.uses.len() {
-            self.uses.resize_with(v.index() + 1, || None);
-        }
-        let hit = self.uses[v.index()]
-            .as_ref()
-            .is_some_and(|s| self.slot_valid(s.epoch, s.token));
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            let data = compute_variant_uses(graph, lat, v);
-            self.uses[v.index()] = Some(MemoSlot {
-                epoch: graph.structural_epoch(),
-                token: self.token,
-                data,
-            });
-        }
-        let slot = self.uses[v.index()].as_ref().expect("filled above");
-        debug_assert_eq!(
-            slot.data,
-            compute_variant_uses(graph, lat, v),
-            "memoised use list diverged from the graph for {v:?}"
-        );
-        &slot.data
-    }
-
-    /// The loop's invariant values, memoised once per loop (the spill
-    /// heuristic otherwise scans every value per cluster per check).
-    pub(crate) fn invariant_values(&mut self, graph: &DepGraph) -> &[ValueId] {
-        if self.invariants.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            self.invariants = Some(
-                graph
-                    .value_ids()
-                    .filter(|&v| graph.value(v).invariant)
-                    .collect(),
-            );
-        }
-        let data = self.invariants.as_ref().expect("filled above");
-        debug_assert_eq!(
-            *data,
-            graph
-                .value_ids()
-                .filter(|&v| graph.value(v).invariant)
-                .collect::<Vec<_>>(),
-            "memoised invariant set diverged from the graph"
-        );
-        data
-    }
-}
 
 /// One scheduled use of a value, as the spill ranking sees it.
 #[derive(Debug, Clone, Copy)]
@@ -479,17 +232,32 @@ impl SchedState<'_> {
         }
     }
 
+    /// The loop's invariant values, from the table the search driver fills
+    /// once per loop: the scheduler only ever adds non-invariant values
+    /// (move copies, spill reloads) and never removes one, so the base
+    /// graph's list holds for every attempt.
+    fn invariant_values(&self) -> &[ValueId] {
+        let invariants = self.values.invariants();
+        debug_assert!(
+            self.graph
+                .value_ids()
+                .filter(|&v| self.graph.value(v).invariant)
+                .eq(invariants.iter().copied()),
+            "invariant-values table diverged from the graph"
+        );
+        invariants
+    }
+
     /// Select the use (lifetime section) crossing the critical cycle with
     /// the largest ratio between its span and the memory traffic its
     /// spilling would create; ties go to the first candidate ranked. Returns
     /// `None` when no section spans at least the minimum span gauge.
     ///
-    /// The structural inputs (invariant set, per-value use lists) come from
-    /// the cross-restart [`SpillMemo`], and the intervals are read in place
-    /// from the pressure tracker; only the schedule-dependent parts (cycles,
-    /// spans, the critical-cycle filter) are derived per call. Candidates
-    /// are ranked without being built: the scan allocates nothing, and only
-    /// the winner's consumer list is collected.
+    /// The intervals are read in place from the pressure tracker, and each
+    /// crossing value's scheduled uses from its producer's out-edge list:
+    /// the flow edges that carry the value, spill stores skipped, in
+    /// out-edge order. Candidates are ranked without being built: the scan
+    /// allocates nothing, and only the winner's consumer list is collected.
     ///
     /// Kept out of line: it runs only for a cluster over its threshold,
     /// and inlined into `check_and_insert_spill` it slowed the per-pick
@@ -505,13 +273,8 @@ impl SchedState<'_> {
         let lat = self.machine.latencies();
         let mut uses = std::mem::take(&mut self.slots.uses);
         let mut best_uses = std::mem::take(&mut self.slots.best_uses);
-        // Split borrows: the memo mutates (hit counters, fresh entries)
-        // while graph/schedule/pressure/slots are read-only, so the loop
-        // bodies below must stay on direct field accesses.
-        let memo = &mut self.memo;
         let graph = &self.graph;
         let sched = &self.sched;
-        let slots = &self.slots;
         let mut best: Option<(f64, Leader)> = None;
 
         // Loop invariants used in this cluster: spilling reloads them from
@@ -526,7 +289,7 @@ impl SchedState<'_> {
                     .iter()
                     .any(|&c| sched.cluster_of(c) == Some(cluster))
             };
-            if let Some(&v) = memo.invariant_values(graph).iter().find(|&&v| used_here(v)) {
+            if let Some(&v) = self.invariant_values().iter().find(|&&v| used_here(v)) {
                 best = Some((f64::from(ii), Leader::Invariant(v)));
             }
         }
@@ -537,17 +300,19 @@ impl SchedState<'_> {
                 continue;
             }
             let v = interval.value;
-            let entry = memo.variant_uses(graph, lat, v);
-            let Some(producer) = entry.producer else {
+            let Some(producer) = graph.value(v).producer else {
                 continue;
             };
+            let producer_op = graph.op(producer);
             // Values produced by spill loads are not spilled again.
-            if entry.reload {
+            if matches!(producer_op.origin, NodeOrigin::SpillLoad { .. }) {
                 continue;
             }
+            // The producer's latency: the first section's non-spillable part.
+            let producer_latency = i64::from(producer_op.latency(lat));
             let def_cycle = interval.start;
             debug_assert_eq!(sched.cycle_of(producer), Some(def_cycle));
-            let already_stored = slots.spill_store(v).is_some();
+            let already_stored = self.slots.spill_store(v).is_some();
             debug_assert_eq!(
                 already_stored,
                 graph.node_ids().any(|n| matches!(
@@ -557,13 +322,19 @@ impl SchedState<'_> {
             );
             // Consider every scheduled consumer as the end of a use section.
             uses.clear();
-            for &(node, distance) in &entry.uses {
-                if let Some(p) = sched.info(node) {
+            for &e in graph.out_edge_ids(producer) {
+                let edge = graph.edge(e);
+                if edge.value != Some(v)
+                    || matches!(graph.op(edge.to).origin, NodeOrigin::SpillStore { .. })
+                {
+                    continue;
+                }
+                if let Some(p) = sched.info(edge.to) {
                     uses.push(ScheduledUse {
-                        node,
-                        cycle: p.cycle + i64::from(ii) * i64::from(distance),
+                        node: edge.to,
+                        cycle: p.cycle + i64::from(ii) * i64::from(edge.distance),
                         slot: p.slot,
-                        distance,
+                        distance: edge.distance,
                     });
                 }
             }
@@ -577,7 +348,7 @@ impl SchedState<'_> {
             let mut leads = false;
             for (idx, u) in uses.iter().enumerate() {
                 let span = u.cycle - prev;
-                let non_spillable = if idx == 0 { entry.producer_latency } else { 0 };
+                let non_spillable = if idx == 0 { producer_latency } else { 0 };
                 let section_phase = prev_phase;
                 (prev, prev_phase) = (u.cycle, u.slot);
                 if span - non_spillable < min_span
@@ -727,11 +498,9 @@ impl SchedState<'_> {
             self.graph.add_flow(ld, consumer, reload_value, 0);
         }
         // The spilled value lost consumers and the reload gained them; both
-        // pressure contributions (and structural use lists) changed shape.
+        // pressure contributions changed shape.
         self.pressure.mark_value(cand.value);
         self.pressure.mark_value(reload_value);
-        self.memo.invalidate(cand.value);
-        self.memo.invalidate(reload_value);
         inserted
     }
 

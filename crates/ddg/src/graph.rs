@@ -265,7 +265,11 @@ impl Clone for ValueData {
 /// Node and edge ids are stable: removal leaves a tombstone, so ids held by
 /// the scheduler never dangle silently (accessors panic on removed ids,
 /// `contains`/`is_live` can be used to check).
-#[derive(Debug, Default)]
+///
+/// Equality compares every field: nodes, values and edges (tombstones and
+/// id allocation included) and the adjacency-list and consumer-index
+/// orderings, so two equal graphs schedule identically.
+#[derive(Debug, Default, PartialEq)]
 pub struct DepGraph {
     nodes: Vec<Option<OperationData>>,
     values: Vec<ValueData>,
@@ -278,9 +282,6 @@ pub struct DepGraph {
     /// `remove_node` and `replace_src` so `consumers_of` is O(consumers)
     /// instead of O(nodes).
     consumers: Vec<Consumers>,
-    /// Structural version: bumped by every mutation and carried over by
-    /// a copy (see [`DepGraph::structural_epoch`]).
-    epoch: u64,
 }
 
 // `clone_from` reuses every list of the destination, down to the operand
@@ -295,8 +296,7 @@ impl Clone for DepGraph {
         copy
     }
 
-    /// Make `self` a copy of `source`, epoch included, keeping `self`'s
-    /// allocations.
+    /// Make `self` a copy of `source`, keeping `self`'s allocations.
     ///
     /// # Example
     ///
@@ -312,11 +312,10 @@ impl Clone for DepGraph {
     /// let mut buf = base.clone();
     /// let slot = buf.add_value("x.spill", false);
     /// buf.add_node(OperationData::new(Opcode::SpillStore, Some(slot), vec![x]));
-    /// assert!(!buf.same_content(&base));
+    /// assert_ne!(buf, base);
     ///
     /// buf.clone_from(&base);
-    /// assert!(buf.same_content(&base));
-    /// assert_eq!(buf.structural_epoch(), base.structural_epoch());
+    /// assert_eq!(buf, base);
     /// ```
     fn clone_from(&mut self, source: &Self) {
         let Self {
@@ -326,7 +325,6 @@ impl Clone for DepGraph {
             succ,
             pred,
             consumers,
-            epoch,
         } = source;
         self.nodes.clone_from(nodes);
         self.values.clone_from(values);
@@ -334,7 +332,6 @@ impl Clone for DepGraph {
         self.succ.clone_from(succ);
         self.pred.clone_from(pred);
         self.consumers.clone_from(consumers);
-        self.epoch = *epoch;
     }
 }
 
@@ -357,7 +354,6 @@ impl DepGraph {
             invariant,
         });
         self.consumers.push(Consumers::new());
-        self.epoch += 1;
         id
     }
 
@@ -383,7 +379,7 @@ impl DepGraph {
         (0..self.values.len()).map(|i| ValueId(i as u32))
     }
 
-    /// Rename value `v`. Names are not structure: the epoch stays put.
+    /// Rename value `v`.
     ///
     /// # Panics
     ///
@@ -398,7 +394,6 @@ impl DepGraph {
     ///
     /// Panics if `v` is out of range.
     pub fn set_producer(&mut self, v: ValueId, producer: NodeId) {
-        self.epoch += 1;
         let data = &mut self.values[v.index()];
         data.producer = Some(producer);
         data.invariant = false;
@@ -476,7 +471,6 @@ impl DepGraph {
         if replaced > 0 {
             self.unindex_consumer(old, n);
             self.index_consumer(new, n);
-            self.epoch += 1;
         }
         replaced
     }
@@ -495,7 +489,6 @@ impl DepGraph {
         self.nodes.push(Some(data));
         self.succ.push(OutEdges::new());
         self.pred.push(InEdges::new());
-        self.epoch += 1;
         id
     }
 
@@ -527,7 +520,6 @@ impl DepGraph {
             for &src in &op.srcs {
                 self.unindex_consumer(src, n);
             }
-            self.epoch += 1;
         }
     }
 
@@ -564,14 +556,12 @@ impl DepGraph {
     ///
     /// Panics if `n` was removed or never existed.
     pub fn op_mut(&mut self, n: NodeId) -> &mut OperationData {
-        self.epoch += 1;
         self.nodes[n.index()]
             .as_mut()
             .unwrap_or_else(|| panic!("node {n} is not live"))
     }
 
-    /// Rename node `n`; like [`DepGraph::rename_value`], the epoch stays
-    /// put.
+    /// Rename node `n`.
     ///
     /// # Panics
     ///
@@ -627,7 +617,6 @@ impl DepGraph {
         self.succ[edge.from.index()].push(id);
         self.pred[edge.to.index()].push(id);
         self.edges.push(Some(edge));
-        self.epoch += 1;
         id
     }
 
@@ -667,7 +656,6 @@ impl DepGraph {
             .position(|&x| x == e)
             .expect("live edge is in its target's pred list");
         pred_list.remove(pred_pos);
-        self.epoch += 1;
     }
 
     /// Edge data.
@@ -697,28 +685,14 @@ impl DepGraph {
             .filter_map(|(i, e)| e.as_ref().map(|_| EdgeId(i as u32)))
     }
 
-    /// Outgoing edges of `n` (to live targets).
-    #[must_use]
-    pub fn out_edges(&self, n: NodeId) -> Vec<EdgeId> {
-        self.succ[n.index()].to_vec()
-    }
-
-    /// Incoming edges of `n` (from live sources).
-    #[must_use]
-    pub fn in_edges(&self, n: NodeId) -> Vec<EdgeId> {
-        self.pred[n.index()].to_vec()
-    }
-
-    /// Outgoing edges of `n` as a borrowed slice — the allocation-free
-    /// variant of [`DepGraph::out_edges`] for read-only hot paths.
+    /// Outgoing edges of `n` (to live targets), in insertion order.
     #[must_use]
     #[inline]
     pub fn out_edge_ids(&self, n: NodeId) -> &[EdgeId] {
         &self.succ[n.index()]
     }
 
-    /// Incoming edges of `n` as a borrowed slice — the allocation-free
-    /// variant of [`DepGraph::in_edges`] for read-only hot paths.
+    /// Incoming edges of `n` (from live sources), in insertion order.
     #[must_use]
     #[inline]
     pub fn in_edge_ids(&self, n: NodeId) -> &[EdgeId] {
@@ -804,49 +778,15 @@ impl DepGraph {
         })
     }
 
-    /// Sum of operation latencies of all live nodes — a cheap upper bound on
-    /// the schedule length used to bound II searches.
-    #[must_use]
-    pub fn latency_sum(&self, lat: &LatencyModel) -> u64 {
-        self.node_ids()
-            .map(|n| u64::from(self.op(n).latency(lat)) + 1)
-            .sum()
-    }
-
     /// Count live nodes whose opcode satisfies `pred`.
     pub fn count_ops(&self, mut pred: impl FnMut(Opcode) -> bool) -> usize {
         self.node_ids().filter(|&n| pred(self.op(n).opcode)).count()
     }
 
-    /// Structural version of the graph: bumped by every mutation, and
-    /// carried over by `clone` and `clone_from`. Every copy of one base
-    /// graph starts at the base's epoch with the base's structure, so data
-    /// derived from the base at that epoch (the spill memo's use lists)
-    /// holds for each copy until the copy is edited. Epochs of two copies
-    /// edited differently can coincide and say nothing about each other.
-    #[must_use]
-    pub fn structural_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Whether two graphs have identical content: same nodes, values,
-    /// edges (including tombstones and id allocation), same adjacency-list
-    /// and consumer-index orderings. The structural epoch is ignored.
-    #[must_use]
-    pub fn same_content(&self, other: &DepGraph) -> bool {
-        self.nodes == other.nodes
-            && self.values == other.values
-            && self.edges == other.edges
-            && self.succ == other.succ
-            && self.pred == other.pred
-            && self.consumers == other.consumers
-    }
-
     /// Structural payload of the graph for the snapshot codec
     /// (`ddg::snap`): nodes, values and edges *including tombstones*, in
     /// id order. Adjacency lists and the consumer index are derived data,
-    /// rebuilt on decode by [`DepGraph::from_snap_parts`]; the epoch is
-    /// not captured.
+    /// rebuilt on decode by [`DepGraph::from_snap_parts`].
     pub(crate) fn snap_parts(
         &self,
     ) -> (&[Option<OperationData>], &[ValueData], &[Option<DepEdge>]) {
@@ -860,9 +800,8 @@ impl DepGraph {
     /// regenerated by scanning live edges in id order and the consumer
     /// index by scanning live nodes' operands in id order — exactly the
     /// orderings the mutation API maintains (appends are in id order and
-    /// removals preserve relative order), so the rebuilt graph is
-    /// [`DepGraph::same_content`]-identical to the encoded one. The epoch
-    /// starts at 0.
+    /// removals preserve relative order), so the rebuilt graph equals the
+    /// encoded one.
     ///
     /// # Errors
     ///
@@ -940,7 +879,6 @@ impl DepGraph {
             succ,
             pred,
             consumers,
-            epoch: 0,
         })
     }
 }
@@ -1191,7 +1129,7 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         let back = DepGraph::decode_snap(&mut r).expect("round trip");
         r.expect_end().expect("the decoder reads every byte");
-        assert!(back.same_content(g));
+        assert_eq!(&back, g);
         back
     }
 
@@ -1228,33 +1166,17 @@ mod tests {
         let mut buf = shrunk.clone();
         buf.clone_from(&g);
         assert_eq!(inline_forms(&buf, p, v), [true, true]);
-        assert!(buf.same_content(&g));
+        assert_eq!(buf, g);
         let mut heap_buf = grown.clone();
         heap_buf.clone_from(&shrunk);
         assert_eq!(inline_forms(&heap_buf, p, v), [false, false]);
-        assert!(heap_buf.same_content(&shrunk));
+        assert_eq!(heap_buf, shrunk);
         round_trip(&heap_buf);
         let mut inline_buf = empty.clone();
         inline_buf.clone_from(&grown);
         assert_eq!(inline_forms(&inline_buf, p, v), [false, false]);
-        assert!(inline_buf.same_content(&grown));
+        assert_eq!(inline_buf, grown);
         round_trip(&inline_buf);
-    }
-
-    #[test]
-    fn epoch_advances_on_mutation_and_copies_carry_it() {
-        let (mut g, _a, b, v) = simple_graph();
-        let base = g.clone();
-        assert_eq!(base.structural_epoch(), g.structural_epoch());
-        let w = g.add_value("w", false);
-        g.replace_src(b, v, w);
-        assert_ne!(g.structural_epoch(), base.structural_epoch());
-        // Renaming is not a structural edit.
-        let before = g.structural_epoch();
-        g.rename_value(w, "w2".into());
-        assert_eq!(g.structural_epoch(), before);
-        g.clone_from(&base);
-        assert_eq!(g.structural_epoch(), base.structural_epoch());
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! Builds on the [`vliw::snap`] primitives. A graph's payload captures the
 //! full structural state — nodes, values and edges **including tombstone
-//! slots** — so the decoded graph is [`DepGraph::same_content`]-identical
-//! to the original and continues id allocation exactly where the encoded
-//! graph left off. Derived data (adjacency lists, the value→consumers
-//! index) is rebuilt on decode; the structural epoch is not captured and
-//! restarts at 0. A schedule result carries its final graph this way into
+//! slots** — so the decoded graph equals the original and continues id
+//! allocation exactly where the encoded graph left off. Derived data
+//! (adjacency lists, the value→consumers index) is rebuilt on decode. A
+//! schedule result carries its final graph this way into
 //! the schedule cache's entries (`harness::cache`).
 //!
 //! A [`Loop`] only encodes: [`loop_fingerprint`] hashes its payload into
@@ -315,7 +314,7 @@ mod tests {
         let mut w = SnapWriter::new();
         g.encode_snap(&mut w);
         let mut back = decode(&w.into_bytes()).unwrap();
-        assert!(back.same_content(g), "decoded graph differs structurally");
+        assert_eq!(&back, g, "decoded graph differs structurally");
         assert!(!back.is_live(victim), "tombstone survived the round trip");
 
         // Id allocation continues where the original left off: the next

@@ -451,7 +451,7 @@ mod tests {
         let back = cache.lookup(key, search.strategy).expect("cached entry");
         assert_eq!(back.schedule_hash(), r.schedule_hash());
         assert_eq!(back.ii, r.ii);
-        assert!(back.graph.same_content(&r.graph));
+        assert!(back.graph == r.graph);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
     }

@@ -108,7 +108,7 @@ proptest! {
         let mut r = SnapReader::new(&payload);
         let graph = DepGraph::decode_snap(&mut r).expect("own encoding decodes");
         r.expect_end().expect("own encoding is read whole");
-        prop_assert!(graph.same_content(&lp.graph));
+        prop_assert!(graph == lp.graph);
         prop_assert_eq!(graph_payload(&graph), payload);
         let op = OperationData::new(Opcode::IntAlu, None, vec![]);
         prop_assert_eq!(graph.clone().add_node(op.clone()), lp.graph.clone().add_node(op));
@@ -133,7 +133,7 @@ proptest! {
         prop_assert_eq!(back.schedule_hash(), result.schedule_hash());
         prop_assert_eq!(back.ii, result.ii);
         prop_assert_eq!(back.stats, result.stats);
-        prop_assert!(back.graph.same_content(&result.graph));
+        prop_assert!(back.graph == result.graph);
         prop_assert!(back.validate(&machine).is_ok());
         prop_assert_eq!(encode_entry(&back), blob);
     }
@@ -204,7 +204,7 @@ fn mutated_graphs_round_trip() {
         }
         tombstoned += 1;
         let back = decode_entry(&encode_entry(&result)).expect("own encoding decodes");
-        assert!(back.graph.same_content(&result.graph), "seed {seed}");
+        assert!(back.graph == result.graph, "seed {seed}");
         let op = OperationData::new(Opcode::IntAlu, None, vec![]);
         assert_eq!(
             back.graph.clone().add_node(op.clone()),
