@@ -141,10 +141,10 @@ impl<'m> MirsScheduler<'m> {
     ///
     /// The scratch amortises every per-attempt allocation (the graph
     /// copy, MRT arrays, pressure gauges, priority list, node- and
-    /// value-indexed slots) across II restarts and across
-    /// loops; the parallel sweep harness keeps one scratch per worker
-    /// thread. Results are byte-identical to [`MirsScheduler::schedule`]
-    /// for any reuse pattern.
+    /// value-indexed slots) across II restarts and across loops; the
+    /// parallel sweep harness keeps one scratch per worker thread. Results
+    /// are byte-identical to [`MirsScheduler::schedule`] for any reuse
+    /// pattern.
     ///
     /// Every II attempt schedules its own copy of one base graph: `lp`'s
     /// graph itself when the prefetch policy leaves it unchanged, else one

@@ -133,8 +133,8 @@ struct Candidate {
 }
 
 /// Add the work counters of one attempt's `stats` to the running totals
-/// `into`. Absolute fields (spill/move counts, timing) are
-/// set at result-packaging time and are not summed.
+/// `into`. Absolute fields (spill/move counts, timing) are set at
+/// result-packaging time and are not summed.
 fn accumulate(into: &mut SchedulerStats, stats: &SchedulerStats) {
     into.attempts += stats.attempts;
     into.ejections += stats.ejections;

@@ -20,11 +20,11 @@
 //! its producer's out-edge list into a buffer reused across checks; only
 //! the winner's consumer list is collected, once per inserted spill.
 //! Nothing is cached across checks or attempts: the uses are a plain
-//! function of the attempt's graph. Whether a lifetime or a section crosses
-//! the critical cycle is read from the kernel cycle it starts in
-//! ([`phase_covers`]): a
-//! lifetime's phase is its producer's kernel cycle and a section's the
-//! kernel cycle of the consumer that opens it, both stored by the schedule.
+//! function of the attempt's graph. Whether a lifetime or a section
+//! crosses the critical cycle is read from the kernel cycle it starts in
+//! ([`phase_covers`]): a lifetime's phase is its producer's kernel cycle
+//! and a section's the kernel cycle of the consumer that opens it, both
+//! stored by the schedule.
 //! When no candidate qualifies, the victim in the critical cycle is found
 //! from the same stored kernel cycles. A check therefore allocates nothing
 //! and divides nothing per placed node.

@@ -23,10 +23,21 @@ as a share of its median, and the pairs the change won (ties count for
 neither side). Each workload's table opens with each side's median count
 of timed passes: perfbench keeps every pass's per-item vectors, so
 `peak_rss_mb` grows with it, and a faster side runs more passes in the
-same seconds. Exit status: 1 when any metric's change median is worse than
-the parent's by more than its bound, 2 when a build or a run fails or a run
-reports `correct` false or `failed` > 0, or when a workload is unknown or a
-run length is not positive; 0 otherwise.
+same seconds.
+
+After a workload's pairs, each side makes one traced run (`--trace 1
+--seconds 1`), and the report compares the per-loop rows of the two
+`.bench_out/<workload>-seed<N>-gen<G>-loops.tsv` files on every column but
+`median_ms` (item, loop, machine, verdict, II, MII, spill ops, moves and
+schedule hash). It prints `rows: identical (N)`, or how many rows moved
+and the first few of them by item, loop and machine. Moved rows do not
+change the exit status: a change that moves schedules on purpose still
+passes, and the log shows what moved.
+
+Exit status: 1 when any metric's change median is worse than the parent's
+by more than its bound, 2 when a build or a run fails or a run reports
+`correct` false or `failed` > 0, or when a workload is unknown or a run
+length is not positive; 0 otherwise.
 """
 
 import argparse
@@ -184,6 +195,32 @@ def timed_passes(lines):
     raise ValueError("no 'items=... passes untraced=N' line in the output")
 
 
+def rows_report(parent, change, show=3):
+    r"""Compare the lines of two `-loops.tsv` files row by row on columns
+    1-10, every column but `median_ms`, and say which rows moved.
+
+    >>> head = "workload\titem\tloop\tmachine\tverdict\tii\tmii\tspill_ops\tmoves\thash\tmedian_ms"
+    >>> def row(item, loop, ii, ms):
+    ...     return f"tight\t{item}\t{loop}\t1-(GP8M4-REG16)\tok\t{ii}\t2\t0\t0\t00ab\t{ms}"
+    >>> parent = [head, row(0, "daxpy", 2, 0.01), row(1, "dot", 4, 0.03)]
+    >>> rows_report(parent, [head, row(0, "daxpy", 2, 0.02), row(1, "dot", 4, 0.05)])
+    'rows: identical (2)'
+    >>> rows_report(parent, [head, row(0, "daxpy", 3, 0.01), row(1, "dot", 4, 0.03)])
+    'rows: 1 of 2 moved; first: item 0 daxpy on 1-(GP8M4-REG16)'
+    >>> rows_report(parent, [head, row(0, "daxpy", 2, 0.01)])
+    'rows: 1 of 2 moved (parent 2 rows, change 1); first: item 1 dot on 1-(GP8M4-REG16)'
+    """
+    p, c = ([line.split("\t")[:10] for line in lines[1:] if line] for lines in (parent, change))
+    n = max(len(p), len(c))
+    moved = [i for i in range(n) if i >= len(p) or i >= len(c) or p[i] != c[i]]
+    if not moved:
+        return f"rows: identical ({n})"
+    sizes = "" if len(p) == len(c) else f" (parent {len(p)} rows, change {len(c)})"
+    first = ", ".join(f"item {r[1]} {r[2]} on {r[3]}"
+                      for r in ((p if i < len(p) else c)[i] for i in moved[:show]))
+    return f"rows: {len(moved)} of {n} moved{sizes}; first: {first}"
+
+
 def cargo_build(manifest, target_dir=None):
     """Build perfbench at `manifest` and return its executable's path."""
     cmd = ["cargo", "build", "--release", "--quiet", "--manifest-path", str(manifest),
@@ -212,11 +249,11 @@ def build_parent(rev, tmp):
     return cargo_build(src / "perfbench" / "Cargo.toml", tmp / "parent-target")
 
 
-def run(binary, cwd, workload, seconds, seed):
-    """One untraced perfbench run: its metrics by name, and its count of
-    timed passes."""
+def run(binary, cwd, workload, seconds, seed, trace=0):
+    """One perfbench run, untraced unless `trace` is 1: its metrics by
+    name, and its count of timed passes."""
     cmd = [binary, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}",
-           "--trace", "0"]
+           "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -231,6 +268,18 @@ def run(binary, cwd, workload, seconds, seed):
     except ValueError as e:
         raise Failure(f"{' '.join(cmd)}: {e}") from e
     return {name: m["value"] for name, m in result["metrics"].items()}, passes
+
+
+def traced_rows(binary, cwd, workload, seed):
+    """The lines of the per-loop rows a traced 1 s run writes."""
+    pattern = f"{workload}-seed{seed}-gen*-loops.tsv"
+    for old in (cwd / ".bench_out").glob(pattern):
+        old.unlink()
+    run(binary, cwd, workload, 1, seed, trace=1)
+    files = list((cwd / ".bench_out").glob(pattern))
+    if len(files) != 1:
+        raise Failure(f"{workload}: the traced run wrote {len(files)} files named {pattern}")
+    return files[0].read_text().splitlines()
 
 
 def compare(workload, runs, passes, metrics):
@@ -301,6 +350,9 @@ def main():
                           f"parent {runs['parent'][-1].get(first, math.nan):.6g} "
                           f"change {runs['change'][-1].get(first, math.nan):.6g}", flush=True)
                 broken += compare(workload, runs, passes, bench["end_to_end"])
+                rows = {side: traced_rows(binaries[side], tmp / side, workload, args.seed)
+                        for side in binaries}
+                print(rows_report(rows["parent"], rows["change"]), flush=True)
     except (Failure, OSError, subprocess.CalledProcessError) as e:
         print(f"perf_ab: {e}", file=sys.stderr)
         return 2
