@@ -25,9 +25,14 @@ pub struct Placement {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SchedulerStats {
     /// Nodes picked from the priority list (including re-scheduling after
-    /// ejection).
+    /// ejection). The periodic tail of a no-candidate rotation of the
+    /// spill check, which the scheduler skips, counts as if it had run:
+    /// one pick per step.
     pub attempts: u64,
-    /// Operations ejected by the Forcing-and-Ejection heuristic.
+    /// Operations ejected: by the Forcing-and-Ejection heuristic, and by
+    /// the spill check when no lifetime section qualifies (the victim in
+    /// the critical cycle). The skipped periodic tail of a no-candidate
+    /// rotation counts as if it had run: one ejection per step.
     pub ejections: u64,
     /// Forced placements (no free slot found).
     pub forced: u64,

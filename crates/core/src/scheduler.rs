@@ -16,6 +16,7 @@ use crate::result::{Placement, ScheduleResult, SchedulerStats, SearchMeta};
 use crate::schedule::{FoldedTable, PartialSchedule};
 use crate::scratch::{AttemptSlots, Derivation, LoopValues, SchedScratch};
 use crate::search::SearchDriver;
+use crate::spill::Rotation;
 use ddg::collections::HashMap;
 use ddg::{DepGraph, Loop, NodeId, NodeOrigin};
 use vliw::{ClusterId, MachineConfig, Opcode};
@@ -228,6 +229,11 @@ impl SchedState<'_> {
     /// Returns whether the attempt succeeded; on failure the whole state is
     /// about to be reclaimed.
     fn complete_placement(&mut self) -> bool {
+        // The attempt's no-candidate rotation, kept out of `SchedState`:
+        // as a field there it moved the offsets every pick reads, and cost
+        // perfbench `roomy` about 1% of its `loops_per_s` in alternated
+        // runs on a 2-vCPU Intel Xeon.
+        let mut rotation = Rotation::default();
         while let Some(u) = self.plist.pop() {
             if !self.graph.is_live(u) {
                 continue; // removed move node that was still pending
@@ -267,7 +273,7 @@ impl SchedState<'_> {
             }
 
             // (4)+(5) register allocation / spill insertion.
-            self.check_and_insert_spill();
+            self.check_and_insert_spill(&mut rotation);
 
             // (6) restart heuristic.
             if self.should_restart() {

@@ -28,7 +28,18 @@
 //! When no candidate qualifies, the victim in the critical cycle is found
 //! from the same stored kernel cycles. A check therefore allocates nothing
 //! and divides nothing per placed node.
+//!
+//! With the priority list empty, that fallback can rotate: each victim
+//! goes straight back to the cycle it left, the next check ejects the
+//! next register-defining node of the critical cycle, and so on until the
+//! budget drains. A finishing check that inserted no spill tracks the
+//! streak in a [`Rotation`]. Once each step changed nothing but placement
+//! order and the first victim comes round again, the rest of the attempt
+//! repeats that period. The check then counts the remaining budget as
+//! picks and ejections ([`count_periodic_tail`]) and lets the attempt end
+//! at once.
 
+use crate::result::SchedulerStats;
 use crate::scheduler::SchedState;
 use crate::scratch::Derivation;
 use ddg::lifetime::{phase_covers, LifetimeInterval, Pressure};
@@ -173,8 +184,10 @@ impl SchedState<'_> {
     /// span-to-traffic ratio and spill it; if no section spans at least the
     /// minimum span gauge, eject one of the operations scheduled in the
     /// critical cycle instead. Inserted spill operations enter the priority
-    /// list and enlarge the scheduling budget.
-    pub(crate) fn check_and_insert_spill(&mut self) {
+    /// list and enlarge the scheduling budget. `rotation` is the attempt's
+    /// tracker of no-candidate ejections in finishing checks: when it
+    /// closes a period, the check drains the budget (see [`Rotation`]).
+    pub(crate) fn check_and_insert_spill(&mut self, rotation: &mut Rotation) {
         if !self.opts.enable_spill {
             return;
         }
@@ -218,6 +231,10 @@ impl SchedState<'_> {
                 match self.select_spill_candidate(cluster, critical, min_span) {
                     Some(cand) => {
                         inserted_nodes += self.insert_spill(&cand);
+                    }
+                    None if finishing && inserted_nodes == 0 => {
+                        self.eject_in_rotation(rotation, cluster, rr, critical);
+                        break;
                     }
                     None => {
                         self.eject_from_critical_cycle(cluster, critical);
@@ -509,12 +526,303 @@ impl SchedState<'_> {
     /// cycle of the over-pressured cluster, forcing its non-spillable
     /// section out of that cycle.
     fn eject_from_critical_cycle(&mut self, cluster: ClusterId, critical_cycle: u32) {
-        let graph = &self.graph;
-        let victim = self.sched.first_placed_in(cluster, critical_cycle, |n| {
-            graph.op(n).opcode.defines_register()
-        });
-        if let Some(v) = victim {
+        if let Some(v) = self.critical_victim(cluster, critical_cycle) {
             self.eject_node(v);
+        }
+    }
+
+    /// The first-placed register-defining operation in `critical_cycle`
+    /// of `cluster`, if any.
+    fn critical_victim(&self, cluster: ClusterId, critical_cycle: u32) -> Option<NodeId> {
+        let graph = &self.graph;
+        self.sched.first_placed_in(cluster, critical_cycle, |n| {
+            graph.op(n).opcode.defines_register()
+        })
+    }
+
+    /// [`SchedState::eject_from_critical_cycle`] for a finishing check that
+    /// inserted no spill: the ejection is one step of a possible rotation,
+    /// recorded in `rotation`, and the step that closes a period ends the
+    /// attempt at once with its periodic tail counted
+    /// ([`count_periodic_tail`]).
+    ///
+    /// Kept out of line, like `select_spill_candidate`: loops that never
+    /// rotate run the per-pick check they ran without the tracker.
+    #[inline(never)]
+    fn eject_in_rotation(
+        &mut self,
+        rotation: &mut Rotation,
+        cluster: ClusterId,
+        max_live: u32,
+        critical: u32,
+    ) {
+        let Some(victim) = self.critical_victim(cluster, critical) else {
+            return;
+        };
+        let step = RotationStep {
+            pick: self.stats.attempts,
+            state: RotationState {
+                cluster,
+                max_live,
+                critical,
+                nodes: self.graph.node_capacity(),
+                values: self.graph.value_count(),
+                spills: self.spills_inserted,
+                forced: self.stats.forced,
+                moves_removed: self.stats.moves_removed,
+            },
+            victim,
+            cycle: self.sched.cycle_of(victim).expect("the victim is placed"),
+        };
+        let sched = &self.sched;
+        let closes = rotation.observe(step, |n| sched.info(n).map(|p| (p.cycle, p.cluster)));
+        self.eject_node(victim);
+        if closes {
+            count_periodic_tail(&mut self.stats, &mut self.budget);
+        }
+    }
+}
+
+/// What a finishing check's no-candidate ejection finds, read before it
+/// ejects: the cluster over its register file, its `MaxLive` and critical
+/// cycle, and the graph sizes and work counters that any other change of
+/// the attempt moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RotationState {
+    cluster: ClusterId,
+    max_live: u32,
+    critical: u32,
+    /// Node capacity of the graph: grows with every inserted node.
+    nodes: usize,
+    /// Value count of the graph: grows with every move copy and reload.
+    values: usize,
+    /// Spill operations inserted so far.
+    spills: u32,
+    /// `SchedulerStats::forced` so far.
+    forced: u64,
+    /// `SchedulerStats::moves_removed` so far.
+    moves_removed: u64,
+}
+
+/// One no-candidate ejection of a finishing check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RotationStep {
+    /// Picks made so far (`SchedulerStats::attempts`).
+    pick: u64,
+    state: RotationState,
+    /// The node ejected, and the cycle it is ejected from.
+    victim: NodeId,
+    cycle: i64,
+}
+
+/// The no-candidate rotation of finishing spill checks, tracked so that
+/// its periodic tail can be counted instead of run.
+///
+/// With the priority list empty and a cluster over its register file with
+/// no lifetime section to spill, the check ejects the first-placed
+/// register-defining node of the critical cycle, and the next pick places
+/// it again. A step of such a streak is *clean* when it comes on the pick
+/// right after the step before, that step's victim is back on the cycle
+/// and cluster it left, and the [`RotationState`] reads as it did then.
+/// [`Rotation::observe`] reports the clean step whose victim is the
+/// streak's first victim again.
+///
+/// Why the rest of the attempt is then one period repeated until the
+/// budget drains:
+/// - A clean step inserts no node or value, removes no move and forces
+///   nothing, and its victim returns to its own cycle and cluster. Every
+///   placed node already reads its operands in its own cluster (the
+///   invariant `locality_holds` asserts), so the returning victim rewires
+///   nothing either. Placements, the graph, the pressure gauges and the
+///   previous cycles are all as the step found them.
+/// - The one thing a clean step changes is placement order: the victim
+///   moves from first to last among the register-defining nodes of the
+///   critical cycle. Order is read in two places. `conflicts` reads it
+///   only for a forced placement, and there is none. `first_placed_in`
+///   reads it to pick the victim, and only among those nodes. Every other
+///   decision (cluster, window, free slot, MaxLive, critical cycle and
+///   whether any section qualifies) reads placements and the graph only.
+/// - So victims go round those nodes in placement order. The first
+///   victim's return means each of them was placed again once, and their
+///   order among themselves is the order the streak began with. Every
+///   decision the next step reads is then what the streak's first step
+///   read, so the steps from here repeat the streak's, each one pick and
+///   one ejection. Nothing but the budget ends them: the memory and
+///   runaway-spill tests of `should_restart` read only counts the steps
+///   leave unchanged.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Rotation {
+    /// The streak's first victim and its latest step.
+    streak: Option<(NodeId, RotationStep)>,
+}
+
+impl Rotation {
+    /// Record `step`, where `placed` reads a node's cycle and cluster now.
+    /// Returns whether the step closes a period: it is clean and ejects
+    /// the streak's first victim again. A step that is not clean starts a
+    /// new streak.
+    fn observe(
+        &mut self,
+        step: RotationStep,
+        placed: impl Fn(NodeId) -> Option<(i64, ClusterId)>,
+    ) -> bool {
+        let first = match self.streak {
+            Some((first, last))
+                if step.pick == last.pick + 1
+                    && step.state == last.state
+                    && placed(last.victim) == Some((last.cycle, last.state.cluster)) =>
+            {
+                if step.victim == first {
+                    return true;
+                }
+                first
+            }
+            _ => step.victim,
+        };
+        self.streak = Some((first, step));
+        false
+    }
+}
+
+/// Count the periodic tail of a rotation instead of running it: each of
+/// the `budget` picks left would pick the last victim and eject the next,
+/// so both counters grow by the budget, which then drains.
+fn count_periodic_tail(stats: &mut SchedulerStats, budget: &mut i64) {
+    let tail = (*budget).max(0).unsigned_abs();
+    stats.attempts += tail;
+    stats.ejections += tail;
+    *budget = 0;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Step `pick` of a rotation on cluster 0 that ejects `victim` from
+    /// cycle `10 + victim`.
+    fn step(pick: u64, victim: u32) -> RotationStep {
+        RotationStep {
+            pick,
+            state: RotationState {
+                cluster: ClusterId(0),
+                max_live: 17,
+                critical: 3,
+                nodes: 40,
+                values: 30,
+                spills: 2,
+                forced: 9,
+                moves_removed: 1,
+            },
+            victim: NodeId(victim),
+            cycle: 10 + i64::from(victim),
+        }
+    }
+
+    /// Every node placed where [`step`] ejects it from.
+    fn home(n: NodeId) -> Option<(i64, ClusterId)> {
+        Some((10 + i64::from(n.0), ClusterId(0)))
+    }
+
+    /// Index of the first of `steps` that closes a period, fed to a fresh
+    /// tracker in turn.
+    fn closes_at(
+        steps: &[RotationStep],
+        placed: impl Fn(NodeId) -> Option<(i64, ClusterId)> + Copy,
+    ) -> Option<usize> {
+        let mut rotation = Rotation::default();
+        steps.iter().position(|&s| rotation.observe(s, placed))
+    }
+
+    /// Consecutive steps from pick 20 ejecting `victims` in turn.
+    fn streak(victims: &[u32]) -> Vec<RotationStep> {
+        victims.iter().zip(20..).map(|(&v, p)| step(p, v)).collect()
+    }
+
+    #[test]
+    fn a_one_node_rotation_closes_when_its_victim_returns() {
+        assert_eq!(closes_at(&streak(&[4, 4]), home), Some(1));
+    }
+
+    #[test]
+    fn a_three_node_rotation_closes_when_the_first_victim_returns() {
+        assert_eq!(closes_at(&streak(&[4, 9, 2, 4]), home), Some(3));
+    }
+
+    #[test]
+    fn a_step_that_is_not_clean_starts_a_new_streak() {
+        // Pick 23 comes two picks after 21, so 9 opens the streak that
+        // closes on its return.
+        let mut steps = streak(&[4, 9]);
+        steps.extend([step(23, 9), step(24, 2), step(25, 4), step(26, 9)]);
+        assert_eq!(closes_at(&steps, home), Some(5));
+    }
+
+    #[test]
+    fn a_victim_placed_elsewhere_breaks_the_streak() {
+        let moved_cycle = |n: NodeId| home(n).map(|(c, k)| (c + 1, k));
+        let moved_cluster = |n: NodeId| home(n).map(|(c, _)| (c, ClusterId(1)));
+        let unplaced = |_: NodeId| None;
+        for placed in [moved_cycle, moved_cluster, unplaced] {
+            assert_eq!(closes_at(&streak(&[4, 4]), placed), None);
+            assert_eq!(closes_at(&streak(&[4, 9, 2, 4]), placed), None);
+        }
+    }
+
+    #[test]
+    fn a_change_between_steps_breaks_the_streak() {
+        let changes: [fn(&mut RotationState); 9] = [
+            // A spill: a store, a reload and its value.
+            |s| (s.spills, s.nodes, s.values) = (s.spills + 2, s.nodes + 2, s.values + 1),
+            // A created move and its copy.
+            |s| (s.nodes, s.values) = (s.nodes + 1, s.values + 1),
+            |s| s.moves_removed += 1,
+            |s| s.forced += 1,
+            |s| s.max_live += 1,
+            |s| s.critical += 1,
+            |s| s.cluster = ClusterId(1),
+            |s| s.nodes += 1,
+            |s| s.values += 1,
+        ];
+        for change in changes {
+            for victims in [&[4, 4][..], &[4, 9, 2, 4]] {
+                let mut steps = streak(victims);
+                let last = steps.len() - 1;
+                change(&mut steps[last].state);
+                assert_eq!(closes_at(&steps, home), None);
+            }
+        }
+    }
+
+    #[test]
+    fn another_pick_between_steps_breaks_the_streak() {
+        assert_eq!(closes_at(&[step(20, 4), step(22, 4)], home), None);
+        assert_eq!(closes_at(&[step(20, 4), step(20, 4)], home), None);
+    }
+
+    #[test]
+    fn a_check_that_is_not_finishing_breaks_the_streak() {
+        // Only finishing checks are observed. A check that is not
+        // finishing has another node pending, which is picked before the
+        // next finishing check: that check comes two picks on.
+        let steps = [step(20, 4), step(21, 9), step(23, 4)];
+        assert_eq!(closes_at(&steps, home), None);
+    }
+
+    #[test]
+    fn the_tail_is_the_remaining_budget() {
+        let before = SchedulerStats {
+            attempts: 100,
+            ejections: 40,
+            forced: 7,
+            ..SchedulerStats::default()
+        };
+        for (budget, tail) in [(25, 25), (1, 1), (0, 0), (-3, 0)] {
+            let (mut stats, mut left) = (before, budget);
+            count_periodic_tail(&mut stats, &mut left);
+            assert_eq!(stats.attempts, before.attempts + tail);
+            assert_eq!(stats.ejections, before.ejections + tail);
+            assert_eq!(stats.forced, before.forced);
+            assert!(left <= 0, "the budget drains");
         }
     }
 }
