@@ -30,9 +30,15 @@ After a workload's pairs, each side makes one traced run (`--trace 1
 `.bench_out/<workload>-seed<N>-gen<G>-loops.tsv` files on every column but
 `median_ms` (item, loop, machine, verdict, II, MII, spill ops, moves and
 schedule hash). It prints `rows: identical (N)`, or how many rows moved
-and the first few of them by item, loop and machine. Moved rows do not
-change the exit status: a change that moves schedules on purpose still
-passes, and the log shows what moved.
+and the first few of them by item, loop and machine. It then compares the
+work counters of the same two traced runs exactly (picks, ejections and
+forced placements per pick, restarts, attempts, moves and removed moves
+per loop, spill ops per loop, cache entry bytes): each is a ratio of
+integer totals, so a change that moves no work prints `counters:
+identical (9)`, and otherwise the counters that moved with both values.
+Moved rows and counters do not change the exit status: a change that
+moves schedules or work on purpose still passes, and the log shows what
+moved.
 
 Exit status: 1 when any metric's change median is worse than the parent's
 by more than its bound, 2 when a build or a run fails or a run reports
@@ -221,6 +227,45 @@ def rows_report(parent, change, show=3):
     return f"rows: {len(moved)} of {n} moved{sizes}; first: {first}"
 
 
+# The traced work counters a change that moves no work leaves equal to
+# the last digit.
+COUNTERS = (
+    "mirs.scheduler.picks_per_loop",
+    "mirs.scheduler.ejections_per_pick",
+    "mirs.scheduler.forced_per_pick",
+    "mirs.scheduler.restarts_per_loop",
+    "mirs.search.attempts_per_loop",
+    "mirs.cluster_assign.moves_per_loop",
+    "mirs.cluster_assign.moves_removed_per_loop",
+    "mirs.spill.ops_per_loop",
+    "harness.cache.entry_bytes",
+)
+
+
+def counters_report(parent, change):
+    """Compare the work counters of two traced runs' metrics exactly and
+    say which moved, with both values.
+
+    >>> parent = dict.fromkeys(COUNTERS, 2.5) | {"mirs.schedule_us": 700.0}
+    >>> counters_report(parent, parent | {"mirs.schedule_us": 420.0})
+    'counters: identical (9)'
+    >>> change = parent | {"mirs.scheduler.picks_per_loop": 2.25, "harness.cache.entry_bytes": 3.0}
+    >>> print(counters_report(parent, change))
+    counters: 2 of 9 moved: mirs.scheduler.picks_per_loop 2.5 -> 2.25, harness.cache.entry_bytes 2.5 -> 3.0
+
+    A counter one side does not report counts as moved:
+
+    >>> print(counters_report(parent, {k: v for k, v in parent.items()
+    ...                                if k != "mirs.spill.ops_per_loop"}))
+    counters: 1 of 9 moved: mirs.spill.ops_per_loop 2.5 -> -
+    """
+    moved = [f"{name} {parent.get(name, '-')} -> {change.get(name, '-')}" for name in COUNTERS
+             if name not in parent or name not in change or parent[name] != change[name]]
+    if not moved:
+        return f"counters: identical ({len(COUNTERS)})"
+    return f"counters: {len(moved)} of {len(COUNTERS)} moved: {', '.join(moved)}"
+
+
 def cargo_build(manifest, target_dir=None):
     """Build perfbench at `manifest` and return its executable's path."""
     cmd = ["cargo", "build", "--release", "--quiet", "--manifest-path", str(manifest),
@@ -270,16 +315,17 @@ def run(binary, cwd, workload, seconds, seed, trace=0):
     return {name: m["value"] for name, m in result["metrics"].items()}, passes
 
 
-def traced_rows(binary, cwd, workload, seed):
-    """The lines of the per-loop rows a traced 1 s run writes."""
+def traced(binary, cwd, workload, seed):
+    """One traced 1 s run: the lines of the per-loop rows it writes, and
+    its metrics by name."""
     pattern = f"{workload}-seed{seed}-gen*-loops.tsv"
     for old in (cwd / ".bench_out").glob(pattern):
         old.unlink()
-    run(binary, cwd, workload, 1, seed, trace=1)
+    metrics, _ = run(binary, cwd, workload, 1, seed, trace=1)
     files = list((cwd / ".bench_out").glob(pattern))
     if len(files) != 1:
         raise Failure(f"{workload}: the traced run wrote {len(files)} files named {pattern}")
-    return files[0].read_text().splitlines()
+    return files[0].read_text().splitlines(), metrics
 
 
 def compare(workload, runs, passes, metrics):
@@ -350,9 +396,10 @@ def main():
                           f"parent {runs['parent'][-1].get(first, math.nan):.6g} "
                           f"change {runs['change'][-1].get(first, math.nan):.6g}", flush=True)
                 broken += compare(workload, runs, passes, bench["end_to_end"])
-                rows = {side: traced_rows(binaries[side], tmp / side, workload, args.seed)
-                        for side in binaries}
-                print(rows_report(rows["parent"], rows["change"]), flush=True)
+                p_rows, p_metrics = traced(binaries["parent"], tmp / "parent", workload, args.seed)
+                c_rows, c_metrics = traced(binaries["change"], tmp / "change", workload, args.seed)
+                print(rows_report(p_rows, c_rows))
+                print(counters_report(p_metrics, c_metrics), flush=True)
     except (Failure, OSError, subprocess.CalledProcessError) as e:
         print(f"perf_ab: {e}", file=sys.stderr)
         return 2
