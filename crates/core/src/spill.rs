@@ -797,10 +797,6 @@ mod tests {
     fn another_pick_between_steps_breaks_the_streak() {
         assert_eq!(closes_at(&[step(20, 4), step(22, 4)], home), None);
         assert_eq!(closes_at(&[step(20, 4), step(20, 4)], home), None);
-    }
-
-    #[test]
-    fn a_check_that_is_not_finishing_breaks_the_streak() {
         // Only finishing checks are observed. A check that is not
         // finishing has another node pending, which is picked before the
         // next finishing check: that check comes two picks on.
